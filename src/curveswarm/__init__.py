@@ -6,7 +6,6 @@ simulator that drives a team of extended unicycles around the curve and into
 the formation vertices with blended pose regulation and collision avoidance.
 """
 
-from ._accel import NUMBA_ENABLED
 from .control import ControllerParams, ControlError, make_params
 from .curves import (
     Curve,
@@ -50,3 +49,6 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# the kernels run on plain numpy; tools that report the backend read this flag
+NUMBA_ENABLED = False

@@ -14,8 +14,7 @@ is signed, which is what makes the decoupling determinant exactly -v.
 
 import numpy as np
 
-from ._accel import jit
-from ._curve_kernels import curve_d1, curve_d2, curve_point, frame_raw, turn_rate
+from ._curve_kernels import curve_d1, curve_d2, curve_point, frame_raw
 
 TWO_PI = 2.0 * np.pi
 _W_FD_STEP = 1e-5
@@ -86,8 +85,8 @@ def transverse_terms(kind, par, eps_sing, x, y, psi, v, z, vz, lift_gain, z_ref,
     if denom < eps_sing:
         denom = eps_sing
     speed_deriv = (d1x * d2x + d1y * d2y) / denom
-    turn_plus = turn_rate(kind, par, s + _W_FD_STEP, eps_sing)
-    turn_minus = turn_rate(kind, par, s - _W_FD_STEP, eps_sing)
+    turn_plus = frame_raw(kind, par, s + _W_FD_STEP, eps_sing)[7]
+    turn_minus = frame_raw(kind, par, s - _W_FD_STEP, eps_sing)[7]
     turn_deriv = (turn_plus - turn_minus) / (2.0 * _W_FD_STEP)
     return (
         e_n,
@@ -306,16 +305,3 @@ def agent_control(
     omega = (1.0 - alpha) * om_nom + alpha * om_av
     a_z = (1.0 - alpha) * az_nom + alpha * az_av
     return a, omega, a_z, sigma, alpha, duty
-
-
-wrap_angle = jit(wrap_angle)
-beta_smooth = jit(beta_smooth)
-blend_weight = jit(blend_weight)
-transverse_terms = jit(transverse_terms)
-decoupling_entries = jit(decoupling_entries)
-drift_acceleration = jit(drift_acceleration)
-path_following_control = jit(path_following_control)
-pose_control_law = jit(pose_control_law)
-repulsion_sum = jit(repulsion_sum)
-avoidance_control_law = jit(avoidance_control_law)
-agent_control = jit(agent_control)

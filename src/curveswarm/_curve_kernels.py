@@ -1,16 +1,13 @@
 """Closed-form curve-family kernels.
 
 Every family maps a parameter s (period 2*pi) to a plane point and its first
-and second parameter derivatives.  The functions are written in a form that
-is valid for scalar floats and for float64 arrays, and that compiles under
-numba's njit; with acceleration off the same source runs as plain vectorized
-numpy.  Family parameters arrive as a flat float64 vector (layout documented
-in curves.py); the integer kind code selects the family.
+and second parameter derivatives.  The functions accept scalar floats and
+float64 arrays alike (plain vectorized numpy).  Family parameters arrive as
+a flat float64 vector (layout documented in curves.py); the integer kind
+code selects the family.
 """
 
 import numpy as np
-
-from ._accel import jit
 
 TWO_PI = 2.0 * np.pi
 
@@ -302,35 +299,6 @@ def frame_raw(kind, par, s, eps_sing):
     ty = dy / mf
     cross = dx * ddy - dy * ddx
     kappa = cross / (mf * mf * mf)
-    return tx, ty, -ty, tx, np.arctan2(ty, tx), m, kappa, cross / (mf * mf), True
+    turn = cross / (dx * dx + dy * dy)
+    return tx, ty, -ty, tx, np.arctan2(ty, tx), m, kappa, turn, True
 
-
-def turn_rate(kind, par, s, eps_sing):
-    """d(psi_t)/ds = (x'y'' - y'x'') / ||gamma'||^2 with the cusp fallback."""
-    dx, dy = curve_d1(kind, par, s)
-    m = np.hypot(dx, dy)
-    sf = s
-    if m < eps_sing:
-        for j in range(1, 11):
-            step = 1e-4 * j
-            dxp, dyp = curve_d1(kind, par, s + step)
-            if np.hypot(dxp, dyp) >= eps_sing:
-                sf = s + step
-                break
-            dxm, dym = curve_d1(kind, par, s - step)
-            if np.hypot(dxm, dym) >= eps_sing:
-                sf = s - step
-                break
-        dx, dy = curve_d1(kind, par, sf)
-    ddx, ddy = curve_d2(kind, par, sf)
-    m2 = dx * dx + dy * dy
-    return (dx * ddy - dy * ddx) / m2
-
-
-_polar_terms = jit(_polar_terms)
-_gear_terms = jit(_gear_terms)
-curve_point = jit(curve_point)
-curve_d1 = jit(curve_d1)
-curve_d2 = jit(curve_d2)
-frame_raw = jit(frame_raw)
-turn_rate = jit(turn_rate)

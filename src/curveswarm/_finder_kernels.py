@@ -10,14 +10,10 @@ e_i = p_i - p_{i-1}):
 
 where lbar is the mean side length.  The diagonal rows exist only in
 square mode (n = 4), which biases the solver toward true squares.
-
-Everything here is plain float/array code so it runs identically under
-numba and the pure-numpy fallback (see _accel).
 """
 
 import numpy as np
 
-from ._accel import jit
 from ._curve_kernels import curve_point, curve_d1
 
 # gn_solve termination codes
@@ -33,15 +29,9 @@ _SQRT2 = np.sqrt(2.0)
 
 def _edges(kind, par, theta):
     """Vertex coordinates and cyclic edge vectors e_i = p_i - p_{i-1}."""
-    n = theta.shape[0]
     x, y = curve_point(kind, par, theta)
-    ex = np.empty(n)
-    ey = np.empty(n)
-    for i in range(n):
-        j = (i - 1) % n
-        ex[i] = x[i] - x[j]
-        ey[i] = y[i] - y[j]
-    return x, y, ex, ey
+    prev = np.arange(theta.shape[0]) - 1  # index -1 wraps to the last vertex
+    return x, y, x - x[prev], y - y[prev]
 
 
 def residual_vector(kind, par, theta, square_mode):
@@ -127,18 +117,8 @@ def jacobian_matrix(kind, par, theta, square_mode):
 
 
 def weight_vector(n, square_mode, w_len, w_ang, w_diag):
-    if square_mode:
-        m = 2 * n + 2
-    else:
-        m = 2 * n
-    w = np.empty(m)
-    for i in range(n):
-        w[i] = w_len
-        w[n + i] = w_ang
-    if square_mode:
-        w[2 * n] = w_diag
-        w[2 * n + 1] = w_diag
-    return w
+    counts = (n, n, 2 if square_mode else 0)
+    return np.repeat(np.array([w_len, w_ang, w_diag], dtype=float), counts)
 
 
 def cost_value(r, w):
@@ -186,6 +166,8 @@ def gn_solve(
     eye = np.eye(n)
     for k in range(k_max):
         J = jacobian_matrix(kind, par, theta, square_mode)
+        # a C-ordered copy: BLAS rounds the product with a transposed view
+        # differently, and the finder's outputs are reproducible to the bit
         JT = np.ascontiguousarray(J.T)
         grad = JT @ (w * r)
         M = JT @ (w.reshape((-1, 1)) * J)
@@ -195,13 +177,8 @@ def gn_solve(
         while lam <= _LM_MAX:
             A = M + lam * eye
             dtheta = np.linalg.solve(A, -grad)
-            finite = True
-            slope = 0.0
-            for idx in range(n):
-                if not np.isfinite(dtheta[idx]):
-                    finite = False
-                slope += grad[idx] * dtheta[idx]
-            if (not finite) or slope > 0.0:
+            slope = np.sum(grad * dtheta)
+            if not np.all(np.isfinite(dtheta)) or slope > 0.0:
                 lam *= 10.0
                 continue
             eta = 1.0
@@ -213,10 +190,7 @@ def gn_solve(
                     theta = theta_try
                     r = r_try
                     cost_new = c_try
-                    dn = 0.0
-                    for idx in range(n):
-                        dn += dtheta[idx] * dtheta[idx]
-                    step_norm = eta * np.sqrt(dn)
+                    step_norm = eta * np.sqrt(np.sum(dtheta * dtheta))
                     accepted = True
                     break
                 eta *= backtrack
@@ -244,11 +218,3 @@ def gn_solve(
             status = STATUS_COST
             break
     return theta, cost, iters, status, trace_len
-
-
-_edges = jit(_edges)
-residual_vector = jit(residual_vector)
-jacobian_matrix = jit(jacobian_matrix)
-weight_vector = jit(weight_vector)
-cost_value = jit(cost_value)
-gn_solve = jit(gn_solve)

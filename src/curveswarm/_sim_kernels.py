@@ -9,8 +9,7 @@ constant across the step (zero-order hold).
 
 import numpy as np
 
-from ._accel import jit
-from ._control_kernels import agent_control, path_following_control, repulsion_sum, beta_smooth, avoidance_control_law
+from ._control_kernels import agent_control
 from ._curve_kernels import curve_point
 
 TWO_PI = 2.0 * np.pi
@@ -23,40 +22,31 @@ def rk4_step_team(states, controls, dt):
     (x', y', psi', v', z', vz') = (v cos psi, v sin psi, turn, accel,
     vz, lift_accel).
     """
-    n = states.shape[0]
+    x, y, psi, v, z, vz = states.T
+    a, om, az = controls.T
+    # stage 1
+    k1x = v * np.cos(psi)
+    k1y = v * np.sin(psi)
+    # stage 2
+    psi2 = psi + 0.5 * dt * om
+    v2 = v + 0.5 * dt * a
+    k2x = v2 * np.cos(psi2)
+    k2y = v2 * np.sin(psi2)
+    # stage 3 sees the same midpoint rates for psi and v
+    k3x = k2x
+    k3y = k2y
+    # stage 4
+    psi4 = psi + dt * om
+    v4 = v + dt * a
+    k4x = v4 * np.cos(psi4)
+    k4y = v4 * np.sin(psi4)
     out = np.empty_like(states)
-    for i in range(n):
-        x = states[i, 0]
-        y = states[i, 1]
-        psi = states[i, 2]
-        v = states[i, 3]
-        z = states[i, 4]
-        vz = states[i, 5]
-        a = controls[i, 0]
-        om = controls[i, 1]
-        az = controls[i, 2]
-        # stage 1
-        k1x = v * np.cos(psi)
-        k1y = v * np.sin(psi)
-        # stage 2
-        psi2 = psi + 0.5 * dt * om
-        v2 = v + 0.5 * dt * a
-        k2x = v2 * np.cos(psi2)
-        k2y = v2 * np.sin(psi2)
-        # stage 3 sees the same midpoint rates for psi and v
-        k3x = v2 * np.cos(psi2)
-        k3y = v2 * np.sin(psi2)
-        # stage 4
-        psi4 = psi + dt * om
-        v4 = v + dt * a
-        k4x = v4 * np.cos(psi4)
-        k4y = v4 * np.sin(psi4)
-        out[i, 0] = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        out[i, 1] = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        out[i, 2] = psi + dt * om
-        out[i, 3] = v + dt * a
-        out[i, 4] = z + dt * vz + 0.5 * dt * dt * az
-        out[i, 5] = vz + dt * az
+    out[:, 0] = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    out[:, 1] = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    out[:, 2] = psi + dt * om
+    out[:, 3] = v + dt * a
+    out[:, 4] = z + dt * vz + 0.5 * dt * dt * az
+    out[:, 5] = vz + dt * az
     return out
 
 
@@ -90,14 +80,10 @@ def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
 
 def min_pair_distance(px, py):
     """Smallest inter-agent separation; inf for a single agent."""
-    n = px.shape[0]
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.sqrt((px[i] - px[j]) ** 2 + (py[i] - py[j]) ** 2)
-            if d < best:
-                best = d
-    return best
+    if px.shape[0] < 2:
+        return np.inf
+    i, j = np.triu_indices(px.shape[0], 1)
+    return np.min(np.sqrt((px[i] - px[j]) ** 2 + (py[i] - py[j]) ** 2))
 
 
 def march_profile(z0, z_cap, t, rate, width):
@@ -152,12 +138,7 @@ def team_controls(
     """
     n = states.shape[0]
     out = np.empty((n, 6))
-    px = np.ascontiguousarray(states[:, 0])
-    py = np.ascontiguousarray(states[:, 1])
-    psi = np.ascontiguousarray(states[:, 2])
-    v = np.ascontiguousarray(states[:, 3])
-    z = np.ascontiguousarray(states[:, 4])
-    vz = np.ascontiguousarray(states[:, 5])
+    px, py, psi, v, z, vz = states.T
     width = cp.lift_gain * cp.brake_width
     lead = cp.lift_gain * cp.lead_width
     vz_max = 2.0 * ref_rate
@@ -167,45 +148,32 @@ def team_controls(
         if z_ref > z[i] + lead:
             z_ref = z[i] + lead
             rate_i = 0.0
+        # a sweep-only mission has done no revolutions toward a target,
+        # which pins sigma at zero
+        revs = 0.0
         if has_targets:
             revs = (z[i] - z0[i]) / (TWO_PI * cp.lift_gain)
             if revs < 0.0:
                 revs = 0.0
-            a, om, az, sg, al, du = agent_control(
-                i,
-                px,
-                py,
-                psi,
-                v,
-                z,
-                vz,
-                revs,
-                kind,
-                par,
-                eps_sing,
-                target_x[i],
-                target_y[i],
-                target_psi[i],
-                z_ref,
-                rate_i,
-                cp,
-            )
-        else:
-            a, om, az = path_following_control(
-                kind, par, eps_sing, px[i], py[i], psi[i], v[i], z[i], vz[i],
-                z_ref, rate_i, cp,
-            )
-            sg = 0.0
-            du = beta_smooth(cp.sigma_accept / cp.delta_sigma)
-            fx_raw, fy_raw, prox, _ms = repulsion_sum(i, px, py, psi, cp.d_ao, cp)
-            al = du * prox
-            if al > 0.0:
-                aa, oma, aza = avoidance_control_law(
-                    psi[i], v[i], vz[i], du * fx_raw, du * fy_raw, cp
-                )
-                a = (1.0 - al) * a + al * aa
-                om = (1.0 - al) * om + al * oma
-                az = (1.0 - al) * az + al * aza
+        a, om, az, sg, al, du = agent_control(
+            i,
+            px,
+            py,
+            psi,
+            v,
+            z,
+            vz,
+            revs,
+            kind,
+            par,
+            eps_sing,
+            target_x[i],
+            target_y[i],
+            target_psi[i],
+            z_ref,
+            rate_i,
+            cp,
+        )
         # speed envelope: restrict acceleration toward high |v|, |vz|
         hi = cp.kv_limit * (cp.v_max - v[i])
         lo = cp.kv_limit * (-cp.v_max - v[i])
@@ -275,17 +243,10 @@ def mission_core(
     filled = 0
     for k in range(total):
         t = k * dt
-        ok = True
-        for i in range(n):
-            for c in range(6):
-                if not np.isfinite(states[i, c]):
-                    ok = False
-        if not ok:
+        if not np.all(np.isfinite(states)):
             nonfinite = True
             break
-        md = min_pair_distance(
-            np.ascontiguousarray(states[:, 0]), np.ascontiguousarray(states[:, 1])
-        )
+        md = min_pair_distance(states[:, 0], states[:, 1])
         acc = 0.0
         for i in range(n):
             dist, _s_at = nearest_on_curve(
@@ -322,13 +283,5 @@ def mission_core(
             collision = True
             break
         if k < n_steps:
-            states = rk4_step_team(states, np.ascontiguousarray(ctrl[:, 0:3]), dt)
+            states = rk4_step_team(states, ctrl[:, 0:3], dt)
     return traj, min_dist, adherence, sigma, filled, collision, nonfinite
-
-
-rk4_step_team = jit(rk4_step_team)
-nearest_on_curve = jit(nearest_on_curve)
-min_pair_distance = jit(min_pair_distance)
-march_profile = jit(march_profile)
-team_controls = jit(team_controls)
-mission_core = jit(mission_core)

@@ -197,8 +197,6 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
         sim_kw["target"] = tuple(overrides["target"])
     if overrides.get("square_mode"):
         finder_kw["square_mode"] = True
-    if overrides.get("finder_seed") is not None:
-        finder_kw["seed"] = int(overrides["finder_seed"])
 
     if "n" in sim_kw and "n" not in finder_kw and sim_kw["n"] >= 3:
         finder_kw["n"] = sim_kw["n"]

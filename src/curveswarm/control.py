@@ -35,7 +35,7 @@ class ControllerParams(NamedTuple):
 
     Scale-dependent fields (lift_gain, switch/avoidance distances,
     speed limits) come from make_params(curve); the class itself is a
-    flat numeric record so the jitted kernels can consume it directly.
+    flat numeric record the kernels read by attribute.
     """
 
     # PD gains on (normal error, tangential error, lifted progress error)
@@ -356,9 +356,9 @@ def avoidance_force(index: int, states, sigmas, params: ControllerParams):
         d_act = params.shrink_factor * params.d_safe
     fx, fy, _prox, min_sep = kk.repulsion_sum(
         int(index),
-        np.ascontiguousarray(snap[:, 0]),
-        np.ascontiguousarray(snap[:, 1]),
-        np.ascontiguousarray(snap[:, 2]),
+        snap[:, 0],
+        snap[:, 1],
+        snap[:, 2],
         d_act,
         params,
     )
@@ -406,12 +406,12 @@ def final_control(
         z_ref_rate = 0.0
     a, omega, a_z, sigma, alpha, duty = kk.agent_control(
         int(index),
-        np.ascontiguousarray(snap[:, 0]),
-        np.ascontiguousarray(snap[:, 1]),
-        np.ascontiguousarray(snap[:, 2]),
-        np.ascontiguousarray(snap[:, 3]),
-        np.ascontiguousarray(snap[:, 4]),
-        np.ascontiguousarray(snap[:, 5]),
+        snap[:, 0],
+        snap[:, 1],
+        snap[:, 2],
+        snap[:, 3],
+        snap[:, 4],
+        snap[:, 5],
         float(rv[index]),
         curve.kind,
         curve.par,

@@ -262,7 +262,7 @@ class Curve:
         if np.isscalar(s) or np.ndim(s) == 0:
             x, y = ck.curve_point(self.kind, self.par, float(s))
             return np.array([x, y])
-        sv = np.ascontiguousarray(s, dtype=np.float64)
+        sv = np.asarray(s, dtype=np.float64)
         x, y = ck.curve_point(self.kind, self.par, sv)
         return np.stack([x, y], axis=-1)
 
@@ -284,7 +284,7 @@ class Curve:
         if np.isscalar(s) or np.ndim(s) == 0:
             x, y = fn(self.kind, self.par, float(s))
             return np.array([x, y])
-        sv = np.ascontiguousarray(s, dtype=np.float64)
+        sv = np.asarray(s, dtype=np.float64)
         x, y = fn(self.kind, self.par, sv)
         return np.stack([x, y], axis=-1)
 
@@ -411,7 +411,7 @@ class Curve:
         if key not in self._cache:
             sv = np.linspace(0.0, TWO_PI, n, endpoint=False)
             pts = self.point(sv)
-            self._cache[key] = (sv, np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1]))
+            self._cache[key] = (sv, pts[:, 0], pts[:, 1])
         return self._cache[key]
 
 

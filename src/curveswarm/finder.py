@@ -116,7 +116,7 @@ class FormationSolution:
 
 
 def _as_theta(theta, n: int) -> np.ndarray:
-    arr = np.ascontiguousarray(theta, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise FinderError(f"expected {n} vertex parameters, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -126,7 +126,7 @@ def _as_theta(theta, n: int) -> np.ndarray:
 
 def residuals(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
     """Stacked side-length and angle defects (plus diagonals in square mode)."""
-    arr = np.ascontiguousarray(theta, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 3:
         raise FinderError("need at least 3 vertex parameters")
     if square_mode and arr.shape[0] != 4:
@@ -151,7 +151,7 @@ def cost(theta, curve: Curve, config: FinderConfig) -> float:
 
 def jacobian(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
     """Derivative of residuals() w.r.t. each vertex parameter."""
-    arr = np.ascontiguousarray(theta, dtype=float)
+    arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 3:
         raise FinderError("need at least 3 vertex parameters")
     if square_mode and arr.shape[0] != 4:

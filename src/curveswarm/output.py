@@ -8,13 +8,16 @@ reproducibility contract the CLI and tests rely on.
 import numpy as np
 
 from .curves import Curve
+from .sim import TRAJECTORY_COLUMNS
 
-TRAJECTORY_HEADER = (
-    "t,agent,x,y,psi,v,z,vz,sigma,alpha,accel,turn_rate,lift_accel"
-)
 # trajectory log column indices for the CSV payload after (t, agent):
-# the six states, blend sigma, avoidance alpha, then the control triple
-_LOG_COLS = (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11)
+# every logged column except the avoidance duty factor
+_LOG_COLS = tuple(
+    c for c, name in enumerate(TRAJECTORY_COLUMNS) if name != "alpha_duty"
+)
+TRAJECTORY_HEADER = ",".join(
+    ("t", "agent") + tuple(TRAJECTORY_COLUMNS[c] for c in _LOG_COLS)
+)
 
 SVG_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b7950b", "#7d3c98", "#148f77")
 

@@ -131,8 +131,8 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
     """One RK4 step of every agent under frozen (zero-order-hold) controls."""
     if not 0.0 < dt <= DT_MAX:
         raise MissionError(f"dt must lie in (0, {DT_MAX}]")
-    st = np.ascontiguousarray(states, dtype=np.float64)
-    u = np.ascontiguousarray(controls, dtype=np.float64)
+    st = np.asarray(states, dtype=np.float64)
+    u = np.asarray(controls, dtype=np.float64)
     if st.ndim != 2 or st.shape[1] != 6:
         raise MissionError("states must be an (n, 6) array")
     if u.shape != (st.shape[0], 3):
@@ -140,18 +140,9 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
     return sk.rk4_step_team(st, u, float(dt))
 
 
-def _sample_cache(curve: Curve):
-    sv, xs, ys = curve.sample_cache(2048)
-    return (
-        np.ascontiguousarray(sv),
-        np.ascontiguousarray(xs),
-        np.ascontiguousarray(ys),
-    )
-
-
 def distance_to_curve(p, curve: Curve) -> float:
     """Global distance from a planar point to the curve (refined minimum)."""
-    sv, xs, ys = _sample_cache(curve)
+    sv, xs, ys = curve.sample_cache(2048)
     dist, _s = sk.nearest_on_curve(
         curve.kind, curve.par, float(p[0]), float(p[1]), sv, xs, ys
     )
@@ -160,7 +151,7 @@ def distance_to_curve(p, curve: Curve) -> float:
 
 def nearest_parameter(p, curve: Curve) -> float:
     """Curve parameter in [0, 2*pi) whose point is closest to p."""
-    sv, xs, ys = _sample_cache(curve)
+    sv, xs, ys = curve.sample_cache(2048)
     _dist, s_at = sk.nearest_on_curve(
         curve.kind, curve.par, float(p[0]), float(p[1]), sv, xs, ys
     )
@@ -332,9 +323,9 @@ def run_mission(config: MissionConfig):
                 "formation finder returned no geometrically usable polygon"
             )
         assignment = assign_vertices(states0, solution, curve, cp)
-        target_x = np.ascontiguousarray(assignment.position[:, 0])
-        target_y = np.ascontiguousarray(assignment.position[:, 1])
-        target_psi = np.ascontiguousarray(assignment.heading)
+        target_x = assignment.position[:, 0]
+        target_y = assignment.position[:, 1]
+        target_psi = assignment.heading
         # march budget: forward gap to the vertex plus whole revolutions
         # until the revolution gate is satisfied on arrival, staggered so
         # every agent clears the vertices of earlier arrivers in time
@@ -349,7 +340,7 @@ def run_mission(config: MissionConfig):
         target_psi = np.zeros(config.n)
         z_cap = np.full(config.n, np.inf)
 
-    sv, xs, ys = _sample_cache(curve)
+    sv, xs, ys = curve.sample_cache(2048)
     n_steps = int(round(config.horizon / config.dt))
     traj, min_dist, adherence, sigma, filled, collision, nonfinite = sk.mission_core(
         states0,

@@ -26,7 +26,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warmup():
-    # compile every jitted kernel before any wall-time measurement
+    # run both halves once so first-call costs stay out of the timed checks
     multistart(make_curve("circle"), FinderConfig(n=4, seed=0))
     run_mission(
         MissionConfig(curve=make_curve("circle"), n=1, seed=0, horizon=0.5)

@@ -299,7 +299,6 @@ def test_cli_module_entry_point():
         [sys.executable, "-m", "curveswarm.cli", "curves", "list"],
         capture_output=True,
         text=True,
-        env={**os.environ, "CURVESWARM_NUMBA": "0"},
     )
     assert proc.returncode == 0
     assert "deltoid" in proc.stdout

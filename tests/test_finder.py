@@ -1,9 +1,5 @@
 """Formation finder tests: residual oracles, Jacobian checks, solver behavior."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -392,33 +388,33 @@ def test_config_validation_errors():
         finder.FinderConfig(armijo_c1=0.0).validate()
 
 
-def test_fallback_numpy_path_matches_accelerated():
-    # the env flag selects the pure-numpy kernels in a child interpreter
-    code = (
-        "import numpy as np\n"
-        "from curveswarm import finder, NUMBA_ENABLED\n"
-        "from curveswarm.curves import make_curve\n"
-        "assert not NUMBA_ENABLED\n"
-        "delt = make_curve('deltoid')\n"
-        "theta = np.array([0.3, 1.7, 3.1, 5.2])\n"
-        "r = finder.residuals(theta, delt, square_mode=True)\n"
-        "J = finder.jacobian(theta, delt, square_mode=True)\n"
-        "sol = finder.multistart(delt, finder.FinderConfig(n=4, seed=0))\n"
-        "print(repr(r.tolist()))\n"
-        "print(repr(J.tolist()))\n"
-        "print(repr(sol.theta.tolist()))\n"
-    )
-    env = dict(os.environ, CURVESWARM_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.strip().splitlines()
+def test_finder_matches_recorded_values():
+    # residuals and Jacobian at a fixed deltoid quadrilateral and the
+    # multistart winner, recorded from the per-index scalar kernels
     delt = make_curve("deltoid")
     theta = np.array([0.3, 1.7, 3.1, 5.2])
     r = finder.residuals(theta, delt, square_mode=True)
     J = finder.jacobian(theta, delt, square_mode=True)
     sol = finder.multistart(delt, finder.FinderConfig(n=4, seed=0))
-    assert np.allclose(eval(lines[0]), r, rtol=0, atol=1e-13)
-    assert np.allclose(eval(lines[1]), J, rtol=0, atol=1e-13)
-    assert np.allclose(eval(lines[2]), sol.theta, rtol=0, atol=1e-10)
+    r_rec = [
+        14.079000573734497, -16.235187387207947, -1.2253426485194971,
+        3.3815294619929466, -1.7426583870024084, -8.065700037598038,
+        0.4135284264710406, 9.394829998129406, -0.1265722832194176,
+        -0.308679881182929,
+    ]
+    J_rec = [
+        [-7.159433224363074, 19.077458349903026, 0.0, 20.130070093412222],
+        [14.77717622228131, -11.474507330439923, 16.58210804551599, 0.0],
+        [0.0, -7.6029510194631, -25.634423470248294, 4.879289325697585],
+        [-7.617742997918238, 0.0, 9.052315424732301, -25.009359419109813],
+        [10.275356869061337, 11.483816779446094, 9.159553568387116, 8.999557757198374],
+        [0.9221027410384373, -17.221070444666058, -5.394657257995271, 3.5051219523565305],
+        [2.6576138711431, 3.8808657599829957, -7.422554477128876, -11.130512336213851],
+        [-13.855073481242872, 1.8563879052369672, 3.6576581667370314, -1.3741673733410558],
+        [-0.6248904980970706, -1.3881436067402229, -0.7324583937621233, 0.9072843529774388],
+        [1.103953442121855, 0.7708819692183235, -0.5002611350339157, 0.6078453359008555],
+    ]
+    theta_rec = [1.021621497964609, 2.9340305399957103, 3.3491547671838764, 5.2615638092149775]
+    assert np.allclose(r, r_rec, rtol=0, atol=1e-13)
+    assert np.allclose(J, J_rec, rtol=0, atol=1e-13)
+    assert np.allclose(sol.theta, theta_rec, rtol=0, atol=1e-10)
