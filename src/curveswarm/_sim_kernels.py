@@ -1,5 +1,7 @@
 """Mission integration kernels: team control ticks, RK4 stepping,
-curve-distance queries, and the full fixed-step mission loop.
+curve-distance queries, and the full fixed-step mission loop.  The
+adherence metric is not part of the loop: it is one batched
+nearest-point pass over the recorded positions once the loop ends.
 
 Trajectory row layout per (step, agent), 12 columns:
 (x, y, psi, v, z, vz, sigma, alpha, duty, accel, turn_rate, lift_accel).
@@ -13,6 +15,8 @@ from ._control_kernels import agent_control
 from ._curve_kernels import curve_point
 
 TWO_PI = 2.0 * np.pi
+POINT_BLOCK = 32  # points per coarse-argmin block (x 2048 samples)
+TICK_BLOCK = 512  # ticks per adherence pass after the mission loop
 
 
 def rk4_step_team(states, controls, dt):
@@ -51,31 +55,57 @@ def rk4_step_team(states, controls, dt):
 
 
 def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
-    """Global distance to the curve and the parameter attaining it.
+    """Global distance to the curve and the parameter attaining it, per point.
 
-    Coarse argmin over the cached samples, then ternary search on the
-    bracketing window.  Returns (distance, parameter in [0, 2*pi)).
+    px, py are (m,) arrays.  Coarse argmin over the cached samples, in
+    row blocks of POINT_BLOCK points so the (block, samples) temporary
+    stays small, then a ternary search on every bracketing window at
+    once.  Returns (distance (m,), parameter in [0, 2*pi) (m,)).
     """
-    d2 = (sample_x - px) ** 2 + (sample_y - py) ** 2
-    best = int(np.argmin(d2))
+    best = np.empty(px.shape[0], dtype=np.intp)
+    for b in range(0, px.shape[0], POINT_BLOCK):
+        dx = sample_x - px[b : b + POINT_BLOCK, None]
+        dy = sample_y - py[b : b + POINT_BLOCK, None]
+        best[b : b + POINT_BLOCK] = np.argmin(dx * dx + dy * dy, axis=1)
     step = TWO_PI / sample_s.shape[0]
     lo = sample_s[best] - step
     hi = sample_s[best] + step
     for _ in range(64):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        x1, y1 = curve_point(kind, par, m1)
-        x2, y2 = curve_point(kind, par, m2)
-        f1 = (x1 - px) ** 2 + (y1 - py) ** 2
-        f2 = (x2 - px) ** 2 + (y2 - py) ** 2
-        if f1 < f2:
-            hi = m2
-        else:
-            lo = m1
+        x, y = curve_point(kind, par, np.stack((m1, m2)))
+        dx = x - px
+        dy = y - py
+        f = dx * dx + dy * dy
+        left = f[0] < f[1]
+        hi = np.where(left, m2, hi)
+        lo = np.where(left, lo, m1)
     s_at = 0.5 * (lo + hi)
     gx, gy = curve_point(kind, par, s_at)
-    dist = np.sqrt((gx - px) ** 2 + (gy - py) ** 2)
-    return dist, s_at % TWO_PI
+    dx = gx - px
+    dy = gy - py
+    return np.sqrt(dx * dx + dy * dy), s_at % TWO_PI
+
+
+def mean_adherence(kind, par, xy, sample_s, sample_x, sample_y):
+    """Mean agent-to-curve distance per tick of xy (ticks, n, 2).
+
+    Runs over blocks of TICK_BLOCK ticks so peak memory stays flat in
+    the horizon; each tick sums its agents in agent order, then / n.
+    """
+    ticks, n = xy.shape[:2]
+    out = np.empty(ticks)
+    for k in range(0, ticks, TICK_BLOCK):
+        pts = xy[k : k + TICK_BLOCK].reshape(-1, 2)
+        dist, _s_at = nearest_on_curve(
+            kind, par, pts[:, 0], pts[:, 1], sample_s, sample_x, sample_y
+        )
+        dist = dist.reshape(-1, n)
+        acc = 0.0
+        for i in range(n):
+            acc = acc + dist[:, i]
+        out[k : k + TICK_BLOCK] = acc / n
+    return out
 
 
 def min_pair_distance(px, py):
@@ -226,15 +256,15 @@ def mission_core(
     Records state, blending diagnostics, and controls at every tick
     t_k = k*dt for k = 0..n_steps, stepping between records.  Stops
     early when agents close within abort_dist (collision) or any state
-    goes non-finite.  Returns (trajectory, min_distance, adherence,
-    sigma, filled, collision, nonfinite): `filled` is the number of
-    valid records.
+    goes non-finite.  The adherence series is computed after the loop
+    from the recorded positions.  Returns (trajectory, min_distance,
+    adherence, sigma, filled, collision, nonfinite): `filled` is the
+    number of valid records and the length of adherence.
     """
     n = states0.shape[0]
     total = n_steps + 1
     traj = np.zeros((total, n, 12))
     min_dist = np.zeros(total)
-    adherence = np.zeros(total)
     sigma = np.zeros((total, n))
     states = states0.copy()
     ref_rate = cp.lift_gain * cp.v_ref
@@ -247,12 +277,6 @@ def mission_core(
             nonfinite = True
             break
         md = min_pair_distance(states[:, 0], states[:, 1])
-        acc = 0.0
-        for i in range(n):
-            dist, _s_at = nearest_on_curve(
-                kind, par, states[i, 0], states[i, 1], sample_s, sample_x, sample_y
-            )
-            acc += dist
         ctrl = team_controls(
             states,
             z0,
@@ -269,14 +293,8 @@ def mission_core(
             cp,
         )
         traj[k, :, 0:6] = states
-        traj[k, :, 6] = ctrl[:, 3]
-        traj[k, :, 7] = ctrl[:, 4]
-        traj[k, :, 8] = ctrl[:, 5]
-        traj[k, :, 9] = ctrl[:, 0]
-        traj[k, :, 10] = ctrl[:, 1]
-        traj[k, :, 11] = ctrl[:, 2]
+        traj[k, :, 6:12] = ctrl[:, (3, 4, 5, 0, 1, 2)]
         min_dist[k] = md
-        adherence[k] = acc / n
         sigma[k] = ctrl[:, 3]
         filled = k + 1
         if md < abort_dist:
@@ -284,4 +302,7 @@ def mission_core(
             break
         if k < n_steps:
             states = rk4_step_team(states, ctrl[:, 0:3], dt)
+    adherence = mean_adherence(
+        kind, par, traj[:filled, :, 0:2], sample_s, sample_x, sample_y
+    )
     return traj, min_dist, adherence, sigma, filled, collision, nonfinite

@@ -140,22 +140,23 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
     return sk.rk4_step_team(st, u, float(dt))
 
 
+def _nearest(p, curve: Curve):
+    """(distance, parameter) of the curve point closest to the point p."""
+    sv, xs, ys = curve.sample_cache(2048)
+    dist, s_at = sk.nearest_on_curve(
+        curve.kind, curve.par, np.array([float(p[0])]), np.array([float(p[1])]), sv, xs, ys
+    )
+    return float(dist[0]), float(s_at[0])
+
+
 def distance_to_curve(p, curve: Curve) -> float:
     """Global distance from a planar point to the curve (refined minimum)."""
-    sv, xs, ys = curve.sample_cache(2048)
-    dist, _s = sk.nearest_on_curve(
-        curve.kind, curve.par, float(p[0]), float(p[1]), sv, xs, ys
-    )
-    return float(dist)
+    return _nearest(p, curve)[0]
 
 
 def nearest_parameter(p, curve: Curve) -> float:
     """Curve parameter in [0, 2*pi) whose point is closest to p."""
-    sv, xs, ys = curve.sample_cache(2048)
-    _dist, s_at = sk.nearest_on_curve(
-        curve.kind, curve.par, float(p[0]), float(p[1]), sv, xs, ys
-    )
-    return float(s_at)
+    return _nearest(p, curve)[1]
 
 
 def initial_states(config: MissionConfig, cp: ControllerParams, rng: np.random.Generator):
@@ -192,28 +193,16 @@ def initial_states(config: MissionConfig, cp: ControllerParams, rng: np.random.G
             z0[i] = cp.lift_gain * s_near
         if n == 1:
             return states, z0
-        dmin = np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                dmin = min(dmin, float(np.hypot(*(pts[i] - pts[j]))))
         # 2x the activation radius: agents starting near a planar
         # crossing close fast, so leave room for avoidance to engage
-        if dmin < 2.0 * cp.d_ao:
+        if sk.min_pair_distance(pts[:, 0], pts[:, 1]) < 2.0 * cp.d_ao:
             continue
-        s_now = z0 / cp.lift_gain
-        doomed = False
-        for t_ahead in np.linspace(0.0, 5.0, 51):
-            ahead = curve.point(s_now + cp.v_ref * t_ahead)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if float(np.hypot(*(ahead[i] - ahead[j]))) < cp.d_ao:
-                        doomed = True
-                        break
-                if doomed:
-                    break
-            if doomed:
-                break
-        if not doomed:
+        # ahead[t, i]: agent i's curve point t_ahead seconds on
+        t_ahead = np.linspace(0.0, 5.0, 51)
+        ahead = curve.point(z0 / cp.lift_gain + cp.v_ref * t_ahead[:, None])
+        i, j = np.triu_indices(n, 1)
+        gaps = np.hypot(*(ahead[:, i] - ahead[:, j]).transpose(2, 0, 1))
+        if not np.any(gaps < cp.d_ao):
             return states, z0
     raise MissionError("could not draw a collision-free initial placement")
 
@@ -372,7 +361,7 @@ def run_mission(config: MissionConfig):
     metrics = MissionMetrics(
         times=times,
         min_distance=min_dist[:filled],
-        mean_adherence=adherence[:filled],
+        mean_adherence=adherence,
         sigma=sigma[:filled],
         final_vertex_errors=final_errors,
         collision=bool(collision),

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, file emission, and the CLI."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -18,6 +19,7 @@ from curveswarm.config import (
 from curveswarm.curves import make_curve
 from curveswarm.finder import FinderConfig, multistart
 from curveswarm.output import (
+    TRAJECTORY_HEADER,
     format_samples_csv,
     write_metrics_csv,
     write_snapshot_svg,
@@ -111,6 +113,17 @@ def short_mission():
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=6.0)
     metrics, log = run_mission(config)
     return curve, config, metrics, log
+
+
+def test_readme_trajectory_table_lists_the_header():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    section = text.split("`trajectory.csv` has one row per agent per time step:", 1)[1]
+    table = section.split("\n\n")[1]  # the blank-line-delimited block after the intro
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert names == TRAJECTORY_HEADER.split(",")
 
 
 def test_trajectory_csv_contract(tmp_path, short_mission):

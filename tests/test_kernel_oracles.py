@@ -4,6 +4,15 @@ The scalar functions below are copies of earlier per-index kernels, kept
 as reference implementations.  Random snapshots (hypothesis) cover the
 deltoid cusps, the gear corners, a lone agent and two agents close
 enough for the avoidance law to engage.
+
+The batched nearest-point query is not bit-identical to its scalar
+copy.  The scalar code squares numpy float64 scalars with `**2`, which
+goes through libm `pow` and differs from `x*x` in about 0.1% of cases;
+the array code squares with `x*x`, which is correctly rounded.  A flipped
+comparison moves the ternary bracket, so distances agree to an ulp or
+two of the scale and the parameters agree only through the distance at
+the point they name: the minimum is flat, and the parameter itself can
+move by 1e-8 far from the curve.
 """
 
 import numpy as np
@@ -20,8 +29,13 @@ TWO_PI = 2.0 * np.pi
 DELTOID = make_curve("deltoid")
 GEAR = make_curve("gear-hermite")
 ELLIPSE = make_curve("ellipse")
+LISSAJOUS = make_curve("lissajous-32")
 DELTOID_CUSPS = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 GEAR_CORNERS = tuple(k * np.pi / GEAR.par[0] for k in range(int(2 * GEAR.par[0])))
+# the seven self-crossings of lissajous-32, (2 cos 3s, 1.5 sin 2s)
+LISSAJOUS_CROSSINGS = tuple((0.0, 1.5 * np.sin(k * np.pi / 3)) for k in (-1, 0, 1)) + tuple(
+    (sx * np.sqrt(2.0), sy * 0.75) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
+)
 
 
 # -- scalar reference implementations ---------------------------------------
@@ -139,6 +153,30 @@ def old_rk4_step_team(states, controls, dt):
         out[i, 4] = z + dt * vz + 0.5 * dt * dt * az
         out[i, 5] = vz + dt * az
     return out
+
+
+def old_nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
+    """One point at a time: sample argmin, then a 64-step ternary search."""
+    d2 = (sample_x - px) ** 2 + (sample_y - py) ** 2
+    best = int(np.argmin(d2))
+    step = TWO_PI / sample_s.shape[0]
+    lo = sample_s[best] - step
+    hi = sample_s[best] + step
+    for _ in range(64):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        x1, y1 = curve_point(kind, par, m1)
+        x2, y2 = curve_point(kind, par, m2)
+        f1 = (x1 - px) ** 2 + (y1 - py) ** 2
+        f2 = (x2 - px) ** 2 + (y2 - py) ** 2
+        if f1 < f2:
+            hi = m2
+        else:
+            lo = m1
+    s_at = 0.5 * (lo + hi)
+    gx, gy = curve_point(kind, par, s_at)
+    dist = np.sqrt((gx - px) ** 2 + (gy - py) ** 2)
+    return dist, s_at % TWO_PI
 
 
 def old_min_pair_distance(px, py):
@@ -340,3 +378,66 @@ def test_sweep_only_controls_match_their_own_blend(data, close_pair, t):
     assert np.all(got[:, 3] == 0.0)
     if close_pair:
         assert np.all(got[:, 4] > 0.0)  # avoidance engaged on both agents
+
+
+@st.composite
+def query_point(draw, curve):
+    """A point on the curve, near it, near a cusp, corner or crossing, or anywhere."""
+    kind = draw(st.sampled_from(("on", "near", "special", "far")))
+    if kind == "special" and curve is LISSAJOUS:
+        x, y = draw(st.sampled_from(LISSAJOUS_CROSSINGS))
+        return x + 1e-3 * draw(unit), y + 1e-3 * draw(unit)
+    if kind == "far":
+        return 1.5 * curve.scale * draw(unit), 1.5 * curve.scale * draw(unit)
+    s = draw(curve_parameter(curve)) if kind == "special" else draw(st.floats(0.0, TWO_PI))
+    x, y = curve.point(s)
+    if kind == "on":
+        return x, y
+    return x + 0.1 * curve.scale * draw(unit), y + 0.1 * curve.scale * draw(unit)
+
+
+def assert_nearest_matches(curve, px, py, dist, s_at):
+    """dist and s_at agree with the scalar oracle at every point."""
+    sv, xs, ys = curve.sample_cache(2048)
+    tol = 1e-12 * curve.scale
+    for k in range(px.shape[0]):
+        ref_d, ref_s = old_nearest_on_curve(curve.kind, curve.par, px[k], py[k], sv, xs, ys)
+        assert abs(dist[k] - ref_d) <= tol
+        assert 0.0 <= s_at[k] < TWO_PI
+        gx, gy = curve_point(curve.kind, curve.par, s_at[k])
+        assert abs(np.hypot(gx - px[k], gy - py[k]) - ref_d) <= tol
+
+
+NEAREST_CURVES = st.sampled_from((DELTOID, GEAR, LISSAJOUS))
+POINT_COUNTS = (0, 1, sk.POINT_BLOCK - 1, sk.POINT_BLOCK, sk.POINT_BLOCK + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nearest_on_curve_matches_scalar_oracle(data):
+    curve = data.draw(NEAREST_CURVES)
+    m = data.draw(st.sampled_from(POINT_COUNTS))
+    pts = np.array([data.draw(query_point(curve)) for _ in range(m)]).reshape(m, 2)
+    sv, xs, ys = curve.sample_cache(2048)
+    dist, s_at = sk.nearest_on_curve(curve.kind, curve.par, pts[:, 0], pts[:, 1], sv, xs, ys)
+    assert dist.shape == s_at.shape == (m,)
+    assert_nearest_matches(curve, pts[:, 0], pts[:, 1], dist, s_at)
+
+
+@settings(max_examples=3, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_mean_adherence_matches_scalar_per_tick_sum(data, n):
+    # one tick past a block, so the last block holds a single tick
+    curve = data.draw(NEAREST_CURVES)
+    ticks = sk.TICK_BLOCK + 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = rng.uniform(0.0, TWO_PI, size=(ticks, n))
+    xy = curve.point(s) + 0.1 * curve.scale * rng.uniform(-1.0, 1.0, size=(ticks, n, 2))
+    sv, xs, ys = curve.sample_cache(2048)
+    got = sk.mean_adherence(curve.kind, curve.par, xy, sv, xs, ys)
+    assert got.shape == (ticks,)
+    for k in range(ticks):
+        acc = 0.0
+        for i in range(n):
+            acc += old_nearest_on_curve(curve.kind, curve.par, xy[k, i, 0], xy[k, i, 1], sv, xs, ys)[0]
+        assert abs(got[k] - acc / n) <= 1e-12 * curve.scale

@@ -311,9 +311,9 @@ def test_mission_collision_flag_truncates():
         curve.kind,
         curve.par,
         curve.eps_sing,
-        np.ascontiguousarray(sv),
-        np.ascontiguousarray(xs),
-        np.ascontiguousarray(ys),
+        sv,
+        xs,
+        ys,
         np.zeros(2),
         np.zeros(2),
         np.zeros(2),
@@ -327,6 +327,31 @@ def test_mission_collision_flag_truncates():
     assert not nonfinite
     assert filled == 1
     assert float(min_dist[0]) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x0, filled, collision, nonfinite",
+    [(np.nan, 0, False, True), (0.0, 1, True, False)],
+    ids=["nonfinite-start", "collision-at-tick-0"],
+)
+def test_truncated_mission_adherence_has_one_value_per_record(
+    monkeypatch, x0, filled, collision, nonfinite
+):
+    # two coincident agents on the circle; a NaN start records nothing
+    curve = make_curve("circle")
+    cp = make_params(curve)
+    p = curve.point(0.0)
+    st = np.zeros((2, 6))
+    st[:, 0] = p[0] + x0
+    st[:, 1] = p[1]
+    st[:, 3] = cp.v_min
+    monkeypatch.setattr("curveswarm.sim.initial_states", lambda *args: (st, np.zeros(2)))
+    metrics, log = run_mission(MissionConfig(curve=curve, n=2, horizon=1.0))
+    assert metrics.collision is collision
+    assert metrics.nonfinite is nonfinite
+    assert metrics.mean_adherence.shape == (filled,)
+    assert log.data.shape[0] == metrics.times.shape[0] == filled
+    assert np.all(metrics.mean_adherence == pytest.approx(0.0, abs=1e-12))
 
 
 def test_mission_finder_n_mismatch_rejected():
