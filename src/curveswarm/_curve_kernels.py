@@ -1,10 +1,10 @@
 """Closed-form curve-family kernels.
 
 Every family maps a parameter s (period 2*pi) to a plane point and its first
-and second parameter derivatives.  The functions accept scalar floats and
-float64 arrays alike (plain vectorized numpy).  Family parameters arrive as
-a flat float64 vector (layout documented in curves.py); the integer kind
-code selects the family.
+and second parameter derivatives.  The point and derivative kernels accept
+scalar floats and float64 arrays alike (plain vectorized numpy); frame_raw
+takes arrays only.  Family parameters arrive as a flat float64 vector
+(layout documented in curves.py); the integer kind code selects the family.
 """
 
 import numpy as np
@@ -262,43 +262,52 @@ def curve_d2(kind, par, s):
         return (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
 
 
-def frame_raw(kind, par, s, eps_sing):
-    """Frenet data at scalar s with the cusp fallback.
+# cusp search offsets: +/-1e-4 j for j = 1..10, the positive side first
+_CUSP_STEPS = np.array([sign * 1e-4 * j for j in range(1, 11) for sign in (1.0, -1.0)])
 
-    Below eps_sing tangent speed the frame is taken from the nearest regular
-    parameter inside a +/-1e-3 window (positive side preferred on ties).
-    Returns (tx, ty, nx, ny, psi_t, speed, kappa_signed, turn_rate, ok):
-    speed is the true ||gamma'(s)|| at the query point, the direction and
-    curvature come from the fallback point, turn_rate is d(psi_t)/ds there,
-    and the normal is the tangent rotated a quarter turn counterclockwise.
+
+def frame_raw(kind, par, s, eps_sing):
+    """Frenet data at every entry of the parameter array s, with the cusp fallback.
+
+    An entry below eps_sing tangent speed takes its frame from the first
+    regular parameter among s + 1e-4, s - 1e-4, s + 2e-4, ... s - 1e-3.
+    Returns arrays shaped like s: (tx, ty, nx, ny, psi_t, speed,
+    speed_rate, kappa_signed, turn_rate, ok).  speed = ||gamma'(s)|| and
+    speed_rate = gamma'.gamma'' / max(speed, eps_sing) (its parameter
+    derivative) belong to the query point; direction, curvature and
+    turn_rate = d(psi_t)/ds come from the fallback point; the normal is
+    the tangent rotated a quarter turn counterclockwise.  An entry with
+    no regular neighbour has zeros there and ok False.
     """
     dx, dy = curve_d1(kind, par, s)
-    m = np.hypot(dx, dy)
-    sf = s
-    ok = True
-    if m < eps_sing:
-        ok = False
-        for j in range(1, 11):
-            step = 1e-4 * j
-            dxp, dyp = curve_d1(kind, par, s + step)
-            if np.hypot(dxp, dyp) >= eps_sing:
-                sf = s + step
-                ok = True
-                break
-            dxm, dym = curve_d1(kind, par, s - step)
-            if np.hypot(dxm, dym) >= eps_sing:
-                sf = s - step
-                ok = True
-                break
-        if not ok:
-            return 0.0, 0.0, 0.0, 0.0, 0.0, m, 0.0, 0.0, False
-        dx, dy = curve_d1(kind, par, sf)
+    ddx, ddy = curve_d2(kind, par, s)
+    speed = np.hypot(dx, dy)
+    sing = speed < eps_sing
+    speed_rate = (dx * ddx + dy * ddy) / np.where(sing, eps_sing, speed)
+    ok = ~sing
+    bad = None
+    if sing.any():
+        idx = np.flatnonzero(sing)
+        cand = s[idx, None] + _CUSP_STEPS
+        cx, cy = curve_d1(kind, par, cand)
+        regular = np.hypot(cx, cy) >= eps_sing
+        hit = regular.any(axis=1)
+        ok[idx] = hit
+        sf = cand[hit, np.argmax(regular[hit], axis=1)]
+        dx[idx[hit]], dy[idx[hit]] = curve_d1(kind, par, sf)
+        ddx[idx[hit]], ddy[idx[hit]] = curve_d2(kind, par, sf)
+        # a placeholder unit tangent keeps the arithmetic below quiet;
+        # these entries are zeroed afterwards
+        bad = ~ok
+        dx[bad], dy[bad], ddx[bad], ddy[bad] = 1.0, 0.0, 0.0, 0.0
     mf = np.hypot(dx, dy)
-    ddx, ddy = curve_d2(kind, par, sf)
     tx = dx / mf
     ty = dy / mf
     cross = dx * ddy - dy * ddx
     kappa = cross / (mf * mf * mf)
     turn = cross / (dx * dx + dy * dy)
-    return tx, ty, -ty, tx, np.arctan2(ty, tx), m, kappa, turn, True
-
+    psi_t = np.arctan2(ty, tx)
+    if bad is not None:
+        for out in (tx, ty, psi_t, kappa, turn):
+            out[bad] = 0.0
+    return tx, ty, -ty, tx, psi_t, speed, speed_rate, kappa, turn, ok

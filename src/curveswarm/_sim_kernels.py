@@ -3,15 +3,24 @@ curve-distance queries, and the full fixed-step mission loop.  The
 adherence metric is not part of the loop: it is one batched
 nearest-point pass over the recorded positions once the loop ends.
 
+A tick makes one array call for the curve geometry of all agents and
+then runs the control laws and the RK4 step per agent on Python floats:
+at a handful of agents that is faster than array expressions over
+agents, whose per-call overhead dwarfs the arithmetic.  The tick's
+neighbor loop also yields the smallest separation, so the loop needs no
+separate pairwise-distance pass.
+
 Trajectory row layout per (step, agent), 12 columns:
 (x, y, psi, v, z, vz, sigma, alpha, duty, accel, turn_rate, lift_accel).
 Controls are recomputed from each snapshot before stepping and held
 constant across the step (zero-order hold).
 """
 
+import math
+
 import numpy as np
 
-from ._control_kernels import agent_control
+from ._control_kernels import agent_control, curve_geometry
 from ._curve_kernels import curve_point
 
 TWO_PI = 2.0 * np.pi
@@ -24,34 +33,37 @@ def rk4_step_team(states, controls, dt):
 
     The dynamics with frozen controls do not depend on the curve:
     (x', y', psi', v', z', vz') = (v cos psi, v sin psi, turn, accel,
-    vz, lift_accel).
+    vz, lift_accel).  Runs per agent on floats; returns an (n, 6) array.
     """
-    x, y, psi, v, z, vz = states.T
-    a, om, az = controls.T
-    # stage 1
-    k1x = v * np.cos(psi)
-    k1y = v * np.sin(psi)
-    # stage 2
-    psi2 = psi + 0.5 * dt * om
-    v2 = v + 0.5 * dt * a
-    k2x = v2 * np.cos(psi2)
-    k2y = v2 * np.sin(psi2)
-    # stage 3 sees the same midpoint rates for psi and v
-    k3x = k2x
-    k3y = k2y
-    # stage 4
-    psi4 = psi + dt * om
-    v4 = v + dt * a
-    k4x = v4 * np.cos(psi4)
-    k4y = v4 * np.sin(psi4)
-    out = np.empty_like(states)
-    out[:, 0] = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    out[:, 1] = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    out[:, 2] = psi + dt * om
-    out[:, 3] = v + dt * a
-    out[:, 4] = z + dt * vz + 0.5 * dt * dt * az
-    out[:, 5] = vz + dt * az
-    return out
+    out = []
+    for (x, y, psi, v, z, vz), (a, om, az) in zip(states.tolist(), controls.tolist()):
+        # stage 1
+        k1x = v * math.cos(psi)
+        k1y = v * math.sin(psi)
+        # stage 2
+        psi2 = psi + 0.5 * dt * om
+        v2 = v + 0.5 * dt * a
+        k2x = v2 * math.cos(psi2)
+        k2y = v2 * math.sin(psi2)
+        # stage 3 sees the same midpoint rates for psi and v
+        k3x = k2x
+        k3y = k2y
+        # stage 4
+        psi4 = psi + dt * om
+        v4 = v + dt * a
+        k4x = v4 * math.cos(psi4)
+        k4y = v4 * math.sin(psi4)
+        out.append(
+            (
+                x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+                y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+                psi + dt * om,
+                v + dt * a,
+                z + dt * vz + 0.5 * dt * dt * az,
+                vz + dt * az,
+            )
+        )
+    return np.array(out, dtype=float).reshape(states.shape)
 
 
 def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
@@ -116,6 +128,13 @@ def min_pair_distance(px, py):
     return np.min(np.sqrt((px[i] - px[j]) ** 2 + (py[i] - py[j]) ** 2))
 
 
+def closest_pair(px, py):
+    """First pair (i, j), i < j, at the smallest separation; n >= 2."""
+    i, j = np.triu_indices(px.shape[0], 1)
+    k = np.argmin(np.sqrt((px[i] - px[j]) ** 2 + (py[i] - py[j]) ** 2))
+    return int(i[k]), int(j[k])
+
+
 def march_profile(z0, z_cap, t, rate, width):
     """Lifted reference position and rate at time t.
 
@@ -165,14 +184,23 @@ def team_controls(
     applies.  A speed envelope caps acceleration once |v| (or |vz|)
     would exceed its bound, so a delayed agent catches up at a pace
     other agents' avoidance can still brake against.
+
+    Returns (controls (n, 6), min_sep): min_sep is the smallest
+    inter-agent separation of the snapshot (inf for a lone agent).
     """
-    n = states.shape[0]
-    out = np.empty((n, 6))
-    px, py, psi, v, z, vz = states.T
+    geo = curve_geometry(kind, par, states[:, 4] / cp.lift_gain, eps_sing)
+    px, py, psi, v, z, vz = states.T.tolist()
+    z0 = z0.tolist()
+    z_cap = z_cap.tolist()
+    target_x = target_x.tolist()
+    target_y = target_y.tolist()
+    target_psi = target_psi.tolist()
     width = cp.lift_gain * cp.brake_width
     lead = cp.lift_gain * cp.lead_width
     vz_max = 2.0 * ref_rate
-    for i in range(n):
+    rows = []
+    min_sep = math.inf
+    for i in range(len(px)):
         z_ref, rate_i = march_profile(z0[i], z_cap[i], t, ref_rate, width)
         # leash: a blocked agent's reference waits just ahead of it
         if z_ref > z[i] + lead:
@@ -185,7 +213,7 @@ def team_controls(
             revs = (z[i] - z0[i]) / (TWO_PI * cp.lift_gain)
             if revs < 0.0:
                 revs = 0.0
-        a, om, az, sg, al, du = agent_control(
+        a, om, az, sg, al, du, sep = agent_control(
             i,
             px,
             py,
@@ -194,9 +222,7 @@ def team_controls(
             z,
             vz,
             revs,
-            kind,
-            par,
-            eps_sing,
+            geo[i],
             target_x[i],
             target_y[i],
             target_psi[i],
@@ -204,6 +230,8 @@ def team_controls(
             rate_i,
             cp,
         )
+        if sep < min_sep:
+            min_sep = sep
         # speed envelope: restrict acceleration toward high |v|, |vz|
         hi = cp.kv_limit * (cp.v_max - v[i])
         lo = cp.kv_limit * (-cp.v_max - v[i])
@@ -223,13 +251,8 @@ def team_controls(
             om = cp.omega_max
         if om < -cp.omega_max:
             om = -cp.omega_max
-        out[i, 0] = a
-        out[i, 1] = om
-        out[i, 2] = az
-        out[i, 3] = sg
-        out[i, 4] = al
-        out[i, 5] = du
-    return out
+        rows.append((a, om, az, sg, al, du))
+    return np.array(rows, dtype=float).reshape(-1, 6), min_sep
 
 
 def mission_core(
@@ -276,8 +299,7 @@ def mission_core(
         if not np.all(np.isfinite(states)):
             nonfinite = True
             break
-        md = min_pair_distance(states[:, 0], states[:, 1])
-        ctrl = team_controls(
+        ctrl, md = team_controls(
             states,
             z0,
             z_cap,

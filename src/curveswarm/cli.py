@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (feasible solution / clean mission), 2 unreadable
 or invalid configuration (the offending key is named), 3 no feasible
-formation, 4 mission aborted on the collision threshold.
+formation, 4 mission aborted on the collision threshold (the summary
+line names the pair and the time).
 """
 
 import argparse
@@ -137,11 +138,15 @@ def cmd_simulate(args) -> int:
         if metrics.final_vertex_errors is not None
         else float("nan")
     )
+    t_end = f"{float(log.times[-1]):.2f}s"
+    pair = metrics.closest_pair
     print(
         f"curve={cfg.curve_name} n={mission.n} seed={mission.seed}"
-        f" t_end={float(log.times[-1]):.2f}s collision={metrics.collision}"
+        f" t_end={t_end} collision={metrics.collision}"
         f" min_distance={float(metrics.min_distance.min()):.4g}"
         f" sigma_min={sigma_last:.4f} vertex_error_max={err_last:.4g}"
+        f" closest_pair={'none' if pair is None else f'{pair[0]},{pair[1]}'}"
+        f" collision_t={t_end if metrics.collision else 'none'}"
     )
     print(f"wrote metrics, trajectory, and {len(snap_times)} snapshot(s) to {args.out}")
     if metrics.collision:

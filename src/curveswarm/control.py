@@ -180,6 +180,9 @@ def _validate_params(cp: ControllerParams) -> None:
         raise ControlError("'blend_mode' must be 0 (product) or 1 (anti-deadlock)")
     if cp.shrink_factor * cp.d_safe >= cp.d_ao:
         raise ControlError("shrunken avoidance radius must stay below 'd_ao'")
+    if cp.shrink_factor <= 1.0:
+        # the proximity gate ramps from the shrunken radius down to d_safe
+        raise ControlError("shrunken avoidance radius must stay above 'd_safe'")
 
 
 @dataclass
@@ -223,7 +226,19 @@ def _state6(state) -> np.ndarray:
     arr = np.asarray(state, dtype=np.float64).reshape(-1)
     if arr.shape[0] != 6:
         raise ControlError("agent state must have 6 entries (x, y, psi, v, z, vz)")
+    if not np.all(np.isfinite(arr)):
+        # the laws run on Python floats, where math.cos(inf) raises
+        raise ControlError("agent state must be finite")
     return arr
+
+
+def _snapshot(states) -> np.ndarray:
+    snap = np.asarray(states, dtype=np.float64)
+    if snap.ndim != 2 or snap.shape[1] != 6:
+        raise ControlError("states must be an (n, 6) array")
+    if not np.all(np.isfinite(snap)):
+        raise ControlError("states must be finite")
+    return snap
 
 
 def wrap_angle(x: float) -> float:
@@ -245,6 +260,13 @@ def blend_sigma(revs: float, dist: float, params: ControllerParams) -> float:
     )
 
 
+def _geometry(curve: Curve, z, lift_gain: float):
+    """curve_geometry at the curve parameter z / lift_gain, as one tuple."""
+    return kk.curve_geometry(
+        curve.kind, curve.par, np.array([z / lift_gain]), curve.eps_sing
+    )[0]
+
+
 def transverse_outputs(state, curve: Curve, lift_gain: float, z_ref: float = 0.0, z_ref_rate: float = 0.0):
     """Tracking outputs and their rates at one state.
 
@@ -252,18 +274,17 @@ def transverse_outputs(state, curve: Curve, lift_gain: float, z_ref: float = 0.0
     tangential displacement from the curve point addressed by z, the
     lifted progress error against z_ref, and their time derivatives.
     """
-    x, y, psi, v, z, vz = _state6(state)
+    x, y, psi, v, z, vz = _state6(state).tolist()
+    lift_gain = float(lift_gain)
     out = kk.transverse_terms(
-        curve.kind,
-        curve.par,
-        curve.eps_sing,
+        _geometry(curve, z, lift_gain),
         x,
         y,
         psi,
         v,
         z,
         vz,
-        float(lift_gain),
+        lift_gain,
         float(z_ref),
         float(z_ref_rate),
     )
@@ -276,7 +297,8 @@ def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:
     Unregularized: its determinant is exactly -v, so it is singular at
     standstill (tfl_control owns the fix).
     """
-    x, y, psi, v, z, vz = _state6(state)
+    x, y, psi, v, z, vz = _state6(state).tolist()
+    lift_gain = float(lift_gain)
     (
         e_n,
         e_t,
@@ -292,10 +314,10 @@ def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:
         _md,
         _sr,
     ) = kk.transverse_terms(
-        curve.kind, curve.par, curve.eps_sing, x, y, psi, v, z, vz, float(lift_gain), 0.0, 0.0
+        _geometry(curve, z, lift_gain), x, y, psi, v, z, vz, lift_gain, 0.0, 0.0
     )
     entries = kk.decoupling_entries(
-        sin_dpsi, cos_dpsi, v, e_n, e_t, speed, turn, float(lift_gain)
+        sin_dpsi, cos_dpsi, v, e_n, e_t, speed, turn, lift_gain
     )
     return np.array(entries).reshape(3, 3)
 
@@ -307,11 +329,9 @@ def tfl_control(state, curve: Curve, params: ControllerParams, z_ref: float, z_r
     reference and its rate at the current instant.  Forward speed is
     floored at v_min inside the matrix inversion only.
     """
-    x, y, psi, v, z, vz = _state6(state)
+    x, y, psi, v, z, vz = _state6(state).tolist()
     a, omega, a_z = kk.path_following_control(
-        curve.kind,
-        curve.par,
-        curve.eps_sing,
+        _geometry(curve, z, params.lift_gain),
         x,
         y,
         psi,
@@ -344,9 +364,7 @@ def avoidance_force(index: int, states, sigmas, params: ControllerParams):
     (sigma >= sigma_accept) feel exactly zero.  Raises on an exact
     overlap, which means a collision already happened.
     """
-    snap = np.asarray(states, dtype=np.float64)
-    if snap.ndim != 2 or snap.shape[1] != 6:
-        raise ControlError("states must be an (n, 6) array")
+    snap = _snapshot(states)
     sig = np.asarray(sigmas, dtype=np.float64).reshape(-1)
     if sig.shape[0] != snap.shape[0]:
         raise ControlError("sigmas length must match the number of agents")
@@ -356,9 +374,9 @@ def avoidance_force(index: int, states, sigmas, params: ControllerParams):
         d_act = params.shrink_factor * params.d_safe
     fx, fy, _prox, min_sep = kk.repulsion_sum(
         int(index),
-        snap[:, 0],
-        snap[:, 1],
-        snap[:, 2],
+        snap[:, 0].tolist(),
+        snap[:, 1].tolist(),
+        snap[:, 2].tolist(),
         d_act,
         params,
     )
@@ -393,9 +411,7 @@ def final_control(
     overrides through alpha.  Without an explicit lifted reference the
     agent regulates toward its assigned vertex address at zero rate.
     """
-    snap = np.asarray(states, dtype=np.float64)
-    if snap.ndim != 2 or snap.shape[1] != 6:
-        raise ControlError("states must be an (n, 6) array")
+    snap = _snapshot(states)
     rv = np.asarray(revs, dtype=np.float64).reshape(-1)
     if rv.shape[0] != snap.shape[0]:
         raise ControlError("revs length must match the number of agents")
@@ -404,18 +420,18 @@ def final_control(
     if z_ref is None:
         z_ref = float(assignment.z_target[index])
         z_ref_rate = 0.0
-    a, omega, a_z, sigma, alpha, duty = kk.agent_control(
-        int(index),
-        snap[:, 0],
-        snap[:, 1],
-        snap[:, 2],
-        snap[:, 3],
-        snap[:, 4],
-        snap[:, 5],
+    px, py, psi, v, z, vz = snap.T.tolist()
+    index = int(index)
+    a, omega, a_z, sigma, alpha, duty, _sep = kk.agent_control(
+        index,
+        px,
+        py,
+        psi,
+        v,
+        z,
+        vz,
         float(rv[index]),
-        curve.kind,
-        curve.par,
-        curve.eps_sing,
+        _geometry(curve, z[index], params.lift_gain),
         float(assignment.position[index, 0]),
         float(assignment.position[index, 1]),
         float(assignment.heading[index]),

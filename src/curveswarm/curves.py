@@ -290,8 +290,9 @@ class Curve:
 
     def frenet(self, s: float) -> FrenetFrame:
         """Frenet frame at scalar s, with the cusp fallback near singularities."""
-        tx, ty, nx, ny, psi_t, speed, kappa, w, ok = ck.frame_raw(
-            self.kind, self.par, float(s), self.eps_sing
+        tx, ty, nx, ny, psi_t, speed, _rate, kappa, w, ok = (
+            out[0]
+            for out in ck.frame_raw(self.kind, self.par, np.array([float(s)]), self.eps_sing)
         )
         if not ok:
             raise SingularPointError(

@@ -27,19 +27,18 @@ def _fmt(x) -> str:
 
 
 def write_trajectory_csv(path, log) -> None:
-    """One row per (time, agent): states, weights, control triple."""
-    data = log.data
-    times = log.times
+    """One row per (time, agent): states, weights, control triple.
+
+    Formats one tick at a time: a whole-log tolist() would hold every
+    value as a Python float at once.
+    """
+    cols = list(_LOG_COLS)
     with open(path, "w") as f:
         f.write(TRAJECTORY_HEADER + "\n")
-        for k in range(data.shape[0]):
-            t_str = _fmt(times[k])
-            for i in range(data.shape[1]):
-                row = data[k, i]
-                f.write(t_str + "," + str(i))
-                for c in _LOG_COLS:
-                    f.write("," + _fmt(row[c]))
-                f.write("\n")
+        for t, tick in zip(log.times.tolist(), log.data):
+            t_str = repr(t)
+            for i, row in enumerate(tick[:, cols].tolist()):
+                f.write(f"{t_str},{i},{','.join(map(repr, row))}\n")
 
 
 def write_metrics_csv(path, metrics) -> None:
@@ -49,19 +48,14 @@ def write_metrics_csv(path, metrics) -> None:
     header = "t,min_distance,mean_adherence" + "".join(
         f",sigma_{i}" for i in range(n)
     )
+    table = np.column_stack(
+        (metrics.times, metrics.min_distance, metrics.mean_adherence)
+        + ((sigma,) if n else ())
+    )
     with open(path, "w") as f:
         f.write(header + "\n")
-        for k in range(metrics.times.shape[0]):
-            f.write(
-                _fmt(metrics.times[k])
-                + ","
-                + _fmt(metrics.min_distance[k])
-                + ","
-                + _fmt(metrics.mean_adherence[k])
-            )
-            for i in range(n):
-                f.write("," + _fmt(sigma[k, i]))
-            f.write("\n")
+        for row in table:
+            f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_solution_file(path, best, runs=None) -> None:

@@ -110,7 +110,13 @@ class TrajectoryLog:
 
 @dataclass
 class MissionMetrics:
-    """Mission outcome series on a shared time grid plus end-state facts."""
+    """Mission outcome series on a shared time grid plus end-state facts.
+
+    closest_pair (i, j), i < j, is the first pair at the smallest
+    separation of the run, at the first record reaching it: on a
+    collision, the colliding pair at the abort time.  None for a lone
+    agent.
+    """
 
     times: np.ndarray
     min_distance: np.ndarray
@@ -121,6 +127,7 @@ class MissionMetrics:
     nonfinite: bool
     solution: Optional[FormationSolution]
     assignment: Optional[FormationAssignment]
+    closest_pair: Optional[tuple] = None
 
     @property
     def completed(self) -> bool:
@@ -137,6 +144,8 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
         raise MissionError("states must be an (n, 6) array")
     if u.shape != (st.shape[0], 3):
         raise MissionError("controls must be an (n, 3) array")
+    if not (np.all(np.isfinite(st)) and np.all(np.isfinite(u))):
+        raise MissionError("states and controls must be finite")
     return sk.rk4_step_team(st, u, float(dt))
 
 
@@ -358,6 +367,10 @@ def run_mission(config: MissionConfig):
             last[:, 0] - assignment.position[:, 0],
             last[:, 1] - assignment.position[:, 1],
         )
+    closest = None
+    if config.n > 1 and filled > 0:
+        k = int(np.argmin(min_dist[:filled]))
+        closest = sk.closest_pair(traj[k, :, 0], traj[k, :, 1])
     metrics = MissionMetrics(
         times=times,
         min_distance=min_dist[:filled],
@@ -368,6 +381,7 @@ def run_mission(config: MissionConfig):
         nonfinite=bool(nonfinite),
         solution=solution,
         assignment=assignment,
+        closest_pair=closest,
     )
     log = TrajectoryLog(times=times, data=traj[:filled])
     return metrics, log

@@ -16,6 +16,7 @@ from curveswarm.config import (
     load_config,
     parse_target,
 )
+from curveswarm.control import make_params
 from curveswarm.curves import make_curve
 from curveswarm.finder import FinderConfig, multistart
 from curveswarm.output import (
@@ -284,6 +285,28 @@ def test_cli_exit_4_on_collision(monkeypatch, tmp_path):
         ["simulate", "--curve", "deltoid", "--n", "4", "--out", str(tmp_path)]
     )
     assert code == 4
+
+
+def test_cli_exit_4_names_the_colliding_pair(tmp_path, capsys):
+    # gear-hermite n=4 seed 0 collides at 13.84 s: the summary line names
+    # the pair and the time, and the trajectory shows that pair inside
+    # the abort distance on its last record
+    code = run_cli(
+        ["simulate", "--curve", "gear-hermite", "--n", "4", "--seed", "0",
+         "--horizon", "15", "--out", str(tmp_path)]
+    )
+    assert code == 4
+    summary = capsys.readouterr().out.splitlines()[0]
+    tokens = dict(tok.split("=", 1) for tok in summary.split())
+    assert tokens["collision"] == "True"
+    assert tokens["collision_t"] == "13.84s" == tokens["t_end"]
+    i, j = (int(a) for a in tokens["closest_pair"].split(","))
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)
+    last = rows[rows[:, 0] == rows[-1, 0]]
+    gap = np.hypot(*(last[i, 2:4] - last[j, 2:4]))
+    curve = make_curve("gear-hermite")
+    assert gap < 0.5 * make_params(curve).d_safe
+    assert gap == pytest.approx(float(tokens["min_distance"]), rel=1e-3)
 
 
 def test_cli_curves_list_and_sample(capsys):

@@ -166,7 +166,7 @@ def test_drift_acceleration_matches_second_differences():
             mid = outputs_at(0.0)
             hi = outputs_at(h)
             terms = kk.transverse_terms(
-                curve.kind, curve.par, curve.eps_sing, *st, cp.lift_gain, z_ref, rate
+                control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
             )
             lf = kk.drift_acceleration(
                 terms[0], terms[1], st[3], terms[6], terms[7], terms[8], terms[9],
@@ -240,7 +240,7 @@ def test_tfl_solution_matches_dense_solve():
         z_ref = st[4] + rng.uniform(-0.2, 0.2)
         u = tfl_control(st, curve, cp, z_ref, rate).as_array()
         terms = kk.transverse_terms(
-            curve.kind, curve.par, curve.eps_sing, *st, cp.lift_gain, z_ref, rate
+            control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
         )
         e_n, e_t, h3, den, det_, dh3 = terms[:6]
         lf = kk.drift_acceleration(
@@ -572,6 +572,18 @@ def test_final_control_settled_agent_is_pure_pose():
     assert out.as_array() == pytest.approx(ref.as_array(), rel=1e-12)
 
 
+def test_control_entry_points_reject_non_finite_states():
+    curve, cp, sol, states, asn = formation_setup()
+    bad = states.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(ControlError, match="finite"):
+        pose_control(bad[1], asn.position[1], asn.heading[1], cp)
+    with pytest.raises(ControlError, match="finite"):
+        final_control(1, bad, np.zeros(4), curve, asn, cp)
+    with pytest.raises(ControlError, match="finite"):
+        avoidance_force(1, bad, np.zeros(4), cp)
+
+
 def test_final_control_no_neighbors_alpha_zero():
     curve, cp, sol, states, asn = formation_setup()
     spread = states.copy()
@@ -743,6 +755,8 @@ def test_make_params_rejects_unknown_and_invalid():
         make_params(curve, blend_mode="half")
     with pytest.raises(ControlError, match="sigma_accept"):
         make_params(curve, sigma_accept=1.5)
+    with pytest.raises(ControlError, match="above 'd_safe'"):
+        make_params(curve, shrink_factor=1.0)
     cp = make_params(curve, blend_mode="product")
     assert cp.blend_mode == 0.0
 

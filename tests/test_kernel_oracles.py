@@ -1,9 +1,18 @@
-"""Array kernels against the scalar code they replaced.
+"""Kernels against the code they replaced.
 
-The scalar functions below are copies of earlier per-index kernels, kept
-as reference implementations.  Random snapshots (hypothesis) cover the
-deltoid cusps, the gear corners, a lone agent and two agents close
-enough for the avoidance law to engage.
+The functions below are copies of earlier kernels, kept as reference
+implementations: the per-agent control tick that evaluated the curve for
+each agent on numpy scalars, the scalar frame, the array RK4 step and the
+scalar nearest-point query.  Random snapshots (hypothesis) cover the
+deltoid cusps, the gear corners, the lissajous-32 crossings, a lone
+sweep-only agent, two agents close enough for the avoidance law to
+engage, twelve agents, and a cusp search that finds no regular parameter.
+
+The float tick is expected to match its oracle exactly on hosts where
+math.sin/cos agree with numpy's, but it is checked within 1e-12 (relative
+above 1), since the two libraries may round differently by an ulp
+elsewhere.  frame_raw only moved from scalars to arrays of the same
+numpy expressions, so it must match exactly.
 
 The batched nearest-point query is not bit-identical to its scalar
 copy.  The scalar code squares numpy float64 scalars with `**2`, which
@@ -16,11 +25,13 @@ move by 1e-8 far from the curve.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveswarm import _control_kernels as kk
 from curveswarm import _sim_kernels as sk
+from curveswarm import control
 from curveswarm._curve_kernels import curve_d1, curve_d2, curve_point, frame_raw
 from curveswarm.control import make_params
 from curveswarm.curves import make_curve
@@ -35,6 +46,10 @@ GEAR_CORNERS = tuple(k * np.pi / GEAR.par[0] for k in range(int(2 * GEAR.par[0])
 # the seven self-crossings of lissajous-32, (2 cos 3s, 1.5 sin 2s)
 LISSAJOUS_CROSSINGS = tuple((0.0, 1.5 * np.sin(k * np.pi / 3)) for k in (-1, 0, 1)) + tuple(
     (sx * np.sqrt(2.0), sy * 0.75) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
+)
+# the two parameters of each crossing: k pi / 12 for these k
+LISSAJOUS_CROSSING_S = tuple(
+    k * np.pi / 12.0 for k in (1, 2, 5, 6, 7, 10, 11, 13, 14, 17, 18, 19, 22, 23)
 )
 
 
@@ -63,8 +78,8 @@ def old_turn_rate(kind, par, s, eps_sing):
     return (dx * ddy - dy * ddx) / m2
 
 
-def old_frame_raw(kind, par, s, eps_sing):
-    """Frenet data with the cusp fallback; turn rate over hypot(x', y')**2."""
+def scalar_frame_raw(kind, par, s, eps_sing):
+    """Frenet data at scalar s with the cusp fallback."""
     dx, dy = curve_d1(kind, par, s)
     m = np.hypot(dx, dy)
     sf = s
@@ -92,12 +107,14 @@ def old_frame_raw(kind, par, s, eps_sing):
     ty = dy / mf
     cross = dx * ddy - dy * ddx
     kappa = cross / (mf * mf * mf)
-    return tx, ty, -ty, tx, np.arctan2(ty, tx), m, kappa, cross / (mf * mf), True
+    turn = cross / (dx * dx + dy * dy)
+    return tx, ty, -ty, tx, np.arctan2(ty, tx), m, kappa, turn, True
 
 
-def old_transverse_terms(kind, par, eps_sing, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
+def scalar_transverse_terms(kind, par, eps_sing, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
+    """Outputs, their rates, and the geometry needed by the path law."""
     s = z / lift_gain
-    tx, ty, nx, ny, psi_t, speed, _kappa, turn, _ok = old_frame_raw(
+    tx, ty, nx, ny, psi_t, speed, _kappa, turn, _ok = scalar_frame_raw(
         kind, par, s, eps_sing
     )
     gx, gy = curve_point(kind, par, s)
@@ -119,13 +136,292 @@ def old_transverse_terms(kind, par, eps_sing, x, y, psi, v, z, vz, lift_gain, z_
     if denom < eps_sing:
         denom = eps_sing
     speed_deriv = (d1x * d2x + d1y * d2y) / denom
-    turn_plus = old_turn_rate(kind, par, s + kk._W_FD_STEP, eps_sing)
-    turn_minus = old_turn_rate(kind, par, s - kk._W_FD_STEP, eps_sing)
+    turn_plus = scalar_frame_raw(kind, par, s + kk._W_FD_STEP, eps_sing)[7]
+    turn_minus = scalar_frame_raw(kind, par, s - kk._W_FD_STEP, eps_sing)[7]
     turn_deriv = (turn_plus - turn_minus) / (2.0 * kk._W_FD_STEP)
     return (
-        e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi,
-        speed, turn, turn_deriv, speed_deriv, s_rate,
+        e_n,
+        e_t,
+        h3,
+        e_n_dot,
+        e_t_dot,
+        h3_dot,
+        sin_dpsi,
+        cos_dpsi,
+        speed,
+        turn,
+        turn_deriv,
+        speed_deriv,
+        s_rate,
     )
+
+
+def scalar_path_following_control(kind, par, eps_sing, x, y, psi, v, z, vz, z_ref, z_ref_rate, cp):
+    """Feedback-linearizing PD law tracking the lifted curve."""
+    (
+        e_n,
+        e_t,
+        h3,
+        e_n_dot,
+        e_t_dot,
+        h3_dot,
+        sin_dpsi,
+        cos_dpsi,
+        speed,
+        turn,
+        turn_deriv,
+        speed_deriv,
+        s_rate,
+    ) = scalar_transverse_terms(
+        kind, par, eps_sing, x, y, psi, v, z, vz, cp.lift_gain, z_ref, z_ref_rate
+    )
+    lf1, lf2, _ = kk.drift_acceleration(
+        e_n, e_t, v, sin_dpsi, cos_dpsi, speed, turn, turn_deriv, speed_deriv, s_rate
+    )
+    rhs1 = -cp.kp_n * e_n - cp.kd_n * e_n_dot - lf1
+    rhs2 = -cp.kp_t * e_t - cp.kd_t * e_t_dot - lf2
+    a_z = -cp.kp_lift * h3 - cp.kd_lift * h3_dot
+    v_reg = v
+    if abs(v_reg) < cp.v_min:
+        v_reg = cp.v_min if v_reg >= 0.0 else -cp.v_min
+    b1 = -turn * e_t / cp.lift_gain
+    b2 = (turn * e_n - speed) / cp.lift_gain
+    r1 = rhs1 - b1 * a_z
+    r2 = rhs2 - b2 * a_z
+    # closed-form inverse of [[sin, v cos], [cos, -v sin]]
+    a = sin_dpsi * r1 + cos_dpsi * r2
+    omega = (cos_dpsi * r1 - sin_dpsi * r2) / v_reg
+    return a, omega, a_z
+
+
+def scalar_pose_control_law(x, y, psi, v, vz, target_x, target_y, target_psi, cp):
+    """Damped regulator parking the agent at its assigned vertex pose."""
+    hx = np.cos(psi)
+    hy = np.sin(psi)
+    a = -cp.kv_pose * v - cp.kp_pose * ((x - target_x) * hx + (y - target_y) * hy)
+    omega = -cp.kpsi_pose * kk.wrap_angle(psi - target_psi)
+    a_z = -cp.kz_pose * vz
+    return a, omega, a_z
+
+
+def scalar_repulsion_sum(idx, px, py, psi, d_act, cp):
+    """Raw repulsive field on agent idx plus the worst proximity gate."""
+    n = px.shape[0]
+    fx = 0.0
+    fy = 0.0
+    prox = 0.0
+    min_sep = np.inf
+    ramp_lo = 0.5 * np.pi - 0.5 * cp.codir_ramp
+    for j in range(n):
+        if j == idx:
+            continue
+        dx = px[idx] - px[j]
+        dy = py[idx] - py[j]
+        r = np.sqrt(dx * dx + dy * dy)
+        if r < min_sep:
+            min_sep = r
+        if r >= cp.sense_radius or r >= d_act:
+            continue
+        if r <= 0.0:
+            continue
+        strength = cp.k_avoid * (1.0 / r - 1.0 / d_act) / (r * r)
+        # softened co-directional modulation: same-way neighbors repel
+        # at codir_factor strength, ramping back to full over codir_ramp
+        # radians around a pi/2 heading difference
+        heading_gap = kk.wrap_angle(psi[idx] - psi[j])
+        if heading_gap < 0.0:
+            heading_gap = -heading_gap
+        mod = cp.codir_factor + (1.0 - cp.codir_factor) * kk.beta_smooth(
+            (heading_gap - ramp_lo) / cp.codir_ramp
+        )
+        fx += strength * dx * mod
+        fy += strength * dy * mod
+        p = kk.beta_smooth((d_act - r) / (d_act - cp.d_safe))
+        if p > prox:
+            prox = p
+    return fx, fy, prox, min_sep
+
+
+def scalar_avoidance_control_law(psi_i, v, vz, fx, fy, cp):
+    """Steer along the repulsive field, modulating speed by alignment."""
+    psi_des = np.arctan2(fy, fx)
+    err = kk.wrap_angle(psi_des - psi_i)
+    v_des = cp.v_max * np.cos(err)
+    a = cp.kv_avoid * (v_des - v)
+    omega = cp.komega_avoid * err
+    a_z = -cp.kz_avoid * vz
+    return a, omega, a_z
+
+
+def scalar_agent_control(
+    idx,
+    px,
+    py,
+    psi,
+    v,
+    z,
+    vz,
+    revs_i,
+    kind,
+    par,
+    eps_sing,
+    target_x,
+    target_y,
+    target_psi,
+    z_ref,
+    z_ref_rate,
+    cp,
+):
+    """Full blended control for one agent given the team snapshot."""
+    dx = px[idx] - target_x
+    dy = py[idx] - target_y
+    dist = np.sqrt(dx * dx + dy * dy)
+    sigma = kk.blend_weight(revs_i, dist, cp.revs_star, cp.d_sw, cp.blend_mode)
+    a_tfl, om_tfl, az_tfl = scalar_path_following_control(
+        kind,
+        par,
+        eps_sing,
+        px[idx],
+        py[idx],
+        psi[idx],
+        v[idx],
+        z[idx],
+        vz[idx],
+        z_ref,
+        z_ref_rate,
+        cp,
+    )
+    a_pose, om_pose, az_pose = scalar_pose_control_law(
+        px[idx], py[idx], psi[idx], v[idx], vz[idx], target_x, target_y, target_psi, cp
+    )
+    a_nom = (1.0 - sigma) * a_tfl + sigma * a_pose
+    om_nom = (1.0 - sigma) * om_tfl + sigma * om_pose
+    az_nom = (1.0 - sigma) * az_tfl + sigma * az_pose
+    duty = kk.beta_smooth((cp.sigma_accept - sigma) / cp.delta_sigma)
+    d_act = cp.d_ao
+    if sigma > cp.shrink_sigma:
+        d_act = cp.shrink_factor * cp.d_safe
+    fx_raw, fy_raw, prox, _min_sep = scalar_repulsion_sum(idx, px, py, psi, d_act, cp)
+    fx = duty * fx_raw
+    fy = duty * fy_raw
+    alpha = duty * prox
+    a_av, om_av, az_av = scalar_avoidance_control_law(psi[idx], v[idx], vz[idx], fx, fy, cp)
+    a = (1.0 - alpha) * a_nom + alpha * a_av
+    omega = (1.0 - alpha) * om_nom + alpha * om_av
+    a_z = (1.0 - alpha) * az_nom + alpha * az_av
+    return a, omega, a_z, sigma, alpha, duty
+
+
+def scalar_team_controls(
+    states,
+    z0,
+    z_cap,
+    t,
+    kind,
+    par,
+    eps_sing,
+    target_x,
+    target_y,
+    target_psi,
+    has_targets,
+    ref_rate,
+    cp,
+):
+    """Controls plus (sigma, alpha, duty) for every agent at one instant."""
+    n = states.shape[0]
+    out = np.empty((n, 6))
+    px, py, psi, v, z, vz = states.T
+    width = cp.lift_gain * cp.brake_width
+    lead = cp.lift_gain * cp.lead_width
+    vz_max = 2.0 * ref_rate
+    for i in range(n):
+        z_ref, rate_i = sk.march_profile(z0[i], z_cap[i], t, ref_rate, width)
+        # leash: a blocked agent's reference waits just ahead of it
+        if z_ref > z[i] + lead:
+            z_ref = z[i] + lead
+            rate_i = 0.0
+        # a sweep-only mission has done no revolutions toward a target,
+        # which pins sigma at zero
+        revs = 0.0
+        if has_targets:
+            revs = (z[i] - z0[i]) / (TWO_PI * cp.lift_gain)
+            if revs < 0.0:
+                revs = 0.0
+        a, om, az, sg, al, du = scalar_agent_control(
+            i,
+            px,
+            py,
+            psi,
+            v,
+            z,
+            vz,
+            revs,
+            kind,
+            par,
+            eps_sing,
+            target_x[i],
+            target_y[i],
+            target_psi[i],
+            z_ref,
+            rate_i,
+            cp,
+        )
+        # speed envelope: restrict acceleration toward high |v|, |vz|
+        hi = cp.kv_limit * (cp.v_max - v[i])
+        lo = cp.kv_limit * (-cp.v_max - v[i])
+        if a > hi:
+            a = hi
+        if a < lo:
+            a = lo
+        hi = cp.kv_limit * (vz_max - vz[i])
+        lo = cp.kv_limit * (-vz_max - vz[i])
+        if az > hi:
+            az = hi
+        if az < lo:
+            az = lo
+        # turn-rate saturation: near standstill the regularized inversion
+        # emits demand/v_min noise that would thrash the heading
+        if om > cp.omega_max:
+            om = cp.omega_max
+        if om < -cp.omega_max:
+            om = -cp.omega_max
+        out[i, 0] = a
+        out[i, 1] = om
+        out[i, 2] = az
+        out[i, 3] = sg
+        out[i, 4] = al
+        out[i, 5] = du
+    return out
+
+
+def array_rk4_step_team(states, controls, dt):
+    """One classical Runge-Kutta step of every agent's 6-state dynamics."""
+    x, y, psi, v, z, vz = states.T
+    a, om, az = controls.T
+    # stage 1
+    k1x = v * np.cos(psi)
+    k1y = v * np.sin(psi)
+    # stage 2
+    psi2 = psi + 0.5 * dt * om
+    v2 = v + 0.5 * dt * a
+    k2x = v2 * np.cos(psi2)
+    k2y = v2 * np.sin(psi2)
+    # stage 3 sees the same midpoint rates for psi and v
+    k3x = k2x
+    k3y = k2y
+    # stage 4
+    psi4 = psi + dt * om
+    v4 = v + dt * a
+    k4x = v4 * np.cos(psi4)
+    k4y = v4 * np.sin(psi4)
+    out = np.empty_like(states)
+    out[:, 0] = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    out[:, 1] = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    out[:, 2] = psi + dt * om
+    out[:, 3] = v + dt * a
+    out[:, 4] = z + dt * vz + 0.5 * dt * dt * az
+    out[:, 5] = vz + dt * az
+    return out
 
 
 def old_rk4_step_team(states, controls, dt):
@@ -203,16 +499,16 @@ def old_sweep_only_controls(states, z0, z_cap, t, curve, ref_rate, cp):
         if z_ref > z[i] + lead:
             z_ref = z[i] + lead
             rate_i = 0.0
-        a, om, az = kk.path_following_control(
+        a, om, az = scalar_path_following_control(
             curve.kind, curve.par, curve.eps_sing, px[i], py[i], psi[i], v[i],
             z[i], vz[i], z_ref, rate_i, cp,
         )
         sg = 0.0
         du = kk.beta_smooth(cp.sigma_accept / cp.delta_sigma)
-        fx_raw, fy_raw, prox, _ms = kk.repulsion_sum(i, px, py, psi, cp.d_ao, cp)
+        fx_raw, fy_raw, prox, _ms = scalar_repulsion_sum(i, px, py, psi, cp.d_ao, cp)
         al = du * prox
         if al > 0.0:
-            aa, oma, aza = kk.avoidance_control_law(
+            aa, oma, aza = scalar_avoidance_control_law(
                 psi[i], v[i], vz[i], du * fx_raw, du * fy_raw, cp
             )
             a = (1.0 - al) * a + al * aa
@@ -245,10 +541,12 @@ unit = st.floats(-1.0, 1.0)
 
 @st.composite
 def curve_parameter(draw, curve):
-    """A parameter anywhere, or within 2e-3 of a cusp or gear corner."""
-    specials = {"deltoid": DELTOID_CUSPS, "gear-hermite": GEAR_CORNERS}.get(
-        curve.family, ()
-    )
+    """A parameter anywhere, or within 2e-3 of a cusp, gear corner or crossing."""
+    specials = {
+        "deltoid": DELTOID_CUSPS,
+        "gear-hermite": GEAR_CORNERS,
+        "lissajous-32": LISSAJOUS_CROSSING_S,
+    }.get(curve.family, ())
     if specials and draw(st.booleans()):
         return draw(st.sampled_from(specials)) + 2e-3 * draw(unit)
     return draw(st.floats(0.0, TWO_PI))
@@ -270,8 +568,8 @@ def agent_state(draw, curve, cp, s):
 
 
 @st.composite
-def team_snapshot(draw, curve, close_pair=False):
-    """(states, z0) for 1-5 agents; close_pair puts two agents inside d_ao."""
+def team_snapshot(draw, curve, close_pair=False, sizes=(1, 2, 3, 4, 5)):
+    """(states, z0) for a team of one of sizes; close_pair puts two agents inside d_ao."""
     cp = make_params(curve)
     if close_pair:
         s = draw(curve_parameter(curve))
@@ -284,7 +582,7 @@ def team_snapshot(draw, curve, close_pair=False):
         second[2] = np.pi * draw(unit)
         rows = [first, second]
     else:
-        n = draw(st.integers(1, 5))
+        n = draw(st.sampled_from(sizes))
         rows = [draw(agent_state(curve, cp, draw(curve_parameter(curve)))) for _ in range(n)]
     states = np.array(rows)
     z0 = states[:, 4] - cp.lift_gain * draw(st.floats(0.0, 2.0 * TWO_PI))
@@ -292,9 +590,129 @@ def team_snapshot(draw, curve, close_pair=False):
 
 
 CURVES = st.sampled_from((DELTOID, GEAR, ELLIPSE))
+TICK_CURVES = st.sampled_from((DELTOID, GEAR, ELLIPSE, LISSAJOUS))
+
+
+def assert_close(got, ref, tol=1e-12):
+    """Equal within tol, relative to |ref| where that exceeds 1.
+
+    Non-finite entries must match exactly: the same infinity, or nan in
+    both (agents a hair apart overflow the repulsion in both codes).
+    """
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    same = (got == ref) | (np.isnan(got) & np.isnan(ref))
+    with np.errstate(invalid="ignore"):
+        near = np.abs(got - ref) <= tol * np.maximum(1.0, np.abs(ref))
+    assert np.all(same | near)
+
+
+def quiet(oracle, *args):
+    """Run a numpy-scalar oracle without its overflow warnings."""
+    with np.errstate(all="ignore"):
+        return oracle(*args)
 
 
 # -- oracle comparisons ------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 40))
+def test_frame_raw_matches_scalar_oracle_elementwise(data, m):
+    curve = data.draw(TICK_CURVES)
+    eps_sing = curve.eps_sing
+    if curve is DELTOID and data.draw(st.booleans()):
+        # a cusp search that fails: within about 6e-4 of a cusp no
+        # parameter in the +/-1e-3 window reaches this speed
+        eps_sing = 1e-2
+    s = np.array([data.draw(curve_parameter(curve)) for _ in range(m)])
+    if data.draw(st.booleans()):
+        s[data.draw(st.integers(0, m - 1))] = data.draw(
+            st.sampled_from(DELTOID_CUSPS + GEAR_CORNERS + LISSAJOUS_CROSSING_S)
+        )
+    got = frame_raw(curve.kind, curve.par, s, eps_sing)
+    assert all(out.shape == (m,) for out in got)
+    tx, ty, nx, ny, psi_t, speed, speed_rate, kappa, turn, ok = got
+    d1x, d1y = curve_d1(curve.kind, curve.par, s)
+    d2x, d2y = curve_d2(curve.kind, curve.par, s)
+    for k in range(m):
+        ref = scalar_frame_raw(curve.kind, curve.par, s[k], eps_sing)
+        assert (tx[k], ty[k], nx[k], ny[k], psi_t[k], speed[k], kappa[k], turn[k], ok[k]) == ref
+        # the speed derivative of the path law, d1 . d2 / max(speed, eps)
+        denom = max(ref[5], eps_sing)
+        assert speed_rate[k] == (d1x[k] * d2x[k] + d1y[k] * d2y[k]) / denom
+    if eps_sing == 1e-2:
+        assert ok[np.abs(np.angle(np.exp(3j * s))) < 1.5e-3].sum() == 0
+
+
+@st.composite
+def tick_case(draw):
+    """One team snapshot with its references, targets and lap caps.
+
+    Covers a lone sweep-only agent (infinite caps, no targets), two agents
+    inside the avoidance radius, teams of 1-5 and a crowd of 12, with or
+    without targets, and on the deltoid a cusp search that fails.
+    """
+    curve = draw(TICK_CURVES)
+    cp = make_params(curve)
+    case = draw(st.sampled_from(("sweep-1", "pair", "team", "crowd")))
+    close_pair = case == "pair"
+    sizes = {"sweep-1": (1,), "crowd": (12,)}.get(case, (1, 2, 3, 4, 5))
+    states, z0 = draw(team_snapshot(curve, close_pair=close_pair, sizes=sizes))
+    n = states.shape[0]
+    has_targets = case != "sweep-1" and draw(st.booleans())
+    if has_targets:
+        theta = np.array([draw(st.floats(0.0, TWO_PI)) for _ in range(n)])
+        pos = curve.point(theta)
+        heading = np.array([curve.frenet(float(t)).tangent_angle for t in theta])
+        laps = np.array([draw(st.integers(0, 2)) for _ in range(n)])
+        z_cap = z0 + cp.lift_gain * (np.mod(theta - z0 / cp.lift_gain, TWO_PI) + TWO_PI * laps)
+        targets = (pos[:, 0], pos[:, 1], heading)
+    else:
+        z_cap = np.full(n, np.inf)
+        targets = (np.zeros(n), np.zeros(n), np.zeros(n))
+    eps_sing = 1e-2 if curve is DELTOID and draw(st.booleans()) else curve.eps_sing
+    t = draw(st.floats(0.0, 60.0))
+    args = (
+        states, z0, z_cap, t, curve.kind, curve.par, eps_sing, *targets,
+        has_targets, cp.lift_gain * cp.v_ref, cp,
+    )
+    return case, args
+
+
+@settings(max_examples=200, deadline=None)
+@given(case_args=tick_case())
+def test_team_controls_match_scalar_oracle(case_args):
+    case, args = case_args
+    states = args[0]
+    got, md = sk.team_controls(*args)
+    assert_close(got, quiet(scalar_team_controls, *args))
+    # the tick's minimum separation
+    ref_md = sk.min_pair_distance(states[:, 0], states[:, 1])
+    if states.shape[0] == 1:
+        assert md == ref_md == np.inf
+    else:
+        assert_close(md, ref_md)
+    if case == "pair":
+        assert md < args[-1].d_ao
+
+
+@pytest.mark.parametrize("gap", [2.9e-113, 1e-160, 1e-170])
+def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
+    # the repulsion overflows to inf or nan in both codes (float division
+    # overflows to inf without raising); at 1e-170 the squared gap
+    # underflows, so r = 0 and the pair counts as an exact overlap
+    cp = make_params(DELTOID)
+    states = np.array([[3.0, 0.0, 0.0, 0.0, 0.0, 0.27], [3.0, gap, 0.5, 0.0, 0.0, 0.27]])
+    zeros = np.zeros(2)
+    args = (
+        states, zeros, np.full(2, np.inf), 0.0, DELTOID.kind, DELTOID.par,
+        DELTOID.eps_sing, zeros, zeros, zeros, False, cp.lift_gain * cp.v_ref, cp,
+    )
+    got, md = sk.team_controls(*args)
+    assert_close(got, quiet(scalar_team_controls, *args))
+    assert md == sk.min_pair_distance(states[:, 0], states[:, 1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,9 +720,9 @@ CURVES = st.sampled_from((DELTOID, GEAR, ELLIPSE))
 def test_turn_rate_from_frame_matches_scalar_turn_rate(data):
     curve = data.draw(CURVES)
     s = data.draw(curve_parameter(curve))
-    turn = frame_raw(curve.kind, curve.par, s, curve.eps_sing)[7]
+    turn = frame_raw(curve.kind, curve.par, np.array([s]), curve.eps_sing)[8]
     ref = old_turn_rate(curve.kind, curve.par, s, curve.eps_sing)
-    assert turn == ref
+    assert turn[0] == ref
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,15 +733,19 @@ def test_transverse_terms_match_scalar_oracle(data):
     s = data.draw(curve_parameter(curve))
     x, y, psi, v, z, vz = data.draw(agent_state(curve, cp, s))
     z_ref = z + cp.lift_gain * 0.1 * data.draw(unit)
-    args = (
-        curve.kind, curve.par, curve.eps_sing, x, y, psi, v, z, vz,
-        cp.lift_gain, z_ref, cp.lift_gain * cp.v_ref,
+    args = (x, y, psi, v, z, vz, cp.lift_gain, z_ref, cp.lift_gain * cp.v_ref)
+    got = np.array(kk.transverse_terms(control._geometry(curve, z, cp.lift_gain), *args))
+    ref = np.array(
+        quiet(scalar_transverse_terms, curve.kind, curve.par, curve.eps_sing, *args)
     )
-    got = np.array(kk.transverse_terms(*args))
-    ref = np.array(old_transverse_terms(*args))
+    assert_close(got, ref)
     assert np.max(np.abs(got - ref)) <= 1e-11
-    # the turn-rate derivative uses the same formula at s +/- h as before
-    assert got[10] == ref[10]
+    # every output but the heading terms (3, 4, 6, 7: math.sin/cos) is
+    # numpy's and float arithmetic in the same order, so it is exact; the
+    # turn-rate derivative (10) is the central difference of frame_raw
+    # outputs at s +/- h, which checks the (s, s + h, s - h) stacking
+    exact = [0, 1, 2, 5, 8, 9, 10, 11, 12]
+    assert np.array_equal(got[exact], ref[exact])
     assert np.all(np.isfinite(got))
 
 
@@ -339,7 +761,9 @@ def test_rk4_step_team_matches_scalar_loop(data, dt):
         [[5.0 * data.draw(unit) for _ in range(3)] for _ in range(states.shape[0])]
     )
     got = sk.rk4_step_team(states, controls, dt)
-    assert np.array_equal(got, old_rk4_step_team(states, controls, dt))
+    assert got.shape == states.shape
+    assert_close(got, array_rk4_step_team(states, controls, dt))
+    assert_close(got, old_rk4_step_team(states, controls, dt))
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,6 +777,9 @@ def test_min_pair_distance_matches_scalar_loop(data):
         assert got == ref == np.inf
     else:
         assert abs(got - ref) <= np.spacing(ref)
+        i, j = sk.closest_pair(states[:, 0], states[:, 1])
+        assert 0 <= i < j < states.shape[0]
+        assert np.hypot(*(states[i, 0:2] - states[j, 0:2])) == pytest.approx(got, rel=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,12 +796,12 @@ def test_sweep_only_controls_match_their_own_blend(data, close_pair, t):
     z_cap = np.full(n, np.inf)
     ref_rate = cp.lift_gain * cp.v_ref
     zeros = np.zeros(n)
-    got = sk.team_controls(
+    got, _md = sk.team_controls(
         states, z0, z_cap, t, curve.kind, curve.par, curve.eps_sing,
         zeros, zeros, zeros, False, ref_rate, cp,
     )
-    ref = old_sweep_only_controls(states, z0, z_cap, t, curve, ref_rate, cp)
-    assert np.array_equal(got, ref)
+    ref = quiet(old_sweep_only_controls, states, z0, z_cap, t, curve, ref_rate, cp)
+    assert_close(got, ref)
     assert np.all(got[:, 3] == 0.0)
     if close_pair:
         assert np.all(got[:, 4] > 0.0)  # avoidance engaged on both agents

@@ -71,6 +71,10 @@ def test_integrate_step_validates_inputs():
         integrate_step(np.zeros((2, 5)), np.zeros((2, 3)), 0.01)
     with pytest.raises(MissionError):
         integrate_step(good, np.zeros((3, 3)), 0.01)
+    bad = good.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(MissionError, match="finite"):
+        integrate_step(bad, np.zeros((2, 3)), 0.01)
 
 
 def test_rk4_fourth_order_convergence():
@@ -237,6 +241,22 @@ def test_mission_log_layout():
     # sweep-only missions never blend
     assert float(np.max(metrics.sigma)) == 0.0
     assert metrics.final_vertex_errors is None
+
+
+def test_mission_min_distance_is_the_closest_pair():
+    # the tick's neighbor loop replaces a pairwise pass per tick: every
+    # record must still hold the team's smallest separation, and the
+    # reported closest pair must attain the run's minimum
+    curve = make_curve("rose-3")
+    config = MissionConfig(curve=curve, n=3, seed=2, horizon=8.0)
+    metrics, log = run_mission(config)
+    xy = log.data[:, :, 0:2]
+    for k in range(xy.shape[0]):
+        assert metrics.min_distance[k] == sk.min_pair_distance(xy[k, :, 0], xy[k, :, 1])
+    i, j = metrics.closest_pair
+    k = int(np.argmin(metrics.min_distance))
+    assert 0 <= i < j < config.n
+    assert np.hypot(*(xy[k, i] - xy[k, j])) == pytest.approx(metrics.min_distance[k], abs=1e-15)
 
 
 def test_sweep_only_reference_keeps_marching():
