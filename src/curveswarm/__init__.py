@@ -13,7 +13,6 @@ from .curves import (
     FrenetFrame,
     SingularPointError,
     catalog_names,
-    hermite_reparam,
     make_curve,
 )
 from .finder import FinderConfig, FormationSolution, find_formation, multistart
@@ -41,7 +40,6 @@ __all__ = [
     "TrajectoryLog",
     "catalog_names",
     "find_formation",
-    "hermite_reparam",
     "make_curve",
     "make_params",
     "multistart",

@@ -6,7 +6,10 @@ nearest-point pass over the recorded positions once the loop ends.
 A tick makes one array call for the curve geometry of all agents and
 then runs the control laws and the RK4 step per agent on Python floats:
 at a handful of agents that is faster than array expressions over
-agents, whose per-call overhead dwarfs the arithmetic.  The tick's
+agents, whose per-call overhead dwarfs the arithmetic.  The laws live in
+`control`; team_controls is their caller and adds what belongs to the
+mission rather than to one agent's law: the marching reference and its
+leash, the speed envelope and the turn-rate clamp.  The tick's
 neighbor loop also yields the smallest separation, so the loop needs no
 separate pairwise-distance pass.
 
@@ -20,8 +23,8 @@ import math
 
 import numpy as np
 
-from ._control_kernels import agent_control, curve_geometry
 from ._curve_kernels import curve_point
+from .control import agent_control, curve_geometry
 
 TWO_PI = 2.0 * np.pi
 POINT_BLOCK = 32  # points per coarse-argmin block (x 2048 samples)

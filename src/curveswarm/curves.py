@@ -10,7 +10,7 @@ controller, simulator) consumes curves only through this interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +26,6 @@ class CurveError(ValueError):
 
 class SingularPointError(RuntimeError):
     """No regular parameter found near a singular query point."""
-
-
-def hermite_reparam(length: float, s: float) -> float:
-    """Cubic Hermite parameter warp t(s) = L(3(s/L)^2 - 2(s/L)^3).
-
-    Maps [0, L] onto itself with dt/ds = 0 at both ends, so a piecewise
-    curve traversed in t has vanishing velocity at the segment corners.
-    """
-    if length <= 0.0:
-        raise ValueError("segment length must be positive")
-    if s < -1e-12 or s > length + 1e-12:
-        raise ValueError("s outside [0, L]")
-    u = min(max(s / length, 0.0), 1.0)
-    return length * u * u * (3.0 - 2.0 * u)
 
 
 def _require(cond, msg):

@@ -15,7 +15,7 @@ never stops; collision avoidance still applies).
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -149,23 +149,13 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
     return sk.rk4_step_team(st, u, float(dt))
 
 
-def _nearest(p, curve: Curve):
-    """(distance, parameter) of the curve point closest to the point p."""
-    sv, xs, ys = curve.sample_cache(2048)
-    dist, s_at = sk.nearest_on_curve(
-        curve.kind, curve.par, np.array([float(p[0])]), np.array([float(p[1])]), sv, xs, ys
-    )
-    return float(dist[0]), float(s_at[0])
-
-
-def distance_to_curve(p, curve: Curve) -> float:
-    """Global distance from a planar point to the curve (refined minimum)."""
-    return _nearest(p, curve)[0]
-
-
 def nearest_parameter(p, curve: Curve) -> float:
     """Curve parameter in [0, 2*pi) whose point is closest to p."""
-    return _nearest(p, curve)[1]
+    sv, xs, ys = curve.sample_cache(2048)
+    _dist, s_at = sk.nearest_on_curve(
+        curve.kind, curve.par, np.array([float(p[0])]), np.array([float(p[1])]), sv, xs, ys
+    )
+    return float(s_at[0])
 
 
 def initial_states(config: MissionConfig, cp: ControllerParams, rng: np.random.Generator):

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from curveswarm import control
-from curveswarm import _control_kernels as kk
 from curveswarm.control import (
     ControlError,
+    agent_control,
     assign_vertices,
-    avoidance_control,
-    avoidance_force,
-    beta,
-    blend_sigma,
+    avoidance_control_law,
+    beta_smooth,
+    blend_weight,
     decoupling_matrix,
-    final_control,
+    drift_acceleration,
     make_params,
-    pose_control,
-    tfl_control,
-    transverse_outputs,
+    path_following_control,
+    pose_control_law,
+    repulsion_sum,
+    transverse_terms,
     wrap_angle,
 )
 from curveswarm.curves import make_curve
@@ -73,10 +73,11 @@ def run_path_following(curve, cp, state0, horizon, dt=0.01, record=None):
     rows = []
     steps = int(round(horizon / dt))
     for k in range(steps):
-        u = tfl_control(state, curve, cp, z_ref, rate)
+        geo = control._geometry(curve, state[4], cp.lift_gain)
+        u = np.array(path_following_control(geo, *state, z_ref, rate, cp))
         if record is not None:
             rows.append(record(k * dt, state, z_ref, rate))
-        state = rk4_step(state, u.as_array(), dt)
+        state = rk4_step(state, u, dt)
         z_ref += rate * dt
     return state, rows
 
@@ -89,7 +90,8 @@ def test_outputs_zero_on_curve():
     cp = make_params(curve)
     for s in (0.0, 0.7, 2.9, 5.5):
         st = on_curve_state(curve, cp, s)
-        out = transverse_outputs(st, curve, cp.lift_gain, z_ref=st[4], z_ref_rate=st[5])
+        geo = control._geometry(curve, st[4], cp.lift_gain)
+        out = transverse_terms(geo, *st, cp.lift_gain, st[4], st[5])[:6]
         assert max(abs(v) for v in out) <= 1e-12
 
 
@@ -100,7 +102,8 @@ def test_outputs_normal_displacement():
         fr = curve.frenet(s)
         p = curve.point(s) + delta * fr.normal
         st = np.array([p[0], p[1], fr.tangent_angle, 0.4, cp.lift_gain * s, 0.1])
-        e_n, e_t, _h3, _den, _det, _dh3 = transverse_outputs(st, curve, cp.lift_gain)
+        geo = control._geometry(curve, st[4], cp.lift_gain)
+        e_n, e_t, *_ = transverse_terms(geo, *st, cp.lift_gain, 0.0, 0.0)
         assert abs(e_n - delta) <= 1e-12
         assert abs(e_t) <= 1e-12
 
@@ -122,9 +125,8 @@ def test_output_rates_match_finite_differences_along_flow():
             moved = np.array(
                 [x + t * v * np.cos(psi), y + t * v * np.sin(psi), psi, v, z + t * vz, vz]
             )
-            return transverse_outputs(
-                moved, curve, cp.lift_gain, z_ref + rate * t, rate
-            )
+            geo = control._geometry(curve, moved[4], cp.lift_gain)
+            return transverse_terms(geo, *moved, cp.lift_gain, z_ref + rate * t, rate)
 
         lo = flowed(-h)
         hi = flowed(h)
@@ -158,17 +160,16 @@ def test_drift_acceleration_matches_second_differences():
                         vz,
                     ]
                 )
-                return transverse_outputs(
-                    moved, curve, cp.lift_gain, z_ref + rate * t, rate
-                )
+                geo = control._geometry(curve, moved[4], cp.lift_gain)
+                return transverse_terms(geo, *moved, cp.lift_gain, z_ref + rate * t, rate)
 
             lo = outputs_at(-h)
             mid = outputs_at(0.0)
             hi = outputs_at(h)
-            terms = kk.transverse_terms(
+            terms = transverse_terms(
                 control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
             )
-            lf = kk.drift_acceleration(
+            lf = drift_acceleration(
                 terms[0], terms[1], st[3], terms[6], terms[7], terms[8], terms[9],
                 terms[10], terms[11], terms[12],
             )
@@ -238,12 +239,11 @@ def test_tfl_solution_matches_dense_solve():
     for _ in range(200):
         st = random_lifted_state(curve, cp, rng)
         z_ref = st[4] + rng.uniform(-0.2, 0.2)
-        u = tfl_control(st, curve, cp, z_ref, rate).as_array()
-        terms = kk.transverse_terms(
-            control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
-        )
+        geo = control._geometry(curve, st[4], cp.lift_gain)
+        u = path_following_control(geo, *st, z_ref, rate, cp)
+        terms = transverse_terms(geo, *st, cp.lift_gain, z_ref, rate)
         e_n, e_t, h3, den, det_, dh3 = terms[:6]
-        lf = kk.drift_acceleration(
+        lf = drift_acceleration(
             e_n, e_t, st[3], terms[6], terms[7], terms[8], terms[9], terms[10],
             terms[11], terms[12],
         )
@@ -267,8 +267,9 @@ def test_tfl_regularization_keeps_law_finite_at_standstill():
     cp = make_params(curve)
     st = on_curve_state(curve, cp, 1.0, s_rate=0.5)
     st[3] = 0.0
-    u = tfl_control(st, curve, cp, st[4], cp.lift_gain * cp.v_ref)
-    assert np.all(np.isfinite(u.as_array()))
+    geo = control._geometry(curve, st[4], cp.lift_gain)
+    u = path_following_control(geo, *st, st[4], cp.lift_gain * cp.v_ref, cp)
+    assert np.all(np.isfinite(u))
 
 
 def test_tfl_on_manifold_invariance_one_revolution():
@@ -279,7 +280,8 @@ def test_tfl_on_manifold_invariance_one_revolution():
     horizon = TWO_PI / cp.v_ref
 
     def record(t, state, z_ref, rate):
-        e_n, e_t, *_ = transverse_outputs(state, curve, cp.lift_gain, z_ref, rate)
+        geo = control._geometry(curve, state[4], cp.lift_gain)
+        e_n, e_t, *_ = transverse_terms(geo, *state, cp.lift_gain, z_ref, rate)
         return max(abs(e_n), abs(e_t))
 
     _, rows = run_path_following(curve, cp, st, horizon, record=record)
@@ -297,7 +299,8 @@ def test_tfl_normal_error_decays():
     )
 
     def record(t, state, z_ref, rate):
-        e_n, _e_t, _h3, den, *_ = transverse_outputs(state, curve, cp.lift_gain, z_ref, rate)
+        geo = control._geometry(curve, state[4], cp.lift_gain)
+        e_n, _e_t, _h3, den, *_ = transverse_terms(geo, *state, cp.lift_gain, z_ref, rate)
         return (t, np.hypot(e_n, den))
 
     _, rows = run_path_following(curve, cp, st, 5.0, record=record)
@@ -318,8 +321,8 @@ def test_pose_equilibrium_is_zero():
     fr = curve.frenet(s)
     p = curve.point(s)
     st = np.array([p[0], p[1], fr.tangent_angle, 0.0, 0.7, 0.0])
-    u = pose_control(st, p, fr.tangent_angle, cp)
-    assert np.array_equal(u.as_array(), [0.0, 0.0, 0.0])
+    u = pose_control_law(*st[[0, 1, 2, 3, 5]], p[0], p[1], fr.tangent_angle, cp)
+    assert np.array_equal(u, [0.0, 0.0, 0.0])
 
 
 def test_pose_pure_damping_when_at_target():
@@ -329,10 +332,10 @@ def test_pose_pure_damping_when_at_target():
     fr = curve.frenet(s)
     p = curve.point(s)
     st = np.array([p[0], p[1], fr.tangent_angle, 0.8, 0.0, 0.2])
-    u = pose_control(st, p, fr.tangent_angle, cp)
-    assert u.accel == pytest.approx(-cp.kv_pose * 0.8)
-    assert u.turn_rate == 0.0
-    assert u.lift_accel == pytest.approx(-cp.kz_pose * 0.2)
+    a, omega, a_z = pose_control_law(*st[[0, 1, 2, 3, 5]], p[0], p[1], fr.tangent_angle, cp)
+    assert a == pytest.approx(-cp.kv_pose * 0.8)
+    assert omega == 0.0
+    assert a_z == pytest.approx(-cp.kz_pose * 0.2)
 
 
 def test_pose_heading_error_example():
@@ -340,8 +343,8 @@ def test_pose_heading_error_example():
     cp = make_params(curve)
     p = curve.point(0.0)
     st = np.array([p[0], p[1], np.pi / 4, 0.0, 0.0, 0.0])
-    u = pose_control(st, p, 0.0, cp)
-    assert u.turn_rate == pytest.approx(-5.0 * np.pi / 4.0)
+    _a, omega, _a_z = pose_control_law(*st[[0, 1, 2, 3, 5]], p[0], p[1], 0.0, cp)
+    assert omega == pytest.approx(-5.0 * np.pi / 4.0)
 
 
 def test_pose_accel_projects_position_error_on_heading():
@@ -351,38 +354,38 @@ def test_pose_accel_projects_position_error_on_heading():
         st = rng.normal(size=6)
         target = rng.normal(size=2)
         tpsi = rng.uniform(-np.pi, np.pi)
-        u = pose_control(st, target, tpsi, cp)
+        a, omega, _a_z = pose_control_law(*st[[0, 1, 2, 3, 5]], *target, tpsi, cp)
         h = np.array([np.cos(st[2]), np.sin(st[2])])
         expected = -cp.kv_pose * st[3] - cp.kp_pose * np.dot(st[:2] - target, h)
-        assert u.accel == pytest.approx(expected, rel=1e-12)
-        assert u.turn_rate == pytest.approx(-cp.kpsi_pose * wrap_angle(st[2] - tpsi), rel=1e-12)
+        assert a == pytest.approx(expected, rel=1e-12)
+        assert omega == pytest.approx(-cp.kpsi_pose * wrap_angle(st[2] - tpsi), rel=1e-12)
 
 
 # -- smoothstep and blending -------------------------------------------------
 
 
 def test_beta_values_and_clamping():
-    assert beta(0.0) == 0.0
-    assert beta(1.0) == 1.0
-    assert beta(0.5) == 0.5
-    assert beta(-0.3) == 0.0
-    assert beta(1.7) == 1.0
+    assert beta_smooth(0.0) == 0.0
+    assert beta_smooth(1.0) == 1.0
+    assert beta_smooth(0.5) == 0.5
+    assert beta_smooth(-0.3) == 0.0
+    assert beta_smooth(1.7) == 1.0
 
 
 def test_beta_flat_at_both_ends():
     h = 1e-7
-    assert abs(beta(h) - beta(0.0)) / h <= 1e-5
-    assert abs(beta(1.0) - beta(1.0 - h)) / h <= 1e-5
+    assert abs(beta_smooth(h) - beta_smooth(0.0)) / h <= 1e-5
+    assert abs(beta_smooth(1.0) - beta_smooth(1.0 - h)) / h <= 1e-5
 
 
 def test_blend_sigma_examples():
     cp = make_params(make_curve("circle"))
     for d in (0.0, 0.01, 10.0):
-        assert blend_sigma(0.0, d, cp) == 0.0
-    assert blend_sigma(cp.revs_star, 0.0, cp) == 1.0
-    assert blend_sigma(2.5 * cp.revs_star, 0.0, cp) == 1.0
+        assert blend_weight(0.0, d, cp.revs_star, cp.d_sw, cp.blend_mode) == 0.0
+    assert blend_weight(cp.revs_star, 0.0, cp.revs_star, cp.d_sw, cp.blend_mode) == 1.0
+    assert blend_weight(2.5 * cp.revs_star, 0.0, cp.revs_star, cp.d_sw, cp.blend_mode) == 1.0
     prod = make_params(make_curve("circle"), blend_mode="product")
-    assert blend_sigma(0.5 * cp.revs_star, 2.0 * cp.d_sw, prod) == 0.0
+    assert blend_weight(0.5 * cp.revs_star, 2.0 * cp.d_sw, prod.revs_star, prod.d_sw, prod.blend_mode) == 0.0
 
 
 def test_blend_sigma_reduces_to_product_when_gates_agree():
@@ -394,14 +397,17 @@ def test_blend_sigma_reduces_to_product_when_gates_agree():
         g = rng.uniform(0.0, 1.0)
         revs = _invert_beta(g) * cp.revs_star
         d = _invert_beta(1.0 - g) * cp.d_sw
-        assert blend_sigma(revs, d, cp) == pytest.approx(blend_sigma(revs, d, prod), abs=1e-12)
+        anti = blend_weight(revs, d, cp.revs_star, cp.d_sw, cp.blend_mode)
+        assert anti == pytest.approx(
+            blend_weight(revs, d, prod.revs_star, prod.d_sw, prod.blend_mode), abs=1e-12
+        )
 
 
 def _invert_beta(target):
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if beta(mid) < target:
+        if beta_smooth(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -413,9 +419,9 @@ def test_blend_sigma_anti_deadlock_recovers_displaced_agent():
     # min form also 0 -> path following resumes; pushed slightly off:
     # min form keeps sigma high
     cp = make_params(make_curve("circle"))
-    far = blend_sigma(2.0, 10.0 * cp.d_sw, cp)
+    far = blend_weight(2.0, 10.0 * cp.d_sw, cp.revs_star, cp.d_sw, cp.blend_mode)
     assert far == 0.0
-    near = blend_sigma(2.0, 0.2 * cp.d_sw, cp)
+    near = blend_weight(2.0, 0.2 * cp.d_sw, cp.revs_star, cp.d_sw, cp.blend_mode)
     assert near >= 0.8
 
 
@@ -424,10 +430,10 @@ def test_blend_sigma_continuous_in_both_arguments():
     revs = np.linspace(0.0, 1.5, 601)
     dist = np.linspace(0.0, 2.0 * cp.d_sw, 601)
     for d in (0.0, 0.4 * cp.d_sw, cp.d_sw):
-        vals = np.array([blend_sigma(r, d, cp) for r in revs])
+        vals = np.array([blend_weight(r, d, cp.revs_star, cp.d_sw, cp.blend_mode) for r in revs])
         assert np.max(np.abs(np.diff(vals))) <= 0.02
     for r in (0.2, 0.7, 1.0, 1.3):
-        vals = np.array([blend_sigma(r, d, cp) for d in dist])
+        vals = np.array([blend_weight(r, d, cp.revs_star, cp.d_sw, cp.blend_mode) for d in dist])
         assert np.max(np.abs(np.diff(vals))) <= 0.02
 
 
@@ -441,78 +447,108 @@ def two_agent_states(cp, r, psi_other=np.pi):
     return states
 
 
+def blended(i, states, revs_i, target, curve, cp, z_ref, z_ref_rate=0.0):
+    """agent_control for agent i of an (n, 6) snapshot.
+
+    target is the vertex (x, y, heading).  Returns (controls, sigma,
+    alpha, duty) with the controls (a, omega, a_z) as an array.
+    """
+    cols = states.T.tolist()
+    geo = control._geometry(curve, cols[4][i], cp.lift_gain)
+    a, omega, a_z, sigma, alpha, duty, _sep = agent_control(
+        i, *cols, float(revs_i), geo, *target, float(z_ref), float(z_ref_rate), cp
+    )
+    return np.array([a, omega, a_z]), sigma, alpha, duty
+
+
 def test_avoidance_force_zero_at_activation_radius():
-    cp = make_params(make_curve("circle"))
-    F, duty = avoidance_force(0, two_agent_states(cp, cp.d_ao), [0.0, 0.0], cp)
+    curve = make_curve("circle")
+    cp = make_params(curve)
+    states = two_agent_states(cp, cp.d_ao)
+    fx, fy, prox, _sep = repulsion_sum(0, *states[:, 0:3].T.tolist(), cp.d_ao, cp)
+    assert (fx, fy, prox) == (0.0, 0.0, 0.0)
+    # no laps done: sigma = 0, full duty, and no avoidance authority
+    _u, sigma, alpha, duty = blended(0, states, 0.0, (0.0, 0.0, 0.0), curve, cp, 0.0)
+    assert sigma == 0.0
     assert duty == 1.0
-    assert np.array_equal(F, [0.0, 0.0])
+    assert alpha == 0.0
 
 
 def test_avoidance_force_hand_evaluated_magnitude():
     cp = make_params(make_curve("circle"))
     # anti-directional headings keep the co-direction modulation at 1
-    F, _ = avoidance_force(0, two_agent_states(cp, cp.d_ao / 2.0), [0.0, 0.0], cp)
+    states = two_agent_states(cp, cp.d_ao / 2.0)
+    fx, fy, _prox, _sep = repulsion_sum(0, *states[:, 0:3].T.tolist(), cp.d_ao, cp)
     expected = (
-        beta(cp.sigma_accept / cp.delta_sigma)
-        * cp.k_avoid
+        cp.k_avoid
         * (2.0 / cp.d_ao - 1.0 / cp.d_ao)
         * (4.0 / cp.d_ao**2)
         * (cp.d_ao / 2.0)
     )
-    assert np.hypot(F[0], F[1]) == pytest.approx(expected, rel=1e-12)
-    assert F[0] < 0.0  # pushes away from the neighbor at +x
+    assert np.hypot(fx, fy) == pytest.approx(expected, rel=1e-12)
+    assert fx < 0.0  # pushes away from the neighbor at +x
 
 
 def test_avoidance_force_codirectional_reduction():
     cp = make_params(make_curve("circle"))
-    anti, _ = avoidance_force(0, two_agent_states(cp, cp.d_ao / 2, np.pi), [0.0, 0.0], cp)
-    same, _ = avoidance_force(0, two_agent_states(cp, cp.d_ao / 2, 0.0), [0.0, 0.0], cp)
-    ratio = np.hypot(same[0], same[1]) / np.hypot(anti[0], anti[1])
+    anti = two_agent_states(cp, cp.d_ao / 2, np.pi)
+    same = two_agent_states(cp, cp.d_ao / 2, 0.0)
+    f_anti = repulsion_sum(0, *anti[:, 0:3].T.tolist(), cp.d_ao, cp)
+    f_same = repulsion_sum(0, *same[:, 0:3].T.tolist(), cp.d_ao, cp)
+    ratio = np.hypot(f_same[0], f_same[1]) / np.hypot(f_anti[0], f_anti[1])
     assert ratio == pytest.approx(cp.codir_factor, rel=1e-12)
 
 
 def test_avoidance_duty_nonincreasing_and_zero_when_settled():
-    cp = make_params(make_curve("circle"))
+    # laps done; moving the target from d_sw onto the agent sweeps sigma
+    # from 0 to 1 while the neighbor stays inside the avoidance radius
+    curve = make_curve("circle")
+    cp = make_params(curve)
     states = two_agent_states(cp, cp.d_ao / 2)
-    last = np.inf
-    for sigma in np.linspace(0.0, 1.0, 101):
-        F, duty = avoidance_force(0, states, [sigma, 0.0], cp)
-        assert duty <= last + 1e-15
-        last = duty
-        if sigma >= cp.sigma_accept:
-            assert duty == 0.0
-            assert np.array_equal(F, [0.0, 0.0])
+    rows = []
+    for lam in np.linspace(1.0, 0.0, 101):
+        target = (0.0, lam * cp.d_sw, 0.0)
+        _u, sigma, alpha, duty = blended(0, states, cp.revs_star, target, curve, cp, 0.0)
+        rows.append((sigma, duty, alpha))
+    sigmas, duties, alphas = np.array(sorted(rows)).T
+    assert sigmas[0] == 0.0 and sigmas[-1] == 1.0
+    assert np.all(np.diff(duties) <= 1e-15)
+    settled = sigmas >= cp.sigma_accept
+    assert np.any(settled)
+    assert np.all(duties[settled] == 0.0)
+    assert np.all(alphas[settled] == 0.0)
 
 
 def test_avoidance_shrunken_radius_when_near_settled():
     # with the default acceptance threshold the duty factor dies before
     # the shrink threshold, so raise it to expose the radius switch
-    cp = make_params(make_curve("circle"), sigma_accept=0.95)
+    curve = make_curve("circle")
+    cp = make_params(curve, sigma_accept=0.95)
     # halfway between the shrunken and full radius: only the full one acts
     r = 0.5 * (cp.shrink_factor * cp.d_safe + cp.d_ao)
-    full, duty_full = avoidance_force(0, two_agent_states(cp, r), [0.80, 0.0], cp)
-    shrunk, duty_shrunk = avoidance_force(0, two_agent_states(cp, r), [0.86, 0.0], cp)
-    assert duty_full > 0.0 and duty_shrunk > 0.0
-    assert np.hypot(full[0], full[1]) > 0.0
-    assert np.array_equal(shrunk, [0.0, 0.0])
-
-
-def test_avoidance_force_exact_overlap_raises():
-    cp = make_params(make_curve("circle"))
-    with pytest.raises(ControlError):
-        avoidance_force(0, np.zeros((2, 6)), [0.0, 0.0], cp)
+    states = two_agent_states(cp, r)
+    alphas = []
+    for want in (0.80, 0.86):
+        # laps done, target placed where the proximity gate reads want
+        target = (0.0, _invert_beta(1.0 - want) * cp.d_sw, 0.0)
+        _u, sigma, alpha, duty = blended(0, states, cp.revs_star, target, curve, cp, 0.0)
+        assert sigma == pytest.approx(want, abs=1e-9)
+        assert duty > 0.0
+        alphas.append(alpha)
+    assert alphas[0] > 0.0
+    assert alphas[1] == 0.0
 
 
 def test_avoidance_control_alignment_cases():
     cp = make_params(make_curve("circle"))
     st = np.array([0.0, 0.0, 0.3, 1.0, 0.0, 0.4])
     along = np.array([np.cos(0.3), np.sin(0.3)])
-    u = avoidance_control(st, along, cp)
-    assert u.turn_rate == pytest.approx(0.0, abs=1e-12)
-    assert u.accel == pytest.approx(cp.kv_avoid * (cp.v_max - 1.0), rel=1e-12)
-    u_back = avoidance_control(st, -along, cp)
-    assert u_back.accel == pytest.approx(cp.kv_avoid * (-cp.v_max - 1.0), rel=1e-12)
-    assert u.lift_accel == pytest.approx(-cp.kz_avoid * 0.4, rel=1e-12)
+    a, omega, a_z = avoidance_control_law(st[2], st[3], st[5], *along, cp)
+    assert omega == pytest.approx(0.0, abs=1e-12)
+    assert a == pytest.approx(cp.kv_avoid * (cp.v_max - 1.0), rel=1e-12)
+    a_back, _omega, _a_z = avoidance_control_law(st[2], st[3], st[5], *-along, cp)
+    assert a_back == pytest.approx(cp.kv_avoid * (-cp.v_max - 1.0), rel=1e-12)
+    assert a_z == pytest.approx(-cp.kz_avoid * 0.4, rel=1e-12)
 
 
 def test_avoidance_control_expression_oracle():
@@ -521,11 +557,11 @@ def test_avoidance_control_expression_oracle():
     for _ in range(50):
         st = rng.normal(size=6)
         F = rng.normal(size=2)
-        u = avoidance_control(st, F, cp)
+        a, omega, _a_z = avoidance_control_law(st[2], st[3], st[5], F[0], F[1], cp)
         psi_des = np.arctan2(F[1], F[0])
         err = wrap_angle(psi_des - st[2])
-        assert u.accel == pytest.approx(cp.kv_avoid * (cp.v_max * np.cos(err) - st[3]), rel=1e-12)
-        assert u.turn_rate == pytest.approx(cp.komega_avoid * err, rel=1e-12)
+        assert a == pytest.approx(cp.kv_avoid * (cp.v_max * np.cos(err) - st[3]), rel=1e-12)
+        assert omega == pytest.approx(cp.komega_avoid * err, rel=1e-12)
 
 
 # -- final blended control ---------------------------------------------------
@@ -545,16 +581,23 @@ def formation_setup(name="circle", n=4):
     return curve, cp, sol, states, asn
 
 
+def vertex(asn, i):
+    """Agent i's assigned (x, y, heading)."""
+    return float(asn.position[i, 0]), float(asn.position[i, 1]), float(asn.heading[i])
+
+
 def test_final_control_isolated_sweeping_agent_is_pure_path_following():
     curve, cp, sol, states, asn = formation_setup()
     spread = states.copy()
     spread[:, 0] += np.arange(4) * 10.0 * curve.scale  # isolate everyone
     z_ref = spread[1, 4] + 0.3
-    out = final_control(1, spread, np.zeros(4), curve, asn, cp, z_ref, cp.lift_gain * cp.v_ref)
-    ref = tfl_control(spread[1], curve, cp, z_ref, cp.lift_gain * cp.v_ref)
-    assert out.sigma == 0.0
-    assert out.alpha == 0.0
-    assert out.as_array() == pytest.approx(ref.as_array(), rel=1e-12)
+    rate = cp.lift_gain * cp.v_ref
+    u, sigma, alpha, _duty = blended(1, spread, 0.0, vertex(asn, 1), curve, cp, z_ref, rate)
+    geo = control._geometry(curve, spread[1, 4], cp.lift_gain)
+    ref = np.array(path_following_control(geo, *spread[1], z_ref, rate, cp))
+    assert sigma == 0.0
+    assert alpha == 0.0
+    assert u == pytest.approx(ref, rel=1e-12)
 
 
 def test_final_control_settled_agent_is_pure_pose():
@@ -565,11 +608,11 @@ def test_final_control_settled_agent_is_pure_pose():
     for i in (0, 1, 3):
         spread[i, 0] += (i + 1) * 10.0 * curve.scale
     spread[2, :2] = asn.position[2]
-    out = final_control(2, spread, np.full(4, 2.0), curve, asn, cp)
-    ref = pose_control(spread[2], asn.position[2], asn.heading[2], cp)
-    assert out.sigma == 1.0
-    assert out.alpha == 0.0
-    assert out.as_array() == pytest.approx(ref.as_array(), rel=1e-12)
+    u, sigma, alpha, _duty = blended(2, spread, 2.0, vertex(asn, 2), curve, cp, asn.z_target[2])
+    ref = np.array(pose_control_law(*spread[2, [0, 1, 2, 3, 5]], *vertex(asn, 2), cp))
+    assert sigma == 1.0
+    assert alpha == 0.0
+    assert u == pytest.approx(ref, rel=1e-12)
 
 
 def test_control_entry_points_reject_non_finite_states():
@@ -577,11 +620,7 @@ def test_control_entry_points_reject_non_finite_states():
     bad = states.copy()
     bad[1, 2] = np.inf
     with pytest.raises(ControlError, match="finite"):
-        pose_control(bad[1], asn.position[1], asn.heading[1], cp)
-    with pytest.raises(ControlError, match="finite"):
-        final_control(1, bad, np.zeros(4), curve, asn, cp)
-    with pytest.raises(ControlError, match="finite"):
-        avoidance_force(1, bad, np.zeros(4), cp)
+        decoupling_matrix(bad[1], curve, cp.lift_gain)
 
 
 def test_final_control_no_neighbors_alpha_zero():
@@ -589,8 +628,8 @@ def test_final_control_no_neighbors_alpha_zero():
     spread = states.copy()
     spread[:, 0] += np.arange(4) * 10.0 * curve.scale
     for i in range(4):
-        out = final_control(i, spread, np.zeros(4), curve, asn, cp)
-        assert out.alpha == 0.0
+        _u, _sigma, alpha, _duty = blended(i, spread, 0.0, vertex(asn, i), curve, cp, asn.z_target[i])
+        assert alpha == 0.0
 
 
 def test_final_control_blend_convexity():
@@ -605,17 +644,21 @@ def test_final_control_blend_convexity():
         revs = rng.uniform(0.0, 2.0, size=4)
         i = int(rng.integers(0, 4))
         z_ref = states2[i, 4] + rng.uniform(-0.1, 0.1)
-        out = final_control(i, states2, revs, curve, asn, cp, z_ref, rate)
-        u_tfl = tfl_control(states2[i], curve, cp, z_ref, rate).as_array()
-        u_pose = pose_control(states2[i], asn.position[i], asn.heading[i], cp).as_array()
-        u_nom = (1.0 - out.sigma) * u_tfl + out.sigma * u_pose
+        full, sigma, _alpha, duty = blended(i, states2, revs[i], vertex(asn, i), curve, cp, z_ref, rate)
+        geo = control._geometry(curve, states2[i, 4], cp.lift_gain)
+        u_tfl = np.array(path_following_control(geo, *states2[i], z_ref, rate, cp))
+        u_pose = np.array(pose_control_law(*states2[i, [0, 1, 2, 3, 5]], *vertex(asn, i), cp))
+        u_nom = (1.0 - sigma) * u_tfl + sigma * u_pose
         lo = np.minimum(u_tfl, u_pose) - 1e-9
         hi = np.maximum(u_tfl, u_pose) + 1e-9
         assert np.all(u_nom >= lo) and np.all(u_nom <= hi)
-        F, duty = avoidance_force(i, states2, [out.sigma] * 4, cp)
-        if duty > 0.0 and np.hypot(F[0], F[1]) > 0.0:
-            u_avoid = avoidance_control(states2[i], F, cp).as_array()
-            full = out.as_array()
+        # a positive duty means sigma < sigma_accept < shrink_sigma, so the
+        # field acts out to the full radius d_ao
+        fx, fy, _prox, _sep = repulsion_sum(i, *states2[:, 0:3].T.tolist(), cp.d_ao, cp)
+        if duty > 0.0 and np.hypot(fx, fy) > 0.0:
+            u_avoid = np.array(
+                avoidance_control_law(states2[i, 2], states2[i, 3], states2[i, 5], duty * fx, duty * fy, cp)
+            )
             lo2 = np.minimum(u_nom, u_avoid) - 1e-9
             hi2 = np.maximum(u_nom, u_avoid) + 1e-9
             assert np.all(full >= lo2) and np.all(full <= hi2)
@@ -631,8 +674,8 @@ def test_final_control_continuous_across_activation_boundaries():
     def max_jump_ratio(path_states, revs):
         outs = []
         for snap in path_states:
-            out = final_control(0, snap, revs, curve, asn, cp, snap[0, 4], rate)
-            outs.append(out.as_array())
+            u, *_ = blended(0, snap, revs, vertex(asn, 0), curve, cp, snap[0, 4], rate)
+            outs.append(u)
         diffs = np.array([np.linalg.norm(b - a) for a, b in zip(outs, outs[1:])])
         ratios = []
         for k in range(1, len(diffs) - 1):
@@ -649,7 +692,7 @@ def test_final_control_continuous_across_activation_boundaries():
         snap[0, :2] = asn.position[0] + lam * cp.d_sw * fr.normal
         snap[0, 4] = cp.lift_gain * asn.theta[0]
         snaps.append(snap)
-    assert max_jump_ratio(snaps, np.ones(4)) <= 10.0
+    assert max_jump_ratio(snaps, 1.0) <= 10.0
 
     # path 2: a neighbor crossing r = d_ao while agent 0 sweeps
     snaps = []
@@ -659,7 +702,7 @@ def test_final_control_continuous_across_activation_boundaries():
         snap[1, :2] = states[0, :2] + [lam * cp.d_ao, 0.0]
         snap[1, 2] = wrap_angle(states[0, 2] + np.pi)
         snaps.append(snap)
-    assert max_jump_ratio(snaps, np.zeros(4)) <= 10.0
+    assert max_jump_ratio(snaps, 0.0) <= 10.0
 
     # path 3: sigma sweeping through sigma_accept via distance change
     snaps = []
@@ -672,7 +715,7 @@ def test_final_control_continuous_across_activation_boundaries():
         snap[1, :2] = snap[0, :2] + [0.8 * cp.d_ao, 0.0]
         snap[1, 2] = wrap_angle(snap[0, 2] + np.pi)
         snaps.append(snap)
-    assert max_jump_ratio(snaps, np.ones(4)) <= 10.0
+    assert max_jump_ratio(snaps, 1.0) <= 10.0
 
 
 # -- vertex assignment -------------------------------------------------------
@@ -772,17 +815,22 @@ def test_wrap_angle_convention():
 
 
 def test_control_laws_match_recorded_values():
-    # tfl_control, decoupling_matrix and avoidance_force at fixed inputs,
-    # recorded from the per-agent scalar kernels this package started with
+    # path_following_control, decoupling_matrix and the duty-weighted
+    # repulsion at fixed inputs, recorded from the per-agent scalar kernels
+    # this package started with
     curve = make_curve("deltoid")
     cp = make_params(curve)
     st = np.array([1.0, -0.4, 0.7, 0.6, 0.9, 0.2])
-    u = tfl_control(st, curve, cp, 0.8, 0.1).as_array()
+    geo = control._geometry(curve, st[4], cp.lift_gain)
+    u = path_following_control(geo, *st.tolist(), 0.8, 0.1, cp)
     D = decoupling_matrix(st, curve, cp.lift_gain)
     states = np.zeros((3, 6))
     states[1, 0] = 0.1
     states[2, 1] = -0.15
-    F, duty = avoidance_force(0, states, [0.2, 0.0, 0.9], cp)
+    # agent 0 at sigma = 0.2: below shrink_sigma, so the full radius d_ao
+    duty = beta_smooth((cp.sigma_accept - 0.2) / cp.delta_sigma)
+    fx, fy, _prox, _sep = repulsion_sum(0, *states[:, 0:3].T.tolist(), cp.d_ao, cp)
+    F = [duty * fx, duty * fy]
     u_rec = [-10.648510911660587, 92.08507578597421, -0.6]
     D_rec = [
         [-0.9988417774654824, -0.02886931402465983, -3.0330532310747],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curveswarm import CurveError, SingularPointError, hermite_reparam, make_curve
+from curveswarm import CurveError, SingularPointError, make_curve
 from curveswarm.curves import FAMILIES, SQUARE_SUITE, TWO_PI
 
 DELTOID_CUSPS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
@@ -189,20 +189,6 @@ def test_scale_circle_and_homogeneity():
     r1 = make_curve("rose", a=1.8, k=3)
     r2 = make_curve("rose", a=3.6, k=3)
     assert abs(r2.scale - 2.0 * r1.scale) < 1e-10
-
-
-def test_hermite_reparam():
-    L = 2.5
-    assert hermite_reparam(L, 0.0) == 0.0
-    assert abs(hermite_reparam(L, L) - L) < 1e-12
-    assert abs(hermite_reparam(L, L / 2) - L / 2) < 1e-12
-    h = 1e-6
-    assert abs(hermite_reparam(L, h) - hermite_reparam(L, 0.0)) / h < 1e-4
-    assert abs(hermite_reparam(L, L) - hermite_reparam(L, L - h)) / h < 1e-4
-    with pytest.raises(ValueError):
-        hermite_reparam(L, -0.1)
-    with pytest.raises(ValueError):
-        hermite_reparam(L, L + 0.1)
 
 
 def test_validation_errors():

@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveswarm import _control_kernels as kk
 from curveswarm import _sim_kernels as sk
 from curveswarm import control
 from curveswarm._curve_kernels import curve_d1, curve_d2, curve_point, frame_raw
@@ -122,7 +121,7 @@ def scalar_transverse_terms(kind, par, eps_sing, x, y, psi, v, z, vz, lift_gain,
     dy = y - gy
     e_n = nx * dx + ny * dy
     e_t = tx * dx + ty * dy
-    dpsi = kk.wrap_angle(psi - psi_t)
+    dpsi = control.wrap_angle(psi - psi_t)
     sin_dpsi = np.sin(dpsi)
     cos_dpsi = np.cos(dpsi)
     s_rate = vz / lift_gain
@@ -136,9 +135,9 @@ def scalar_transverse_terms(kind, par, eps_sing, x, y, psi, v, z, vz, lift_gain,
     if denom < eps_sing:
         denom = eps_sing
     speed_deriv = (d1x * d2x + d1y * d2y) / denom
-    turn_plus = scalar_frame_raw(kind, par, s + kk._W_FD_STEP, eps_sing)[7]
-    turn_minus = scalar_frame_raw(kind, par, s - kk._W_FD_STEP, eps_sing)[7]
-    turn_deriv = (turn_plus - turn_minus) / (2.0 * kk._W_FD_STEP)
+    turn_plus = scalar_frame_raw(kind, par, s + control._W_FD_STEP, eps_sing)[7]
+    turn_minus = scalar_frame_raw(kind, par, s - control._W_FD_STEP, eps_sing)[7]
+    turn_deriv = (turn_plus - turn_minus) / (2.0 * control._W_FD_STEP)
     return (
         e_n,
         e_t,
@@ -175,7 +174,7 @@ def scalar_path_following_control(kind, par, eps_sing, x, y, psi, v, z, vz, z_re
     ) = scalar_transverse_terms(
         kind, par, eps_sing, x, y, psi, v, z, vz, cp.lift_gain, z_ref, z_ref_rate
     )
-    lf1, lf2, _ = kk.drift_acceleration(
+    lf1, lf2, _ = control.drift_acceleration(
         e_n, e_t, v, sin_dpsi, cos_dpsi, speed, turn, turn_deriv, speed_deriv, s_rate
     )
     rhs1 = -cp.kp_n * e_n - cp.kd_n * e_n_dot - lf1
@@ -199,7 +198,7 @@ def scalar_pose_control_law(x, y, psi, v, vz, target_x, target_y, target_psi, cp
     hx = np.cos(psi)
     hy = np.sin(psi)
     a = -cp.kv_pose * v - cp.kp_pose * ((x - target_x) * hx + (y - target_y) * hy)
-    omega = -cp.kpsi_pose * kk.wrap_angle(psi - target_psi)
+    omega = -cp.kpsi_pose * control.wrap_angle(psi - target_psi)
     a_z = -cp.kz_pose * vz
     return a, omega, a_z
 
@@ -228,15 +227,15 @@ def scalar_repulsion_sum(idx, px, py, psi, d_act, cp):
         # softened co-directional modulation: same-way neighbors repel
         # at codir_factor strength, ramping back to full over codir_ramp
         # radians around a pi/2 heading difference
-        heading_gap = kk.wrap_angle(psi[idx] - psi[j])
+        heading_gap = control.wrap_angle(psi[idx] - psi[j])
         if heading_gap < 0.0:
             heading_gap = -heading_gap
-        mod = cp.codir_factor + (1.0 - cp.codir_factor) * kk.beta_smooth(
+        mod = cp.codir_factor + (1.0 - cp.codir_factor) * control.beta_smooth(
             (heading_gap - ramp_lo) / cp.codir_ramp
         )
         fx += strength * dx * mod
         fy += strength * dy * mod
-        p = kk.beta_smooth((d_act - r) / (d_act - cp.d_safe))
+        p = control.beta_smooth((d_act - r) / (d_act - cp.d_safe))
         if p > prox:
             prox = p
     return fx, fy, prox, min_sep
@@ -245,7 +244,7 @@ def scalar_repulsion_sum(idx, px, py, psi, d_act, cp):
 def scalar_avoidance_control_law(psi_i, v, vz, fx, fy, cp):
     """Steer along the repulsive field, modulating speed by alignment."""
     psi_des = np.arctan2(fy, fx)
-    err = kk.wrap_angle(psi_des - psi_i)
+    err = control.wrap_angle(psi_des - psi_i)
     v_des = cp.v_max * np.cos(err)
     a = cp.kv_avoid * (v_des - v)
     omega = cp.komega_avoid * err
@@ -276,7 +275,7 @@ def scalar_agent_control(
     dx = px[idx] - target_x
     dy = py[idx] - target_y
     dist = np.sqrt(dx * dx + dy * dy)
-    sigma = kk.blend_weight(revs_i, dist, cp.revs_star, cp.d_sw, cp.blend_mode)
+    sigma = control.blend_weight(revs_i, dist, cp.revs_star, cp.d_sw, cp.blend_mode)
     a_tfl, om_tfl, az_tfl = scalar_path_following_control(
         kind,
         par,
@@ -297,7 +296,7 @@ def scalar_agent_control(
     a_nom = (1.0 - sigma) * a_tfl + sigma * a_pose
     om_nom = (1.0 - sigma) * om_tfl + sigma * om_pose
     az_nom = (1.0 - sigma) * az_tfl + sigma * az_pose
-    duty = kk.beta_smooth((cp.sigma_accept - sigma) / cp.delta_sigma)
+    duty = control.beta_smooth((cp.sigma_accept - sigma) / cp.delta_sigma)
     d_act = cp.d_ao
     if sigma > cp.shrink_sigma:
         d_act = cp.shrink_factor * cp.d_safe
@@ -504,7 +503,7 @@ def old_sweep_only_controls(states, z0, z_cap, t, curve, ref_rate, cp):
             z[i], vz[i], z_ref, rate_i, cp,
         )
         sg = 0.0
-        du = kk.beta_smooth(cp.sigma_accept / cp.delta_sigma)
+        du = control.beta_smooth(cp.sigma_accept / cp.delta_sigma)
         fx_raw, fy_raw, prox, _ms = scalar_repulsion_sum(i, px, py, psi, cp.d_ao, cp)
         al = du * prox
         if al > 0.0:
@@ -734,7 +733,7 @@ def test_transverse_terms_match_scalar_oracle(data):
     x, y, psi, v, z, vz = data.draw(agent_state(curve, cp, s))
     z_ref = z + cp.lift_gain * 0.1 * data.draw(unit)
     args = (x, y, psi, v, z, vz, cp.lift_gain, z_ref, cp.lift_gain * cp.v_ref)
-    got = np.array(kk.transverse_terms(control._geometry(curve, z, cp.lift_gain), *args))
+    got = np.array(control.transverse_terms(control._geometry(curve, z, cp.lift_gain), *args))
     ref = np.array(
         quiet(scalar_transverse_terms, curve.kind, curve.par, curve.eps_sing, *args)
     )

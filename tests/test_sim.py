@@ -11,7 +11,6 @@ from curveswarm.sim import (
     MissionConfig,
     MissionError,
     TRAJECTORY_COLUMNS,
-    distance_to_curve,
     initial_states,
     integrate_step,
     nearest_parameter,
@@ -19,6 +18,15 @@ from curveswarm.sim import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def curve_distance(p, curve):
+    """Distance from the point p to the curve, by the adherence kernel."""
+    sv, xs, ys = curve.sample_cache(2048)
+    dist, _s_at = sk.nearest_on_curve(
+        curve.kind, curve.par, np.array([p[0]]), np.array([p[1]]), sv, xs, ys
+    )
+    return float(dist[0])
 
 
 # -- integrator ---------------------------------------------------------------
@@ -108,14 +116,14 @@ def test_distance_to_curve_brute_force_oracle():
     for _ in range(12):
         p = rng.uniform(-1.5, 1.5, size=2) * scale
         brute = float(np.min(np.hypot(dense[:, 0] - p[0], dense[:, 1] - p[1])))
-        assert distance_to_curve(p, curve) == pytest.approx(brute, abs=1e-6 * scale)
+        assert curve_distance(p, curve) == pytest.approx(brute, abs=1e-6 * scale)
 
 
 def test_distance_to_curve_zero_on_curve():
     curve = make_curve("deltoid")
     for s in (0.1, 2.0, 4.4):
         p = curve.point(s)
-        assert distance_to_curve(p, curve) <= 1e-9 * curve.scale
+        assert curve_distance(p, curve) <= 1e-9 * curve.scale
 
 
 def test_nearest_parameter_recovers_on_curve_point():
@@ -170,7 +178,7 @@ def test_initial_states_invariants():
     scale = curve.scale
     for i in range(4):
         # on the annulus around the curve
-        assert distance_to_curve(states[i, 0:2], curve) <= config.annulus_frac * scale + 1e-9
+        assert curve_distance(states[i, 0:2], curve) <= config.annulus_frac * scale + 1e-9
         # heading near the local tangent
         s_near = nearest_parameter(states[i, 0:2], curve)
         fr = curve.frenet(s_near)
