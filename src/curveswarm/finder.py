@@ -24,11 +24,23 @@ STATUS_LABELS = {
     fk.STATUS_COST: "cost-converged",
     fk.STATUS_MAXITER: "max-iterations",
     fk.STATUS_STALLED: "damping-exhausted",
+    fk.STATUS_COLLAPSED: "collapsed",
 }
 
 
 class FinderError(ValueError):
     """Bad finder configuration or inputs."""
+
+
+_INT_FIELDS = ("n", "n_init", "k_max")
+_FLOAT_FIELDS = (
+    "weight_length", "weight_angle", "weight_diagonal", "tol_step",
+    "tol_cost_rel", "accept_cost", "armijo_c1", "backtrack", "lm_lambda0",
+    "min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac",
+)
+_NONNEGATIVE_FIELDS = (
+    "min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac"
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,18 @@ class FinderConfig:
     tie_tol_frac: float = 1e-6
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise FinderError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise FinderError(f"{name} must be finite, got {value!r}")
+            if name in _NONNEGATIVE_FIELDS and value < 0:
+                raise FinderError(f"{name} must be nonnegative, got {value!r}")
+        if self.c_target is not None and not np.all(np.isfinite(self.c_target)):
+            raise FinderError(f"c_target must be finite, got {self.c_target!r}")
         if self.n < 3:
             raise FinderError("formation needs n >= 3 vertices")
         if self.square_mode and self.n != 4:
@@ -124,39 +148,41 @@ def _as_theta(theta, n: int) -> np.ndarray:
     return arr
 
 
-def residuals(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
-    """Stacked side-length and angle defects (plus diagonals in square mode)."""
+def _stack(theta, square_mode: bool) -> np.ndarray:
     arr = np.asarray(theta, dtype=float)
     if arr.ndim != 1 or arr.shape[0] < 3:
         raise FinderError("need at least 3 vertex parameters")
     if square_mode and arr.shape[0] != 4:
         raise FinderError("square mode requires n = 4")
-    return fk.residual_vector(curve.kind, curve.par, arr, square_mode)
+    return arr[None, :]
 
 
-def cost(theta, curve: Curve, config: FinderConfig) -> float:
-    """Weighted half sum of squared residuals."""
-    config.validate()
-    arr = _as_theta(theta, config.n)
-    r = fk.residual_vector(curve.kind, curve.par, arr, config.square_mode)
-    w = fk.weight_vector(
+def residuals(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
+    """Stacked side-length and angle defects (plus diagonals in square mode)."""
+    return fk.residual_vector(curve.kind, curve.par, _stack(theta, square_mode), square_mode)[0]
+
+
+def _weights(config: FinderConfig) -> np.ndarray:
+    return fk.weight_vector(
         config.n,
         config.square_mode,
         config.weight_length,
         config.weight_angle,
         config.weight_diagonal,
     )
-    return float(fk.cost_value(r, w))
+
+
+def cost(theta, curve: Curve, config: FinderConfig) -> float:
+    """Weighted half sum of squared residuals."""
+    config.validate()
+    arr = _as_theta(theta, config.n)[None, :]
+    r = fk.residual_vector(curve.kind, curve.par, arr, config.square_mode)
+    return float(fk.cost_value(r[0], _weights(config)))
 
 
 def jacobian(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
     """Derivative of residuals() w.r.t. each vertex parameter."""
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 3:
-        raise FinderError("need at least 3 vertex parameters")
-    if square_mode and arr.shape[0] != 4:
-        raise FinderError("square mode requires n = 4")
-    return fk.jacobian_matrix(curve.kind, curve.par, arr, square_mode)
+    return fk.jacobian_matrix(curve.kind, curve.par, _stack(theta, square_mode), square_mode)[0]
 
 
 def _polygon_stats(curve: Curve, theta: np.ndarray):
@@ -188,26 +214,16 @@ def _is_geometric_feasible(
     return bool(gaps.min() >= config.min_theta_sep)
 
 
-def gauss_newton_solve(
-    theta0,
-    curve: Curve,
-    config: FinderConfig,
-    init_kind: str = "random",
-    init_index: int = 0,
-) -> FormationSolution:
-    """Run the damped Gauss-Newton iteration from one start.
+def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
+    """Run the lockstep Gauss-Newton kernel on the (S, n) starts theta0.
 
-    Stops on small step, small relative cost drop, the iteration cap,
-    or exhausted damping; the accepted cost sequence is monotone
-    nonincreasing and recorded in cost_trace.
+    Returns one FormationSolution per row, init_index being the row.
     """
-    config.validate()
-    arr = _as_theta(theta0, config.n)
-    trace = np.empty(config.k_max + 1)
-    theta, _, iters, status_code, trace_len = fk.gn_solve(
+    trace = np.empty((theta0.shape[0], config.k_max + 1))
+    theta, _, iters, status, trace_len = fk.gn_solve(
         curve.kind,
         curve.par,
-        arr,
+        theta0,
         config.square_mode,
         config.weight_length,
         config.weight_angle,
@@ -218,35 +234,58 @@ def gauss_newton_solve(
         config.armijo_c1,
         config.backtrack,
         config.lm_lambda0,
+        config.min_side_frac * curve.scale,
         trace,
     )
     theta_w = np.mod(theta, TWO_PI)
     r = fk.residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
-    w = fk.weight_vector(
-        config.n,
-        config.square_mode,
-        config.weight_length,
-        config.weight_angle,
-        config.weight_diagonal,
-    )
-    final_cost = float(fk.cost_value(r, w))
-    pts, center, mean_side, edges = _polygon_stats(curve, theta_w)
-    return FormationSolution(
-        theta=theta_w,
-        vertices=pts,
-        center=center,
-        mean_side=mean_side,
-        residual_norm=float(np.linalg.norm(r)),
-        cost=final_cost,
-        iterations=int(iters),
-        status=STATUS_LABELS[int(status_code)],
-        init_kind=init_kind,
-        init_index=init_index,
-        feasible=_is_geometric_feasible(theta_w, pts, mean_side, curve.scale, config),
-        converged=final_cost <= config.accept_cost,
-        convex=_is_convex(edges),
-        cost_trace=trace[:trace_len].copy(),
-    )
+    final_cost = fk.cost_value(r, _weights(config))
+    solutions = []
+    for i, init_kind in enumerate(init_kinds):
+        pts, center, mean_side, edges = _polygon_stats(curve, theta_w[i])
+        solutions.append(
+            FormationSolution(
+                theta=theta_w[i],
+                vertices=pts,
+                center=center,
+                mean_side=mean_side,
+                residual_norm=float(np.linalg.norm(r[i])),
+                cost=float(final_cost[i]),
+                iterations=int(iters[i]),
+                status=STATUS_LABELS[int(status[i])],
+                init_kind=init_kind,
+                init_index=i,
+                feasible=_is_geometric_feasible(
+                    theta_w[i], pts, mean_side, curve.scale, config
+                ),
+                converged=bool(final_cost[i] <= config.accept_cost),
+                convex=_is_convex(edges),
+                cost_trace=trace[i, : trace_len[i]].copy(),
+            )
+        )
+    return solutions
+
+
+def gauss_newton_solve(
+    theta0,
+    curve: Curve,
+    config: FinderConfig,
+    init_kind: str = "random",
+    init_index: int = 0,
+) -> FormationSolution:
+    """Run the damped Gauss-Newton iteration from one start.
+
+    The one-start case of the lockstep kernel multistart runs, so it
+    reproduces that start's run exactly.  Stops on small step, small
+    relative cost drop, the iteration cap, exhausted damping, or a
+    polygon still collapsed at iteration RETIRE_ITER; the accepted cost
+    sequence is monotone nonincreasing and recorded in cost_trace.
+    """
+    config.validate()
+    arr = _as_theta(theta0, config.n)
+    sol = _solve_starts(arr[None, :], curve, config, (init_kind,))[0]
+    sol.init_index = init_index
+    return sol
 
 
 def init_curvature_weighted(curve: Curve, n: int) -> np.ndarray:
@@ -306,9 +345,12 @@ def _select(solutions, curve: Curve, config: FinderConfig) -> FormationSolution:
 def multistart(curve: Curve, config: FinderConfig, return_all: bool = False):
     """Search from one curvature-weighted start plus random restarts.
 
-    Runs gauss_newton_solve from n_init starts, keeps runs that are
-    converged (cost <= accept_cost) and geometrically feasible, prefers
-    convex polygons over stars, then picks the center nearest c_target
+    Steps all n_init starts together in one lockstep Gauss-Newton
+    solve (each start keeps its own damping, status, iteration count
+    and cost trace; starts still collapsed at iteration RETIRE_ITER
+    stop as "collapsed"), keeps runs that are converged (cost <=
+    accept_cost) and geometrically feasible, prefers convex polygons
+    over stars, then picks the center nearest c_target
     when given (near-ties go to the largest mean side, favoring
     non-degenerate formations) or simply the largest mean side.
     Remaining ties fall to lower cost, then lower start index.  If no
@@ -317,15 +359,12 @@ def multistart(curve: Curve, config: FinderConfig, return_all: bool = False):
     every start collapsed.
     """
     config.validate()
-    solutions = []
-    theta0 = init_curvature_weighted(curve, config.n)
-    solutions.append(
-        gauss_newton_solve(theta0, curve, config, "curvature-weighted", 0)
-    )
+    starts = [init_curvature_weighted(curve, config.n)]
     rng = np.random.default_rng(config.seed)
-    for idx in range(1, config.n_init):
-        theta0 = init_random(curve, config.n, rng)
-        solutions.append(gauss_newton_solve(theta0, curve, config, "random", idx))
+    for _ in range(1, config.n_init):
+        starts.append(init_random(curve, config.n, rng))
+    kinds = ["curvature-weighted"] + ["random"] * (config.n_init - 1)
+    solutions = _solve_starts(np.array(starts), curve, config, kinds)
     best = _select(solutions, curve, config)
     if return_all:
         return best, solutions

@@ -218,7 +218,23 @@ def test_cli_find_deltoid_square(tmp_path, capsys):
         .split("=")[1]
     )
     assert residual <= 1e-8
-    assert (out / "cost_trace.csv").read_text().startswith("start,init_kind,iteration,cost")
+    # one [starts] row per start, retired ones included
+    rows = [
+        ln.split()
+        for ln in text.split("[starts]", 1)[1].splitlines()
+        if ln and not ln.startswith("#")
+    ]
+    assert len(rows) == FinderConfig().n_init
+    collapsed = {int(row[0]) for row in rows if row[3] == "collapsed"}
+    assert collapsed
+    trace = (out / "cost_trace.csv").read_text().splitlines()
+    assert trace[0] == "start,init_kind,iteration,cost"
+    lengths = {}
+    for ln in trace[1:]:
+        start = int(ln.split(",")[0])
+        lengths[start] = lengths.get(start, 0) + 1
+    # a retired start's trace stops at its initial cost plus ten iterations
+    assert all(lengths[i] == 11 for i in collapsed)
 
 
 def test_cli_simulate_writes_artifacts(tmp_path):

@@ -1,9 +1,13 @@
 """Formation finder tests: residual oracles, Jacobian checks, solver behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from curveswarm import _finder_kernels as fk
 from curveswarm import finder
+from curveswarm.config import ConfigError, load_config
 from curveswarm.curves import make_curve
 
 TWO_PI = 2.0 * np.pi
@@ -386,6 +390,116 @@ def test_config_validation_errors():
         finder.FinderConfig(backtrack=1.0).validate()
     with pytest.raises(finder.FinderError):
         finder.FinderConfig(armijo_c1=0.0).validate()
+
+
+def test_config_rejects_non_finite_floats():
+    for name in finder._FLOAT_FIELDS:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(finder.FinderError, match=name):
+                replace(finder.FinderConfig(), **{name: bad}).validate()
+    with pytest.raises(finder.FinderError, match="c_target"):
+        finder.FinderConfig(c_target=(0.0, np.nan)).validate()
+
+
+def test_config_rejects_negative_thresholds():
+    for name in ("min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac"):
+        with pytest.raises(finder.FinderError, match=name):
+            replace(finder.FinderConfig(), **{name: -1e-3}).validate()
+        replace(finder.FinderConfig(), **{name: 0.0}).validate()
+
+
+def test_config_rejects_non_integer_counts():
+    for name, bad in (("n", 4.0), ("n_init", 2.5), ("k_max", 1.5), ("n_init", True)):
+        with pytest.raises(finder.FinderError, match=name):
+            replace(finder.FinderConfig(), **{name: bad}).validate()
+    finder.FinderConfig(n=np.int64(4), n_init=np.int64(8)).validate()
+
+
+def test_config_file_nan_weight_is_rejected():
+    # a NaN weight used to run to a NaN-cost winner that reported feasible
+    with pytest.raises(ConfigError, match="weight_length"):
+        load_config("[curve]\nname = circle\n[finder]\nweight_length = nan\n")
+
+
+def _multistart_starts(curve, config):
+    """The starts multistart draws, in its order."""
+    starts = [finder.init_curvature_weighted(curve, config.n)]
+    rng = np.random.default_rng(config.seed)
+    for _ in range(1, config.n_init):
+        starts.append(finder.init_random(curve, config.n, rng))
+    return starts
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("deltoid", dict(n=3)),
+        ("lissajous-32", dict(n=4, seed=1)),
+        ("fourier-blob", dict(n=4, square_mode=True, seed=9, n_init=8)),
+    ],
+)
+def test_single_start_reproduces_its_multistart_run(name, kw):
+    # every row of the lockstep stack is computed as it would be alone,
+    # so the one-start solve matches its multistart run to the bit
+    curve = make_curve(name)
+    config = finder.FinderConfig(**kw)
+    _, runs = finder.multistart(curve, config, return_all=True)
+    for i, theta0 in enumerate(_multistart_starts(curve, config)):
+        kind = "curvature-weighted" if i == 0 else "random"
+        sol = finder.gauss_newton_solve(theta0, curve, config, kind, i)
+        run = runs[i]
+        assert np.array_equal(sol.theta, run.theta), (name, i)
+        assert np.array_equal(sol.cost_trace, run.cost_trace), (name, i)
+        assert (sol.iterations, sol.status, sol.init_index) == (
+            run.iterations, run.status, run.init_index
+        )
+
+
+def test_damped_step_raises_only_the_failing_rows_damping():
+    # the second start has no finite direction: its damping climbs past
+    # the ceiling while the first start steps at its own damping
+    ell = make_curve("ellipse")
+    theta = np.array([[0.1, 1.7, 3.3, 4.6], [0.2, 1.5, 3.0, 4.4]])
+    w = fk.weight_vector(4, False, 1.0, 1.0, 1.0)
+    r = fk.residual_vector(ell.kind, ell.par, theta, False)
+    J = fk.jacobian_matrix(ell.kind, ell.par, theta, False)
+    grad = np.einsum("smn,sm->sn", J, w * r)
+    M = np.einsum("smn,m,smk->snk", J, w, J)
+    grad[1, 0] = np.nan
+    lam = np.full(2, 1e-8)
+    etas = 0.5 ** np.arange(fk.ARMIJO_TRIALS)
+    ok, theta_new, _, cost_new, _ = fk._damped_step(
+        ell.kind, ell.par, False, w, theta, fk.cost_value(r, w), grad, M, lam, 1e-4, etas
+    )
+    assert ok.tolist() == [True, False]
+    assert lam[0] == 1e-8 and lam[1] > fk._LM_MAX
+    assert cost_new[0] < fk.cost_value(r, w)[0]
+    assert np.array_equal(theta_new[1], theta[1])
+
+
+def test_collapsing_start_is_retired_at_iteration_ten():
+    # three vertices bunched on the circle slide onto the zero-side
+    # polygon, which has zero residual on every curve
+    circ = make_curve("circle")
+    cfg = finder.FinderConfig(n=3)
+    sol = finder.gauss_newton_solve(np.array([1.0, 1.02, 1.05]), circ, cfg)
+    assert sol.status == "collapsed"
+    assert sol.iterations == fk.RETIRE_ITER == 10
+    assert sol.cost_trace.shape == (11,)
+    assert sol.mean_side < cfg.min_side_frac * circ.scale
+    assert not sol.feasible
+    # without the retirement threshold the same start runs on
+    free = finder.gauss_newton_solve(
+        np.array([1.0, 1.02, 1.05]), circ, replace(cfg, min_side_frac=0.0)
+    )
+    assert free.status != "collapsed" and free.iterations > 10
+
+
+def test_retirement_needs_ten_iterations():
+    circ = make_curve("circle")
+    cfg = finder.FinderConfig(n=3, k_max=9)
+    sol = finder.gauss_newton_solve(np.array([1.0, 1.02, 1.05]), circ, cfg)
+    assert sol.status == "max-iterations" and sol.iterations == 9
 
 
 def test_finder_matches_recorded_values():

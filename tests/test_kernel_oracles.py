@@ -2,8 +2,9 @@
 
 The functions below are copies of earlier kernels, kept as reference
 implementations: the per-agent control tick that evaluated the curve for
-each agent on numpy scalars, the scalar frame, the array RK4 step and the
-scalar nearest-point query.  Random snapshots (hypothesis) cover the
+each agent on numpy scalars, the scalar frame, the array RK4 step, the
+scalar nearest-point query, and the per-start Gauss-Newton finder with
+its numpy-scalar residual and Jacobian.  Random snapshots (hypothesis) cover the
 deltoid cusps, the gear corners, the lissajous-32 crossings, a lone
 sweep-only agent, two agents close enough for the avoidance law to
 engage, twelve agents, and a cusp search that finds no regular parameter.
@@ -22,6 +23,12 @@ comparison moves the ternary bracket, so distances agree to an ulp or
 two of the scale and the parameters agree only through the distance at
 the point they name: the minimum is flat, and the parameter itself can
 move by 1e-8 far from the curve.
+
+The lockstep finder squares with `np.float_power`, which goes through
+the same libm `pow` as the scalar `**2` of its oracle, so every start it
+does not retire takes the oracle's iterates; on this code's reference
+host they agree to the bit.  The test holds it to the winner's index
+and flags and to theta within 1e-10.
 """
 
 import numpy as np
@@ -29,8 +36,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curveswarm import _finder_kernels as fk
 from curveswarm import _sim_kernels as sk
-from curveswarm import control
+from curveswarm import control, finder
 from curveswarm._curve_kernels import curve_d1, curve_d2, curve_point, frame_raw
 from curveswarm.control import make_params
 from curveswarm.curves import make_curve
@@ -867,3 +875,268 @@ def test_mean_adherence_matches_scalar_per_tick_sum(data, n):
         for i in range(n):
             acc += old_nearest_on_curve(curve.kind, curve.par, xy[k, i, 0], xy[k, i, 1], sv, xs, ys)[0]
         assert abs(got[k] - acc / n) <= 1e-12 * curve.scale
+
+
+# -- the formation finder ----------------------------------------------------
+#
+# The per-start Gauss-Newton loop and the numpy-scalar residual and
+# Jacobian kernels that the lockstep finder replaced.  The lockstep
+# solve adds one rule the loop did not have: a start whose mean side is
+# below min_side_frac * scale at iteration RETIRE_ITER stops as
+# "collapsed".  Every other start must take the same iterates.
+
+SQRT2 = np.sqrt(2.0)
+
+
+def old_edges(kind, par, theta):
+    """Vertex coordinates and cyclic edge vectors e_i = p_i - p_{i-1}."""
+    x, y = curve_point(kind, par, theta)
+    prev = np.arange(theta.shape[0]) - 1  # index -1 wraps to the last vertex
+    return x, y, x - x[prev], y - y[prev]
+
+
+def old_residual_vector(kind, par, theta, square_mode):
+    n = theta.shape[0]
+    if square_mode:
+        m = 2 * n + 2
+    else:
+        m = 2 * n
+    x, y, ex, ey = old_edges(kind, par, theta)
+    r = np.empty(m)
+    for i in range(n):
+        i1 = (i + 1) % n
+        i2 = (i + 2) % n
+        r[i] = (ex[i1] ** 2 + ey[i1] ** 2) - (ex[i] ** 2 + ey[i] ** 2)
+        r[n + i] = (ex[i1] * ex[i] + ey[i1] * ey[i]) - (
+            ex[i2] * ex[i1] + ey[i2] * ey[i1]
+        )
+    if square_mode:
+        lbar = 0.0
+        for i in range(n):
+            lbar += np.sqrt(ex[i] ** 2 + ey[i] ** 2)
+        lbar /= n
+        d02 = np.sqrt((x[0] - x[2]) ** 2 + (y[0] - y[2]) ** 2)
+        d13 = np.sqrt((x[1] - x[3]) ** 2 + (y[1] - y[3]) ** 2)
+        r[2 * n] = d02 - SQRT2 * lbar
+        r[2 * n + 1] = d13 - SQRT2 * lbar
+    return r
+
+
+def old_jacobian_matrix(kind, par, theta, square_mode):
+    """Sparse-stencil Jacobian of residual_vector, assembled dense.
+
+    Length rows touch columns {i-1, i, i+1}; angle rows touch
+    {i-1, i, i+1, i+2}.  Contributions are accumulated so wrapped
+    column collisions (n = 3) pick up both chain-rule terms.
+    """
+    n = theta.shape[0]
+    if square_mode:
+        m = 2 * n + 2
+    else:
+        m = 2 * n
+    x, y, ex, ey = old_edges(kind, par, theta)
+    gx, gy = curve_d1(kind, par, theta)
+    J = np.zeros((m, n))
+    for i in range(n):
+        im = (i - 1) % n
+        i1 = (i + 1) % n
+        i2 = (i + 2) % n
+        J[i, im] += 2.0 * (ex[i] * gx[im] + ey[i] * gy[im])
+        J[i, i] += -2.0 * ((ex[i1] + ex[i]) * gx[i] + (ey[i1] + ey[i]) * gy[i])
+        J[i, i1] += 2.0 * (ex[i1] * gx[i1] + ey[i1] * gy[i1])
+        J[n + i, im] += -(ex[i1] * gx[im] + ey[i1] * gy[im])
+        J[n + i, i] += (ex[i1] - ex[i] + ex[i2]) * gx[i] + (
+            ey[i1] - ey[i] + ey[i2]
+        ) * gy[i]
+        J[n + i, i1] += (ex[i] + ex[i1] - ex[i2]) * gx[i1] + (
+            ey[i] + ey[i1] - ey[i2]
+        ) * gy[i1]
+        J[n + i, i2] += -(ex[i1] * gx[i2] + ey[i1] * gy[i2])
+    if square_mode:
+        # unit edge directions, zero where an edge degenerates
+        ux = np.zeros(n)
+        uy = np.zeros(n)
+        for i in range(n):
+            el = np.sqrt(ex[i] ** 2 + ey[i] ** 2)
+            if el > 1e-300:
+                ux[i] = ex[i] / el
+                uy[i] = ey[i] / el
+        d02 = np.sqrt((x[0] - x[2]) ** 2 + (y[0] - y[2]) ** 2)
+        d13 = np.sqrt((x[1] - x[3]) ** 2 + (y[1] - y[3]) ** 2)
+        for j in range(n):
+            j1 = (j + 1) % n
+            dl = ((ux[j] - ux[j1]) * gx[j] + (uy[j] - uy[j1]) * gy[j]) / n
+            J[2 * n, j] = -SQRT2 * dl
+            J[2 * n + 1, j] = -SQRT2 * dl
+        if d02 > 1e-300:
+            J[2 * n, 0] += ((x[0] - x[2]) * gx[0] + (y[0] - y[2]) * gy[0]) / d02
+            J[2 * n, 2] += -((x[0] - x[2]) * gx[2] + (y[0] - y[2]) * gy[2]) / d02
+        if d13 > 1e-300:
+            J[2 * n + 1, 1] += ((x[1] - x[3]) * gx[1] + (y[1] - y[3]) * gy[1]) / d13
+            J[2 * n + 1, 3] += -((x[1] - x[3]) * gx[3] + (y[1] - y[3]) * gy[3]) / d13
+    return J
+
+
+def old_cost_value(r, w):
+    return 0.5 * np.sum(w * r * r)
+
+
+def old_gn_solve(
+    kind,
+    par,
+    theta0,
+    square_mode,
+    w_len,
+    w_ang,
+    w_diag,
+    k_max,
+    tol_step,
+    tol_cost_rel,
+    armijo_c1,
+    backtrack,
+    lm_lambda0,
+    cost_trace,
+):
+    """The per-start damped Gauss-Newton loop the lockstep solve replaced.
+
+    Normal equations are regularized with an adaptive Levenberg term
+    (x10 on a rejected step, /10 on an accepted one) so degenerate
+    starts, where the plain system is singular, still produce descent
+    directions.  cost_trace must hold k_max + 1 entries; the filled
+    prefix length is returned.
+
+    Returns (theta, cost, iterations, status, trace_len).
+    """
+    n = theta0.shape[0]
+    theta = theta0.copy()
+    w = fk.weight_vector(n, square_mode, w_len, w_ang, w_diag)
+    r = old_residual_vector(kind, par, theta, square_mode)
+    cost = old_cost_value(r, w)
+    cost_trace[0] = cost
+    trace_len = 1
+    lam = lm_lambda0
+    if lam < fk._LM_MIN:
+        lam = fk._LM_MIN
+    status = fk.STATUS_MAXITER
+    iters = 0
+    eye = np.eye(n)
+    for k in range(k_max):
+        J = old_jacobian_matrix(kind, par, theta, square_mode)
+        # a C-ordered copy: BLAS rounds the product with a transposed view
+        # differently, and the finder's outputs are reproducible to the bit
+        JT = np.ascontiguousarray(J.T)
+        grad = JT @ (w * r)
+        M = JT @ (w.reshape((-1, 1)) * J)
+        accepted = False
+        step_norm = 0.0
+        cost_new = cost
+        while lam <= fk._LM_MAX:
+            A = M + lam * eye
+            dtheta = np.linalg.solve(A, -grad)
+            slope = np.sum(grad * dtheta)
+            if not np.all(np.isfinite(dtheta)) or slope > 0.0:
+                lam *= 10.0
+                continue
+            eta = 1.0
+            for _bt in range(60):
+                theta_try = theta + eta * dtheta
+                r_try = old_residual_vector(kind, par, theta_try, square_mode)
+                c_try = old_cost_value(r_try, w)
+                if np.isfinite(c_try) and c_try <= cost + armijo_c1 * eta * slope:
+                    theta = theta_try
+                    r = r_try
+                    cost_new = c_try
+                    step_norm = eta * np.sqrt(np.sum(dtheta * dtheta))
+                    accepted = True
+                    break
+                eta *= backtrack
+            if accepted:
+                break
+            lam *= 10.0
+        if not accepted:
+            status = fk.STATUS_STALLED
+            break
+        iters = k + 1
+        denom = cost
+        if denom < 1e-300:
+            denom = 1e-300
+        rel_drop = (cost - cost_new) / denom
+        cost = cost_new
+        cost_trace[trace_len] = cost
+        trace_len += 1
+        lam *= 0.1
+        if lam < fk._LM_MIN:
+            lam = fk._LM_MIN
+        if step_norm < tol_step:
+            status = fk.STATUS_STEP
+            break
+        if rel_drop < tol_cost_rel:
+            status = fk.STATUS_COST
+            break
+    return theta, cost, iters, status, trace_len
+
+
+def oracle_multistart(curve, config):
+    """multistart's selection over per-start runs of old_gn_solve."""
+    w = finder._weights(config)
+    starts = [finder.init_curvature_weighted(curve, config.n)]
+    rng = np.random.default_rng(config.seed)
+    for _ in range(1, config.n_init):
+        starts.append(finder.init_random(curve, config.n, rng))
+    runs = []
+    for idx, theta0 in enumerate(starts):
+        trace = np.empty(config.k_max + 1)
+        theta, _, iters, status, trace_len = old_gn_solve(
+            curve.kind, curve.par, theta0, config.square_mode, config.weight_length,
+            config.weight_angle, config.weight_diagonal, config.k_max, config.tol_step,
+            config.tol_cost_rel, config.armijo_c1, config.backtrack, config.lm_lambda0,
+            trace,
+        )
+        theta_w = np.mod(theta, TWO_PI)
+        r = old_residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
+        cost = float(old_cost_value(r, w))
+        pts, center, mean_side, edges = finder._polygon_stats(curve, theta_w)
+        runs.append(
+            finder.FormationSolution(
+                theta=theta_w, vertices=pts, center=center, mean_side=mean_side,
+                residual_norm=float(np.linalg.norm(r)), cost=cost, iterations=iters,
+                status=finder.STATUS_LABELS[status],
+                init_kind="curvature-weighted" if idx == 0 else "random",
+                init_index=idx,
+                feasible=finder._is_geometric_feasible(theta_w, pts, mean_side, curve.scale, config),
+                converged=cost <= config.accept_cost, convex=finder._is_convex(edges),
+                cost_trace=trace[:trace_len].copy(),
+            )
+        )
+    return finder._select(runs, curve, config), runs
+
+
+def assert_finder_matches_oracle(curve, config):
+    """Same winner, flags and theta (1e-10); collapsed starts were no loss."""
+    best, runs = finder.multistart(curve, config, return_all=True)
+    ref_best, ref_runs = oracle_multistart(curve, config)
+    assert best.init_index == ref_best.init_index
+    assert (best.feasible, best.converged, best.convex) == (
+        ref_best.feasible, ref_best.converged, ref_best.convex
+    )
+    assert np.max(np.abs(best.theta - ref_best.theta)) <= 1e-10
+    for run, ref in zip(runs, ref_runs):
+        if run.status == "collapsed":
+            assert run.iterations == fk.RETIRE_ITER
+            assert not (ref.converged and ref.feasible), run.init_index
+        else:
+            assert (run.status, run.iterations) == (ref.status, ref.iterations), run.init_index
+            assert np.max(np.abs(run.theta - ref.theta)) <= 1e-10, run.init_index
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("deltoid", dict(n=3)),
+        ("deltoid", dict(n=5)),
+        ("circle", dict(n=3)),
+        ("fourier-blob", dict(n=4, square_mode=True, seed=9)),
+    ],
+)
+def test_lockstep_finder_matches_per_start_oracle(name, kw):
+    assert_finder_matches_oracle(make_curve(name), finder.FinderConfig(n_init=8, **kw))
