@@ -1,10 +1,13 @@
 """Closed-form curve-family kernels.
 
 Every family maps a parameter s (period 2*pi) to a plane point and its first
-and second parameter derivatives.  The point and derivative kernels accept
-scalar floats and float64 arrays alike (plain vectorized numpy); frame_raw
-takes arrays only.  Family parameters arrive as a flat float64 vector
-(layout documented in curves.py); the integer kind code selects the family.
+and second parameter derivatives.  curve_jet evaluates all three in one pass:
+each trig value, gear segment and polar radius term is computed once, and only
+as far as the asked-for order needs it.  curve_point, curve_d1 and curve_d2 are
+its one-order entry points.  The kernels accept scalar floats and float64
+arrays alike (plain vectorized numpy); frame_raw takes arrays only.  Family
+parameters arrive as a flat float64 vector (layout documented in curves.py);
+the integer kind code selects the family.
 """
 
 import numpy as np
@@ -27,24 +30,29 @@ KIND_GEAR = 11         # par = [teeth, R_outer, R_inner]
 POLAR_KINDS = (KIND_SUPERELLIPSE, KIND_CASSINI, KIND_FOURIER, KIND_PEANUT)
 
 
-def _polar_terms(kind, par, s):
-    """Radius r(s) and its first two derivatives for the polar families."""
+def _polar_terms(kind, par, s, c, sn, order):
+    """Radius r(s) and its derivatives up to `order` for the polar families.
+
+    c and sn are cos(s) and sin(s).  Returns (r,), (r, r') or (r, r', r'').
+    """
     if kind == KIND_SUPERELLIPSE:
         a = par[0]
         b = par[1]
         m = par[2]
-        c = np.cos(s)
-        sn = np.sin(s)
         am = a ** m
         bm = b ** m
         q = np.abs(c) ** m / am + np.abs(sn) ** m / bm
+        r = q ** (-1.0 / m)
+        if order == 0:
+            return (r,)
         g = np.abs(sn) ** (m - 2.0) / bm - np.abs(c) ** (m - 2.0) / am
         qp = m * sn * c * g
+        rp = -(1.0 / m) * q ** (-1.0 / m - 1.0) * qp
+        if order == 1:
+            return r, rp
         qpp = m * (c * c - sn * sn) * g + m * (m - 2.0) * sn * sn * c * c * (
             np.abs(sn) ** (m - 4.0) / bm + np.abs(c) ** (m - 4.0) / am
         )
-        r = q ** (-1.0 / m)
-        rp = -(1.0 / m) * q ** (-1.0 / m - 1.0) * qp
         rpp = (1.0 / m) * (1.0 / m + 1.0) * q ** (-1.0 / m - 2.0) * qp * qp - (
             1.0 / m
         ) * q ** (-1.0 / m - 1.0) * qpp
@@ -52,25 +60,38 @@ def _polar_terms(kind, par, s):
     elif kind == KIND_CASSINI:
         a = par[0]
         b = par[1]
-        u = a * a * np.cos(2.0 * s)
-        up = -2.0 * a * a * np.sin(2.0 * s)
-        upp = -4.0 * a * a * np.cos(2.0 * s)
+        s_2 = 2.0 * s
+        c2 = np.cos(s_2)
+        u = a * a * c2
         disc = np.sqrt(u * u + (b ** 4 - a ** 4))
         r2 = u + disc
-        r2p = up * (1.0 + u / disc)
-        r2pp = upp * (1.0 + u / disc) + up * up * (disc * disc - u * u) / disc ** 3
         r = np.sqrt(r2)
+        if order == 0:
+            return (r,)
+        up = -2.0 * a * a * np.sin(s_2)
+        lift = 1.0 + u / disc
+        r2p = up * lift
         rp = r2p / (2.0 * r)
+        if order == 1:
+            return r, rp
+        upp = -4.0 * a * a * c2
+        r2pp = upp * lift + up * up * (disc * disc - u * u) / disc ** 3
         rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
         return r, rp, rpp
     elif kind == KIND_PEANUT:
         a = par[0]
         e = par[1]
-        r2 = a * a * (1.0 - e * np.cos(2.0 * s))
-        r2p = 2.0 * a * a * e * np.sin(2.0 * s)
-        r2pp = 4.0 * a * a * e * np.cos(2.0 * s)
+        s_2 = 2.0 * s
+        c2 = np.cos(s_2)
+        r2 = a * a * (1.0 - e * c2)
         r = np.sqrt(r2)
+        if order == 0:
+            return (r,)
+        r2p = 2.0 * a * a * e * np.sin(s_2)
         rp = r2p / (2.0 * r)
+        if order == 1:
+            return r, rp
+        r2pp = 4.0 * a * a * e * c2
         rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
         return r, rp, rpp
     else:  # KIND_FOURIER
@@ -81,12 +102,15 @@ def _polar_terms(kind, par, s):
         for j in range(1, nh + 1):
             aj = par[2 * j - 1]
             bj = par[2 * j]
-            cj = np.cos(j * s)
-            sj = np.sin(j * s)
+            s_j = j * s
+            cj = np.cos(s_j)
+            sj = np.sin(s_j)
             r = r + aj * cj + bj * sj
-            rp = rp + j * (bj * cj - aj * sj)
-            rpp = rpp - j * j * (aj * cj + bj * sj)
-        return r, rp, rpp
+            if order >= 1:
+                rp = rp + j * (bj * cj - aj * sj)
+            if order >= 2:
+                rpp = rpp - j * j * (aj * cj + bj * sj)
+        return (r, rp, rpp)[: order + 1]
 
 
 def _gear_terms(par, s):
@@ -116,150 +140,160 @@ def _gear_terms(par, s):
     return ax, ay, bx, by, u, delta
 
 
-def curve_point(kind, par, s):
-    """gamma(s) -> (x, y) for the family selected by kind."""
+def curve_jet(kind, par, s, order):
+    """gamma(s) and its parameter derivatives up to `order` (0, 1 or 2).
+
+    Returns (x, y) for order 0, (x, y, x', y') for order 1 and
+    (x, y, x', y', x'', y'') for order 2, for the family selected by kind.
+    Each output is the same expression, in the same operation order, as a
+    separate per-order evaluation would use, so it does not depend on the
+    order asked for.
+    """
     if kind == KIND_ELLIPSE:
-        return par[0] * np.cos(s), par[1] * np.sin(s)
+        c = np.cos(s)
+        sn = np.sin(s)
+        x, y = par[0] * c, par[1] * sn
+        if order == 0:
+            return x, y
+        dx, dy = -par[0] * sn, par[1] * c
+        if order == 1:
+            return x, y, dx, dy
+        return x, y, dx, dy, -par[0] * c, -par[1] * sn
     elif kind == KIND_DELTOID:
         a = par[0]
-        return a * (2.0 * np.cos(s) + np.cos(2.0 * s)), a * (
-            2.0 * np.sin(s) - np.sin(2.0 * s)
-        )
+        c = np.cos(s)
+        sn = np.sin(s)
+        s_2 = 2.0 * s
+        c2 = np.cos(s_2)
+        s2 = np.sin(s_2)
+        x, y = a * (2.0 * c + c2), a * (2.0 * sn - s2)
+        if order == 0:
+            return x, y
+        dx, dy = a * (-2.0 * sn - 2.0 * s2), a * (2.0 * c - 2.0 * c2)
+        if order == 1:
+            return x, y, dx, dy
+        return x, y, dx, dy, a * (-2.0 * c - 4.0 * c2), a * (-2.0 * sn + 4.0 * s2)
     elif kind == KIND_ROSE:
         a = par[0]
         k = par[1]
-        return a * np.cos(k * s) * np.cos(s), a * np.cos(k * s) * np.sin(s)
-    elif kind == KIND_LISSAJOUS:
-        return par[0] * np.sin(par[2] * s + par[4]), par[1] * np.sin(par[3] * s)
-    elif kind == KIND_LEMNISCATE:
-        a = par[0]
-        sn = np.sin(s)
-        c = np.cos(s)
-        d = 1.0 + sn * sn
-        return a * c / d, a * sn * c / d
-    elif kind == KIND_NEPHROID:
-        a = par[0]
-        return a * (3.0 * np.cos(s) - np.cos(3.0 * s)), a * (
-            3.0 * np.sin(s) - np.sin(3.0 * s)
-        )
-    elif kind == KIND_SPIROGRAPH:
-        rr = par[0] - par[1]
-        d = par[2]
-        q = rr / par[1]
-        return rr * np.cos(s) + d * np.cos(q * s), rr * np.sin(s) - d * np.sin(q * s)
-    elif kind == KIND_GEAR:
-        ax, ay, bx, by, u, delta = _gear_terms(par, s)
-        w = u * u * (3.0 - 2.0 * u)
-        return ax + (bx - ax) * w, ay + (by - ay) * w
-    else:
-        r, rp, rpp = _polar_terms(kind, par, s)
-        return r * np.cos(s), r * np.sin(s)
-
-
-def curve_d1(kind, par, s):
-    """dgamma/ds -> (x', y')."""
-    if kind == KIND_ELLIPSE:
-        return -par[0] * np.sin(s), par[1] * np.cos(s)
-    elif kind == KIND_DELTOID:
-        a = par[0]
-        return a * (-2.0 * np.sin(s) - 2.0 * np.sin(2.0 * s)), a * (
-            2.0 * np.cos(s) - 2.0 * np.cos(2.0 * s)
-        )
-    elif kind == KIND_ROSE:
-        a = par[0]
-        k = par[1]
-        ck = np.cos(k * s)
-        sk = np.sin(k * s)
-        return a * (-k * sk * np.cos(s) - ck * np.sin(s)), a * (
-            -k * sk * np.sin(s) + ck * np.cos(s)
-        )
-    elif kind == KIND_LISSAJOUS:
-        return par[0] * par[2] * np.cos(par[2] * s + par[4]), par[1] * par[3] * np.cos(
-            par[3] * s
-        )
-    elif kind == KIND_LEMNISCATE:
-        a = par[0]
-        sn = np.sin(s)
-        c = np.cos(s)
-        d = 1.0 + sn * sn
-        d2 = d * d
-        return -a * sn * (3.0 - sn * sn) / d2, a * (c ** 4 - sn * sn - sn ** 4) / d2
-    elif kind == KIND_NEPHROID:
-        a = par[0]
-        return a * (-3.0 * np.sin(s) + 3.0 * np.sin(3.0 * s)), a * (
-            3.0 * np.cos(s) - 3.0 * np.cos(3.0 * s)
-        )
-    elif kind == KIND_SPIROGRAPH:
-        rr = par[0] - par[1]
-        d = par[2]
-        q = rr / par[1]
-        return -rr * np.sin(s) - d * q * np.sin(q * s), rr * np.cos(s) - d * q * np.cos(
-            q * s
-        )
-    elif kind == KIND_GEAR:
-        ax, ay, bx, by, u, delta = _gear_terms(par, s)
-        wp = 6.0 * u * (1.0 - u) / delta
-        return (bx - ax) * wp, (by - ay) * wp
-    else:
-        r, rp, rpp = _polar_terms(kind, par, s)
         c = np.cos(s)
         sn = np.sin(s)
-        return rp * c - r * sn, rp * sn + r * c
-
-
-def curve_d2(kind, par, s):
-    """d2gamma/ds2 -> (x'', y'')."""
-    if kind == KIND_ELLIPSE:
-        return -par[0] * np.cos(s), -par[1] * np.sin(s)
-    elif kind == KIND_DELTOID:
-        a = par[0]
-        return a * (-2.0 * np.cos(s) - 4.0 * np.cos(2.0 * s)), a * (
-            -2.0 * np.sin(s) + 4.0 * np.sin(2.0 * s)
-        )
-    elif kind == KIND_ROSE:
-        a = par[0]
-        k = par[1]
-        ck = np.cos(k * s)
-        sk = np.sin(k * s)
+        s_k = k * s
+        ck = np.cos(s_k)
+        x, y = a * ck * c, a * ck * sn
+        if order == 0:
+            return x, y
+        sk = np.sin(s_k)
+        dx, dy = a * (-k * sk * c - ck * sn), a * (-k * sk * sn + ck * c)
+        if order == 1:
+            return x, y, dx, dy
         kk1 = k * k + 1.0
-        return a * (-kk1 * ck * np.cos(s) + 2.0 * k * sk * np.sin(s)), a * (
-            -kk1 * ck * np.sin(s) - 2.0 * k * sk * np.cos(s)
+        return x, y, dx, dy, a * (-kk1 * ck * c + 2.0 * k * sk * sn), a * (
+            -kk1 * ck * sn - 2.0 * k * sk * c
         )
     elif kind == KIND_LISSAJOUS:
-        return -par[0] * par[2] * par[2] * np.sin(par[2] * s + par[4]), -par[1] * par[
-            3
-        ] * par[3] * np.sin(par[3] * s)
+        phase_x = par[2] * s + par[4]
+        phase_y = par[3] * s
+        sx = np.sin(phase_x)
+        sy = np.sin(phase_y)
+        x, y = par[0] * sx, par[1] * sy
+        if order == 0:
+            return x, y
+        dx, dy = par[0] * par[2] * np.cos(phase_x), par[1] * par[3] * np.cos(phase_y)
+        if order == 1:
+            return x, y, dx, dy
+        return x, y, dx, dy, -par[0] * par[2] * par[2] * sx, -par[1] * par[3] * par[3] * sy
     elif kind == KIND_LEMNISCATE:
         a = par[0]
         sn = np.sin(s)
         c = np.cos(s)
         d = 1.0 + sn * sn
+        x, y = a * c / d, a * sn * c / d
+        if order == 0:
+            return x, y
+        sn4 = sn ** 4
+        d2 = d * d
+        dx, dy = -a * sn * (3.0 - sn * sn) / d2, a * (c ** 4 - sn * sn - sn4) / d2
+        if order == 1:
+            return x, y, dx, dy
         d3 = d * d * d
-        return -a * c * (3.0 - 12.0 * sn * sn + sn ** 4) / d3, -2.0 * a * sn * c * (
+        return x, y, dx, dy, -a * c * (3.0 - 12.0 * sn * sn + sn4) / d3, -2.0 * a * sn * c * (
             5.0 - 3.0 * sn * sn
         ) / d3
     elif kind == KIND_NEPHROID:
         a = par[0]
-        return a * (-3.0 * np.cos(s) + 9.0 * np.cos(3.0 * s)), a * (
-            -3.0 * np.sin(s) + 9.0 * np.sin(3.0 * s)
-        )
+        c = np.cos(s)
+        sn = np.sin(s)
+        s_3 = 3.0 * s
+        c3 = np.cos(s_3)
+        s3 = np.sin(s_3)
+        x, y = a * (3.0 * c - c3), a * (3.0 * sn - s3)
+        if order == 0:
+            return x, y
+        dx, dy = a * (-3.0 * sn + 3.0 * s3), a * (3.0 * c - 3.0 * c3)
+        if order == 1:
+            return x, y, dx, dy
+        return x, y, dx, dy, a * (-3.0 * c + 9.0 * c3), a * (-3.0 * sn + 9.0 * s3)
     elif kind == KIND_SPIROGRAPH:
         rr = par[0] - par[1]
         d = par[2]
         q = rr / par[1]
-        q2 = q * q
-        return -rr * np.cos(s) - d * q2 * np.cos(q * s), -rr * np.sin(
-            s
-        ) + d * q2 * np.sin(q * s)
-    elif kind == KIND_GEAR:
-        ax, ay, bx, by, u, delta = _gear_terms(par, s)
-        wpp = (6.0 - 12.0 * u) / (delta * delta)
-        return (bx - ax) * wpp, (by - ay) * wpp
-    else:
-        r, rp, rpp = _polar_terms(kind, par, s)
         c = np.cos(s)
         sn = np.sin(s)
-        return (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
+        s_q = q * s
+        cq = np.cos(s_q)
+        sq = np.sin(s_q)
+        x, y = rr * c + d * cq, rr * sn - d * sq
+        if order == 0:
+            return x, y
+        dx, dy = -rr * sn - d * q * sq, rr * c - d * q * cq
+        if order == 1:
+            return x, y, dx, dy
+        q2 = q * q
+        return x, y, dx, dy, -rr * c - d * q2 * cq, -rr * sn + d * q2 * sq
+    elif kind == KIND_GEAR:
+        ax, ay, bx, by, u, delta = _gear_terms(par, s)
+        ex = bx - ax
+        ey = by - ay
+        w = u * u * (3.0 - 2.0 * u)
+        x, y = ax + ex * w, ay + ey * w
+        if order == 0:
+            return x, y
+        wp = 6.0 * u * (1.0 - u) / delta
+        dx, dy = ex * wp, ey * wp
+        if order == 1:
+            return x, y, dx, dy
+        wpp = (6.0 - 12.0 * u) / (delta * delta)
+        return x, y, dx, dy, ex * wpp, ey * wpp
+    else:
+        c = np.cos(s)
+        sn = np.sin(s)
+        radial = _polar_terms(kind, par, s, c, sn, order)
+        r = radial[0]
+        x, y = r * c, r * sn
+        if order == 0:
+            return x, y
+        rp = radial[1]
+        dx, dy = rp * c - r * sn, rp * sn + r * c
+        if order == 1:
+            return x, y, dx, dy
+        rpp = radial[2]
+        return x, y, dx, dy, (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
+
+
+def curve_point(kind, par, s):
+    """gamma(s) -> (x, y) for the family selected by kind."""
+    return curve_jet(kind, par, s, 0)
+
+
+def curve_d1(kind, par, s):
+    """dgamma/ds -> (x', y')."""
+    return curve_jet(kind, par, s, 1)[2:]
+
+
+def curve_d2(kind, par, s):
+    """d2gamma/ds2 -> (x'', y'')."""
+    return curve_jet(kind, par, s, 2)[4:]
 
 
 # cusp search offsets: +/-1e-4 j for j = 1..10, the positive side first
@@ -267,20 +301,21 @@ _CUSP_STEPS = np.array([sign * 1e-4 * j for j in range(1, 11) for sign in (1.0, 
 
 
 def frame_raw(kind, par, s, eps_sing):
-    """Frenet data at every entry of the parameter array s, with the cusp fallback.
+    """Point and Frenet data at every entry of the parameter array s, with the cusp fallback.
 
-    An entry below eps_sing tangent speed takes its frame from the first
-    regular parameter among s + 1e-4, s - 1e-4, s + 2e-4, ... s - 1e-3.
-    Returns arrays shaped like s: (tx, ty, nx, ny, psi_t, speed,
-    speed_rate, kappa_signed, turn_rate, ok).  speed = ||gamma'(s)|| and
-    speed_rate = gamma'.gamma'' / max(speed, eps_sing) (its parameter
-    derivative) belong to the query point; direction, curvature and
-    turn_rate = d(psi_t)/ds come from the fallback point; the normal is
-    the tangent rotated a quarter turn counterclockwise.  An entry with
-    no regular neighbour has zeros there and ok False.
+    One curve_jet call gives the point and both derivatives.  An entry
+    below eps_sing tangent speed takes its frame from the first regular
+    parameter among s + 1e-4, s - 1e-4, s + 2e-4, ... s - 1e-3.
+    Returns arrays shaped like s: (gx, gy, tx, ty, nx, ny, psi_t, speed,
+    speed_rate, kappa_signed, turn_rate, ok).  The point (gx, gy),
+    speed = ||gamma'(s)|| and speed_rate = gamma'.gamma'' /
+    max(speed, eps_sing) (its parameter derivative) belong to the query
+    point; direction, curvature and turn_rate = d(psi_t)/ds come from the
+    fallback point; the normal is the tangent rotated a quarter turn
+    counterclockwise.  An entry with no regular neighbour has a zero frame
+    there and ok False.
     """
-    dx, dy = curve_d1(kind, par, s)
-    ddx, ddy = curve_d2(kind, par, s)
+    gx, gy, dx, dy, ddx, ddy = curve_jet(kind, par, s, 2)
     speed = np.hypot(dx, dy)
     sing = speed < eps_sing
     speed_rate = (dx * ddx + dy * ddy) / np.where(sing, eps_sing, speed)
@@ -294,13 +329,12 @@ def frame_raw(kind, par, s, eps_sing):
         hit = regular.any(axis=1)
         ok[idx] = hit
         sf = cand[hit, np.argmax(regular[hit], axis=1)]
-        dx[idx[hit]], dy[idx[hit]] = curve_d1(kind, par, sf)
-        ddx[idx[hit]], ddy[idx[hit]] = curve_d2(kind, par, sf)
+        dx[idx[hit]], dy[idx[hit]], ddx[idx[hit]], ddy[idx[hit]] = curve_jet(kind, par, sf, 2)[2:]
         # a placeholder unit tangent keeps the arithmetic below quiet;
         # these entries are zeroed afterwards
         bad = ~ok
         dx[bad], dy[bad], ddx[bad], ddy[bad] = 1.0, 0.0, 0.0, 0.0
-    mf = np.hypot(dx, dy)
+    mf = speed if bad is None else np.hypot(dx, dy)
     tx = dx / mf
     ty = dy / mf
     cross = dx * ddy - dy * ddx
@@ -310,4 +344,4 @@ def frame_raw(kind, par, s, eps_sing):
     if bad is not None:
         for out in (tx, ty, psi_t, kappa, turn):
             out[bad] = 0.0
-    return tx, ty, -ty, tx, psi_t, speed, speed_rate, kappa, turn, ok
+    return gx, gy, tx, ty, -ty, tx, psi_t, speed, speed_rate, kappa, turn, ok

@@ -2,6 +2,10 @@
 curve-distance queries, and the full fixed-step mission loop.  The
 adherence metric is not part of the loop: it is one batched
 nearest-point pass over the recorded positions once the loop ends.
+Each point's closest cached curve sample comes from a search that skips
+every chunk of samples whose bounding circle cannot hold it (the same
+index a brute-force argmin gives); a ternary search then refines the
+parameter.
 
 A tick makes one array call for the curve geometry of all agents and
 then runs the control laws and the RK4 step per agent on Python floats:
@@ -27,7 +31,9 @@ from ._curve_kernels import curve_point
 from .control import agent_control, curve_geometry
 
 TWO_PI = 2.0 * np.pi
-POINT_BLOCK = 32  # points per coarse-argmin block (x 2048 samples)
+SAMPLE_CHUNK = 32  # consecutive cached samples under one bounding circle
+POINT_BLOCK = 256  # points per pruned nearest-sample pass
+PAIR_BLOCK = 2048  # (point, chunk) pairs per exact pass: (2048, 32) temporaries
 TICK_BLOCK = 512  # ticks per adherence pass after the mission loop
 
 
@@ -69,19 +75,83 @@ def rk4_step_team(states, controls, dt):
     return np.array(out, dtype=float).reshape(states.shape)
 
 
+def _sample_chunks(sample_x, sample_y):
+    """Samples as (chunks, SAMPLE_CHUNK) rows plus each row's bounding circle.
+
+    Row k holds samples k * SAMPLE_CHUNK onward; a short last row repeats
+    the final sample, which can never beat its own first copy.  Returns
+    (chunk_x, chunk_y, centre_x, centre_y, radius).
+    """
+    n = sample_x.shape[0]
+    rows = -(-n // SAMPLE_CHUNK)
+    idx = np.minimum(np.arange(rows * SAMPLE_CHUNK), n - 1).reshape(rows, SAMPLE_CHUNK)
+    chunk_x = sample_x[idx]
+    chunk_y = sample_y[idx]
+    centre_x = 0.5 * (chunk_x.min(axis=1) + chunk_x.max(axis=1))
+    centre_y = 0.5 * (chunk_y.min(axis=1) + chunk_y.max(axis=1))
+    ex = chunk_x - centre_x[:, None]
+    ey = chunk_y - centre_y[:, None]
+    radius = np.sqrt(np.max(ex * ex + ey * ey, axis=1))
+    return chunk_x, chunk_y, centre_x, centre_y, radius
+
+
+def nearest_sample(px, py, sample_x, sample_y):
+    """Index of the first sample at the smallest squared distance, per point.
+
+    Equal, index for index, to np.argmin((sample_x - px)**2 + (sample_y -
+    py)**2) with the squares taken as dx*dx, but prunes: every chunk of
+    SAMPLE_CHUNK consecutive samples has a bounding circle (centre c,
+    radius r), a point's distance is at most min(|p - c| + r) over the
+    chunks, and only chunks whose |p - c| - r does not exceed that bound
+    by more than a rounding slack get their squared distances computed.
+    Points run POINT_BLOCK at a time and chunk evaluations PAIR_BLOCK at
+    a time, so no temporary exceeds PAIR_BLOCK x SAMPLE_CHUNK entries.
+    """
+    chunk_x, chunk_y, centre_x, centre_y, radius = _sample_chunks(sample_x, sample_y)
+    # the bounds are rounded to ~1e-15 of the coordinates' size; this slack
+    # keeps every chunk that could hold a tie with the true minimum
+    reach = np.max(np.abs(sample_x)) + np.max(np.abs(sample_y))
+    best = np.zeros(px.shape[0], dtype=np.intp)
+    for b in range(0, px.shape[0], POINT_BLOCK):
+        bx = px[b : b + POINT_BLOCK]
+        by = py[b : b + POINT_BLOCK]
+        cx = centre_x - bx[:, None]
+        cy = centre_y - by[:, None]
+        dc = np.sqrt(cx * cx + cy * cy)
+        bound = np.min(dc + radius, axis=1) + 1e-9 * (np.abs(bx) + np.abs(by) + reach)
+        pt, ch = np.nonzero(dc - radius <= bound[:, None])
+        if pt.shape[0] == 0:
+            continue  # non-finite points keep index 0, as argmin gives them
+        within = np.empty(pt.shape[0], dtype=np.intp)
+        d2_min = np.empty(pt.shape[0])
+        for a in range(0, pt.shape[0], PAIR_BLOCK):
+            p = pt[a : a + PAIR_BLOCK]
+            k = ch[a : a + PAIR_BLOCK]
+            dx = chunk_x[k] - bx[p, None]
+            dy = chunk_y[k] - by[p, None]
+            d2 = dx * dx + dy * dy
+            j = np.argmin(d2, axis=1)
+            within[a : a + PAIR_BLOCK] = j
+            d2_min[a : a + PAIR_BLOCK] = d2[np.arange(j.shape[0]), j]
+        # pairs run in (point, chunk) order, so the first pair at its
+        # point's minimum holds the lowest sample index at that minimum
+        first = np.flatnonzero(np.diff(pt, prepend=-1))
+        point_min = np.full(bx.shape[0], np.inf)
+        point_min[pt[first]] = np.minimum.reduceat(d2_min, first)
+        at_min = np.flatnonzero(d2_min == point_min[pt])
+        lead = at_min[np.diff(pt[at_min], prepend=-1) != 0]
+        best[b + pt[lead]] = ch[lead] * SAMPLE_CHUNK + within[lead]
+    return best
+
+
 def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
     """Global distance to the curve and the parameter attaining it, per point.
 
-    px, py are (m,) arrays.  Coarse argmin over the cached samples, in
-    row blocks of POINT_BLOCK points so the (block, samples) temporary
-    stays small, then a ternary search on every bracketing window at
+    px, py are (m,) arrays.  nearest_sample finds the closest cached
+    sample, then a ternary search runs on every bracketing window at
     once.  Returns (distance (m,), parameter in [0, 2*pi) (m,)).
     """
-    best = np.empty(px.shape[0], dtype=np.intp)
-    for b in range(0, px.shape[0], POINT_BLOCK):
-        dx = sample_x - px[b : b + POINT_BLOCK, None]
-        dy = sample_y - py[b : b + POINT_BLOCK, None]
-        best[b : b + POINT_BLOCK] = np.argmin(dx * dx + dy * dy, axis=1)
+    best = nearest_sample(px, py, sample_x, sample_y)
     step = TWO_PI / sample_s.shape[0]
     lo = sample_s[best] - step
     hi = sample_s[best] + step

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._curve_kernels import curve_point, frame_raw
+from ._curve_kernels import frame_raw
 from .curves import Curve
 from .finder import FormationSolution
 
@@ -228,22 +228,21 @@ class FormationAssignment:
 def curve_geometry(kind, par, s, eps_sing):
     """What the path law needs of the curve at every entry of the array s.
 
-    One frame_raw call on the stacked parameters (s, s + h, s - h) gives
-    the frame and speed at s and the turn rate on both sides for its
-    central difference; one curve_point call gives the point.  Returns
-    one tuple per entry, (gx, gy, tx, ty, psi_t, speed, turn, turn_deriv,
-    speed_deriv), all Python floats.
+    One frame_raw call, which makes one curve_jet call, on the stacked
+    parameters (s, s + h, s - h) gives the point, frame and speed at s
+    (its first m rows) and the turn rate on both sides for its central
+    difference.  Returns one tuple per entry, (gx, gy, tx, ty, psi_t,
+    speed, turn, turn_deriv, speed_deriv), all Python floats.
     """
     m = s.shape[0]
-    tx, ty, _nx, _ny, psi_t, speed, speed_rate, _kappa, turn, _ok = frame_raw(
+    gx, gy, tx, ty, _nx, _ny, psi_t, speed, speed_rate, _kappa, turn, _ok = frame_raw(
         kind, par, np.concatenate((s, s + _W_FD_STEP, s - _W_FD_STEP)), eps_sing
     )
-    gx, gy = curve_point(kind, par, s)
     turn_deriv = (turn[m : 2 * m] - turn[2 * m :]) / (2.0 * _W_FD_STEP)
     return list(
         zip(
-            gx.tolist(),
-            gy.tolist(),
+            gx[:m].tolist(),
+            gy[:m].tolist(),
             tx[:m].tolist(),
             ty[:m].tolist(),
             psi_t[:m].tolist(),

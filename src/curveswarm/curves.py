@@ -17,7 +17,7 @@ import numpy as np
 from . import _curve_kernels as ck
 
 TWO_PI = 2.0 * math.pi
-H_FD = 1e-5  # central-difference step, parameter units
+ARC_CELLS = 1024  # arclength-table cells (x 16 nodes) per derivative call
 
 
 class CurveError(ValueError):
@@ -217,11 +217,9 @@ class Curve:
     across workers.
     """
 
-    def __init__(self, family: str, params: dict, derivative_mode: str = "analytic"):
+    def __init__(self, family: str, params: dict):
         if family not in FAMILIES:
             raise CurveError(f"unknown curve family '{family}'")
-        if derivative_mode not in ("analytic", "fd"):
-            raise CurveError(f"unknown derivative mode '{derivative_mode}'")
         kind, spec, packer = FAMILIES[family]
         merged = {name: default for name, default in spec}
         for key, value in params.items():
@@ -230,7 +228,6 @@ class Curve:
             merged[key] = value
         self.family = family
         self.params = merged
-        self.derivative_mode = derivative_mode
         self.kind = kind
         self.par = packer(merged)
         self.par.setflags(write=False)
@@ -253,19 +250,9 @@ class Curve:
         return np.stack([x, y], axis=-1)
 
     def deriv(self, s, order: int = 1):
-        """gamma'(s) or gamma''(s), honoring the derivative mode."""
+        """gamma'(s) or gamma''(s) from the closed-form kernels."""
         if order not in (1, 2):
             raise ValueError("derivative order must be 1 or 2")
-        if self.derivative_mode == "fd":
-            if order == 1:
-                return (self.point(np.add(s, H_FD)) - self.point(np.add(s, -H_FD))) / (
-                    2.0 * H_FD
-                )
-            return (
-                self.point(np.add(s, H_FD))
-                - 2.0 * self.point(s)
-                + self.point(np.add(s, -H_FD))
-            ) / (H_FD * H_FD)
         fn = ck.curve_d1 if order == 1 else ck.curve_d2
         if np.isscalar(s) or np.ndim(s) == 0:
             x, y = fn(self.kind, self.par, float(s))
@@ -276,7 +263,7 @@ class Curve:
 
     def frenet(self, s: float) -> FrenetFrame:
         """Frenet frame at scalar s, with the cusp fallback near singularities."""
-        tx, ty, nx, ny, psi_t, speed, _rate, kappa, w, ok = (
+        _gx, _gy, tx, ty, nx, ny, psi_t, speed, _rate, kappa, w, ok = (
             out[0]
             for out in ck.frame_raw(self.kind, self.par, np.array([float(s)]), self.eps_sing)
         )
@@ -334,11 +321,15 @@ class Curve:
         while True:
             edges = np.linspace(0.0, TWO_PI, n_cells + 1)
             h = TWO_PI / n_cells
-            # map GL nodes into every cell: shape (n_cells, 16)
-            sgrid = edges[:-1, None] + 0.5 * h * (nodes[None, :] + 1.0)
-            d = self.deriv(sgrid.ravel())
-            m = np.hypot(d[:, 0], d[:, 1]).reshape(n_cells, 16)
-            cell = 0.5 * h * (m * weights[None, :]).sum(axis=1)
+            cell = np.empty(n_cells)
+            # ARC_CELLS cells per derivative call keep the kernel's
+            # temporaries small however far the table refines
+            for b in range(0, n_cells, ARC_CELLS):
+                # map GL nodes into every cell of the block: shape (cells, 16)
+                sgrid = edges[b : min(b + ARC_CELLS, n_cells), None] + 0.5 * h * (nodes[None, :] + 1.0)
+                d = self.deriv(sgrid.ravel())
+                m = np.hypot(d[:, 0], d[:, 1]).reshape(-1, 16)
+                cell[b : b + ARC_CELLS] = 0.5 * h * (m * weights[None, :]).sum(axis=1)
             total = float(cell.sum())
             if total_prev is not None and abs(total - total_prev) <= 1e-9 * max(total, 1.0):
                 break
@@ -402,15 +393,15 @@ class Curve:
         return self._cache[key]
 
 
-def make_curve(name: str, derivative_mode: str = "analytic", **params) -> Curve:
+def make_curve(name: str, **params) -> Curve:
     """Build a curve from a preset or family name, with parameter overrides."""
     if name in PRESETS:
         family, overrides = PRESETS[name]
         merged = dict(overrides)
         merged.update(params)
-        return Curve(family, merged, derivative_mode)
+        return Curve(family, merged)
     if name in FAMILIES:
-        return Curve(name, params, derivative_mode)
+        return Curve(name, params)
     raise CurveError(f"unknown curve '{name}'")
 
 

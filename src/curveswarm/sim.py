@@ -80,8 +80,18 @@ class MissionConfig:
     def validate(self) -> None:
         if not isinstance(self.curve, Curve):
             raise MissionError("curve must be a Curve instance")
-        if int(self.n) != self.n or self.n < 1:
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise MissionError(f"{name} must be an integer, got {value!r}")
+        if self.n < 1:
             raise MissionError("n must be a positive integer")
+        if self.seed < 0:
+            raise MissionError(f"seed must be nonnegative, got {self.seed!r}")
+        for name in ("horizon", "annulus_frac", "heading_spread"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise MissionError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.dt <= DT_MAX:
             raise MissionError(f"dt must lie in (0, {DT_MAX}]")
         if not self.horizon > 0.0:

@@ -275,6 +275,12 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     assert "warp" in capsys.readouterr().err
     assert run_cli(["simulate", "--curve", "klein-bottle"]) == 2
     assert run_cli(["curves", "sample", "klein-bottle"]) == 2
+    capsys.readouterr()
+    # a non-finite horizon used to escape as an OverflowError traceback
+    assert run_cli(["simulate", "--curve", "ellipse", "--n", "2", "--horizon", "inf"]) == 2
+    assert "config error: horizon must be finite" in capsys.readouterr().err
+    assert run_cli(["simulate", "--curve", "ellipse", "--n", "2", "--seed", "-1"]) == 2
+    assert "config error: seed must be nonnegative" in capsys.readouterr().err
 
 
 def test_cli_exit_3_when_no_feasible_formation(monkeypatch, tmp_path):

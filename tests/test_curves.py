@@ -132,14 +132,6 @@ def test_analytic_vs_central_differences():
         assert np.max(np.abs(c.deriv(s, 2) - fd2)) < 1e-3 * c.scale, name
 
 
-def test_fd_mode_matches_analytic():
-    ca = make_curve("cassini-oval")
-    cf = make_curve("cassini-oval", derivative_mode="fd")
-    s = np.linspace(0.1, TWO_PI, 23)
-    assert np.max(np.abs(ca.deriv(s, 1) - cf.deriv(s, 1))) < 1e-8
-    assert np.max(np.abs(ca.deriv(s, 2) - cf.deriv(s, 2))) < 1e-4
-
-
 def test_arclength_circle():
     c = make_curve("circle", a=1.5, b=1.5)
     assert abs(c.arclength(0.0, TWO_PI) - 3.0 * math.pi) < 1e-8

@@ -1,10 +1,13 @@
 """Kernels against the code they replaced.
 
 The functions below are copies of earlier kernels, kept as reference
-implementations: the per-agent control tick that evaluated the curve for
-each agent on numpy scalars, the scalar frame, the array RK4 step, the
-scalar nearest-point query, and the per-start Gauss-Newton finder with
-its numpy-scalar residual and Jacobian.  Random snapshots (hypothesis) cover the
+implementations: the per-order curve kernels (one function each for the
+point, the first and the second derivative), the per-agent control tick
+that evaluated the curve for each agent on numpy scalars, the scalar
+frame, the array RK4 step, the scalar nearest-point query, the
+brute-force nearest-sample argmin, and the per-start Gauss-Newton finder
+with its numpy-scalar residual and Jacobian.  The fused curve_jet and
+the pruned nearest-sample search must match their copies exactly.  Random snapshots (hypothesis) cover the
 deltoid cusps, the gear corners, the lissajous-32 crossings, a lone
 sweep-only agent, two agents close enough for the avoidance law to
 engage, twelve agents, and a cusp search that finds no regular parameter.
@@ -36,12 +39,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curveswarm import _curve_kernels as kernels
 from curveswarm import _finder_kernels as fk
 from curveswarm import _sim_kernels as sk
 from curveswarm import control, finder
-from curveswarm._curve_kernels import curve_d1, curve_d2, curve_point, frame_raw
+from curveswarm._curve_kernels import curve_d1, curve_d2, curve_jet, curve_point, frame_raw
 from curveswarm.control import make_params
-from curveswarm.curves import make_curve
+from curveswarm.curves import catalog_names, make_curve
 
 TWO_PI = 2.0 * np.pi
 DELTOID = make_curve("deltoid")
@@ -61,6 +65,244 @@ LISSAJOUS_CROSSING_S = tuple(
 
 
 # -- scalar reference implementations ---------------------------------------
+
+# The per-order curve kernels that curve_jet replaced: one function per
+# derivative order, each computing its own trig and polar radius terms.
+
+
+def old_polar_terms(kind, par, s):
+    """Radius r(s) and its first two derivatives for the polar families."""
+    if kind == kernels.KIND_SUPERELLIPSE:
+        a = par[0]
+        b = par[1]
+        m = par[2]
+        c = np.cos(s)
+        sn = np.sin(s)
+        am = a ** m
+        bm = b ** m
+        q = np.abs(c) ** m / am + np.abs(sn) ** m / bm
+        g = np.abs(sn) ** (m - 2.0) / bm - np.abs(c) ** (m - 2.0) / am
+        qp = m * sn * c * g
+        qpp = m * (c * c - sn * sn) * g + m * (m - 2.0) * sn * sn * c * c * (
+            np.abs(sn) ** (m - 4.0) / bm + np.abs(c) ** (m - 4.0) / am
+        )
+        r = q ** (-1.0 / m)
+        rp = -(1.0 / m) * q ** (-1.0 / m - 1.0) * qp
+        rpp = (1.0 / m) * (1.0 / m + 1.0) * q ** (-1.0 / m - 2.0) * qp * qp - (
+            1.0 / m
+        ) * q ** (-1.0 / m - 1.0) * qpp
+        return r, rp, rpp
+    elif kind == kernels.KIND_CASSINI:
+        a = par[0]
+        b = par[1]
+        u = a * a * np.cos(2.0 * s)
+        up = -2.0 * a * a * np.sin(2.0 * s)
+        upp = -4.0 * a * a * np.cos(2.0 * s)
+        disc = np.sqrt(u * u + (b ** 4 - a ** 4))
+        r2 = u + disc
+        r2p = up * (1.0 + u / disc)
+        r2pp = upp * (1.0 + u / disc) + up * up * (disc * disc - u * u) / disc ** 3
+        r = np.sqrt(r2)
+        rp = r2p / (2.0 * r)
+        rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
+        return r, rp, rpp
+    elif kind == kernels.KIND_PEANUT:
+        a = par[0]
+        e = par[1]
+        r2 = a * a * (1.0 - e * np.cos(2.0 * s))
+        r2p = 2.0 * a * a * e * np.sin(2.0 * s)
+        r2pp = 4.0 * a * a * e * np.cos(2.0 * s)
+        r = np.sqrt(r2)
+        rp = r2p / (2.0 * r)
+        rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
+        return r, rp, rpp
+    else:  # kernels.KIND_FOURIER
+        r = par[0] + 0.0 * s
+        rp = 0.0 * s
+        rpp = 0.0 * s
+        nh = (par.shape[0] - 1) // 2
+        for j in range(1, nh + 1):
+            aj = par[2 * j - 1]
+            bj = par[2 * j]
+            cj = np.cos(j * s)
+            sj = np.sin(j * s)
+            r = r + aj * cj + bj * sj
+            rp = rp + j * (bj * cj - aj * sj)
+            rpp = rpp - j * j * (aj * cj + bj * sj)
+        return r, rp, rpp
+
+
+def old_gear_terms(par, s):
+    """Segment endpoints and eased local coordinate for the gear family.
+
+    The curve is a ring of 2*teeth corners with radius alternating between
+    R_outer and R_inner, each straight edge traced with a cubic Hermite ease
+    so the velocity vanishes at the corners (piecewise C1).
+    """
+    teeth = par[0]
+    r1 = par[1]
+    r2 = par[2]
+    m = 2.0 * teeth
+    delta = TWO_PI / m
+    sm = s % TWO_PI
+    k = np.floor(sm / delta)
+    u = sm / delta - k
+    parity = k - 2.0 * np.floor(k / 2.0)  # 0 on even corners, 1 on odd
+    ra = r1 + (r2 - r1) * parity
+    rb = r1 + (r2 - r1) * (1.0 - parity)
+    pa = k * delta
+    pb = (k + 1.0) * delta
+    ax = ra * np.cos(pa)
+    ay = ra * np.sin(pa)
+    bx = rb * np.cos(pb)
+    by = rb * np.sin(pb)
+    return ax, ay, bx, by, u, delta
+
+
+def old_curve_point(kind, par, s):
+    """gamma(s) -> (x, y) for the family selected by kind."""
+    if kind == kernels.KIND_ELLIPSE:
+        return par[0] * np.cos(s), par[1] * np.sin(s)
+    elif kind == kernels.KIND_DELTOID:
+        a = par[0]
+        return a * (2.0 * np.cos(s) + np.cos(2.0 * s)), a * (
+            2.0 * np.sin(s) - np.sin(2.0 * s)
+        )
+    elif kind == kernels.KIND_ROSE:
+        a = par[0]
+        k = par[1]
+        return a * np.cos(k * s) * np.cos(s), a * np.cos(k * s) * np.sin(s)
+    elif kind == kernels.KIND_LISSAJOUS:
+        return par[0] * np.sin(par[2] * s + par[4]), par[1] * np.sin(par[3] * s)
+    elif kind == kernels.KIND_LEMNISCATE:
+        a = par[0]
+        sn = np.sin(s)
+        c = np.cos(s)
+        d = 1.0 + sn * sn
+        return a * c / d, a * sn * c / d
+    elif kind == kernels.KIND_NEPHROID:
+        a = par[0]
+        return a * (3.0 * np.cos(s) - np.cos(3.0 * s)), a * (
+            3.0 * np.sin(s) - np.sin(3.0 * s)
+        )
+    elif kind == kernels.KIND_SPIROGRAPH:
+        rr = par[0] - par[1]
+        d = par[2]
+        q = rr / par[1]
+        return rr * np.cos(s) + d * np.cos(q * s), rr * np.sin(s) - d * np.sin(q * s)
+    elif kind == kernels.KIND_GEAR:
+        ax, ay, bx, by, u, delta = old_gear_terms(par, s)
+        w = u * u * (3.0 - 2.0 * u)
+        return ax + (bx - ax) * w, ay + (by - ay) * w
+    else:
+        r, rp, rpp = old_polar_terms(kind, par, s)
+        return r * np.cos(s), r * np.sin(s)
+
+
+def old_curve_d1(kind, par, s):
+    """dgamma/ds -> (x', y')."""
+    if kind == kernels.KIND_ELLIPSE:
+        return -par[0] * np.sin(s), par[1] * np.cos(s)
+    elif kind == kernels.KIND_DELTOID:
+        a = par[0]
+        return a * (-2.0 * np.sin(s) - 2.0 * np.sin(2.0 * s)), a * (
+            2.0 * np.cos(s) - 2.0 * np.cos(2.0 * s)
+        )
+    elif kind == kernels.KIND_ROSE:
+        a = par[0]
+        k = par[1]
+        ck = np.cos(k * s)
+        sk = np.sin(k * s)
+        return a * (-k * sk * np.cos(s) - ck * np.sin(s)), a * (
+            -k * sk * np.sin(s) + ck * np.cos(s)
+        )
+    elif kind == kernels.KIND_LISSAJOUS:
+        return par[0] * par[2] * np.cos(par[2] * s + par[4]), par[1] * par[3] * np.cos(
+            par[3] * s
+        )
+    elif kind == kernels.KIND_LEMNISCATE:
+        a = par[0]
+        sn = np.sin(s)
+        c = np.cos(s)
+        d = 1.0 + sn * sn
+        d2 = d * d
+        return -a * sn * (3.0 - sn * sn) / d2, a * (c ** 4 - sn * sn - sn ** 4) / d2
+    elif kind == kernels.KIND_NEPHROID:
+        a = par[0]
+        return a * (-3.0 * np.sin(s) + 3.0 * np.sin(3.0 * s)), a * (
+            3.0 * np.cos(s) - 3.0 * np.cos(3.0 * s)
+        )
+    elif kind == kernels.KIND_SPIROGRAPH:
+        rr = par[0] - par[1]
+        d = par[2]
+        q = rr / par[1]
+        return -rr * np.sin(s) - d * q * np.sin(q * s), rr * np.cos(s) - d * q * np.cos(
+            q * s
+        )
+    elif kind == kernels.KIND_GEAR:
+        ax, ay, bx, by, u, delta = old_gear_terms(par, s)
+        wp = 6.0 * u * (1.0 - u) / delta
+        return (bx - ax) * wp, (by - ay) * wp
+    else:
+        r, rp, rpp = old_polar_terms(kind, par, s)
+        c = np.cos(s)
+        sn = np.sin(s)
+        return rp * c - r * sn, rp * sn + r * c
+
+
+def old_curve_d2(kind, par, s):
+    """d2gamma/ds2 -> (x'', y'')."""
+    if kind == kernels.KIND_ELLIPSE:
+        return -par[0] * np.cos(s), -par[1] * np.sin(s)
+    elif kind == kernels.KIND_DELTOID:
+        a = par[0]
+        return a * (-2.0 * np.cos(s) - 4.0 * np.cos(2.0 * s)), a * (
+            -2.0 * np.sin(s) + 4.0 * np.sin(2.0 * s)
+        )
+    elif kind == kernels.KIND_ROSE:
+        a = par[0]
+        k = par[1]
+        ck = np.cos(k * s)
+        sk = np.sin(k * s)
+        kk1 = k * k + 1.0
+        return a * (-kk1 * ck * np.cos(s) + 2.0 * k * sk * np.sin(s)), a * (
+            -kk1 * ck * np.sin(s) - 2.0 * k * sk * np.cos(s)
+        )
+    elif kind == kernels.KIND_LISSAJOUS:
+        return -par[0] * par[2] * par[2] * np.sin(par[2] * s + par[4]), -par[1] * par[
+            3
+        ] * par[3] * np.sin(par[3] * s)
+    elif kind == kernels.KIND_LEMNISCATE:
+        a = par[0]
+        sn = np.sin(s)
+        c = np.cos(s)
+        d = 1.0 + sn * sn
+        d3 = d * d * d
+        return -a * c * (3.0 - 12.0 * sn * sn + sn ** 4) / d3, -2.0 * a * sn * c * (
+            5.0 - 3.0 * sn * sn
+        ) / d3
+    elif kind == kernels.KIND_NEPHROID:
+        a = par[0]
+        return a * (-3.0 * np.cos(s) + 9.0 * np.cos(3.0 * s)), a * (
+            -3.0 * np.sin(s) + 9.0 * np.sin(3.0 * s)
+        )
+    elif kind == kernels.KIND_SPIROGRAPH:
+        rr = par[0] - par[1]
+        d = par[2]
+        q = rr / par[1]
+        q2 = q * q
+        return -rr * np.cos(s) - d * q2 * np.cos(q * s), -rr * np.sin(
+            s
+        ) + d * q2 * np.sin(q * s)
+    elif kind == kernels.KIND_GEAR:
+        ax, ay, bx, by, u, delta = old_gear_terms(par, s)
+        wpp = (6.0 - 12.0 * u) / (delta * delta)
+        return (bx - ax) * wpp, (by - ay) * wpp
+    else:
+        r, rp, rpp = old_polar_terms(kind, par, s)
+        c = np.cos(s)
+        sn = np.sin(s)
+        return (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
 
 
 def old_turn_rate(kind, par, s, eps_sing):
@@ -482,6 +724,16 @@ def old_nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
     return dist, s_at % TWO_PI
 
 
+def old_nearest_sample(px, py, sample_x, sample_y):
+    """The coarse argmin the pruned search replaced: every sample, 32 points at a time."""
+    best = np.empty(px.shape[0], dtype=np.intp)
+    for b in range(0, px.shape[0], 32):
+        dx = sample_x - px[b : b + 32, None]
+        dy = sample_y - py[b : b + 32, None]
+        best[b : b + 32] = np.argmin(dx * dx + dy * dy, axis=1)
+    return best
+
+
 def old_min_pair_distance(px, py):
     n = px.shape[0]
     best = np.inf
@@ -640,7 +892,8 @@ def test_frame_raw_matches_scalar_oracle_elementwise(data, m):
         )
     got = frame_raw(curve.kind, curve.par, s, eps_sing)
     assert all(out.shape == (m,) for out in got)
-    tx, ty, nx, ny, psi_t, speed, speed_rate, kappa, turn, ok = got
+    gx, gy, tx, ty, nx, ny, psi_t, speed, speed_rate, kappa, turn, ok = got
+    assert np.array_equal(np.stack((gx, gy)), np.stack(curve_point(curve.kind, curve.par, s)))
     d1x, d1y = curve_d1(curve.kind, curve.par, s)
     d2x, d2y = curve_d2(curve.kind, curve.par, s)
     for k in range(m):
@@ -727,7 +980,7 @@ def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
 def test_turn_rate_from_frame_matches_scalar_turn_rate(data):
     curve = data.draw(CURVES)
     s = data.draw(curve_parameter(curve))
-    turn = frame_raw(curve.kind, curve.par, np.array([s]), curve.eps_sing)[8]
+    turn = frame_raw(curve.kind, curve.par, np.array([s]), curve.eps_sing)[10]
     ref = old_turn_rate(curve.kind, curve.par, s, curve.eps_sing)
     assert turn[0] == ref
 
@@ -843,7 +1096,9 @@ def assert_nearest_matches(curve, px, py, dist, s_at):
 
 
 NEAREST_CURVES = st.sampled_from((DELTOID, GEAR, LISSAJOUS))
-POINT_COUNTS = (0, 1, sk.POINT_BLOCK - 1, sk.POINT_BLOCK, sk.POINT_BLOCK + 1)
+# either side of a sample chunk; the point blocks of the pruned search
+# (hundreds of points) are covered by the deterministic tests below
+POINT_COUNTS = (0, 1, sk.SAMPLE_CHUNK - 1, sk.SAMPLE_CHUNK, sk.SAMPLE_CHUNK + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -875,6 +1130,70 @@ def test_mean_adherence_matches_scalar_per_tick_sum(data, n):
         for i in range(n):
             acc += old_nearest_on_curve(curve.kind, curve.par, xy[k, i, 0], xy[k, i, 1], sv, xs, ys)[0]
         assert abs(got[k] - acc / n) <= 1e-12 * curve.scale
+
+
+NEAREST_SAMPLE_COUNTS = POINT_COUNTS + (sk.POINT_BLOCK - 1, sk.POINT_BLOCK, sk.POINT_BLOCK + 1)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_nearest_sample_matches_brute_force(name):
+    curve = make_curve(name)
+    _sv, xs, ys = curve.sample_cache(2048)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for m in NEAREST_SAMPLE_COUNTS:
+        # on the curve, near it, a third of the scale off it, far outside
+        off = rng.choice((0.0, 0.01, 0.3, 3.0), size=m) * curve.scale
+        pts = curve.point(rng.uniform(0.0, TWO_PI, m)) + off[:, None] * rng.uniform(-1.0, 1.0, (m, 2))
+        # the origin (the centre of the symmetric curves), and a point so far
+        # away that every squared distance rounds to 1e40, a tie won by index 0
+        pts[:2] = np.array([(0.0, 0.0), (1e20, 0.0)])[: min(m, 2)]
+        got = sk.nearest_sample(pts[:, 0], pts[:, 1], xs, ys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, old_nearest_sample(pts[:, 0], pts[:, 1], xs, ys))
+        if m >= 2:
+            assert got[1] == 0
+
+
+def test_nearest_sample_prunes_nothing_when_every_sample_ties():
+    # no chunk can be pruned for these points, so their (point, chunk)
+    # pairs fill several PAIR_BLOCK passes.  At the circle's centre the
+    # squared distances round to four values, so the first minimum is not
+    # index 0 (it is 182): the search must match the brute force, not 0.
+    circle = make_curve("circle")
+    _sv, xs, ys = circle.sample_cache(2048)
+    m = sk.POINT_BLOCK + 1
+    assert m * (2048 // sk.SAMPLE_CHUNK) > 2 * sk.PAIR_BLOCK
+    for x in (0.0, 1e20):
+        px = np.full(m, x)
+        py = np.zeros(m)
+        got = sk.nearest_sample(px, py, xs, ys)
+        ref = old_nearest_sample(px, py, xs, ys)
+        assert np.array_equal(got, ref)
+        assert np.all(ref == ref[0])
+    assert ref[0] == 0
+
+
+def same_bits(got, ref):
+    """Same type and the same float64 bytes (so -0.0 differs from 0.0)."""
+    return type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_curve_jet_matches_per_order_kernels(name):
+    curve = make_curve(name)
+    kind, par = curve.kind, curve.par
+    # deltoid cusps, gear corners, parameters outside [0, 2 pi), then random
+    special = np.array(DELTOID_CUSPS + GEAR_CORNERS + (-1.0, 7.0, 13.0))
+    s_all = np.concatenate((special, np.random.default_rng(3).uniform(0.0, TWO_PI, 129)))
+    cases = [float(s) for s in s_all[:8]] + [s_all[:m] for m in (1, 4, 12, 129)]
+    for s in cases:
+        ref = old_curve_point(kind, par, s) + old_curve_d1(kind, par, s) + old_curve_d2(kind, par, s)
+        for order in (0, 1, 2):
+            got = curve_jet(kind, par, s, order)
+            assert len(got) == 2 * order + 2
+            assert all(same_bits(g, r) for g, r in zip(got, ref)), (name, order, s)
+        entry = curve_point(kind, par, s) + curve_d1(kind, par, s) + curve_d2(kind, par, s)
+        assert all(same_bits(g, r) for g, r in zip(entry, ref)), (name, s)
 
 
 # -- the formation finder ----------------------------------------------------

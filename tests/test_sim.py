@@ -222,6 +222,31 @@ def test_mission_config_validation():
     MissionConfig(curve=curve).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", float("inf")),
+        ("horizon", float("nan")),
+        ("annulus_frac", float("nan")),
+        ("annulus_frac", float("inf")),
+        ("heading_spread", float("nan")),
+        ("n", True),
+        ("n", 4.0),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_mission_config_rejects_non_finite_and_non_integer_fields(field, value):
+    # each of these used to pass validate and then fail inside run_mission
+    # (OverflowError, TypeError or ValueError) instead of naming the field
+    config = MissionConfig(curve=make_curve("ellipse"), **{"n": 2, field: value})
+    with pytest.raises(MissionError, match=field):
+        config.validate()
+    with pytest.raises(MissionError, match=field):
+        run_mission(config)
+
+
 # -- closed loop --------------------------------------------------------------
 
 
