@@ -4,8 +4,9 @@ adherence metric is not part of the loop: it is one batched
 nearest-point pass over the recorded positions once the loop ends.
 Each point's closest cached curve sample comes from a search that skips
 every chunk of samples whose bounding circle cannot hold it (the same
-index a brute-force argmin gives); a ternary search then refines the
-parameter.
+index a brute-force argmin gives); a few ternary steps around it pick
+the branch of the curve, and a bracketed Newton method polishes the
+parameter.  Placement (`sim.nearest_parameter`) uses the same query.
 
 A tick makes one array call for the curve geometry of all agents and
 then runs the control laws and the RK4 step per agent on Python floats:
@@ -27,11 +28,16 @@ import math
 
 import numpy as np
 
-from ._curve_kernels import curve_point
+from ._curve_kernels import curve_jet, curve_point
 from .control import agent_control, curve_geometry
+from .curves import SAMPLE_CHUNK, chunk_circles
 
 TWO_PI = 2.0 * np.pi
-SAMPLE_CHUNK = 32  # consecutive cached samples under one bounding circle
+TERNARY_PREFIX = 8  # ternary steps that pick the branch before Newton polishes it
+TERNARY_STEPS = 64  # ternary steps at most, for brackets that hold a cusp or corner
+TURN_COS = 0.9  # cosine of the largest tangent turn a bracket may hold for Newton
+NEWTON_TOL = 1e-12  # Newton step at which a point counts as converged
+NEWTON_CAP = 64  # Newton rounds at most; a point still moving keeps its last step
 POINT_BLOCK = 256  # points per pruned nearest-sample pass
 PAIR_BLOCK = 2048  # (point, chunk) pairs per exact pass: (2048, 32) temporaries
 TICK_BLOCK = 512  # ticks per adherence pass after the mission loop
@@ -75,27 +81,7 @@ def rk4_step_team(states, controls, dt):
     return np.array(out, dtype=float).reshape(states.shape)
 
 
-def _sample_chunks(sample_x, sample_y):
-    """Samples as (chunks, SAMPLE_CHUNK) rows plus each row's bounding circle.
-
-    Row k holds samples k * SAMPLE_CHUNK onward; a short last row repeats
-    the final sample, which can never beat its own first copy.  Returns
-    (chunk_x, chunk_y, centre_x, centre_y, radius).
-    """
-    n = sample_x.shape[0]
-    rows = -(-n // SAMPLE_CHUNK)
-    idx = np.minimum(np.arange(rows * SAMPLE_CHUNK), n - 1).reshape(rows, SAMPLE_CHUNK)
-    chunk_x = sample_x[idx]
-    chunk_y = sample_y[idx]
-    centre_x = 0.5 * (chunk_x.min(axis=1) + chunk_x.max(axis=1))
-    centre_y = 0.5 * (chunk_y.min(axis=1) + chunk_y.max(axis=1))
-    ex = chunk_x - centre_x[:, None]
-    ey = chunk_y - centre_y[:, None]
-    radius = np.sqrt(np.max(ex * ex + ey * ey, axis=1))
-    return chunk_x, chunk_y, centre_x, centre_y, radius
-
-
-def nearest_sample(px, py, sample_x, sample_y):
+def nearest_sample(px, py, sample_x, sample_y, chunks=None):
     """Index of the first sample at the smallest squared distance, per point.
 
     Equal, index for index, to np.argmin((sample_x - px)**2 + (sample_y -
@@ -104,13 +90,14 @@ def nearest_sample(px, py, sample_x, sample_y):
     radius r), a point's distance is at most min(|p - c| + r) over the
     chunks, and only chunks whose |p - c| - r does not exceed that bound
     by more than a rounding slack get their squared distances computed.
-    Points run POINT_BLOCK at a time and chunk evaluations PAIR_BLOCK at
-    a time, so no temporary exceeds PAIR_BLOCK x SAMPLE_CHUNK entries.
+    chunks is chunk_circles(sample_x, sample_y), built here when not
+    given (Curve.sample_chunks caches it with the samples).  Points run
+    POINT_BLOCK at a time and chunk evaluations PAIR_BLOCK at a time, so
+    no temporary exceeds PAIR_BLOCK x SAMPLE_CHUNK entries.
     """
-    chunk_x, chunk_y, centre_x, centre_y, radius = _sample_chunks(sample_x, sample_y)
-    # the bounds are rounded to ~1e-15 of the coordinates' size; this slack
-    # keeps every chunk that could hold a tie with the true minimum
-    reach = np.max(np.abs(sample_x)) + np.max(np.abs(sample_y))
+    if chunks is None:
+        chunks = chunk_circles(sample_x, sample_y)
+    chunk_x, chunk_y, centre_x, centre_y, radius, reach = chunks
     best = np.zeros(px.shape[0], dtype=np.intp)
     for b in range(0, px.shape[0], POINT_BLOCK):
         bx = px[b : b + POINT_BLOCK]
@@ -118,6 +105,8 @@ def nearest_sample(px, py, sample_x, sample_y):
         cx = centre_x - bx[:, None]
         cy = centre_y - by[:, None]
         dc = np.sqrt(cx * cx + cy * cy)
+        # the bounds are rounded to ~1e-15 of the coordinates' size; this slack
+        # keeps every chunk that could hold a tie with the true minimum
         bound = np.min(dc + radius, axis=1) + 1e-9 * (np.abs(bx) + np.abs(by) + reach)
         pt, ch = np.nonzero(dc - radius <= bound[:, None])
         if pt.shape[0] == 0:
@@ -144,32 +133,93 @@ def nearest_sample(px, py, sample_x, sample_y):
     return best
 
 
-def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y):
+def _ternary_step(kind, par, px, py, lo, hi):
+    """One ternary-search step on |gamma - p|^2 over each bracket [lo, hi]."""
+    m1 = lo + (hi - lo) / 3.0
+    m2 = hi - (hi - lo) / 3.0
+    x, y = curve_point(kind, par, np.stack((m1, m2)))
+    dx = x - px
+    dy = y - py
+    f = dx * dx + dy * dy
+    left = f[0] < f[1]
+    return np.where(left, lo, m1), np.where(left, m2, hi)
+
+
+def _turns(kind, par, lo, hi):
+    """Whether the tangent turns further than TURN_COS allows from lo to hi.
+
+    Over a bracket this short a regular arc barely turns, so a turn marks
+    a cusp or a corner inside: there gamma' = 0, and the distance can have
+    a local minimum on either side.
+    """
+    _x, _y, dx, dy = curve_jet(kind, par, np.stack((lo, hi)), 1)
+    dot = dx[0] * dx[1] + dy[0] * dy[1]
+    speeds = (dx[0] * dx[0] + dy[0] * dy[0]) * (dx[1] * dx[1] + dy[1] * dy[1])
+    return dot <= TURN_COS * np.sqrt(speeds)
+
+
+def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y, chunks=None):
     """Global distance to the curve and the parameter attaining it, per point.
 
     px, py are (m,) arrays.  nearest_sample finds the closest cached
-    sample, then a ternary search runs on every bracketing window at
-    once.  Returns (distance (m,), parameter in [0, 2*pi) (m,)).
+    sample (chunks as there).  The bracket of its two neighbours takes
+    TERNARY_PREFIX ternary steps, which settle which branch of the curve
+    the point projects to; a bracket that still holds a cusp or a corner
+    keeps stepping until it no longer does.  A safeguarded Newton method
+    then polishes the parameter inside the bracket (rtsafe, Numerical
+    Recipes 9.4; Hu and Wallner 2005).  It seeks the zero of g(s) =
+    (gamma - p) . gamma', half the derivative of |gamma(s) - p|^2, with
+    g' = |gamma'|^2 + (gamma - p) . gamma'', from one order-2 curve_jet
+    call per round over the points still open.  Each round shrinks the
+    bracket on the sign of g and bisects instead where g' <= 0 (at a
+    local maximum of the distance) or where the step would leave the
+    bracket.  A point retires once its step is at most NEWTON_TOL, or
+    after NEWTON_CAP rounds; non-finite points skip the polish.  Returns
+    (distance (m,), parameter in [0, 2*pi) (m,)).
     """
-    best = nearest_sample(px, py, sample_x, sample_y)
+    best = nearest_sample(px, py, sample_x, sample_y, chunks)
     step = TWO_PI / sample_s.shape[0]
     lo = sample_s[best] - step
     hi = sample_s[best] + step
-    for _ in range(64):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        x, y = curve_point(kind, par, np.stack((m1, m2)))
-        dx = x - px
-        dy = y - py
-        f = dx * dx + dy * dy
-        left = f[0] < f[1]
-        hi = np.where(left, m2, hi)
-        lo = np.where(left, lo, m1)
+    for _ in range(TERNARY_PREFIX):
+        lo, hi = _ternary_step(kind, par, px, py, lo, hi)
+    # Newton settles on whichever side of a cusp or corner it starts,
+    # where the ternary search may go on to pick the other side
+    turning = np.flatnonzero(_turns(kind, par, lo, hi))
+    for _ in range(TERNARY_PREFIX, TERNARY_STEPS):
+        if turning.shape[0] == 0:
+            break
+        lo[turning], hi[turning] = _ternary_step(
+            kind, par, px[turning], py[turning], lo[turning], hi[turning]
+        )
+        turning = turning[_turns(kind, par, lo[turning], hi[turning])]
     s_at = 0.5 * (lo + hi)
+    live = np.flatnonzero(np.isfinite(px) & np.isfinite(py))
+    qx, qy, lo, hi, s = px[live], py[live], lo[live], hi[live], s_at[live]
+    for _ in range(NEWTON_CAP):
+        if live.shape[0] == 0:
+            break
+        x, y, dx, dy, ddx, ddy = curve_jet(kind, par, s, 2)
+        ex = x - qx
+        ey = y - qy
+        g = ex * dx + ey * dy
+        dg = dx * dx + dy * dy + ex * ddx + ey * ddy
+        # |gamma - p| falls to the right of s where g < 0
+        right = g < 0.0
+        lo = np.where(right, s, lo)
+        hi = np.where(right, hi, s)
+        nxt = s - g / np.where(dg > 0.0, dg, 1.0)
+        # a step onto a bracket end is a step, not an escape
+        nxt = np.where((dg > 0.0) & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        s_at[live] = nxt
+        going = np.abs(nxt - s) > NEWTON_TOL
+        live, qx, qy, lo, hi, s = (a[going] for a in (live, qx, qy, lo, hi, nxt))
     gx, gy = curve_point(kind, par, s_at)
     dx = gx - px
     dy = gy - py
-    return np.sqrt(dx * dx + dy * dy), s_at % TWO_PI
+    # a parameter a hair below 0 wraps to 2*pi - tiny, which can round to 2*pi
+    s_at = s_at % TWO_PI
+    return np.sqrt(dx * dx + dy * dy), np.where(s_at < TWO_PI, s_at, 0.0)
 
 
 def mean_adherence(kind, par, xy, sample_s, sample_x, sample_y):
@@ -177,13 +227,15 @@ def mean_adherence(kind, par, xy, sample_s, sample_x, sample_y):
 
     Runs over blocks of TICK_BLOCK ticks so peak memory stays flat in
     the horizon; each tick sums its agents in agent order, then / n.
+    The samples' chunk circles are built once for all blocks.
     """
     ticks, n = xy.shape[:2]
     out = np.empty(ticks)
+    chunks = chunk_circles(sample_x, sample_y)
     for k in range(0, ticks, TICK_BLOCK):
         pts = xy[k : k + TICK_BLOCK].reshape(-1, 2)
         dist, _s_at = nearest_on_curve(
-            kind, par, pts[:, 0], pts[:, 1], sample_s, sample_x, sample_y
+            kind, par, pts[:, 0], pts[:, 1], sample_s, sample_x, sample_y, chunks
         )
         dist = dist.reshape(-1, n)
         acc = 0.0

@@ -18,6 +18,7 @@ from . import _curve_kernels as ck
 
 TWO_PI = 2.0 * math.pi
 ARC_CELLS = 1024  # arclength-table cells (x 16 nodes) per derivative call
+SAMPLE_CHUNK = 32  # consecutive cached samples under one bounding circle
 
 
 class CurveError(ValueError):
@@ -114,6 +115,28 @@ def _pack_gear(p):
     _require(teeth >= 2, "gear needs at least 2 teeth")
     _require(p["r_outer"] > 0 and p["r_inner"] > 0, "gear radii must be positive")
     return np.array([teeth, p["r_outer"], p["r_inner"]], float)
+
+
+def chunk_circles(sample_x, sample_y):
+    """Samples as (chunks, SAMPLE_CHUNK) rows plus each row's bounding circle.
+
+    Row k holds samples k * SAMPLE_CHUNK onward; a short last row repeats
+    the final sample, which can never beat its own first copy.  Returns
+    (chunk_x, chunk_y, centre_x, centre_y, radius, reach), where reach =
+    max |x| + max |y| sizes the nearest-sample search's rounding slack.
+    """
+    n = sample_x.shape[0]
+    rows = -(-n // SAMPLE_CHUNK)
+    idx = np.minimum(np.arange(rows * SAMPLE_CHUNK), n - 1).reshape(rows, SAMPLE_CHUNK)
+    chunk_x = sample_x[idx]
+    chunk_y = sample_y[idx]
+    centre_x = 0.5 * (chunk_x.min(axis=1) + chunk_x.max(axis=1))
+    centre_y = 0.5 * (chunk_y.min(axis=1) + chunk_y.max(axis=1))
+    ex = chunk_x - centre_x[:, None]
+    ey = chunk_y - centre_y[:, None]
+    radius = np.sqrt(np.max(ex * ex + ey * ey, axis=1))
+    reach = np.max(np.abs(sample_x)) + np.max(np.abs(sample_y))
+    return chunk_x, chunk_y, centre_x, centre_y, radius, reach
 
 
 # family name -> (kernel kind, ordered (param, default) pairs, packer)
@@ -384,12 +407,28 @@ class Curve:
         return 0.5 * (lo + hi)
 
     def sample_cache(self, n: int = 2048):
-        """Cached uniform parameter/point samples for proximity queries."""
+        """Cached uniform parameter/point samples for proximity queries.
+
+        The arrays are read-only: sample_chunks is cached against them.
+        """
         key = ("samples", n)
         if key not in self._cache:
             sv = np.linspace(0.0, TWO_PI, n, endpoint=False)
             pts = self.point(sv)
-            self._cache[key] = (sv, pts[:, 0], pts[:, 1])
+            samples = (sv, pts[:, 0], pts[:, 1])
+            for a in samples:
+                a.setflags(write=False)
+            self._cache[key] = samples
+        return self._cache[key]
+
+    def sample_chunks(self, n: int = 2048):
+        """chunk_circles of sample_cache(n), built once per curve and n."""
+        key = ("chunks", n)
+        if key not in self._cache:
+            chunks = chunk_circles(*self.sample_cache(n)[1:])
+            for a in chunks[:-1]:  # the last entry, reach, is a scalar
+                a.setflags(write=False)
+            self._cache[key] = chunks
         return self._cache[key]
 
 

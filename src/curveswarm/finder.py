@@ -32,7 +32,7 @@ class FinderError(ValueError):
     """Bad finder configuration or inputs."""
 
 
-_INT_FIELDS = ("n", "n_init", "k_max")
+_INT_FIELDS = ("n", "n_init", "k_max", "seed")
 _FLOAT_FIELDS = (
     "weight_length", "weight_angle", "weight_diagonal", "tol_step",
     "tol_cost_rel", "accept_cost", "armijo_c1", "backtrack", "lm_lambda0",
@@ -101,6 +101,8 @@ class FinderConfig:
             raise FinderError("need at least one start")
         if self.k_max < 1:
             raise FinderError("need at least one iteration")
+        if self.seed < 0:
+            raise FinderError(f"seed must be nonnegative, got {self.seed!r}")
         for name in ("tol_step", "tol_cost_rel", "accept_cost"):
             if getattr(self, name) <= 0:
                 raise FinderError(name + " must be positive")

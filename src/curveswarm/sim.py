@@ -162,8 +162,10 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
 def nearest_parameter(p, curve: Curve) -> float:
     """Curve parameter in [0, 2*pi) whose point is closest to p."""
     sv, xs, ys = curve.sample_cache(2048)
+    px = np.array([float(p[0])])
+    py = np.array([float(p[1])])
     _dist, s_at = sk.nearest_on_curve(
-        curve.kind, curve.par, np.array([float(p[0])]), np.array([float(p[1])]), sv, xs, ys
+        curve.kind, curve.par, px, py, sv, xs, ys, curve.sample_chunks(2048)
     )
     return float(s_at[0])
 

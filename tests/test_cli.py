@@ -141,6 +141,11 @@ def test_trajectory_csv_contract(tmp_path, short_mission):
     assert first[1] == "0"
     # rows grouped by time, agents cycling fastest
     assert lines[2].split(",")[1] == "1"
+    # a second run from the same seed writes the same bytes
+    _metrics2, log2 = run_mission(config)
+    again = tmp_path / "again.csv"
+    write_trajectory_csv(again, log2)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_metrics_csv_contract_and_determinism(tmp_path, short_mission):
@@ -280,6 +285,9 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     assert run_cli(["simulate", "--curve", "ellipse", "--n", "2", "--horizon", "inf"]) == 2
     assert "config error: horizon must be finite" in capsys.readouterr().err
     assert run_cli(["simulate", "--curve", "ellipse", "--n", "2", "--seed", "-1"]) == 2
+    assert "config error: seed must be nonnegative" in capsys.readouterr().err
+    # find checks its own seed: numpy would reject a negative one with a traceback
+    assert run_cli(["find", "--curve", "circle", "--n", "3", "--seed", "-1"]) == 2
     assert "config error: seed must be nonnegative" in capsys.readouterr().err
 
 

@@ -215,3 +215,16 @@ def test_every_family_constructs():
     for fam in FAMILIES:
         c = make_curve(fam)
         assert c.scale > 0.0
+
+
+def test_sample_cache_and_chunks_are_built_once_and_read_only():
+    c = make_curve("deltoid")
+    sv, xs, ys = c.sample_cache(2048)
+    assert c.sample_cache(2048)[1] is xs
+    chunks = c.sample_chunks(2048)
+    assert c.sample_chunks(2048) is chunks
+    for a in (sv, xs, ys) + chunks[:-1]:
+        assert not a.flags.writeable
+    # the chunk rows are the samples, SAMPLE_CHUNK at a time
+    assert np.array_equal(chunks[0].ravel(), xs)
+    assert np.array_equal(chunks[1].ravel(), ys)

@@ -409,10 +409,12 @@ def test_config_rejects_negative_thresholds():
 
 
 def test_config_rejects_non_integer_counts():
-    for name, bad in (("n", 4.0), ("n_init", 2.5), ("k_max", 1.5), ("n_init", True)):
+    for name, bad in (
+        ("n", 4.0), ("n_init", 2.5), ("k_max", 1.5), ("n_init", True), ("seed", 1.5), ("seed", -1)
+    ):
         with pytest.raises(finder.FinderError, match=name):
             replace(finder.FinderConfig(), **{name: bad}).validate()
-    finder.FinderConfig(n=np.int64(4), n_init=np.int64(8)).validate()
+    finder.FinderConfig(n=np.int64(4), n_init=np.int64(8), seed=np.int64(3)).validate()
 
 
 def test_config_file_nan_weight_is_rejected():

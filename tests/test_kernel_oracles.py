@@ -19,13 +19,15 @@ elsewhere.  frame_raw only moved from scalars to arrays of the same
 numpy expressions, so it must match exactly.
 
 The batched nearest-point query is not bit-identical to its scalar
-copy.  The scalar code squares numpy float64 scalars with `**2`, which
-goes through libm `pow` and differs from `x*x` in about 0.1% of cases;
-the array code squares with `x*x`, which is correctly rounded.  A flipped
-comparison moves the ternary bracket, so distances agree to an ulp or
-two of the scale and the parameters agree only through the distance at
-the point they name: the minimum is flat, and the parameter itself can
-move by 1e-8 far from the curve.
+copy.  It shares only the first ternary steps with the copy's 64-step
+search (more where a cusp or corner is in the bracket), and then a
+Newton method polishes the parameter.  The scalar code also squares
+numpy float64 scalars with `**2`, which goes through libm `pow` and
+differs from `x*x` in about 0.1% of cases; the array code squares with
+`x*x`, which is correctly rounded.  So distances agree within 1e-12 of
+the scale, and the parameters agree only through the distance at the
+point they name: the minimum is flat, and the ternary search leaves the
+parameter up to about 1e-8 from it.
 
 The lockstep finder squares with `np.float_power`, which goes through
 the same libm `pow` as the scalar `**2` of its oracle, so every start it
@@ -33,6 +35,8 @@ does not retire takes the oracle's iterates; on this code's reference
 host they agree to the bit.  The test holds it to the winner's index
 and flags and to theta within 1e-10.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -1132,6 +1136,55 @@ def test_mean_adherence_matches_scalar_per_tick_sum(data, n):
         assert abs(got[k] - acc / n) <= 1e-12 * curve.scale
 
 
+# points where a Newton polish without its safeguards leaves the oracle
+PROJECTION_TRAPS = {
+    # the cusp sample s = 0 has g = 0 at a local maximum of the distance
+    "deltoid-cusp": (DELTOID, (2.999988555919117, 7.4505734914964705e-09)),
+    # the parameter lands a hair below 0, and s % 2pi rounds to 2pi
+    "lissajous-wrap": (LISSAJOUS, (2.0, -7.347880794884119e-16)),
+    # on the curve just past a corner: the other side of the corner holds
+    # a second local minimum, 4.6e-9 and 4.4e-9 off the curve
+    "gear-past-corner-0": (GEAR, tuple(GEAR.point(GEAR_CORNERS[0] + 2.1244543613712e-05))),
+    "gear-past-corner-3": (GEAR, tuple(GEAR.point(GEAR_CORNERS[3] + 2.095035e-05))),
+    # on a corner, where the distance grows like s^4
+    "gear-corner": (GEAR, tuple(GEAR.point(GEAR_CORNERS[4]))),
+    **{f"lissajous-crossing-{k}": (LISSAJOUS, xy) for k, xy in enumerate(LISSAJOUS_CROSSINGS)},
+}
+
+
+@pytest.mark.parametrize("curve, point", list(PROJECTION_TRAPS.values()), ids=list(PROJECTION_TRAPS))
+def test_nearest_on_curve_traps_match_scalar_oracle(curve, point):
+    px = np.array([point[0]])
+    py = np.array([point[1]])
+    sv, xs, ys = curve.sample_cache(2048)
+    dist, s_at = sk.nearest_on_curve(curve.kind, curve.par, px, py, sv, xs, ys)
+    assert_nearest_matches(curve, px, py, dist, s_at)
+
+
+def test_nearest_on_curve_skips_non_finite_points(monkeypatch):
+    # non-finite points take no Newton round, so the polish ends well
+    # inside its cap, and nothing on their way raises a RuntimeWarning
+    rounds = []
+
+    def counted(kind, par, s, order):
+        if order == 2:
+            rounds.append(s.shape[0])
+        return curve_jet(kind, par, s, order)
+
+    monkeypatch.setattr(sk, "curve_jet", counted)
+    px = np.array([np.nan, 1.0, np.inf, 0.3])
+    py = np.array([0.0, np.nan, 0.0, 0.2])
+    sv, xs, ys = DELTOID.sample_cache(2048)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, s_at = sk.nearest_on_curve(DELTOID.kind, DELTOID.par, px, py, sv, xs, ys)
+    assert np.isnan(dist[0]) and np.isnan(dist[1]) and dist[2] == np.inf
+    assert np.all((0.0 <= s_at) & (s_at < TWO_PI))
+    assert_nearest_matches(DELTOID, px[3:], py[3:], dist[3:], s_at[3:])
+    assert 0 < len(rounds) < sk.NEWTON_CAP
+    assert set(rounds) == {1}
+
+
 NEAREST_SAMPLE_COUNTS = POINT_COUNTS + (sk.POINT_BLOCK - 1, sk.POINT_BLOCK, sk.POINT_BLOCK + 1)
 
 
@@ -1150,6 +1203,8 @@ def test_nearest_sample_matches_brute_force(name):
         got = sk.nearest_sample(pts[:, 0], pts[:, 1], xs, ys)
         assert got.dtype == np.intp
         assert np.array_equal(got, old_nearest_sample(pts[:, 0], pts[:, 1], xs, ys))
+        cached = sk.nearest_sample(pts[:, 0], pts[:, 1], xs, ys, curve.sample_chunks(2048))
+        assert np.array_equal(cached, got)
         if m >= 2:
             assert got[1] == 0
 
