@@ -143,9 +143,11 @@ def jacobian_matrix(kind, par, theta, square_mode):
     return J
 
 
-def weight_vector(n, square_mode, w_len, w_ang, w_diag):
-    counts = (n, n, 2 if square_mode else 0)
-    return np.repeat(np.array([w_len, w_ang, w_diag], dtype=float), counts)
+def weight_vector(config):
+    """Weights of the residual rows of a FinderConfig's formation."""
+    counts = (config.n, config.n, 2 if config.square_mode else 0)
+    weights = (config.weight_length, config.weight_angle, config.weight_diagonal)
+    return np.repeat(np.array(weights, dtype=float), counts)
 
 
 def cost_value(r, w):
@@ -187,12 +189,30 @@ def _armijo_ladder(kind, par, square_mode, w, theta, cost, dtheta, slope,
     return first, r_acc, c_acc
 
 
+def _solve_rows(A, b):
+    """x with A[i] x[i] = b[i] for every row; NaN rows where A[i] is singular.
+
+    One stacked solve, unless some row is exactly singular: then every
+    row is solved alone, the same LAPACK call on the same data.
+    """
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(A.shape[0]):
+            try:
+                x[i] = np.linalg.solve(A[i : i + 1], b[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
 def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
                  armijo_c1, etas):
     """One accepted damped Gauss-Newton step per row, where there is one.
 
-    A row whose system gives no finite descent direction, or whose
-    Armijo ladder finds no step, retries with ten times its damping
+    A row whose system is singular or gives no finite descent direction,
+    or whose Armijo ladder finds no step, retries with ten times its damping
     until lam passes _LM_MAX.  lam is updated in place.  Returns
     (accepted mask, theta, residuals, cost, step norm) per row; rows
     without an accepted step keep their theta.
@@ -207,7 +227,7 @@ def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
     pending = np.flatnonzero(lam <= _LM_MAX)
     while pending.shape[0]:
         A = M[pending] + lam[pending, None, None] * eye
-        dtheta = np.linalg.solve(A, -grad[pending, :, None])[:, :, 0]
+        dtheta = _solve_rows(A, -grad[pending])
         slope = np.sum(grad[pending] * dtheta, axis=1)
         good = np.all(np.isfinite(dtheta), axis=1) & ~(slope > 0.0)
         rows = pending[good]
@@ -231,23 +251,7 @@ def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
     return ok, theta_new, r_new, cost_new, step_norm
 
 
-def gn_solve(
-    kind,
-    par,
-    theta0,
-    square_mode,
-    w_len,
-    w_ang,
-    w_diag,
-    k_max,
-    tol_step,
-    tol_cost_rel,
-    armijo_c1,
-    backtrack,
-    lm_lambda0,
-    min_side,
-    cost_trace,
-):
+def gn_solve(curve, theta0, config):
     """Damped Gauss-Newton with Armijo backtracking, all starts in lockstep.
 
     theta0 is (S, n), one start per row.  Each iteration takes one
@@ -264,17 +268,21 @@ def gn_solve(
     (it is collapsing toward the zero-side polygon, which has zero
     residual on every curve).
 
-    cost_trace must be (S, k_max + 1); row i's filled prefix is its
-    initial cost plus one entry per iteration.  Returns (theta, cost,
-    iterations, status, trace_len), the last four as (S,) arrays.
+    curve supplies kind, par and scale; config is a FinderConfig for
+    n-vertex starts, and min_side is its min_side_frac * scale.  Returns (theta, iterations,
+    status, cost_trace): cost_trace is (S, k_max + 1), and row i's first
+    iterations[i] + 1 entries are its initial cost plus one entry per
+    iteration.
     """
+    kind, par, square_mode = curve.kind, curve.par, config.square_mode
     s_count, n = theta0.shape
     theta = theta0.copy()
-    w = weight_vector(n, square_mode, w_len, w_ang, w_diag)
+    w = weight_vector(config)
     r = residual_vector(kind, par, theta, square_mode)
     cost = cost_value(r, w)
+    cost_trace = np.empty((s_count, config.k_max + 1))
     cost_trace[:, 0] = cost
-    lam = np.full(s_count, max(lm_lambda0, _LM_MIN))
+    lam = np.full(s_count, max(config.lm_lambda0, _LM_MIN))
     status = np.full(s_count, STATUS_MAXITER)
     iters = np.zeros(s_count, dtype=np.int64)
     # step lengths built by repeated multiplication, as a sequential
@@ -283,9 +291,10 @@ def gn_solve(
     eta = 1.0
     for t in range(ARMIJO_TRIALS):
         etas[t] = eta
-        eta *= backtrack
+        eta *= config.backtrack
+    min_side = config.min_side_frac * curve.scale
     active = np.arange(s_count)
-    for k in range(k_max):
+    for k in range(config.k_max):
         J = jacobian_matrix(kind, par, theta[active], square_mode)
         # a C-ordered copy: BLAS rounds the product with a transposed view
         # differently, and the finder's outputs are reproducible to the bit
@@ -295,7 +304,7 @@ def gn_solve(
         lam_a = lam[active]
         ok, theta_a, r_a, cost_a, step_norm = _damped_step(
             kind, par, square_mode, w, theta[active], cost[active], grad, M,
-            lam_a, armijo_c1, etas,
+            lam_a, config.armijo_c1, etas,
         )
         lam[active] = lam_a
         status[active[~ok]] = STATUS_STALLED
@@ -308,8 +317,8 @@ def gn_solve(
         iters[moved] = k + 1
         cost_trace[moved, k + 1] = cost[moved]
         lam[moved] = np.maximum(lam[moved] * 0.1, _LM_MIN)
-        small_step = step_norm[ok] < tol_step
-        small_drop = ~small_step & (rel_drop < tol_cost_rel)
+        small_step = step_norm[ok] < config.tol_step
+        small_drop = ~small_step & (rel_drop < config.tol_cost_rel)
         status[moved[small_step]] = STATUS_STEP
         status[moved[small_drop]] = STATUS_COST
         active = moved[~(small_step | small_drop)]
@@ -320,4 +329,4 @@ def gn_solve(
             active = active[~collapsed]
         if active.shape[0] == 0:
             break
-    return theta, cost, iters, status, iters + 1
+    return theta, iters, status, cost_trace

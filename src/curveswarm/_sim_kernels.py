@@ -18,10 +18,9 @@ leash, the speed envelope and the turn-rate clamp.  The tick's
 neighbor loop also yields the smallest separation, so the loop needs no
 separate pairwise-distance pass.
 
-Trajectory row layout per (step, agent), 12 columns:
-(x, y, psi, v, z, vz, sigma, alpha, duty, accel, turn_rate, lift_accel).
-Controls are recomputed from each snapshot before stepping and held
-constant across the step (zero-order hold).
+A trajectory record holds one row per agent in the TRAJECTORY_COLUMNS
+order.  Controls are recomputed from each snapshot before stepping and
+held constant across the step (zero-order hold).
 """
 
 import math
@@ -30,9 +29,24 @@ import numpy as np
 
 from ._curve_kernels import curve_jet, curve_point
 from .control import agent_control, curve_geometry
-from .curves import SAMPLE_CHUNK, chunk_circles
+from .curves import SAMPLE_CHUNK
 
 TWO_PI = 2.0 * np.pi
+# one trajectory record row: the state, the blend diagnostics, the controls
+TRAJECTORY_COLUMNS = (
+    "x",
+    "y",
+    "psi",
+    "v",
+    "z",
+    "vz",
+    "sigma",
+    "alpha",
+    "alpha_duty",
+    "accel",
+    "turn_rate",
+    "lift_accel",
+)
 TERNARY_PREFIX = 8  # ternary steps that pick the branch before Newton polishes it
 TERNARY_STEPS = 64  # ternary steps at most, for brackets that hold a cusp or corner
 TURN_COS = 0.9  # cosine of the largest tangent turn a bracket may hold for Newton
@@ -81,7 +95,7 @@ def rk4_step_team(states, controls, dt):
     return np.array(out, dtype=float).reshape(states.shape)
 
 
-def nearest_sample(px, py, sample_x, sample_y, chunks=None):
+def nearest_sample(px, py, chunks):
     """Index of the first sample at the smallest squared distance, per point.
 
     Equal, index for index, to np.argmin((sample_x - px)**2 + (sample_y -
@@ -90,13 +104,11 @@ def nearest_sample(px, py, sample_x, sample_y, chunks=None):
     radius r), a point's distance is at most min(|p - c| + r) over the
     chunks, and only chunks whose |p - c| - r does not exceed that bound
     by more than a rounding slack get their squared distances computed.
-    chunks is chunk_circles(sample_x, sample_y), built here when not
-    given (Curve.sample_chunks caches it with the samples).  Points run
-    POINT_BLOCK at a time and chunk evaluations PAIR_BLOCK at a time, so
-    no temporary exceeds PAIR_BLOCK x SAMPLE_CHUNK entries.
+    chunks is curves.chunk_circles(sample_x, sample_y), which
+    Curve.sample_chunks caches.  Points run POINT_BLOCK at a time and
+    chunk evaluations PAIR_BLOCK at a time, so no temporary exceeds
+    PAIR_BLOCK x SAMPLE_CHUNK entries.
     """
-    if chunks is None:
-        chunks = chunk_circles(sample_x, sample_y)
     chunk_x, chunk_y, centre_x, centre_y, radius, reach = chunks
     best = np.zeros(px.shape[0], dtype=np.intp)
     for b in range(0, px.shape[0], POINT_BLOCK):
@@ -158,26 +170,28 @@ def _turns(kind, par, lo, hi):
     return dot <= TURN_COS * np.sqrt(speeds)
 
 
-def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y, chunks=None):
+def nearest_on_curve(curve, px, py):
     """Global distance to the curve and the parameter attaining it, per point.
 
-    px, py are (m,) arrays.  nearest_sample finds the closest cached
-    sample (chunks as there).  The bracket of its two neighbours takes
-    TERNARY_PREFIX ternary steps, which settle which branch of the curve
-    the point projects to; a bracket that still holds a cusp or a corner
-    keeps stepping until it no longer does.  A safeguarded Newton method
-    then polishes the parameter inside the bracket (rtsafe, Numerical
-    Recipes 9.4; Hu and Wallner 2005).  It seeks the zero of g(s) =
-    (gamma - p) . gamma', half the derivative of |gamma(s) - p|^2, with
-    g' = |gamma'|^2 + (gamma - p) . gamma'', from one order-2 curve_jet
-    call per round over the points still open.  Each round shrinks the
-    bracket on the sign of g and bisects instead where g' <= 0 (at a
-    local maximum of the distance) or where the step would leave the
-    bracket.  A point retires once its step is at most NEWTON_TOL, or
-    after NEWTON_CAP rounds; non-finite points skip the polish.  Returns
-    (distance (m,), parameter in [0, 2*pi) (m,)).
+    px, py are (m,) arrays.  nearest_sample finds the closest of the
+    curve's cached samples (Curve.sample_cache).  The bracket of its two
+    neighbours takes TERNARY_PREFIX ternary steps, which settle which
+    branch of the curve the point projects to; a bracket that still
+    holds a cusp or a corner keeps stepping until it no longer does.  A
+    safeguarded Newton method then polishes the parameter inside the
+    bracket (rtsafe, Numerical Recipes 9.4; Hu and Wallner 2005).  It
+    seeks the zero of g(s) = (gamma - p) . gamma', half the derivative
+    of |gamma(s) - p|^2, with g' = |gamma'|^2 + (gamma - p) . gamma'',
+    from one order-2 curve_jet call per round over the points still
+    open.  Each round shrinks the bracket on the sign of g and bisects
+    instead where g' <= 0 (at a local maximum of the distance) or where
+    the step would leave the bracket.  A point retires once its step is
+    at most NEWTON_TOL, or after NEWTON_CAP rounds; non-finite points
+    skip the polish.  Returns (distance (m,), parameter in [0, 2*pi) (m,)).
     """
-    best = nearest_sample(px, py, sample_x, sample_y, chunks)
+    kind, par = curve.kind, curve.par
+    sample_s = curve.sample_cache()[0]
+    best = nearest_sample(px, py, curve.sample_chunks())
     step = TWO_PI / sample_s.shape[0]
     lo = sample_s[best] - step
     hi = sample_s[best] + step
@@ -222,21 +236,17 @@ def nearest_on_curve(kind, par, px, py, sample_s, sample_x, sample_y, chunks=Non
     return np.sqrt(dx * dx + dy * dy), np.where(s_at < TWO_PI, s_at, 0.0)
 
 
-def mean_adherence(kind, par, xy, sample_s, sample_x, sample_y):
+def mean_adherence(curve, xy):
     """Mean agent-to-curve distance per tick of xy (ticks, n, 2).
 
     Runs over blocks of TICK_BLOCK ticks so peak memory stays flat in
     the horizon; each tick sums its agents in agent order, then / n.
-    The samples' chunk circles are built once for all blocks.
     """
     ticks, n = xy.shape[:2]
     out = np.empty(ticks)
-    chunks = chunk_circles(sample_x, sample_y)
     for k in range(0, ticks, TICK_BLOCK):
         pts = xy[k : k + TICK_BLOCK].reshape(-1, 2)
-        dist, _s_at = nearest_on_curve(
-            kind, par, pts[:, 0], pts[:, 1], sample_s, sample_x, sample_y, chunks
-        )
+        dist, _s_at = nearest_on_curve(curve, pts[:, 0], pts[:, 1])
         dist = dist.reshape(-1, n)
         acc = 0.0
         for i in range(n):
@@ -281,45 +291,33 @@ def march_profile(z0, z_cap, t, rate, width):
     return z_cap - gap, rate * gap / width
 
 
-def team_controls(
-    states,
-    z0,
-    z_cap,
-    t,
-    kind,
-    par,
-    eps_sing,
-    target_x,
-    target_y,
-    target_psi,
-    has_targets,
-    ref_rate,
-    cp,
-):
+def team_controls(states, z0, z_cap, t, curve, targets, cp):
     """Controls plus (sigma, alpha, duty) for every agent at one instant.
 
-    The lifted reference for agent i marches as z0[i] + ref_rate * t
-    and eases smoothly into z_cap[i] (the agent's vertex address after
-    the required revolutions); a sweep-only mission passes an infinite
-    cap so the march never stops.  The reference is leashed to at most
-    lead_width (in parameter) ahead of the agent's own lifted coordinate
-    so an agent held up by avoidance is not punished with a catch-up
-    sprint once it breaks free.  Without targets sigma is pinned at
-    zero and the nominal input is pure path following; avoidance still
-    applies.  A speed envelope caps acceleration once |v| (or |vz|)
-    would exceed its bound, so a delayed agent catches up at a pace
-    other agents' avoidance can still brake against.
+    The lifted reference for agent i marches as z0[i] + ref_rate * t,
+    with ref_rate = cp.lift_gain * cp.v_ref, and eases smoothly into
+    z_cap[i] (the agent's vertex address after the required
+    revolutions); a sweep-only mission passes an infinite cap, so the
+    march never stops, and targets = None.  Otherwise targets is an
+    (n, 3) array of (target_x, target_y, target_psi) rows.  The curve
+    is read for kind, par and eps_sing only.  The reference is leashed
+    to at most lead_width (in parameter) ahead of the agent's own lifted
+    coordinate so an agent held up by avoidance is not punished with a
+    catch-up sprint once it breaks free.  Without targets sigma is
+    pinned at zero and the nominal input is pure path following;
+    avoidance still applies.  A speed envelope caps acceleration once
+    |v| (or |vz|) would exceed its bound, so a delayed agent catches up
+    at a pace other agents' avoidance can still brake against.
 
     Returns (controls (n, 6), min_sep): min_sep is the smallest
     inter-agent separation of the snapshot (inf for a lone agent).
     """
-    geo = curve_geometry(kind, par, states[:, 4] / cp.lift_gain, eps_sing)
+    geo = curve_geometry(curve, states[:, 4] / cp.lift_gain)
     px, py, psi, v, z, vz = states.T.tolist()
     z0 = z0.tolist()
     z_cap = z_cap.tolist()
-    target_x = target_x.tolist()
-    target_y = target_y.tolist()
-    target_psi = target_psi.tolist()
+    goals = [(0.0, 0.0, 0.0)] * len(px) if targets is None else targets.tolist()
+    ref_rate = cp.lift_gain * cp.v_ref
     width = cp.lift_gain * cp.brake_width
     lead = cp.lift_gain * cp.lead_width
     vz_max = 2.0 * ref_rate
@@ -334,10 +332,11 @@ def team_controls(
         # a sweep-only mission has done no revolutions toward a target,
         # which pins sigma at zero
         revs = 0.0
-        if has_targets:
+        if targets is not None:
             revs = (z[i] - z0[i]) / (TWO_PI * cp.lift_gain)
             if revs < 0.0:
                 revs = 0.0
+        target_x, target_y, target_psi = goals[i]
         a, om, az, sg, al, du, sep = agent_control(
             i,
             px,
@@ -348,9 +347,9 @@ def team_controls(
             vz,
             revs,
             geo[i],
-            target_x[i],
-            target_y[i],
-            target_psi[i],
+            target_x,
+            target_y,
+            target_psi,
             z_ref,
             rate_i,
             cp,
@@ -380,42 +379,24 @@ def team_controls(
     return np.array(rows, dtype=float).reshape(-1, 6), min_sep
 
 
-def mission_core(
-    states0,
-    z0,
-    z_cap,
-    kind,
-    par,
-    eps_sing,
-    sample_s,
-    sample_x,
-    sample_y,
-    target_x,
-    target_y,
-    target_psi,
-    has_targets,
-    cp,
-    dt,
-    n_steps,
-    abort_dist,
-):
+def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps):
     """Full fixed-step closed loop.
 
     Records state, blending diagnostics, and controls at every tick
-    t_k = k*dt for k = 0..n_steps, stepping between records.  Stops
-    early when agents close within abort_dist (collision) or any state
-    goes non-finite.  The adherence series is computed after the loop
-    from the recorded positions.  Returns (trajectory, min_distance,
-    adherence, sigma, filled, collision, nonfinite): `filled` is the
-    number of valid records and the length of adherence.
+    t_k = k*dt for k = 0..n_steps, stepping between records; z0, z_cap,
+    targets and cp are as team_controls takes them.  Stops early when
+    agents close within 0.5 * cp.d_safe (collision) or any state goes
+    non-finite.  The adherence series is computed after the loop from
+    the recorded positions.  Returns (trajectory, min_distance,
+    adherence, collision, nonfinite); the three series hold one entry
+    per record made, a trajectory record being (n, TRAJECTORY_COLUMNS).
     """
     n = states0.shape[0]
     total = n_steps + 1
-    traj = np.zeros((total, n, 12))
+    traj = np.zeros((total, n, len(TRAJECTORY_COLUMNS)))
     min_dist = np.zeros(total)
-    sigma = np.zeros((total, n))
     states = states0.copy()
-    ref_rate = cp.lift_gain * cp.v_ref
+    abort_dist = 0.5 * cp.d_safe
     collision = False
     nonfinite = False
     filled = 0
@@ -424,32 +405,15 @@ def mission_core(
         if not np.all(np.isfinite(states)):
             nonfinite = True
             break
-        ctrl, md = team_controls(
-            states,
-            z0,
-            z_cap,
-            t,
-            kind,
-            par,
-            eps_sing,
-            target_x,
-            target_y,
-            target_psi,
-            has_targets,
-            ref_rate,
-            cp,
-        )
+        ctrl, md = team_controls(states, z0, z_cap, t, curve, targets, cp)
         traj[k, :, 0:6] = states
         traj[k, :, 6:12] = ctrl[:, (3, 4, 5, 0, 1, 2)]
         min_dist[k] = md
-        sigma[k] = ctrl[:, 3]
         filled = k + 1
         if md < abort_dist:
             collision = True
             break
         if k < n_steps:
             states = rk4_step_team(states, ctrl[:, 0:3], dt)
-    adherence = mean_adherence(
-        kind, par, traj[:filled, :, 0:2], sample_s, sample_x, sample_y
-    )
-    return traj, min_dist, adherence, sigma, filled, collision, nonfinite
+    adherence = mean_adherence(curve, traj[:filled, :, 0:2])
+    return traj[:filled], min_dist[:filled], adherence, collision, nonfinite

@@ -101,8 +101,6 @@ class EffectiveConfig:
         finder = self.finder
         if sim.get("n", 4) < 3:
             finder = None  # sweep-only missions never run the formation search
-        elif target is not None:
-            finder = dataclasses.replace(finder, c_target=target)
         return MissionConfig(
             curve=self.curve,
             finder=finder,
@@ -128,6 +126,9 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
 
     overrides maps flat keys (curve, n, target, seed, dt, horizon,
     square_mode) to already-typed values; flags win over file values.
+    This is the one place the finder's n, seed and c_target are derived:
+    from a flag, else from the [finder] key, else from the [sim] key
+    (n, seed, target).  A mission n below 3 leaves the finder's n alone.
     """
     parser = _read_ini(text)
     overrides = dict(overrides or {})
@@ -185,26 +186,18 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
             else:
                 sim_kw[key] = _parse_float(raw, f"sim.{key}")
 
-    for key in ("n", "seed"):
+    flag_types = {"n": int, "seed": int, "dt": float, "horizon": float, "target": tuple}
+    for key, cast in flag_types.items():
         if overrides.get(key) is not None:
-            sim_kw[key] = int(overrides[key])
-            if key == "n" and int(overrides[key]) >= 3:
-                finder_kw["n"] = int(overrides[key])
-    for key in ("dt", "horizon"):
-        if overrides.get(key) is not None:
-            sim_kw[key] = float(overrides[key])
-    if overrides.get("target") is not None:
-        sim_kw["target"] = tuple(overrides["target"])
+            sim_kw[key] = cast(overrides[key])
     if overrides.get("square_mode"):
         finder_kw["square_mode"] = True
-
-    if "n" in sim_kw and "n" not in finder_kw and sim_kw["n"] >= 3:
-        finder_kw["n"] = sim_kw["n"]
-    if "target" in sim_kw and "c_target" not in finder_kw:
-        finder_kw["c_target"] = sim_kw["target"]
-    # match run_mission's default of seeding the finder from the mission
-    if "seed" in sim_kw and "seed" not in finder_kw:
-        finder_kw["seed"] = sim_kw["seed"]
+    # run_mission seeds the finder from the mission the same way
+    for key, finder_key in (("n", "n"), ("seed", "seed"), ("target", "c_target")):
+        flagged = overrides.get(key) is not None
+        if key in sim_kw and (flagged or finder_key not in finder_kw):
+            if key != "n" or sim_kw["n"] >= 3:
+                finder_kw[finder_key] = sim_kw[key]
 
     try:
         curve = make_curve(curve_name, **curve_params)

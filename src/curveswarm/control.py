@@ -225,18 +225,20 @@ class FormationAssignment:
         return self.theta.shape[0]
 
 
-def curve_geometry(kind, par, s, eps_sing):
+def curve_geometry(curve, s):
     """What the path law needs of the curve at every entry of the array s.
 
     One frame_raw call, which makes one curve_jet call, on the stacked
     parameters (s, s + h, s - h) gives the point, frame and speed at s
     (its first m rows) and the turn rate on both sides for its central
-    difference.  Returns one tuple per entry, (gx, gy, tx, ty, psi_t,
-    speed, turn, turn_deriv, speed_deriv), all Python floats.
+    difference.  The curve is read for kind, par and eps_sing only.
+    Returns one tuple per entry, (gx, gy, tx, ty, psi_t, speed, turn,
+    turn_deriv, speed_deriv), all Python floats.
     """
     m = s.shape[0]
+    stacked = np.concatenate((s, s + _W_FD_STEP, s - _W_FD_STEP))
     gx, gy, tx, ty, _nx, _ny, psi_t, speed, speed_rate, _kappa, turn, _ok = frame_raw(
-        kind, par, np.concatenate((s, s + _W_FD_STEP, s - _W_FD_STEP)), eps_sing
+        curve.kind, curve.par, stacked, curve.eps_sing
     )
     turn_deriv = (turn[m : 2 * m] - turn[2 * m :]) / (2.0 * _W_FD_STEP)
     return list(
@@ -535,9 +537,7 @@ def _state6(state) -> np.ndarray:
 
 def _geometry(curve: Curve, z, lift_gain: float):
     """curve_geometry at the curve parameter z / lift_gain, as one tuple."""
-    return curve_geometry(
-        curve.kind, curve.par, np.array([z / lift_gain]), curve.eps_sing
-    )[0]
+    return curve_geometry(curve, np.array([z / lift_gain]))[0]
 
 
 def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:

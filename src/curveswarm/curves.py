@@ -18,6 +18,7 @@ from . import _curve_kernels as ck
 
 TWO_PI = 2.0 * math.pi
 ARC_CELLS = 1024  # arclength-table cells (x 16 nodes) per derivative call
+SAMPLE_COUNT = 2048  # uniform parameter samples cached for proximity queries
 SAMPLE_CHUNK = 32  # consecutive cached samples under one bounding circle
 
 
@@ -406,30 +407,28 @@ class Curve:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def sample_cache(self, n: int = 2048):
-        """Cached uniform parameter/point samples for proximity queries.
+    def sample_cache(self):
+        """SAMPLE_COUNT cached uniform (parameter, x, y) samples.
 
         The arrays are read-only: sample_chunks is cached against them.
         """
-        key = ("samples", n)
-        if key not in self._cache:
-            sv = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        if "samples" not in self._cache:
+            sv = np.linspace(0.0, TWO_PI, SAMPLE_COUNT, endpoint=False)
             pts = self.point(sv)
             samples = (sv, pts[:, 0], pts[:, 1])
             for a in samples:
                 a.setflags(write=False)
-            self._cache[key] = samples
-        return self._cache[key]
+            self._cache["samples"] = samples
+        return self._cache["samples"]
 
-    def sample_chunks(self, n: int = 2048):
-        """chunk_circles of sample_cache(n), built once per curve and n."""
-        key = ("chunks", n)
-        if key not in self._cache:
-            chunks = chunk_circles(*self.sample_cache(n)[1:])
+    def sample_chunks(self):
+        """chunk_circles of sample_cache(), built once per curve."""
+        if "chunks" not in self._cache:
+            chunks = chunk_circles(*self.sample_cache()[1:])
             for a in chunks[:-1]:  # the last entry, reach, is a scalar
                 a.setflags(write=False)
-            self._cache[key] = chunks
-        return self._cache[key]
+            self._cache["chunks"] = chunks
+        return self._cache["chunks"]
 
 
 def make_curve(name: str, **params) -> Curve:

@@ -164,22 +164,12 @@ def residuals(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
     return fk.residual_vector(curve.kind, curve.par, _stack(theta, square_mode), square_mode)[0]
 
 
-def _weights(config: FinderConfig) -> np.ndarray:
-    return fk.weight_vector(
-        config.n,
-        config.square_mode,
-        config.weight_length,
-        config.weight_angle,
-        config.weight_diagonal,
-    )
-
-
 def cost(theta, curve: Curve, config: FinderConfig) -> float:
     """Weighted half sum of squared residuals."""
     config.validate()
     arr = _as_theta(theta, config.n)[None, :]
     r = fk.residual_vector(curve.kind, curve.par, arr, config.square_mode)
-    return float(fk.cost_value(r[0], _weights(config)))
+    return float(fk.cost_value(r[0], fk.weight_vector(config)))
 
 
 def jacobian(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
@@ -221,27 +211,10 @@ def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
 
     Returns one FormationSolution per row, init_index being the row.
     """
-    trace = np.empty((theta0.shape[0], config.k_max + 1))
-    theta, _, iters, status, trace_len = fk.gn_solve(
-        curve.kind,
-        curve.par,
-        theta0,
-        config.square_mode,
-        config.weight_length,
-        config.weight_angle,
-        config.weight_diagonal,
-        config.k_max,
-        config.tol_step,
-        config.tol_cost_rel,
-        config.armijo_c1,
-        config.backtrack,
-        config.lm_lambda0,
-        config.min_side_frac * curve.scale,
-        trace,
-    )
+    theta, iters, status, trace = fk.gn_solve(curve, theta0, config)
     theta_w = np.mod(theta, TWO_PI)
     r = fk.residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
-    final_cost = fk.cost_value(r, _weights(config))
+    final_cost = fk.cost_value(r, fk.weight_vector(config))
     solutions = []
     for i, init_kind in enumerate(init_kinds):
         pts, center, mean_side, edges = _polygon_stats(curve, theta_w[i])
@@ -262,7 +235,7 @@ def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
                 ),
                 converged=bool(final_cost[i] <= config.accept_cost),
                 convex=_is_convex(edges),
-                cost_trace=trace[i, : trace_len[i]].copy(),
+                cost_trace=trace[i, : iters[i] + 1].copy(),
             )
         )
     return solutions

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import _sim_kernels as sk
+from ._sim_kernels import TRAJECTORY_COLUMNS
 from .control import (
     ControllerParams,
     FormationAssignment,
@@ -32,21 +33,6 @@ from .finder import FinderConfig, FormationSolution, multistart
 
 TWO_PI = 2.0 * np.pi
 DT_MAX = 0.02
-
-TRAJECTORY_COLUMNS = (
-    "x",
-    "y",
-    "psi",
-    "v",
-    "z",
-    "vz",
-    "sigma",
-    "alpha",
-    "alpha_duty",
-    "accel",
-    "turn_rate",
-    "lift_accel",
-)
 
 
 class MissionError(ValueError):
@@ -161,12 +147,9 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
 
 def nearest_parameter(p, curve: Curve) -> float:
     """Curve parameter in [0, 2*pi) whose point is closest to p."""
-    sv, xs, ys = curve.sample_cache(2048)
     px = np.array([float(p[0])])
     py = np.array([float(p[1])])
-    _dist, s_at = sk.nearest_on_curve(
-        curve.kind, curve.par, px, py, sv, xs, ys, curve.sample_chunks(2048)
-    )
+    _dist, s_at = sk.nearest_on_curve(curve, px, py)
     return float(s_at[0])
 
 
@@ -310,8 +293,9 @@ def run_mission(config: MissionConfig):
 
     solution = None
     assignment = None
-    has_targets = config.n >= 3
-    if has_targets:
+    targets = None
+    z_cap = np.full(config.n, np.inf)
+    if config.n >= 3:
         fc = config.finder
         if fc is None:
             fc = FinderConfig(n=config.n, seed=config.seed, c_target=config.c_target)
@@ -323,9 +307,7 @@ def run_mission(config: MissionConfig):
                 "formation finder returned no geometrically usable polygon"
             )
         assignment = assign_vertices(states0, solution, curve, cp)
-        target_x = assignment.position[:, 0]
-        target_y = assignment.position[:, 1]
-        target_psi = assignment.heading
+        targets = np.column_stack((assignment.position, assignment.heading))
         # march budget: forward gap to the vertex plus whole revolutions
         # until the revolution gate is satisfied on arrival, staggered so
         # every agent clears the vertices of earlier arrivers in time
@@ -334,50 +316,28 @@ def run_mission(config: MissionConfig):
         base = np.maximum(0.0, np.ceil(cp.revs_star - gap / TWO_PI))
         whole = _schedule_laps(assignment.theta, gap, base, curve, cp)
         z_cap = z0 + cp.lift_gain * (gap + TWO_PI * whole)
-    else:
-        target_x = np.zeros(config.n)
-        target_y = np.zeros(config.n)
-        target_psi = np.zeros(config.n)
-        z_cap = np.full(config.n, np.inf)
 
-    sv, xs, ys = curve.sample_cache(2048)
     n_steps = int(round(config.horizon / config.dt))
-    traj, min_dist, adherence, sigma, filled, collision, nonfinite = sk.mission_core(
-        states0,
-        z0,
-        z_cap,
-        curve.kind,
-        curve.par,
-        curve.eps_sing,
-        sv,
-        xs,
-        ys,
-        target_x,
-        target_y,
-        target_psi,
-        has_targets,
-        cp,
-        float(config.dt),
-        n_steps,
-        0.5 * cp.d_safe,
+    traj, min_dist, adherence, collision, nonfinite = sk.mission_core(
+        curve, states0, z0, z_cap, targets, cp, float(config.dt), n_steps
     )
-    times = np.arange(filled) * config.dt
+    times = np.arange(traj.shape[0]) * config.dt
     final_errors = None
-    if has_targets and filled > 0:
-        last = traj[filled - 1, :, 0:2]
+    if targets is not None and traj.shape[0] > 0:
+        last = traj[-1, :, 0:2]
         final_errors = np.hypot(
             last[:, 0] - assignment.position[:, 0],
             last[:, 1] - assignment.position[:, 1],
         )
     closest = None
-    if config.n > 1 and filled > 0:
-        k = int(np.argmin(min_dist[:filled]))
+    if config.n > 1 and traj.shape[0] > 0:
+        k = int(np.argmin(min_dist))
         closest = sk.closest_pair(traj[k, :, 0], traj[k, :, 1])
     metrics = MissionMetrics(
         times=times,
-        min_distance=min_dist[:filled],
+        min_distance=min_dist,
         mean_adherence=adherence,
-        sigma=sigma[:filled],
+        sigma=traj[:, :, TRAJECTORY_COLUMNS.index("sigma")],
         final_vertex_errors=final_errors,
         collision=bool(collision),
         nonfinite=bool(nonfinite),
@@ -385,5 +345,5 @@ def run_mission(config: MissionConfig):
         assignment=assignment,
         closest_pair=closest,
     )
-    log = TrajectoryLog(times=times, data=traj[:filled])
+    log = TrajectoryLog(times=times, data=traj)
     return metrics, log

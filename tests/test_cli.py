@@ -82,6 +82,19 @@ def test_config_flags_override_file():
     assert cfg.finder.seed == 9
 
 
+def test_cli_flags_win_over_finder_keys(tmp_path, capsys):
+    path = tmp_path / "file.ini"
+    path.write_text("[curve]\nname = ellipse\n[finder]\nseed = 0\nc_target = 1,1\n")
+    assert cli.main(["find", str(path), "--seed", "5", "--target", "0,0", "--dump-config"]) == 0
+    dumped = load_config(capsys.readouterr().out)
+    assert dumped.finder.seed == 5
+    assert dumped.finder.c_target == (0.0, 0.0)
+    # simulate runs the finder that --dump-config shows
+    cfg = load_config(path.read_text(), {"seed": 5, "target": (0.0, 0.0)})
+    assert cfg.finder == dumped.finder
+    assert cfg.mission_config().finder == cfg.finder
+
+
 def test_config_controller_overrides_validated():
     with pytest.raises(ConfigError, match="d_safe"):
         load_config(

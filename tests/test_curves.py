@@ -219,10 +219,10 @@ def test_every_family_constructs():
 
 def test_sample_cache_and_chunks_are_built_once_and_read_only():
     c = make_curve("deltoid")
-    sv, xs, ys = c.sample_cache(2048)
-    assert c.sample_cache(2048)[1] is xs
-    chunks = c.sample_chunks(2048)
-    assert c.sample_chunks(2048) is chunks
+    sv, xs, ys = c.sample_cache()
+    assert c.sample_cache()[1] is xs
+    chunks = c.sample_chunks()
+    assert c.sample_chunks() is chunks
     for a in (sv, xs, ys) + chunks[:-1]:
         assert not a.flags.writeable
     # the chunk rows are the samples, SAMPLE_CHUNK at a time

@@ -8,7 +8,7 @@ import pytest
 from curveswarm import _finder_kernels as fk
 from curveswarm import finder
 from curveswarm.config import ConfigError, load_config
-from curveswarm.curves import make_curve
+from curveswarm.curves import catalog_names, make_curve
 
 TWO_PI = 2.0 * np.pi
 
@@ -340,6 +340,16 @@ def test_multistart_seed_determinism():
     assert a.cost == b.cost and a.init_index == b.init_index
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", catalog_names())
+def test_multistart_triangle_on_every_catalog_curve(name, seed):
+    # some of these searches stack a start whose damped system is exactly
+    # singular (nephroid at seeds 0-2, lissajous-54 at 1-2, spirograph-4
+    # at 2); that start must raise its own damping, not stop the search
+    sol = finder.multistart(make_curve(name), finder.FinderConfig(n=3, seed=seed))
+    assert np.all(np.isfinite(sol.theta))
+
+
 def _fake_solution(center, side, convex, cost, idx):
     return finder.FormationSolution(
         theta=np.zeros(4),
@@ -462,7 +472,7 @@ def test_damped_step_raises_only_the_failing_rows_damping():
     # the ceiling while the first start steps at its own damping
     ell = make_curve("ellipse")
     theta = np.array([[0.1, 1.7, 3.3, 4.6], [0.2, 1.5, 3.0, 4.4]])
-    w = fk.weight_vector(4, False, 1.0, 1.0, 1.0)
+    w = fk.weight_vector(finder.FinderConfig())
     r = fk.residual_vector(ell.kind, ell.par, theta, False)
     J = fk.jacobian_matrix(ell.kind, ell.par, theta, False)
     grad = np.einsum("smn,sm->sn", J, w * r)
@@ -477,6 +487,33 @@ def test_damped_step_raises_only_the_failing_rows_damping():
     assert lam[0] == 1e-8 and lam[1] > fk._LM_MAX
     assert cost_new[0] < fk.cost_value(r, w)[0]
     assert np.array_equal(theta_new[1], theta[1])
+
+
+def test_damped_step_survives_an_exactly_singular_row():
+    # the second start's damped system M + lam*I is the zero matrix: the
+    # stacked solve raises, and that row alone retries at ten times its
+    # damping while the first row steps as it would alone
+    ell = make_curve("ellipse")
+    theta = np.array([[0.1, 1.7, 3.3, 4.6], [0.2, 1.5, 3.0, 4.4]])
+    w = fk.weight_vector(finder.FinderConfig())
+    r = fk.residual_vector(ell.kind, ell.par, theta, False)
+    J = fk.jacobian_matrix(ell.kind, ell.par, theta, False)
+    grad = np.einsum("smn,sm->sn", J, w * r)
+    M = np.einsum("smn,m,smk->snk", J, w, J)
+    M[1] = -1e-8 * np.eye(4)
+    cost = fk.cost_value(r, w)
+    lam = np.full(2, 1e-8)
+    etas = 0.5 ** np.arange(fk.ARMIJO_TRIALS)
+    ok, theta_new, _, cost_new, _ = fk._damped_step(
+        ell.kind, ell.par, False, w, theta, cost, grad, M, lam, 1e-4, etas
+    )
+    assert ok[0] and lam[0] == 1e-8
+    assert lam[1] > 1e-8
+    lam0 = np.full(1, 1e-8)
+    alone = fk._damped_step(
+        ell.kind, ell.par, False, w, theta[:1], cost[:1], grad[:1], M[:1], lam0, 1e-4, etas
+    )
+    assert np.array_equal(theta_new[0], alone[1][0]) and cost_new[0] == alone[3][0]
 
 
 def test_collapsing_start_is_retired_at_iteration_ten():

@@ -37,6 +37,7 @@ and flags and to theta within 1e-10.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -932,26 +933,29 @@ def tick_case(draw):
         heading = np.array([curve.frenet(float(t)).tangent_angle for t in theta])
         laps = np.array([draw(st.integers(0, 2)) for _ in range(n)])
         z_cap = z0 + cp.lift_gain * (np.mod(theta - z0 / cp.lift_gain, TWO_PI) + TWO_PI * laps)
-        targets = (pos[:, 0], pos[:, 1], heading)
+        targets = np.column_stack((pos, heading))
     else:
         z_cap = np.full(n, np.inf)
-        targets = (np.zeros(n), np.zeros(n), np.zeros(n))
+        targets = np.zeros((n, 3))
     eps_sing = 1e-2 if curve is DELTOID and draw(st.booleans()) else curve.eps_sing
     t = draw(st.floats(0.0, 60.0))
-    args = (
-        states, z0, z_cap, t, curve.kind, curve.par, eps_sing, *targets,
+    # the kernel reads only kind, par and eps_sing of its curve
+    tick_curve = SimpleNamespace(kind=curve.kind, par=curve.par, eps_sing=eps_sing)
+    args = (states, z0, z_cap, t, tick_curve, targets if has_targets else None, cp)
+    oracle_args = (
+        states, z0, z_cap, t, curve.kind, curve.par, eps_sing, *targets.T,
         has_targets, cp.lift_gain * cp.v_ref, cp,
     )
-    return case, args
+    return case, args, oracle_args
 
 
 @settings(max_examples=200, deadline=None)
 @given(case_args=tick_case())
 def test_team_controls_match_scalar_oracle(case_args):
-    case, args = case_args
+    case, args, oracle_args = case_args
     states = args[0]
     got, md = sk.team_controls(*args)
-    assert_close(got, quiet(scalar_team_controls, *args))
+    assert_close(got, quiet(scalar_team_controls, *oracle_args))
     # the tick's minimum separation
     ref_md = sk.min_pair_distance(states[:, 0], states[:, 1])
     if states.shape[0] == 1:
@@ -970,12 +974,13 @@ def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
     cp = make_params(DELTOID)
     states = np.array([[3.0, 0.0, 0.0, 0.0, 0.0, 0.27], [3.0, gap, 0.5, 0.0, 0.0, 0.27]])
     zeros = np.zeros(2)
-    args = (
-        states, zeros, np.full(2, np.inf), 0.0, DELTOID.kind, DELTOID.par,
+    caps = np.full(2, np.inf)
+    got, md = sk.team_controls(states, zeros, caps, 0.0, DELTOID, None, cp)
+    ref = quiet(
+        scalar_team_controls, states, zeros, caps, 0.0, DELTOID.kind, DELTOID.par,
         DELTOID.eps_sing, zeros, zeros, zeros, False, cp.lift_gain * cp.v_ref, cp,
     )
-    got, md = sk.team_controls(*args)
-    assert_close(got, quiet(scalar_team_controls, *args))
+    assert_close(got, ref)
     assert md == sk.min_pair_distance(states[:, 0], states[:, 1])
 
 
@@ -1059,11 +1064,7 @@ def test_sweep_only_controls_match_their_own_blend(data, close_pair, t):
     n = states.shape[0]
     z_cap = np.full(n, np.inf)
     ref_rate = cp.lift_gain * cp.v_ref
-    zeros = np.zeros(n)
-    got, _md = sk.team_controls(
-        states, z0, z_cap, t, curve.kind, curve.par, curve.eps_sing,
-        zeros, zeros, zeros, False, ref_rate, cp,
-    )
+    got, _md = sk.team_controls(states, z0, z_cap, t, curve, None, cp)
     ref = quiet(old_sweep_only_controls, states, z0, z_cap, t, curve, ref_rate, cp)
     assert_close(got, ref)
     assert np.all(got[:, 3] == 0.0)
@@ -1089,7 +1090,7 @@ def query_point(draw, curve):
 
 def assert_nearest_matches(curve, px, py, dist, s_at):
     """dist and s_at agree with the scalar oracle at every point."""
-    sv, xs, ys = curve.sample_cache(2048)
+    sv, xs, ys = curve.sample_cache()
     tol = 1e-12 * curve.scale
     for k in range(px.shape[0]):
         ref_d, ref_s = old_nearest_on_curve(curve.kind, curve.par, px[k], py[k], sv, xs, ys)
@@ -1111,8 +1112,7 @@ def test_nearest_on_curve_matches_scalar_oracle(data):
     curve = data.draw(NEAREST_CURVES)
     m = data.draw(st.sampled_from(POINT_COUNTS))
     pts = np.array([data.draw(query_point(curve)) for _ in range(m)]).reshape(m, 2)
-    sv, xs, ys = curve.sample_cache(2048)
-    dist, s_at = sk.nearest_on_curve(curve.kind, curve.par, pts[:, 0], pts[:, 1], sv, xs, ys)
+    dist, s_at = sk.nearest_on_curve(curve, pts[:, 0], pts[:, 1])
     assert dist.shape == s_at.shape == (m,)
     assert_nearest_matches(curve, pts[:, 0], pts[:, 1], dist, s_at)
 
@@ -1126,8 +1126,8 @@ def test_mean_adherence_matches_scalar_per_tick_sum(data, n):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     s = rng.uniform(0.0, TWO_PI, size=(ticks, n))
     xy = curve.point(s) + 0.1 * curve.scale * rng.uniform(-1.0, 1.0, size=(ticks, n, 2))
-    sv, xs, ys = curve.sample_cache(2048)
-    got = sk.mean_adherence(curve.kind, curve.par, xy, sv, xs, ys)
+    sv, xs, ys = curve.sample_cache()
+    got = sk.mean_adherence(curve, xy)
     assert got.shape == (ticks,)
     for k in range(ticks):
         acc = 0.0
@@ -1156,8 +1156,7 @@ PROJECTION_TRAPS = {
 def test_nearest_on_curve_traps_match_scalar_oracle(curve, point):
     px = np.array([point[0]])
     py = np.array([point[1]])
-    sv, xs, ys = curve.sample_cache(2048)
-    dist, s_at = sk.nearest_on_curve(curve.kind, curve.par, px, py, sv, xs, ys)
+    dist, s_at = sk.nearest_on_curve(curve, px, py)
     assert_nearest_matches(curve, px, py, dist, s_at)
 
 
@@ -1174,10 +1173,9 @@ def test_nearest_on_curve_skips_non_finite_points(monkeypatch):
     monkeypatch.setattr(sk, "curve_jet", counted)
     px = np.array([np.nan, 1.0, np.inf, 0.3])
     py = np.array([0.0, np.nan, 0.0, 0.2])
-    sv, xs, ys = DELTOID.sample_cache(2048)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist, s_at = sk.nearest_on_curve(DELTOID.kind, DELTOID.par, px, py, sv, xs, ys)
+        dist, s_at = sk.nearest_on_curve(DELTOID, px, py)
     assert np.isnan(dist[0]) and np.isnan(dist[1]) and dist[2] == np.inf
     assert np.all((0.0 <= s_at) & (s_at < TWO_PI))
     assert_nearest_matches(DELTOID, px[3:], py[3:], dist[3:], s_at[3:])
@@ -1191,7 +1189,7 @@ NEAREST_SAMPLE_COUNTS = POINT_COUNTS + (sk.POINT_BLOCK - 1, sk.POINT_BLOCK, sk.P
 @pytest.mark.parametrize("name", catalog_names())
 def test_nearest_sample_matches_brute_force(name):
     curve = make_curve(name)
-    _sv, xs, ys = curve.sample_cache(2048)
+    _sv, xs, ys = curve.sample_cache()
     rng = np.random.default_rng(sum(map(ord, name)))
     for m in NEAREST_SAMPLE_COUNTS:
         # on the curve, near it, a third of the scale off it, far outside
@@ -1200,11 +1198,9 @@ def test_nearest_sample_matches_brute_force(name):
         # the origin (the centre of the symmetric curves), and a point so far
         # away that every squared distance rounds to 1e40, a tie won by index 0
         pts[:2] = np.array([(0.0, 0.0), (1e20, 0.0)])[: min(m, 2)]
-        got = sk.nearest_sample(pts[:, 0], pts[:, 1], xs, ys)
+        got = sk.nearest_sample(pts[:, 0], pts[:, 1], curve.sample_chunks())
         assert got.dtype == np.intp
         assert np.array_equal(got, old_nearest_sample(pts[:, 0], pts[:, 1], xs, ys))
-        cached = sk.nearest_sample(pts[:, 0], pts[:, 1], xs, ys, curve.sample_chunks(2048))
-        assert np.array_equal(cached, got)
         if m >= 2:
             assert got[1] == 0
 
@@ -1215,13 +1211,13 @@ def test_nearest_sample_prunes_nothing_when_every_sample_ties():
     # squared distances round to four values, so the first minimum is not
     # index 0 (it is 182): the search must match the brute force, not 0.
     circle = make_curve("circle")
-    _sv, xs, ys = circle.sample_cache(2048)
+    _sv, xs, ys = circle.sample_cache()
     m = sk.POINT_BLOCK + 1
     assert m * (2048 // sk.SAMPLE_CHUNK) > 2 * sk.PAIR_BLOCK
     for x in (0.0, 1e20):
         px = np.full(m, x)
         py = np.zeros(m)
-        got = sk.nearest_sample(px, py, xs, ys)
+        got = sk.nearest_sample(px, py, circle.sample_chunks())
         ref = old_nearest_sample(px, py, xs, ys)
         assert np.array_equal(got, ref)
         assert np.all(ref == ref[0])
@@ -1374,16 +1370,16 @@ def old_gn_solve(
     """The per-start damped Gauss-Newton loop the lockstep solve replaced.
 
     Normal equations are regularized with an adaptive Levenberg term
-    (x10 on a rejected step, /10 on an accepted one) so degenerate
-    starts, where the plain system is singular, still produce descent
-    directions.  cost_trace must hold k_max + 1 entries; the filled
+    (x10 on a rejected step or an exactly singular system, /10 on an
+    accepted one) so degenerate starts, where the plain system is
+    singular, still produce descent directions.  cost_trace must hold k_max + 1 entries; the filled
     prefix length is returned.
 
     Returns (theta, cost, iterations, status, trace_len).
     """
     n = theta0.shape[0]
     theta = theta0.copy()
-    w = fk.weight_vector(n, square_mode, w_len, w_ang, w_diag)
+    w = np.repeat([w_len, w_ang, w_diag], (n, n, 2 if square_mode else 0))
     r = old_residual_vector(kind, par, theta, square_mode)
     cost = old_cost_value(r, w)
     cost_trace[0] = cost
@@ -1406,7 +1402,12 @@ def old_gn_solve(
         cost_new = cost
         while lam <= fk._LM_MAX:
             A = M + lam * eye
-            dtheta = np.linalg.solve(A, -grad)
+            try:
+                dtheta = np.linalg.solve(A, -grad)
+            except np.linalg.LinAlgError:
+                # an exactly singular system is a rejected solve
+                lam *= 10.0
+                continue
             slope = np.sum(grad * dtheta)
             if not np.all(np.isfinite(dtheta)) or slope > 0.0:
                 lam *= 10.0
@@ -1452,7 +1453,7 @@ def old_gn_solve(
 
 def oracle_multistart(curve, config):
     """multistart's selection over per-start runs of old_gn_solve."""
-    w = finder._weights(config)
+    w = fk.weight_vector(config)
     starts = [finder.init_curvature_weighted(curve, config.n)]
     rng = np.random.default_rng(config.seed)
     for _ in range(1, config.n_init):
@@ -1510,6 +1511,7 @@ def assert_finder_matches_oracle(curve, config):
         ("deltoid", dict(n=5)),
         ("circle", dict(n=3)),
         ("fourier-blob", dict(n=4, square_mode=True, seed=9)),
+        ("nephroid", dict(n=3)),
     ],
 )
 def test_lockstep_finder_matches_per_start_oracle(name, kw):

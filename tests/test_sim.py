@@ -22,10 +22,7 @@ TWO_PI = 2.0 * np.pi
 
 def curve_distance(p, curve):
     """Distance from the point p to the curve, by the adherence kernel."""
-    sv, xs, ys = curve.sample_cache(2048)
-    dist, _s_at = sk.nearest_on_curve(
-        curve.kind, curve.par, np.array([p[0]]), np.array([p[1]]), sv, xs, ys
-    )
+    dist, _s_at = sk.nearest_on_curve(curve, np.array([p[0]]), np.array([p[1]]))
     return float(dist[0])
 
 
@@ -351,34 +348,19 @@ def test_mission_collision_flag_truncates():
     # two coincident agents trip the abort distance on the first record
     curve = make_curve("circle")
     cp = make_params(curve)
-    sv, xs, ys = curve.sample_cache(2048)
     p = curve.point(0.0)
     st = np.zeros((2, 6))
     st[:, 0] = p[0]
     st[:, 1] = p[1]
     st[:, 3] = cp.v_min
-    traj, min_dist, _adh, _sig, filled, collision, nonfinite = sk.mission_core(
-        st,
-        np.zeros(2),
-        np.full(2, np.inf),
-        curve.kind,
-        curve.par,
-        curve.eps_sing,
-        sv,
-        xs,
-        ys,
-        np.zeros(2),
-        np.zeros(2),
-        np.zeros(2),
-        False,
-        cp,
-        0.01,
-        100,
-        0.5 * cp.d_safe,
+    traj, min_dist, adh, collision, nonfinite = sk.mission_core(
+        curve, st, np.zeros(2), np.full(2, np.inf), None, cp, 0.01, 100
     )
     assert collision
     assert not nonfinite
-    assert filled == 1
+    # the series hold the one record made
+    assert traj.shape == (1, 2, len(TRAJECTORY_COLUMNS))
+    assert min_dist.shape == adh.shape == (1,)
     assert float(min_dist[0]) == pytest.approx(0.0, abs=1e-12)
 
 
