@@ -27,8 +27,6 @@ KIND_NEPHROID = 9      # par = [a]
 KIND_SPIROGRAPH = 10   # par = [R, r, d], (R - r)/r a nonzero integer
 KIND_GEAR = 11         # par = [teeth, R_outer, R_inner]
 
-POLAR_KINDS = (KIND_SUPERELLIPSE, KIND_CASSINI, KIND_FOURIER, KIND_PEANUT)
-
 
 def _polar_terms(kind, par, s, c, sn, order):
     """Radius r(s) and its derivatives up to `order` for the polar families.

@@ -17,6 +17,7 @@ reproduces the same effective configuration.
 import configparser
 import dataclasses
 import io
+from typing import Optional
 
 import numpy as np
 
@@ -27,17 +28,23 @@ from .sim import MissionConfig
 
 SECTIONS = ("curve", "finder", "controller", "sim")
 
-_FINDER_KEYS = {f.name for f in dataclasses.fields(FinderConfig)}
-_CONTROLLER_KEYS = set(ControllerParams._fields)
-_SIM_KEYS = {
-    "n",
-    "seed",
-    "dt",
-    "horizon",
-    "annulus_frac",
-    "heading_spread",
-    "target",
-    "snapshot_times",
+# Each [finder], [controller] and [sim] key maps to its record field's
+# default, which types the key: bool, int, float, tuple of floats, or
+# None for the 'x,y' point.  The curve-scaled controller fields have no
+# default; they are floats like every controller field.  [sim] spells
+# MissionConfig.c_target as target and leaves out the objects a mission
+# holds (curve, finder, params).
+_DEFAULTS = {
+    "finder": {f.name: f.default for f in dataclasses.fields(FinderConfig)},
+    "controller": {
+        key: ControllerParams._field_defaults.get(key, 0.0)
+        for key in ControllerParams._fields
+    },
+    "sim": {
+        "target" if f.name == "c_target" else f.name: f.default
+        for f in dataclasses.fields(MissionConfig)
+        if f.name not in ("curve", "finder", "params")
+    },
 }
 
 
@@ -45,48 +52,63 @@ class ConfigError(ValueError):
     """Unreadable, unknown, or inconsistent configuration input."""
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"key '{key}' expects a boolean, got '{raw}'")
-
-
-def _parse_float(raw: str, key: str) -> float:
+def _number(cast, raw: str, key: str):
     try:
-        return float(raw)
+        return cast(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}' expects a number, got '{raw}'") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"key '{key}' expects {kind}, got '{raw}'") from None
 
 
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}' expects an integer, got '{raw}'") from None
-
-
-def parse_target(raw: str):
+def parse_target(raw: str, key: str = "target"):
     """'x,y' pair; CLI --target and config file share this format."""
     parts = [p for p in raw.replace(",", " ").split() if p]
     if len(parts) != 2:
-        raise ConfigError(f"target expects 'x,y', got '{raw}'")
-    return (
-        _parse_float(parts[0], "target"),
-        _parse_float(parts[1], "target"),
-    )
+        raise ConfigError(f"key '{key}' expects 'x,y', got '{raw}'")
+    return (_number(float, parts[0], key), _number(float, parts[1], key))
+
+
+def _parse(section: str, key: str, raw: str):
+    """One INI value, typed by its record field's default."""
+    name = f"{section}.{key}"
+    default = _DEFAULTS[section][key]
+    if default is None:
+        return parse_target(raw, name)
+    if isinstance(default, tuple):
+        return tuple(_number(float, p, name) for p in raw.replace(",", " ").split())
+    if isinstance(default, bool):
+        low = raw.strip().lower()
+        if low in ("1", "true", "yes", "on"):
+            return True
+        if low in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"key '{name}' expects a boolean, got '{raw}'")
+    return _number(type(default), raw, name)
+
+
+def _format(value) -> str:
+    """An INI value that _parse reads back as the same value."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, tuple):
+        return ", ".join(repr(float(v)) for v in value)
+    return repr(float(value))
 
 
 @dataclasses.dataclass
 class EffectiveConfig:
-    """Everything resolved: curve object plus the three config records."""
+    """Everything resolved: curve object plus the three config records.
+
+    finder is None for a sweep-only mission (n below 3), which runs no
+    formation search.
+    """
 
     curve_name: str
     curve_params: dict
     curve: Curve
-    finder: FinderConfig
+    finder: Optional[FinderConfig]
     controller_overrides: dict
     sim: dict
 
@@ -98,16 +120,10 @@ class EffectiveConfig:
         )
         sim = dict(self.sim)
         target = sim.pop("target", None)
-        finder = self.finder
-        if sim.get("n", 4) < 3:
-            finder = None  # sweep-only missions never run the formation search
-        return MissionConfig(
-            curve=self.curve,
-            finder=finder,
-            params=params,
-            c_target=target,
-            **sim,
-        )
+        mission = MissionConfig(curve=self.curve, params=params, c_target=target, **sim)
+        if mission.n >= 3:  # sweep-only missions never run the formation search
+            mission.finder = self.finder
+        return mission
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -125,10 +141,11 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
     """Parse config text, apply CLI-style overrides, build everything.
 
     overrides maps flat keys (curve, n, target, seed, dt, horizon,
-    square_mode) to already-typed values; flags win over file values.
-    This is the one place the finder's n, seed and c_target are derived:
-    from a flag, else from the [finder] key, else from the [sim] key
-    (n, seed, target).  A mission n below 3 leaves the finder's n alone.
+    square_mode) to values; flags win over file values.  This is the
+    one place the finder's n, seed and c_target are derived: from a
+    flag, else from the [finder] key, else from the [sim] key (n, seed,
+    target).  When that n is the mission's and below 3, the mission is
+    sweep-only and the configuration has no finder.
     """
     parser = _read_ini(text)
     overrides = dict(overrides or {})
@@ -140,7 +157,7 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
             if key == "name":
                 curve_name = raw.strip()
             else:
-                curve_params[key] = _parse_float(raw, f"curve.{key}")
+                curve_params[key] = _number(float, raw, f"curve.{key}")
     if "curve" in overrides and overrides["curve"] is not None:
         curve_name = overrides["curve"]
     if curve_name is None:
@@ -148,68 +165,39 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
             "missing required key 'curve.name' (set [curve] name or --curve)"
         )
 
-    finder_kw = {}
-    if parser.has_section("finder"):
-        for key, raw in parser.items("finder"):
-            if key not in _FINDER_KEYS:
-                raise ConfigError(f"unknown finder key '{key}'")
-            if key == "c_target":
-                finder_kw[key] = parse_target(raw)
-            elif key in ("n", "n_init", "k_max", "seed"):
-                finder_kw[key] = _parse_int(raw, f"finder.{key}")
-            elif key == "square_mode":
-                finder_kw[key] = _parse_bool(raw, f"finder.{key}")
-            else:
-                finder_kw[key] = _parse_float(raw, f"finder.{key}")
+    values = {section: {} for section in _DEFAULTS}
+    for section, fields in _DEFAULTS.items():
+        if parser.has_section(section):
+            for key, raw in parser.items(section):
+                if key not in fields:
+                    raise ConfigError(f"unknown {section} key '{key}'")
+                values[section][key] = _parse(section, key, raw)
+    finder_kw, controller_overrides, sim_kw = values.values()
 
-    controller_overrides = {}
-    if parser.has_section("controller"):
-        for key, raw in parser.items("controller"):
-            if key not in _CONTROLLER_KEYS:
-                raise ConfigError(f"unknown controller key '{key}'")
-            controller_overrides[key] = _parse_float(raw, f"controller.{key}")
-
-    sim_kw = {}
-    if parser.has_section("sim"):
-        for key, raw in parser.items("sim"):
-            if key not in _SIM_KEYS:
-                raise ConfigError(f"unknown sim key '{key}'")
-            if key in ("n", "seed"):
-                sim_kw[key] = _parse_int(raw, f"sim.{key}")
-            elif key == "target":
-                sim_kw[key] = parse_target(raw)
-            elif key == "snapshot_times":
-                sim_kw[key] = tuple(
-                    _parse_float(p, "sim.snapshot_times")
-                    for p in raw.replace(",", " ").split()
-                )
-            else:
-                sim_kw[key] = _parse_float(raw, f"sim.{key}")
-
-    flag_types = {"n": int, "seed": int, "dt": float, "horizon": float, "target": tuple}
-    for key, cast in flag_types.items():
-        if overrides.get(key) is not None:
-            sim_kw[key] = cast(overrides[key])
+    # a flag goes through the same parser as its [sim] key
+    for key, value in overrides.items():
+        if key in _DEFAULTS["sim"] and value is not None:
+            sim_kw[key] = _parse("sim", key, _format(value))
     if overrides.get("square_mode"):
         finder_kw["square_mode"] = True
     # run_mission seeds the finder from the mission the same way
     for key, finder_key in (("n", "n"), ("seed", "seed"), ("target", "c_target")):
         flagged = overrides.get(key) is not None
         if key in sim_kw and (flagged or finder_key not in finder_kw):
-            if key != "n" or sim_kw["n"] >= 3:
-                finder_kw[finder_key] = sim_kw[key]
+            finder_kw[finder_key] = sim_kw[key]
+    sweep_only = "n" in sim_kw and sim_kw["n"] < 3 and finder_kw["n"] == sim_kw["n"]
 
     try:
         curve = make_curve(curve_name, **curve_params)
     except Exception as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        finder = FinderConfig(**finder_kw)
-        finder.validate()
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc)) from None
+    finder = None
+    if not sweep_only:
+        try:
+            finder = FinderConfig(**finder_kw)
+            finder.validate()
+        except Exception as exc:
+            raise ConfigError(str(exc)) from None
     if controller_overrides:
         try:
             make_params(curve, **controller_overrides)
@@ -228,40 +216,19 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
 
 def dump_config(cfg: EffectiveConfig) -> str:
     """Serialize the effective configuration; reparses to itself."""
+    finder = {} if cfg.finder is None else dataclasses.asdict(cfg.finder)
     out = io.StringIO()
     out.write("[curve]\n")
     out.write(f"name = {cfg.curve_name}\n")
     for key in sorted(cfg.curve_params):
-        out.write(f"{key} = {repr(float(cfg.curve_params[key]))}\n")
-    out.write("\n[finder]\n")
-    for f in dataclasses.fields(FinderConfig):
-        value = getattr(cfg.finder, f.name)
-        if value is None:
-            continue
-        if f.name == "c_target":
-            out.write(f"c_target = {repr(float(value[0]))}, {repr(float(value[1]))}\n")
-        elif isinstance(value, bool):
-            out.write(f"{f.name} = {str(value).lower()}\n")
-        elif isinstance(value, (int, np.integer)):
-            out.write(f"{f.name} = {int(value)}\n")
-        else:
-            out.write(f"{f.name} = {repr(float(value))}\n")
-    out.write("\n[controller]\n")
-    for key in sorted(cfg.controller_overrides):
-        out.write(f"{key} = {repr(float(cfg.controller_overrides[key]))}\n")
-    out.write("\n[sim]\n")
-    for key in sorted(cfg.sim):
-        value = cfg.sim[key]
-        if key == "target":
-            out.write(f"target = {repr(float(value[0]))}, {repr(float(value[1]))}\n")
-        elif key == "snapshot_times":
-            out.write(
-                "snapshot_times = "
-                + ", ".join(repr(float(v)) for v in value)
-                + "\n"
-            )
-        elif key in ("n", "seed"):
-            out.write(f"{key} = {int(value)}\n")
-        else:
-            out.write(f"{key} = {repr(float(value))}\n")
+        out.write(f"{key} = {_format(cfg.curve_params[key])}\n")
+    for section, values, keys in (
+        ("finder", finder, list(finder)),
+        ("controller", cfg.controller_overrides, sorted(cfg.controller_overrides)),
+        ("sim", cfg.sim, sorted(cfg.sim)),
+    ):
+        out.write(f"\n[{section}]\n")
+        for key in keys:
+            if values[key] is not None:
+                out.write(f"{key} = {_format(values[key])}\n")
     return out.getvalue()

@@ -51,115 +51,75 @@ class ControlError(ValueError):
 class ControllerParams(NamedTuple):
     """Gains and geometry for the blended controller, all float64.
 
-    Scale-dependent fields (lift_gain, switch/avoidance distances,
-    speed limits) come from make_params(curve); the class itself is a
-    flat numeric record the laws read by attribute.
+    The first seven fields scale with the curve and have no default:
+    make_params(curve) derives them.  Every other field's default is
+    declared here; the class is a flat numeric record the laws read by
+    attribute.
     """
 
-    # PD gains on (normal error, tangential error, lifted progress error)
-    kp_n: float
-    kp_t: float
-    kp_lift: float
-    kd_n: float
-    kd_t: float
-    kd_lift: float
-    # vertex pose regulator
-    kp_pose: float
-    kv_pose: float
-    kpsi_pose: float
-    kz_pose: float
-    # lifted-coordinate geometry
+    # lifted coordinate s = z / lift_gain, and the speed envelope
     lift_gain: float
-    v_ref: float
     v_min: float
     v_max: float
-    # blending
-    revs_star: float
+    # blend switch, avoidance and safety distances, sensing range
     d_sw: float
-    blend_mode: float
-    # avoidance
     d_ao: float
     d_safe: float
-    k_avoid: float
-    kv_avoid: float
-    komega_avoid: float
-    kz_avoid: float
-    sigma_accept: float
-    delta_sigma: float
-    codir_factor: float
-    codir_ramp: float
     sense_radius: float
-    shrink_sigma: float
-    shrink_factor: float
+    # PD gains on (normal error, tangential error, lifted progress error)
+    kp_n: float = 15.0
+    kp_t: float = 15.0
+    kp_lift: float = 3.0
+    kd_n: float = 10.0
+    kd_t: float = 10.0
+    kd_lift: float = 3.0
+    # vertex pose regulator
+    kp_pose: float = 3.0
+    kv_pose: float = 4.0
+    kpsi_pose: float = 5.0
+    kz_pose: float = 3.0
+    # reference parameter rate (rad/s)
+    v_ref: float = 0.5
+    # blending
+    revs_star: float = 1.0
+    blend_mode: float = 1.0
+    # avoidance
+    k_avoid: float = 0.8
+    kv_avoid: float = 2.0
+    komega_avoid: float = 12.0
+    kz_avoid: float = 2.0
+    sigma_accept: float = 0.7
+    delta_sigma: float = 0.2
+    codir_factor: float = 0.3
+    codir_ramp: float = 0.2
+    shrink_sigma: float = 0.85
+    shrink_factor: float = 1.5
     # width (in curve parameter, rad) of the smooth stop of the
     # marching reference as it reaches the assigned vertex address
-    brake_width: float
+    brake_width: float = 3.0
     # envelope stiffness: acceleration is capped at kv_limit*(bound-v)
     # so catch-up speeds stay within what avoidance can brake against
-    kv_limit: float
+    kv_limit: float = 5.0
     # leash (in curve parameter, rad) from the agent's lifted coordinate
     # to the marching reference: a blocked agent's reference waits for it
     # instead of banking unbounded catch-up error
-    lead_width: float
+    lead_width: float = 0.75
     # turn-rate saturation: the regularized decoupling inversion scales
     # like 1/v_min near standstill, so raw turn demands there are noise
-    omega_max: float
+    omega_max: float = 8.0
 
 
 def make_params(curve: Curve, **overrides) -> ControllerParams:
-    """Build defaults keyed to the curve's size, then apply overrides.
+    """Derive the curve-scaled fields, then apply overrides to the record.
 
     v_ref is the reference parameter rate (rad/s); the lifted reference
-    advances at lift_gain * v_ref.  blend_mode accepts "product",
-    "anti-deadlock", or a numeric value.
+    advances at lift_gain * v_ref, and v_min and v_max follow the
+    effective v_ref unless set themselves.  blend_mode accepts
+    "product", "anti-deadlock", or a numeric value.
     """
-    scale = curve.scale
-    lift_gain = scale / TWO_PI
-    v_ref = 0.5
-    defaults = {
-        "kp_n": 15.0,
-        "kp_t": 15.0,
-        "kp_lift": 3.0,
-        "kd_n": 10.0,
-        "kd_t": 10.0,
-        "kd_lift": 3.0,
-        "kp_pose": 3.0,
-        "kv_pose": 4.0,
-        "kpsi_pose": 5.0,
-        "kz_pose": 3.0,
-        "lift_gain": lift_gain,
-        "v_ref": v_ref,
-        "v_min": 0.05 * v_ref,
-        "v_max": 1.2 * v_ref * curve.speed_max,
-        "revs_star": 1.0,
-        "d_sw": 0.15 * scale,
-        "blend_mode": 1.0,
-        "d_ao": 0.12 * scale,
-        "d_safe": 0.06 * scale,
-        "k_avoid": 0.8,
-        "kv_avoid": 2.0,
-        "komega_avoid": 12.0,
-        "kz_avoid": 2.0,
-        "sigma_accept": 0.7,
-        "delta_sigma": 0.2,
-        "codir_factor": 0.3,
-        "codir_ramp": 0.2,
-        "sense_radius": 0.24 * scale,
-        "shrink_sigma": 0.85,
-        "shrink_factor": 1.5,
-        "brake_width": 3.0,
-        "kv_limit": 5.0,
-        "lead_width": 0.75,
-        "omega_max": 8.0,
-    }
-    if "v_ref" in overrides:
-        # derived speeds follow the overridden rate unless set themselves
-        vr = float(overrides["v_ref"])
-        defaults["v_ref"] = vr
-        defaults["v_min"] = 0.05 * vr
-        defaults["v_max"] = 1.2 * vr * curve.speed_max
+    values = {}
     for key, value in overrides.items():
-        if key not in defaults:
+        if key not in ControllerParams._fields:
             raise ControlError(f"unknown controller parameter '{key}'")
         if key == "blend_mode" and isinstance(value, str):
             if value not in _BLEND_MODES:
@@ -167,13 +127,29 @@ def make_params(curve: Curve, **overrides) -> ControllerParams:
                     f"blend_mode must be 'product' or 'anti-deadlock', got '{value}'"
                 )
             value = _BLEND_MODES[value]
-        defaults[key] = float(value)
-    cp = ControllerParams(**defaults)
+        values[key] = float(value)
+    scale = curve.scale
+    v_ref = values.get("v_ref", ControllerParams._field_defaults["v_ref"])
+    derived = {
+        "lift_gain": scale / TWO_PI,
+        "v_min": 0.05 * v_ref,
+        "v_max": 1.2 * v_ref * curve.speed_max,
+        "d_sw": 0.15 * scale,
+        "d_ao": 0.12 * scale,
+        "d_safe": 0.06 * scale,
+        "sense_radius": 0.24 * scale,
+    }
+    cp = ControllerParams(**{**derived, **values})
     _validate_params(cp)
     return cp
 
 
 def _validate_params(cp: ControllerParams) -> None:
+    # back to front, so a non-finite v_ref is named before the v_min and
+    # v_max that make_params derived from it
+    for name, value in reversed(tuple(zip(cp._fields, cp))):
+        if not math.isfinite(value):
+            raise ControlError(f"controller parameter '{name}' must be finite, got {value!r}")
     positive = (
         "kp_n", "kp_t", "kp_lift", "kd_n", "kd_t", "kd_lift",
         "kp_pose", "kv_pose", "kpsi_pose", "kz_pose",
@@ -219,10 +195,6 @@ class FormationAssignment:
     z_target: np.ndarray
     offset: int
     total_arc: float
-
-    @property
-    def n(self) -> int:
-        return self.theta.shape[0]
 
 
 def curve_geometry(curve, s):

@@ -249,13 +249,14 @@ class Curve:
         for key, value in params.items():
             if key not in merged:
                 raise CurveError(f"unknown parameter '{key}' for family '{family}'")
+            if not np.all(np.isfinite(value)):
+                raise CurveError(f"curve parameter '{key}' must be finite, got {value!r}")
             merged[key] = value
         self.family = family
         self.params = merged
         self.kind = kind
         self.par = packer(merged)
         self.par.setflags(write=False)
-        self.period = TWO_PI
         self._cache = {}
 
     def __repr__(self):

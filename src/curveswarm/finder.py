@@ -9,7 +9,7 @@ sorted random starts, then picks a winner by the selection rules
 documented on multistart().
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,12 +32,6 @@ class FinderError(ValueError):
     """Bad finder configuration or inputs."""
 
 
-_INT_FIELDS = ("n", "n_init", "k_max", "seed")
-_FLOAT_FIELDS = (
-    "weight_length", "weight_angle", "weight_diagonal", "tol_step",
-    "tol_cost_rel", "accept_cost", "armijo_c1", "backtrack", "lm_lambda0",
-    "min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac",
-)
 _NONNEGATIVE_FIELDS = (
     "min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac"
 )
@@ -112,6 +106,11 @@ class FinderConfig:
             raise FinderError("backtrack factor must lie in (0, 1)")
         if self.lm_lambda0 <= 0:
             raise FinderError("lm_lambda0 must be positive")
+
+
+# validate checks each field by the type of its default
+_INT_FIELDS = tuple(f.name for f in fields(FinderConfig) if type(f.default) is int)
+_FLOAT_FIELDS = tuple(f.name for f in fields(FinderConfig) if type(f.default) is float)
 
 
 @dataclass

@@ -101,7 +101,6 @@ class TrajectoryLog:
 
     times: np.ndarray
     data: np.ndarray
-    columns: tuple = TRAJECTORY_COLUMNS
 
 
 @dataclass

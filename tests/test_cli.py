@@ -1,5 +1,6 @@
 """Tests for configuration parsing, file emission, and the CLI."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from curveswarm.config import (
     load_config,
     parse_target,
 )
-from curveswarm.control import make_params
+from curveswarm.control import ControllerParams, make_params
 from curveswarm.curves import make_curve
 from curveswarm.finder import FinderConfig, multistart
 from curveswarm.output import (
@@ -116,6 +117,71 @@ def test_config_dump_round_trip():
     assert cfg2.finder == cfg.finder
     assert cfg2.sim == cfg.sim
     assert cfg2.controller_overrides == cfg.controller_overrides
+
+
+def _record_keys():
+    """(section, key, default) for every [finder], [controller] and [sim] key."""
+    curve = make_curve("circle")
+    scaled = make_params(curve)
+    for f in dataclasses.fields(FinderConfig):
+        yield "finder", f.name, f.default
+    for key in ControllerParams._fields:
+        yield "controller", key, ControllerParams._field_defaults.get(key, getattr(scaled, key))
+    for f in dataclasses.fields(MissionConfig):
+        if f.name not in ("curve", "finder", "params"):
+            yield "sim", "target" if f.name == "c_target" else f.name, f.default
+
+
+def _other_and_malformed(key, default):
+    """A valid value other than the default, and a value of the wrong type."""
+    if default is None:
+        return "0.5, -0.25", "1"
+    if isinstance(default, tuple):
+        return "1.0, 2.0", "1, two"
+    if isinstance(default, bool):
+        return str(not default).lower(), "maybe"
+    if isinstance(default, int):
+        return str(default + 1), "2.5"
+    if key == "blend_mode":
+        return "0", "fast"
+    return repr(1.1 * default), "fast"
+
+
+@pytest.mark.parametrize(
+    "section,key,default", [pytest.param(*k, id=f"{k[0]}.{k[1]}") for k in _record_keys()]
+)
+def test_config_every_record_key_round_trips_and_names_itself(section, key, default):
+    other, malformed = _other_and_malformed(key, default)
+    head = "[curve]\nname = circle\n"
+    cfg = load_config(f"{head}[{section}]\n{key} = {other}\n")
+    values = {
+        "finder": dataclasses.asdict(cfg.finder),
+        "controller": cfg.controller_overrides,
+        "sim": cfg.sim,
+    }[section]
+    assert values[key] != default
+    again = load_config(dump_config(cfg))
+    assert again.finder == cfg.finder
+    assert again.controller_overrides == cfg.controller_overrides
+    assert again.sim == cfg.sim
+    assert again.mission_config().params == cfg.mission_config().params
+    with pytest.raises(ConfigError, match=re.escape(f"'{section}.{key}'")):
+        load_config(f"{head}[{section}]\n{key} = {malformed}\n")
+
+
+def test_non_finite_values_are_config_errors(tmp_path, capsys):
+    for text, name in (
+        ("[curve]\nname = ellipse\na = inf\n", "'a' must be finite"),
+        ("[curve]\nname = ellipse\n[controller]\nkp_n = inf\n", "'kp_n' must be finite"),
+        ("[curve]\nname = ellipse\n[controller]\nk_avoid = nan\n", "'k_avoid' must be finite"),
+    ):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        for argv in (["find"], ["simulate", "--horizon", "1"]):
+            out = tmp_path / argv[0]
+            assert run_cli(argv + [str(path), "--out", str(out)]) == 2
+            assert name in capsys.readouterr().err
+            assert not out.exists()
 
 
 # -- output files -------------------------------------------------------------
@@ -371,6 +437,27 @@ def test_cli_dump_config_round_trip(tmp_path, capsys):
     path.write_text(dumped)
     assert run_cli(["simulate", str(path), "--dump-config"]) == 0
     assert capsys.readouterr().out == dumped
+
+
+def test_cli_n_below_3_is_sweep_only_for_simulate_and_an_error_for_find(tmp_path, capsys):
+    # find used to solve the default 4-gon and print n=4
+    assert run_cli(["find", "--curve", "circle", "--n", "2", "--out", str(tmp_path / "f")]) == 2
+    assert "config error: n = 2" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+    out = tmp_path / "s"
+    assert run_cli(["simulate", "--curve", "ellipse", "--n", "2", "--horizon", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("curve=ellipse n=2 ")
+    assert (out / "trajectory.csv").exists()
+    assert run_cli(["simulate", "--curve", "ellipse", "--n", "2", "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    path = tmp_path / "dump.ini"
+    path.write_text(dumped)
+    assert run_cli(["simulate", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+    # a [finder] n below 3 stays an error when the mission needs a formation
+    path.write_text("[curve]\nname = circle\n[finder]\nn = 2\n")
+    assert run_cli(["simulate", str(path), "--dump-config"]) == 2
+    assert "n >= 3" in capsys.readouterr().err
 
 
 def test_cli_module_entry_point():

@@ -6,6 +6,7 @@ import pytest
 from curveswarm import control
 from curveswarm.control import (
     ControlError,
+    ControllerParams,
     agent_control,
     assign_vertices,
     avoidance_control_law,
@@ -800,6 +801,11 @@ def test_make_params_rejects_unknown_and_invalid():
         make_params(curve, sigma_accept=1.5)
     with pytest.raises(ControlError, match="above 'd_safe'"):
         make_params(curve, shrink_factor=1.0)
+    # every field, curve-scaled or not, must be finite; the name is given
+    for name in ControllerParams._fields:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ControlError, match=f"'{name}' must be finite"):
+                make_params(curve, **{name: bad})
     cp = make_params(curve, blend_mode="product")
     assert cp.blend_mode == 0.0
 

@@ -200,6 +200,15 @@ def test_validation_errors():
         make_curve("deltoid").deriv(0.0, order=3)
 
 
+def test_non_finite_family_parameters_are_named():
+    for name, key in (("ellipse", "a"), ("circle", "b"), ("rose", "k"), ("deltoid", "a")):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(CurveError, match=f"'{key}' must be finite"):
+                make_curve(name, **{key: bad})
+    with pytest.raises(CurveError, match="'coeffs' must be finite"):
+        make_curve("fourier-blob", coeffs=(0.1, np.inf))
+
+
 def test_singular_set_is_small():
     # admissibility: vanishing-speed parameters are isolated, so only a tiny
     # fraction of a dense sample may fall below eps_sing
