@@ -87,8 +87,8 @@ def _load(args):
 def cmd_find(args) -> int:
     try:
         cfg = _load(args)
-        if cfg.finder is None:
-            raise ConfigError(f"n = {cfg.sim['n']}: a formation search needs n >= 3")
+        if cfg.finder.n < 3:
+            raise ConfigError(f"n = {cfg.finder.n}: a formation search needs n >= 3")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

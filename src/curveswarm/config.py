@@ -17,7 +17,6 @@ reproduces the same effective configuration.
 import configparser
 import dataclasses
 import io
-from typing import Optional
 
 import numpy as np
 
@@ -101,14 +100,14 @@ def _format(value) -> str:
 class EffectiveConfig:
     """Everything resolved: curve object plus the three config records.
 
-    finder is None for a sweep-only mission (n below 3), which runs no
-    formation search.
+    For a sweep-only mission (n below 3) finder.n is the mission's n and
+    the record is never run; its other fields are still validated.
     """
 
     curve_name: str
     curve_params: dict
     curve: Curve
-    finder: Optional[FinderConfig]
+    finder: FinderConfig
     controller_overrides: dict
     sim: dict
 
@@ -145,7 +144,7 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
     one place the finder's n, seed and c_target are derived: from a
     flag, else from the [finder] key, else from the [sim] key (n, seed,
     target).  When that n is the mission's and below 3, the mission is
-    sweep-only and the configuration has no finder.
+    sweep-only: its finder keeps that n and runs no search.
     """
     parser = _read_ini(text)
     overrides = dict(overrides or {})
@@ -174,10 +173,9 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
                 values[section][key] = _parse(section, key, raw)
     finder_kw, controller_overrides, sim_kw = values.values()
 
-    # a flag goes through the same parser as its [sim] key
     for key, value in overrides.items():
         if key in _DEFAULTS["sim"] and value is not None:
-            sim_kw[key] = _parse("sim", key, _format(value))
+            sim_kw[key] = value
     if overrides.get("square_mode"):
         finder_kw["square_mode"] = True
     # run_mission seeds the finder from the mission the same way
@@ -189,20 +187,13 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
 
     try:
         curve = make_curve(curve_name, **curve_params)
+        finder = FinderConfig(**finder_kw)
+        # a sweep-only mission runs no search, but its [finder] keys are checked
+        (dataclasses.replace(finder, n=FinderConfig.n) if sweep_only else finder).validate()
+        if controller_overrides:
+            make_params(curve, **controller_overrides)
     except Exception as exc:
         raise ConfigError(str(exc)) from None
-    finder = None
-    if not sweep_only:
-        try:
-            finder = FinderConfig(**finder_kw)
-            finder.validate()
-        except Exception as exc:
-            raise ConfigError(str(exc)) from None
-    if controller_overrides:
-        try:
-            make_params(curve, **controller_overrides)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from None
 
     return EffectiveConfig(
         curve_name=curve_name,
@@ -216,7 +207,7 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
 
 def dump_config(cfg: EffectiveConfig) -> str:
     """Serialize the effective configuration; reparses to itself."""
-    finder = {} if cfg.finder is None else dataclasses.asdict(cfg.finder)
+    finder = dataclasses.asdict(cfg.finder)
     out = io.StringIO()
     out.write("[curve]\n")
     out.write(f"name = {cfg.curve_name}\n")

@@ -460,6 +460,30 @@ def test_cli_n_below_3_is_sweep_only_for_simulate_and_an_error_for_find(tmp_path
     assert "n >= 3" in capsys.readouterr().err
 
 
+def test_cli_sweep_only_mission_still_checks_and_dumps_finder_keys(tmp_path, capsys):
+    head = "[curve]\nname = circle\n[sim]\nn = 2\n"
+    path = tmp_path / "sweep.ini"
+    for extra, message in (
+        ("target = inf, 0\n", "c_target must be finite"),
+        ("[finder]\nk_max = 0\n", "need at least one iteration"),
+        ("[finder]\ntol_step = nan\n", "tol_step must be finite"),
+    ):
+        path.write_text(head + extra)
+        for command in ("simulate", "find"):
+            assert run_cli([command, str(path), "--dump-config"]) == 2
+            assert message in capsys.readouterr().err
+    path.write_text(head + "[finder]\nk_max = 7\n")
+    assert run_cli(["simulate", str(path), "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert "k_max = 7\n" in dumped
+    cfg = load_config(dumped)
+    assert (cfg.finder.n, cfg.finder.k_max, cfg.sim["n"]) == (2, 7, 2)
+    assert cfg.mission_config().finder is None
+    path.write_text(dumped)
+    assert run_cli(["simulate", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "curveswarm.cli", "curves", "list"],
