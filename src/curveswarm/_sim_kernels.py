@@ -20,7 +20,9 @@ separate pairwise-distance pass.
 
 A trajectory record holds one row per agent in the TRAJECTORY_COLUMNS
 order.  Controls are recomputed from each snapshot before stepping and
-held constant across the step (zero-order hold).
+held constant across the step (zero-order hold).  The loop can hand each
+finished block of TICK_BLOCK records to a callback while it runs on, so
+a writer can format them on another core (output.TrajectoryWriter).
 """
 
 import math
@@ -54,7 +56,9 @@ NEWTON_TOL = 1e-12  # Newton step at which a point counts as converged
 NEWTON_CAP = 64  # Newton rounds at most; a point still moving keeps its last step
 POINT_BLOCK = 256  # points per pruned nearest-sample pass
 PAIR_BLOCK = 2048  # (point, chunk) pairs per exact pass: (2048, 32) temporaries
-TICK_BLOCK = 512  # ticks per adherence pass after the mission loop
+# records per adherence pass after the mission loop, and per block that
+# mission_core streams to its on_block callback
+TICK_BLOCK = 512
 
 
 def rk4_step_team(states, controls, dt):
@@ -379,12 +383,15 @@ def team_controls(states, z0, z_cap, t, curve, targets, cp):
     return np.array(rows, dtype=float).reshape(-1, 6), min_sep
 
 
-def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps):
+def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=None):
     """Full fixed-step closed loop.
 
     Records state, blending diagnostics, and controls at every tick
     t_k = k*dt for k = 0..n_steps, stepping between records; z0, z_cap,
-    targets and cp are as team_controls takes them.  Stops early when
+    targets and cp are as team_controls takes them.  on_block, if given,
+    is called with traj[k - TICK_BLOCK : k] each time k records are
+    complete and k is a multiple of TICK_BLOCK; the records after the
+    last such block reach no callback.  Stops early when
     agents close within 0.5 * cp.d_safe (collision) or any state goes
     non-finite.  The adherence series is computed after the loop from
     the recorded positions.  Returns (trajectory, min_distance,
@@ -410,6 +417,8 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps):
         traj[k, :, 6:12] = ctrl[:, (3, 4, 5, 0, 1, 2)]
         min_dist[k] = md
         filled = k + 1
+        if on_block is not None and filled % TICK_BLOCK == 0:
+            on_block(traj[filled - TICK_BLOCK : filled])
         if md < abort_dist:
             collision = True
             break

@@ -14,6 +14,7 @@ from .config import ConfigError, dump_config, load_config, parse_target
 from .curves import CurveError, catalog_names, make_curve
 from .finder import multistart
 from .output import (
+    TrajectoryWriter,
     format_samples_csv,
     write_cost_trace_csv,
     write_metrics_csv,
@@ -121,14 +122,16 @@ def cmd_simulate(args) -> int:
     if args.dump_config:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
-    try:
-        metrics, log = run_mission(mission)
-    except MissionError as exc:
-        print(f"mission error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    os.makedirs(args.out, exist_ok=True)
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
-    write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), log)
+    traj_path = os.path.join(args.out, "trajectory.csv")
+    with TrajectoryWriter(traj_path, mission.dt) as writer:
+        try:
+            metrics, log = run_mission(mission, on_block=writer.send)
+        except MissionError as exc:
+            print(f"mission error: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        os.makedirs(args.out, exist_ok=True)
+        write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
+        write_trajectory_csv(traj_path, log, writer)
     snap_times = mission.snapshot_times or (float(log.times[-1]),)
     for t_snap in snap_times:
         k = int(round(t_snap / mission.dt))

@@ -2,7 +2,7 @@
 
 INI-style files with four sections, every key optional:
 
-    [curve]       name, plus numeric curve-family parameters
+    [curve]       name, plus numeric curve-family parameters (case-sensitive)
     [finder]      FinderConfig fields (n, square_mode, seeds, tolerances)
     [controller]  ControllerParams overrides (gains, distances, speeds)
     [sim]         MissionConfig fields (n, seed, dt, horizon, target, ...)
@@ -125,16 +125,31 @@ class EffectiveConfig:
         return mission
 
 
-def _read_ini(text: str) -> configparser.ConfigParser:
+def _read_ini(text: str) -> dict:
+    """{section: {key: raw value}}; keys are case-folded outside [curve].
+
+    [curve] keys stay as written, since a family can have parameters
+    that differ only in case (spirograph's R and r).
+    """
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
+    sections = {}
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError(f"unknown config section '{section}'")
-    return parser
+        keys = sections[section] = {}
+        for key, raw in parser.items(section):
+            if section != "curve":
+                key = key.lower()
+            if key in keys:
+                raise ConfigError(f"config parse error: key '{key}' of [{section}] is given twice")
+            keys[key] = raw
+    return sections
+
 
 def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
     """Parse config text, apply CLI-style overrides, build everything.
@@ -146,17 +161,16 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
     target).  When that n is the mission's and below 3, the mission is
     sweep-only: its finder keeps that n and runs no search.
     """
-    parser = _read_ini(text)
+    sections = _read_ini(text)
     overrides = dict(overrides or {})
 
     curve_name = None
     curve_params = {}
-    if parser.has_section("curve"):
-        for key, raw in parser.items("curve"):
-            if key == "name":
-                curve_name = raw.strip()
-            else:
-                curve_params[key] = _number(float, raw, f"curve.{key}")
+    for key, raw in sections.get("curve", {}).items():
+        if key == "name":
+            curve_name = raw.strip()
+        else:
+            curve_params[key] = _number(float, raw, f"curve.{key}")
     if "curve" in overrides and overrides["curve"] is not None:
         curve_name = overrides["curve"]
     if curve_name is None:
@@ -166,11 +180,10 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
 
     values = {section: {} for section in _DEFAULTS}
     for section, fields in _DEFAULTS.items():
-        if parser.has_section(section):
-            for key, raw in parser.items(section):
-                if key not in fields:
-                    raise ConfigError(f"unknown {section} key '{key}'")
-                values[section][key] = _parse(section, key, raw)
+        for key, raw in sections.get(section, {}).items():
+            if key not in fields:
+                raise ConfigError(f"unknown {section} key '{key}'")
+            values[section][key] = _parse(section, key, raw)
     finder_kw, controller_overrides, sim_kw = values.values()
 
     for key, value in overrides.items():

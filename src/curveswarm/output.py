@@ -3,7 +3,13 @@
 All writers format floats with repr (shortest round-trip form), so a
 rerun with the same seed produces byte-identical files; that is the
 reproducibility contract the CLI and tests rely on.
+
+trajectory.csv, the largest and slowest file, can be formatted by a
+forked child while the mission loop runs (TrajectoryWriter).  It only
+ever appears whole: rows go to a .part file that is renamed when done.
 """
+
+import os
 
 import numpy as np
 
@@ -26,19 +32,160 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_trajectory_csv(path, log) -> None:
-    """One row per (time, agent): states, weights, control triple.
+def _write_ticks(f, times, data) -> None:
+    """trajectory.csv rows of the records data (ticks, n, columns) at times.
 
     Formats one tick at a time: a whole-log tolist() would hold every
     value as a Python float at once.
     """
     cols = list(_LOG_COLS)
-    with open(path, "w") as f:
+    for t, tick in zip(times.tolist(), data):
+        t_str = repr(t)
+        for i, row in enumerate(tick[:, cols].tolist()):
+            f.write(f"{t_str},{i},{','.join(map(repr, row))}\n")
+
+
+def _remove(path) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def _format_stream(fd, part) -> None:
+    """The forked child's work: format every block read from fd into part.
+
+    A block is two int64 (ticks m, agents n), m float64 times and the
+    m x n x len(TRAJECTORY_COLUMNS) float64 records; the stream ends at
+    the end of the pipe.
+    """
+    width = len(TRAJECTORY_COLUMNS)
+    with os.fdopen(fd, "rb") as pipe, open(part, "w") as f:
         f.write(TRAJECTORY_HEADER + "\n")
-        for t, tick in zip(log.times.tolist(), log.data):
-            t_str = repr(t)
-            for i, row in enumerate(tick[:, cols].tolist()):
-                f.write(f"{t_str},{i},{','.join(map(repr, row))}\n")
+        while True:
+            head = pipe.read(16)
+            if not head:
+                return
+            m, n = np.frombuffer(head, dtype=np.int64).tolist()
+            body = pipe.read(8 * m * (1 + n * width))
+            times = np.frombuffer(body, count=m)
+            _write_ticks(f, times, np.frombuffer(body, offset=8 * m).reshape(m, n, width))
+
+
+class TrajectoryWriter:
+    """Formats trajectory.csv in a forked child while a mission runs.
+
+    Pass send to run_mission as on_block, then complete the file with
+    write_trajectory_csv(path, log, writer).  The first block creates
+    the output directory and forks the child, which formats each block
+    into path + ".part" on another core, so a mission that fails before
+    its loop leaves nothing behind.  Without os.fork, or when the fork
+    fails, send does nothing and write_trajectory_csv formats the whole
+    log in-process.  Use it as a context manager: leaving the block
+    kills and reaps a child still running and deletes its .part file,
+    whatever the exception.
+    """
+
+    def __init__(self, path, dt):
+        self.path = os.fspath(path)
+        self.dt = dt  # record k is at time k * dt, as in run_mission
+        self.sent = 0  # records sent to the child
+        self.pid = None
+        self._fd = None
+        self._inline = not hasattr(os, "fork")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def send(self, block) -> None:
+        """Pipe the next block of records to the child, forking it first."""
+        if self._inline:
+            return
+        if self.pid is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: format in-process
+                os.close(r)
+                os.close(w)
+                self._inline = True
+                return
+            if pid == 0:
+                # the child exits here and never returns into the caller's
+                # stack; it runs Python and numpy buffer code only, so no
+                # lock held by another thread (a BLAS worker) at the fork
+                # can stall it
+                status = 1
+                try:
+                    os.close(w)
+                    _format_stream(r, self.path + ".part")
+                    status = 0
+                except BaseException as exc:
+                    os.write(2, f"trajectory writer: {exc!r}\n".encode())
+                finally:
+                    os._exit(status)
+            os.close(r)
+            self.pid, self._fd = pid, w
+        times = np.arange(self.sent, self.sent + block.shape[0]) * self.dt
+        self._put(times, block)
+
+    def _put(self, times, data) -> None:
+        m, n = data.shape[:2]
+        frame = memoryview(
+            np.array((m, n), dtype=np.int64).tobytes() + times.tobytes() + data.tobytes()
+        )
+        while frame:
+            frame = frame[os.write(self._fd, frame) :]
+        self.sent += m
+
+    def finish(self, log) -> None:
+        """Send the records not yet sent, then wait for the child to end."""
+        self._put(log.times[self.sent :], log.data[self.sent :])
+        os.close(self._fd)
+        self._fd = None
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0:
+            raise OSError(f"trajectory writer for {self.path} failed (exit {code})")
+
+    def close(self) -> None:
+        """Kill and reap a child still running; delete its .part file."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self.pid is not None:
+            import signal  # only this rare path needs it
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            _remove(self.path + ".part")
+
+
+def write_trajectory_csv(path, log, writer=None) -> None:
+    """One row per (time, agent): states, weights, control triple.
+
+    The rows go to path + ".part", renamed to path once complete.  A
+    writer whose child is running (TrajectoryWriter.send) is sent the
+    records it has not seen and waited for; otherwise the log is
+    formatted here.
+    """
+    part = os.fspath(path) + ".part"
+    try:
+        if writer is not None and writer.pid is not None:
+            writer.finish(log)
+        else:
+            with open(part, "w") as f:
+                f.write(TRAJECTORY_HEADER + "\n")
+                _write_ticks(f, log.times, log.data)
+        os.replace(part, path)
+    except BaseException:
+        _remove(part)
+        raise
 
 
 def write_metrics_csv(path, metrics) -> None:

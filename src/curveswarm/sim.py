@@ -275,14 +275,16 @@ def _schedule_laps(theta, gap, base, curve, cp):
     return best
 
 
-def run_mission(config: MissionConfig):
+def run_mission(config: MissionConfig, on_block=None):
     """Execute the closed loop; returns (MissionMetrics, TrajectoryLog).
 
     Missions with n >= 3 first find the inscribed polygon by multistart
     and assign vertices in cyclic order; a mission whose best formation
     is not geometrically usable raises MissionError.  Early stops:
     inter-agent distance under 0.5 * d_safe sets the collision flag,
-    non-finite states set nonfinite; both truncate the series.
+    non-finite states set nonfinite; both truncate the series.  on_block
+    receives the finished trajectory records block by block while the
+    loop runs (see _sim_kernels.mission_core).
     """
     config.validate()
     curve = config.curve
@@ -318,7 +320,7 @@ def run_mission(config: MissionConfig):
 
     n_steps = int(round(config.horizon / config.dt))
     traj, min_dist, adherence, collision, nonfinite = sk.mission_core(
-        curve, states0, z0, z_cap, targets, cp, float(config.dt), n_steps
+        curve, states0, z0, z_cap, targets, cp, float(config.dt), n_steps, on_block
     )
     times = np.arange(traj.shape[0]) * config.dt
     final_errors = None

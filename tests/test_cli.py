@@ -10,7 +10,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from curveswarm import cli
+from curveswarm import _sim_kernels as sk
+from curveswarm import cli, output
 from curveswarm.config import (
     ConfigError,
     dump_config,
@@ -22,13 +23,14 @@ from curveswarm.curves import make_curve
 from curveswarm.finder import FinderConfig, multistart
 from curveswarm.output import (
     TRAJECTORY_HEADER,
+    TrajectoryWriter,
     format_samples_csv,
     write_metrics_csv,
     write_snapshot_svg,
     write_solution_file,
     write_trajectory_csv,
 )
-from curveswarm.sim import MissionConfig, run_mission
+from curveswarm.sim import MissionConfig, MissionError, run_mission
 
 
 def run_cli(args):
@@ -117,6 +119,22 @@ def test_config_dump_round_trip():
     assert cfg2.finder == cfg.finder
     assert cfg2.sim == cfg.sim
     assert cfg2.controller_overrides == cfg.controller_overrides
+
+
+def test_config_curve_keys_are_case_sensitive():
+    # spirograph's R and r are different parameters; other sections fold case
+    cfg = load_config("[curve]\nname = spirograph-4\nR = 5.0\nr = 1.25\n[finder]\nSEED = 3\n")
+    assert cfg.curve_params == {"R": 5.0, "r": 1.25}
+    assert tuple(cfg.curve.par[:2]) == (5.0, 1.25)
+    assert cfg.finder.seed == 3
+    cfg = load_config("[curve]\nname = spirograph-4\nR = 4.0\n")
+    assert cfg.curve_params == {"R": 4.0}
+    assert cfg.curve.par[1] == 1.0
+    dumped = dump_config(load_config("[curve]\nname = spirograph\nR = 6.0\n"))
+    assert "\nR = 6.0\n" in dumped
+    assert dump_config(load_config(dumped)) == dumped
+    with pytest.raises(ConfigError, match="'seed' of \\[finder\\] is given twice"):
+        load_config("[curve]\nname = circle\n[finder]\nseed = 1\nSeed = 2\n")
 
 
 def _record_keys():
@@ -225,6 +243,134 @@ def test_trajectory_csv_contract(tmp_path, short_mission):
     again = tmp_path / "again.csv"
     write_trajectory_csv(again, log2)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_after(monkeypatch, steps, exc):
+    """Make the mission loop's RK4 step raise exc (or return NaN) after `steps` steps."""
+    real = sk.rk4_step_team
+    calls = []
+
+    def step(states, controls, dt):
+        calls.append(1)
+        if len(calls) <= steps:
+            return real(states, controls, dt)
+        if exc is None:
+            return np.full(states.shape, np.nan)
+        raise exc
+
+    monkeypatch.setattr(sk, "rk4_step_team", step)
+
+
+@pytest.mark.parametrize(
+    "curve, n, horizon, records, case",
+    [
+        ("deltoid", 4, 10.23, 2 * sk.TICK_BLOCK, "stream"),
+        ("deltoid", 4, 6.0, 601, "stream"),
+        ("deltoid", 4, 2.0, 201, "stream"),
+        ("ellipse", 2, 6.0, 601, "stream"),
+        ("deltoid", 4, 10.0, 701, "nonfinite"),
+        ("deltoid", 4, 6.0, 601, "no-fork"),
+        ("deltoid", 4, 6.0, 601, "fork-fails"),
+    ],
+    ids=["block-multiple", "block-remainder", "one-partial-block", "sweep-only",
+         "nonfinite", "no-fork", "fork-fails"],
+)
+def test_streamed_trajectory_matches_in_process_writer(
+    monkeypatch, tmp_path, curve, n, horizon, records, case
+):
+    if case == "nonfinite":
+        _fail_after(monkeypatch, 700, None)  # the 701st state is NaN
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    if case == "fork-fails":
+        def fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+    config = MissionConfig(curve=make_curve(curve), n=n, seed=0, horizon=horizon)
+    path = tmp_path / "out" / "trajectory.csv"
+    path.parent.mkdir()
+    with TrajectoryWriter(path, config.dt) as writer:
+        metrics, log = run_mission(config, on_block=writer.send)
+        forked = writer.pid is not None
+        write_trajectory_csv(path, log, writer)
+    assert log.data.shape[0] == records
+    assert forked == (records >= sk.TICK_BLOCK and case not in ("no-fork", "fork-fails"))
+    assert metrics.nonfinite == (case == "nonfinite")
+    inline = tmp_path / "inline.csv"
+    write_trajectory_csv(inline, log)
+    assert path.read_bytes() == inline.read_bytes()
+    assert os.listdir(tmp_path / "out") == ["trajectory.csv"]
+    _no_child_left()
+
+
+def test_cli_streamed_trajectory_of_the_collision_run(tmp_path):
+    # gear-hermite n=4 seed 0 aborts at 13.84 s (exit 4) with the file complete
+    out = tmp_path / "out"
+    argv = ["--curve", "gear-hermite", "--n", "4", "--seed", "0", "--horizon", "15"]
+    assert run_cli(["simulate"] + argv + ["--out", str(out)]) == 4
+    _no_child_left()
+    mission = load_config("", {"curve": "gear-hermite", "n": 4, "seed": 0, "horizon": 15.0})
+    _metrics, log = run_mission(mission.mission_config())
+    inline = tmp_path / "inline.csv"
+    write_trajectory_csv(inline, log)
+    assert (out / "trajectory.csv").read_bytes() == inline.read_bytes()
+    assert not list(out.glob("*.part"))
+
+
+def test_mission_error_leaves_no_trajectory(monkeypatch, tmp_path):
+    # a MissionError before the loop creates nothing; one after the writer
+    # forked leaves neither the file nor its .part, and no child
+    def no_placement(*args):
+        raise MissionError("could not draw a collision-free initial placement")
+
+    monkeypatch.setattr("curveswarm.sim.initial_states", no_placement)
+    out = tmp_path / "before"
+    argv = ["simulate", "--curve", "deltoid", "--n", "4", "--horizon", "10"]
+    assert run_cli(argv + ["--out", str(out)]) == 3
+    assert not out.exists()
+    monkeypatch.undo()
+    _fail_after(monkeypatch, 700, MissionError("agent lost"))
+    out = tmp_path / "during"
+    assert run_cli(argv + ["--out", str(out)]) == 3
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "trajectory.csv.part").exists()
+    _no_child_left()
+
+
+def test_interrupted_mission_leaves_no_trajectory(monkeypatch, tmp_path):
+    _fail_after(monkeypatch, 700, KeyboardInterrupt())
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["simulate", "--curve", "deltoid", "--n", "4", "--horizon", "10",
+                 "--out", str(out)])
+    assert os.listdir(out) == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("at_tail", [False, True], ids=["first-block", "tail"])
+def test_writer_failure_leaves_no_trajectory(monkeypatch, tmp_path, capfd, at_tail):
+    # the forked child dies on its first block (the loop's next send finds
+    # the pipe broken) or on the records sent at the end (it exits 1): the
+    # run raises, and neither trajectory.csv nor its .part is left behind
+    def broken(f, times, data):
+        if not at_tail or data.shape[0] < sk.TICK_BLOCK:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(output, "_write_ticks", broken)
+    out = tmp_path / "out"
+    with pytest.raises(OSError):
+        run_cli(["simulate", "--curve", "deltoid", "--n", "4", "--horizon", "10",
+                 "--out", str(out)])
+    assert "trajectory writer: OSError('disk full')" in capfd.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "trajectory.csv.part").exists()
+    _no_child_left()
 
 
 def test_metrics_csv_contract_and_determinism(tmp_path, short_mission):
@@ -389,7 +535,7 @@ def test_cli_exit_4_on_collision(monkeypatch, tmp_path):
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=4.0)
     metrics, log = run_mission(config)
     hit = metrics.__class__(**{**metrics.__dict__, "collision": True})
-    monkeypatch.setattr(cli, "run_mission", lambda mission: (hit, log))
+    monkeypatch.setattr(cli, "run_mission", lambda mission, on_block=None: (hit, log))
     code = run_cli(
         ["simulate", "--curve", "deltoid", "--n", "4", "--out", str(tmp_path)]
     )
