@@ -4,11 +4,21 @@ Every family maps a parameter s (period 2*pi) to a plane point and its first
 and second parameter derivatives.  curve_jet evaluates all three in one pass:
 each trig value, gear segment and polar radius term is computed once, and only
 as far as the asked-for order needs it.  curve_point, curve_d1 and curve_d2 are
-its one-order entry points.  The kernels accept scalar floats and float64
-arrays alike (plain vectorized numpy); frame_raw takes arrays only.  Family
-parameters arrive as a flat float64 vector (layout documented in curves.py);
-the integer kind code selects the family.
+its one-order entry points.  Family parameters arrive as a flat vector (layout
+documented in curves.py); the integer kind code selects the family.
+
+One kernel source serves two paths, chosen by the type of the parameters.  A
+float64 array par runs numpy: s may be a scalar or an array, and the results
+are numpy's (the finder, projection and adherence paths).  A tuple of Python
+floats runs the math module on a float s, which is what a mission tick calls
+per agent: at one point a numpy call costs about a microsecond, against tens of
+nanoseconds for a float operation.  sin, cos, sqrt and floor give the same bits
+either way; the families that raise an array to a power (superellipse, cassini,
+lemniscate) take libm pow on floats against numpy's vectorized power on arrays,
+a few ulps apart.  frame_raw takes arrays only.
 """
+
+import math
 
 import numpy as np
 
@@ -28,7 +38,7 @@ KIND_SPIROGRAPH = 10   # par = [R, r, d], (R - r)/r a nonzero integer
 KIND_GEAR = 11         # par = [teeth, R_outer, R_inner]
 
 
-def _polar_terms(kind, par, s, c, sn, order):
+def _polar_terms(xp, kind, par, s, c, sn, order):
     """Radius r(s) and its derivatives up to `order` for the polar families.
 
     c and sn are cos(s) and sin(s).  Returns (r,), (r, r') or (r, r', r'').
@@ -39,17 +49,17 @@ def _polar_terms(kind, par, s, c, sn, order):
         m = par[2]
         am = a ** m
         bm = b ** m
-        q = np.abs(c) ** m / am + np.abs(sn) ** m / bm
+        q = abs(c) ** m / am + abs(sn) ** m / bm
         r = q ** (-1.0 / m)
         if order == 0:
             return (r,)
-        g = np.abs(sn) ** (m - 2.0) / bm - np.abs(c) ** (m - 2.0) / am
+        g = abs(sn) ** (m - 2.0) / bm - abs(c) ** (m - 2.0) / am
         qp = m * sn * c * g
         rp = -(1.0 / m) * q ** (-1.0 / m - 1.0) * qp
         if order == 1:
             return r, rp
         qpp = m * (c * c - sn * sn) * g + m * (m - 2.0) * sn * sn * c * c * (
-            np.abs(sn) ** (m - 4.0) / bm + np.abs(c) ** (m - 4.0) / am
+            abs(sn) ** (m - 4.0) / bm + abs(c) ** (m - 4.0) / am
         )
         rpp = (1.0 / m) * (1.0 / m + 1.0) * q ** (-1.0 / m - 2.0) * qp * qp - (
             1.0 / m
@@ -59,14 +69,14 @@ def _polar_terms(kind, par, s, c, sn, order):
         a = par[0]
         b = par[1]
         s_2 = 2.0 * s
-        c2 = np.cos(s_2)
+        c2 = xp.cos(s_2)
         u = a * a * c2
-        disc = np.sqrt(u * u + (b ** 4 - a ** 4))
+        disc = xp.sqrt(u * u + (b ** 4 - a ** 4))
         r2 = u + disc
-        r = np.sqrt(r2)
+        r = xp.sqrt(r2)
         if order == 0:
             return (r,)
-        up = -2.0 * a * a * np.sin(s_2)
+        up = -2.0 * a * a * xp.sin(s_2)
         lift = 1.0 + u / disc
         r2p = up * lift
         rp = r2p / (2.0 * r)
@@ -80,12 +90,12 @@ def _polar_terms(kind, par, s, c, sn, order):
         a = par[0]
         e = par[1]
         s_2 = 2.0 * s
-        c2 = np.cos(s_2)
+        c2 = xp.cos(s_2)
         r2 = a * a * (1.0 - e * c2)
-        r = np.sqrt(r2)
+        r = xp.sqrt(r2)
         if order == 0:
             return (r,)
-        r2p = 2.0 * a * a * e * np.sin(s_2)
+        r2p = 2.0 * a * a * e * xp.sin(s_2)
         rp = r2p / (2.0 * r)
         if order == 1:
             return r, rp
@@ -96,13 +106,13 @@ def _polar_terms(kind, par, s, c, sn, order):
         r = par[0] + 0.0 * s
         rp = 0.0 * s
         rpp = 0.0 * s
-        nh = (par.shape[0] - 1) // 2
+        nh = (len(par) - 1) // 2
         for j in range(1, nh + 1):
             aj = par[2 * j - 1]
             bj = par[2 * j]
             s_j = j * s
-            cj = np.cos(s_j)
-            sj = np.sin(s_j)
+            cj = xp.cos(s_j)
+            sj = xp.sin(s_j)
             r = r + aj * cj + bj * sj
             if order >= 1:
                 rp = rp + j * (bj * cj - aj * sj)
@@ -111,7 +121,7 @@ def _polar_terms(kind, par, s, c, sn, order):
         return (r, rp, rpp)[: order + 1]
 
 
-def _gear_terms(par, s):
+def _gear_terms(xp, par, s):
     """Segment endpoints and eased local coordinate for the gear family.
 
     The curve is a ring of 2*teeth corners with radius alternating between
@@ -124,17 +134,17 @@ def _gear_terms(par, s):
     m = 2.0 * teeth
     delta = TWO_PI / m
     sm = s % TWO_PI
-    k = np.floor(sm / delta)
+    k = xp.floor(sm / delta)
     u = sm / delta - k
-    parity = k - 2.0 * np.floor(k / 2.0)  # 0 on even corners, 1 on odd
+    parity = k - 2.0 * xp.floor(k / 2.0)  # 0 on even corners, 1 on odd
     ra = r1 + (r2 - r1) * parity
     rb = r1 + (r2 - r1) * (1.0 - parity)
     pa = k * delta
     pb = (k + 1.0) * delta
-    ax = ra * np.cos(pa)
-    ay = ra * np.sin(pa)
-    bx = rb * np.cos(pb)
-    by = rb * np.sin(pb)
+    ax = ra * xp.cos(pa)
+    ay = ra * xp.sin(pa)
+    bx = rb * xp.cos(pb)
+    by = rb * xp.sin(pb)
     return ax, ay, bx, by, u, delta
 
 
@@ -145,11 +155,13 @@ def curve_jet(kind, par, s, order):
     (x, y, x', y', x'', y'') for order 2, for the family selected by kind.
     Each output is the same expression, in the same operation order, as a
     separate per-order evaluation would use, so it does not depend on the
-    order asked for.
+    order asked for.  A tuple par selects the math namespace (s a float,
+    Python float results), any other par numpy's.
     """
+    xp = math if type(par) is tuple else np
     if kind == KIND_ELLIPSE:
-        c = np.cos(s)
-        sn = np.sin(s)
+        c = xp.cos(s)
+        sn = xp.sin(s)
         x, y = par[0] * c, par[1] * sn
         if order == 0:
             return x, y
@@ -159,11 +171,11 @@ def curve_jet(kind, par, s, order):
         return x, y, dx, dy, -par[0] * c, -par[1] * sn
     elif kind == KIND_DELTOID:
         a = par[0]
-        c = np.cos(s)
-        sn = np.sin(s)
+        c = xp.cos(s)
+        sn = xp.sin(s)
         s_2 = 2.0 * s
-        c2 = np.cos(s_2)
-        s2 = np.sin(s_2)
+        c2 = xp.cos(s_2)
+        s2 = xp.sin(s_2)
         x, y = a * (2.0 * c + c2), a * (2.0 * sn - s2)
         if order == 0:
             return x, y
@@ -174,14 +186,14 @@ def curve_jet(kind, par, s, order):
     elif kind == KIND_ROSE:
         a = par[0]
         k = par[1]
-        c = np.cos(s)
-        sn = np.sin(s)
+        c = xp.cos(s)
+        sn = xp.sin(s)
         s_k = k * s
-        ck = np.cos(s_k)
+        ck = xp.cos(s_k)
         x, y = a * ck * c, a * ck * sn
         if order == 0:
             return x, y
-        sk = np.sin(s_k)
+        sk = xp.sin(s_k)
         dx, dy = a * (-k * sk * c - ck * sn), a * (-k * sk * sn + ck * c)
         if order == 1:
             return x, y, dx, dy
@@ -192,19 +204,19 @@ def curve_jet(kind, par, s, order):
     elif kind == KIND_LISSAJOUS:
         phase_x = par[2] * s + par[4]
         phase_y = par[3] * s
-        sx = np.sin(phase_x)
-        sy = np.sin(phase_y)
+        sx = xp.sin(phase_x)
+        sy = xp.sin(phase_y)
         x, y = par[0] * sx, par[1] * sy
         if order == 0:
             return x, y
-        dx, dy = par[0] * par[2] * np.cos(phase_x), par[1] * par[3] * np.cos(phase_y)
+        dx, dy = par[0] * par[2] * xp.cos(phase_x), par[1] * par[3] * xp.cos(phase_y)
         if order == 1:
             return x, y, dx, dy
         return x, y, dx, dy, -par[0] * par[2] * par[2] * sx, -par[1] * par[3] * par[3] * sy
     elif kind == KIND_LEMNISCATE:
         a = par[0]
-        sn = np.sin(s)
-        c = np.cos(s)
+        sn = xp.sin(s)
+        c = xp.cos(s)
         d = 1.0 + sn * sn
         x, y = a * c / d, a * sn * c / d
         if order == 0:
@@ -220,11 +232,11 @@ def curve_jet(kind, par, s, order):
         ) / d3
     elif kind == KIND_NEPHROID:
         a = par[0]
-        c = np.cos(s)
-        sn = np.sin(s)
+        c = xp.cos(s)
+        sn = xp.sin(s)
         s_3 = 3.0 * s
-        c3 = np.cos(s_3)
-        s3 = np.sin(s_3)
+        c3 = xp.cos(s_3)
+        s3 = xp.sin(s_3)
         x, y = a * (3.0 * c - c3), a * (3.0 * sn - s3)
         if order == 0:
             return x, y
@@ -236,11 +248,11 @@ def curve_jet(kind, par, s, order):
         rr = par[0] - par[1]
         d = par[2]
         q = rr / par[1]
-        c = np.cos(s)
-        sn = np.sin(s)
+        c = xp.cos(s)
+        sn = xp.sin(s)
         s_q = q * s
-        cq = np.cos(s_q)
-        sq = np.sin(s_q)
+        cq = xp.cos(s_q)
+        sq = xp.sin(s_q)
         x, y = rr * c + d * cq, rr * sn - d * sq
         if order == 0:
             return x, y
@@ -250,7 +262,7 @@ def curve_jet(kind, par, s, order):
         q2 = q * q
         return x, y, dx, dy, -rr * c - d * q2 * cq, -rr * sn + d * q2 * sq
     elif kind == KIND_GEAR:
-        ax, ay, bx, by, u, delta = _gear_terms(par, s)
+        ax, ay, bx, by, u, delta = _gear_terms(xp, par, s)
         ex = bx - ax
         ey = by - ay
         w = u * u * (3.0 - 2.0 * u)
@@ -264,9 +276,9 @@ def curve_jet(kind, par, s, order):
         wpp = (6.0 - 12.0 * u) / (delta * delta)
         return x, y, dx, dy, ex * wpp, ey * wpp
     else:
-        c = np.cos(s)
-        sn = np.sin(s)
-        radial = _polar_terms(kind, par, s, c, sn, order)
+        c = xp.cos(s)
+        sn = xp.sin(s)
+        radial = _polar_terms(xp, kind, par, s, c, sn, order)
         r = radial[0]
         x, y = r * c, r * sn
         if order == 0:

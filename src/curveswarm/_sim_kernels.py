@@ -8,15 +8,18 @@ index a brute-force argmin gives); a few ternary steps around it pick
 the branch of the curve, and a bracketed Newton method polishes the
 parameter.  Placement (`sim.nearest_parameter`) uses the same query.
 
-A tick makes one array call for the curve geometry of all agents and
-then runs the control laws and the RK4 step per agent on Python floats:
-at a handful of agents that is faster than array expressions over
-agents, whose per-call overhead dwarfs the arithmetic.  The laws live in
-`control`; team_controls is their caller and adds what belongs to the
-mission rather than to one agent's law: the marching reference and its
-leash, the speed envelope and the turn-rate clamp.  The tick's
-neighbor loop also yields the smallest separation, so the loop needs no
-separate pairwise-distance pass.
+A tick runs on Python floats end to end: the curve geometry (from the
+float path of curve_jet; numpy only for the tangent angles and near a
+cusp), the control laws and the RK4 step, per agent.  At a handful of
+agents that is faster than array expressions over agents, whose
+per-call overhead dwarfs the arithmetic.  mission_core converts its
+array inputs once, holds each agent's state as a tuple of floats, and
+writes each tick's record into the trajectory array with one
+assignment.  The laws live in `control`; team_controls is their caller
+and adds what belongs to the mission rather than to one agent's law:
+the marching reference and its leash, the speed envelope and the
+turn-rate clamp.  The tick's neighbor loop also yields the smallest
+separation, so the loop needs no separate pairwise-distance pass.
 
 A trajectory record holds one row per agent in the TRAJECTORY_COLUMNS
 order.  Controls are recomputed from each snapshot before stepping and
@@ -25,6 +28,7 @@ finished block of TICK_BLOCK records to a callback while it runs on, so
 a writer can format them on another core (output.TrajectoryWriter).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -66,10 +70,13 @@ def rk4_step_team(states, controls, dt):
 
     The dynamics with frozen controls do not depend on the curve:
     (x', y', psi', v', z', vz') = (v cos psi, v sin psi, turn, accel,
-    vz, lift_accel).  Runs per agent on floats; returns an (n, 6) array.
+    vz, lift_accel).  states holds one (x, y, psi, v, z, vz) row of
+    floats per agent and controls one row per agent that starts (accel,
+    turn, lift_accel); returns the stepped states as a list of tuples.
     """
     out = []
-    for (x, y, psi, v, z, vz), (a, om, az) in zip(states.tolist(), controls.tolist()):
+    for (x, y, psi, v, z, vz), c in zip(states, controls):
+        a, om, az = c[0], c[1], c[2]
         # stage 1
         k1x = v * math.cos(psi)
         k1y = v * math.sin(psi)
@@ -96,7 +103,7 @@ def rk4_step_team(states, controls, dt):
                 vz + dt * az,
             )
         )
-    return np.array(out, dtype=float).reshape(states.shape)
+    return out
 
 
 def nearest_sample(px, py, chunks):
@@ -281,7 +288,10 @@ def march_profile(z0, z_cap, t, rate, width):
     the final `width` of lift: the rate scales with the remaining gap,
     so the profile is C1 and the reference never overshoots the cap.
     A hard stop here would dump the arrival speed into the transverse
-    errors and leave agents stranded in a standstill tug-of-war.
+    errors and leave agents stranded in a standstill tug-of-war.  Both
+    outputs are Python floats for float inputs: the ease takes numpy's
+    exp (math.exp differs from it in the last bit on some arguments) and
+    converts its result.
     """
     linear = z0 + rate * t
     if linear <= z_cap - width:
@@ -289,9 +299,9 @@ def march_profile(z0, z_cap, t, rate, width):
     gap0 = z_cap - z0
     if gap0 > width:
         t_ramp = t - (gap0 - width) / rate
-        gap = width * np.exp(-rate * t_ramp / width)
+        gap = width * float(np.exp(-rate * t_ramp / width))
     else:
-        gap = gap0 * np.exp(-rate * t / width)
+        gap = gap0 * float(np.exp(-rate * t / width))
     return z_cap - gap, rate * gap / width
 
 
@@ -302,25 +312,27 @@ def team_controls(states, z0, z_cap, t, curve, targets, cp):
     with ref_rate = cp.lift_gain * cp.v_ref, and eases smoothly into
     z_cap[i] (the agent's vertex address after the required
     revolutions); a sweep-only mission passes an infinite cap, so the
-    march never stops, and targets = None.  Otherwise targets is an
-    (n, 3) array of (target_x, target_y, target_psi) rows.  The curve
-    is read for kind, par and eps_sing only.  The reference is leashed
-    to at most lead_width (in parameter) ahead of the agent's own lifted
-    coordinate so an agent held up by avoidance is not punished with a
-    catch-up sprint once it breaks free.  Without targets sigma is
+    march never stops, and targets = None.  states holds one (x, y,
+    psi, v, z, vz) row of floats per agent, z0 and z_cap are lists of
+    floats, and targets is None or one (target_x, target_y, target_psi)
+    row per agent.  The curve is read for kind, par and eps_sing only.
+    The reference is leashed to at most lead_width (in parameter) ahead
+    of the agent's own lifted coordinate so an agent held up by
+    avoidance is not punished with a catch-up sprint once it breaks
+    free.  Without targets sigma is
     pinned at zero and the nominal input is pure path following;
     avoidance still applies.  A speed envelope caps acceleration once
     |v| (or |vz|) would exceed its bound, so a delayed agent catches up
     at a pace other agents' avoidance can still brake against.
 
-    Returns (controls (n, 6), min_sep): min_sep is the smallest
-    inter-agent separation of the snapshot (inf for a lone agent).
+    Returns (controls, min_sep): controls holds one (accel, turn,
+    lift_accel, sigma, alpha, duty) tuple per agent, and min_sep is the
+    smallest inter-agent separation of the snapshot (inf for a lone
+    agent).
     """
-    geo = curve_geometry(curve, states[:, 4] / cp.lift_gain)
-    px, py, psi, v, z, vz = states.T.tolist()
-    z0 = z0.tolist()
-    z_cap = z_cap.tolist()
-    goals = [(0.0, 0.0, 0.0)] * len(px) if targets is None else targets.tolist()
+    px, py, psi, v, z, vz = zip(*states)
+    geo = curve_geometry(curve, [zi / cp.lift_gain for zi in z])
+    goals = [(0.0, 0.0, 0.0)] * len(px) if targets is None else targets
     ref_rate = cp.lift_gain * cp.v_ref
     width = cp.lift_gain * cp.brake_width
     lead = cp.lift_gain * cp.lead_width
@@ -380,15 +392,17 @@ def team_controls(states, z0, z_cap, t, curve, targets, cp):
         if om < -cp.omega_max:
             om = -cp.omega_max
         rows.append((a, om, az, sg, al, du))
-    return np.array(rows, dtype=float).reshape(-1, 6), min_sep
+    return rows, min_sep
 
 
 def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=None):
     """Full fixed-step closed loop.
 
     Records state, blending diagnostics, and controls at every tick
-    t_k = k*dt for k = 0..n_steps, stepping between records; z0, z_cap,
-    targets and cp are as team_controls takes them.  on_block, if given,
+    t_k = k*dt for k = 0..n_steps, stepping between records.  states0
+    is an (n, 6) array, z0 and z_cap are (n,) arrays and targets is
+    None or an (n, 3) array; they become the Python floats that
+    team_controls takes once, before the loop.  on_block, if given,
     is called with traj[k - TICK_BLOCK : k] each time k records are
     complete and k is a multiple of TICK_BLOCK; the records after the
     last such block reach no callback.  Stops early when
@@ -402,19 +416,24 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
     total = n_steps + 1
     traj = np.zeros((total, n, len(TRAJECTORY_COLUMNS)))
     min_dist = np.zeros(total)
-    states = states0.copy()
+    states = list(map(tuple, states0.tolist()))
+    z0 = z0.tolist()
+    z_cap = z_cap.tolist()
+    if targets is not None:
+        targets = targets.tolist()
     abort_dist = 0.5 * cp.d_safe
     collision = False
     nonfinite = False
     filled = 0
     for k in range(total):
         t = k * dt
-        if not np.all(np.isfinite(states)):
+        if not all(map(math.isfinite, itertools.chain.from_iterable(states))):
             nonfinite = True
             break
         ctrl, md = team_controls(states, z0, z_cap, t, curve, targets, cp)
-        traj[k, :, 0:6] = states
-        traj[k, :, 6:12] = ctrl[:, (3, 4, 5, 0, 1, 2)]
+        traj[k] = [
+            (*st, sg, al, du, a, om, az) for st, (a, om, az, sg, al, du) in zip(states, ctrl)
+        ]
         min_dist[k] = md
         filled = k + 1
         if on_block is not None and filled % TICK_BLOCK == 0:
@@ -423,6 +442,6 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
             collision = True
             break
         if k < n_steps:
-            states = rk4_step_team(states, ctrl[:, 0:3], dt)
+            states = rk4_step_team(states, ctrl, dt)
     adherence = mean_adherence(curve, traj[:filled, :, 0:2])
     return traj[:filled], min_dist[:filled], adherence, collision, nonfinite

@@ -19,13 +19,22 @@ The curve frame convention matches the curve kernels: the normal is the
 tangent rotated by +pi/2 and the turn rate w(s) = d(tangent angle)/ds
 is signed, which is what makes the decoupling determinant exactly -v.
 
-Only curve_geometry touches the curve: one array call per team snapshot
-returns each agent's geometry as a tuple of Python floats, and the laws
-run per agent on those floats.  At n = 4 a float operation costs a few
-tens of nanoseconds against about a microsecond for any numpy call, so
-the laws use math.sin, math.cos and math.sqrt, which matched numpy on
-200k of 200k random arguments on an x86-64 (AVX-512) host; arctan2 and
-exp stay numpy's, whose math counterparts differed there in thousands.
+Only curve_geometry touches the curve: it returns each agent's geometry
+as a tuple of Python floats from the float path of curve_jet, and the
+laws run per agent on those floats.  At n = 4 a float operation costs a
+few tens of nanoseconds against about a microsecond for any numpy call.
+The tick keeps the bits of numpy's array code, measured on an x86-64
+(AVX-512) host with numpy 2.4:
+- math.sin, math.cos and math.sqrt matched numpy on 200k of 200k random
+  arguments;
+- a speed is abs(complex(dx, dy)), which calls libm hypot as np.hypot
+  does (0 of 300k random pairs differed); math.hypot differed on 1,725
+  of the same 300k;
+- the tangent angles come from one np.arctan2 call, whose bits are the
+  same at length 4, at length 200k and on scalars; math.atan2 differed
+  on 14,664 of 200k;
+- exp stays numpy's (march_profile, converted to a float); math.exp
+  differed on 9,282 of 200k.
 """
 
 import math
@@ -34,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._curve_kernels import frame_raw
+from ._curve_kernels import curve_jet, frame_raw
 from .curves import Curve
 from .finder import FormationSolution
 
@@ -198,16 +207,50 @@ class FormationAssignment:
 
 
 def curve_geometry(curve, s):
-    """What the path law needs of the curve at every entry of the array s.
+    """What the path law needs of the curve at every entry of the list s.
 
-    One frame_raw call, which makes one curve_jet call, on the stacked
-    parameters (s, s + h, s - h) gives the point, frame and speed at s
-    (its first m rows) and the turn rate on both sides for its central
-    difference.  The curve is read for kind, par and eps_sing only.
-    Returns one tuple per entry, (gx, gy, tx, ty, psi_t, speed, turn,
-    turn_deriv, speed_deriv), all Python floats.
+    The point, frame and speed at s, and the turn rate at s + h and s - h
+    for its central difference.  Each of the 3m parameters takes one
+    float curve_jet call; one np.arctan2 call gives the m tangent angles.
+    If any of the 3m tangent speeds is below eps_sing (or NaN), the whole
+    call runs the array path instead: one frame_raw call, which holds the cusp
+    fallback, on the stacked parameters (s, s + h, s - h).  The curve is
+    read for kind, par and eps_sing only.  Returns one tuple per entry,
+    (gx, gy, tx, ty, psi_t, speed, turn, turn_deriv, speed_deriv), all
+    Python floats.
     """
-    m = s.shape[0]
+    kind, eps_sing = curve.kind, curve.eps_sing
+    par = tuple(curve.par.tolist())
+    rows = []
+    for si in s:
+        x, y, dx, dy, ddx, ddy = curve_jet(kind, par, si, 2)
+        _x, _y, dxp, dyp, ddxp, ddyp = curve_jet(kind, par, si + _W_FD_STEP, 2)
+        _x, _y, dxm, dym, ddxm, ddym = curve_jet(kind, par, si - _W_FD_STEP, 2)
+        # complex abs is libm hypot, as np.hypot is
+        speed = abs(complex(dx, dy))
+        if not (
+            speed >= eps_sing
+            and abs(complex(dxp, dyp)) >= eps_sing
+            and abs(complex(dxm, dym)) >= eps_sing
+        ):
+            return _curve_geometry_array(curve, s)
+        turn = (dx * ddy - dy * ddx) / (dx * dx + dy * dy)
+        turn_p = (dxp * ddyp - dyp * ddxp) / (dxp * dxp + dyp * dyp)
+        turn_m = (dxm * ddym - dym * ddxm) / (dxm * dxm + dym * dym)
+        turn_deriv = (turn_p - turn_m) / (2.0 * _W_FD_STEP)
+        speed_deriv = (dx * ddx + dy * ddy) / speed
+        rows.append((x, y, dx / speed, dy / speed, speed, turn, turn_deriv, speed_deriv))
+    psi_t = np.arctan2([r[3] for r in rows], [r[2] for r in rows]).tolist()
+    return [
+        (gx, gy, tx, ty, psi, speed, turn, turn_deriv, speed_deriv)
+        for (gx, gy, tx, ty, speed, turn, turn_deriv, speed_deriv), psi in zip(rows, psi_t)
+    ]
+
+
+def _curve_geometry_array(curve, s):
+    """curve_geometry through frame_raw on the stacked parameter array."""
+    m = len(s)
+    s = np.array(s, dtype=np.float64)
     stacked = np.concatenate((s, s + _W_FD_STEP, s - _W_FD_STEP))
     gx, gy, tx, ty, _nx, _ny, psi_t, speed, speed_rate, _kappa, turn, _ok = frame_raw(
         curve.kind, curve.par, stacked, curve.eps_sing
@@ -509,7 +552,7 @@ def _state6(state) -> np.ndarray:
 
 def _geometry(curve: Curve, z, lift_gain: float):
     """curve_geometry at the curve parameter z / lift_gain, as one tuple."""
-    return curve_geometry(curve, np.array([z / lift_gain]))[0]
+    return curve_geometry(curve, [z / lift_gain])[0]
 
 
 def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:

@@ -141,7 +141,7 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
         raise MissionError("controls must be an (n, 3) array")
     if not (np.all(np.isfinite(st)) and np.all(np.isfinite(u))):
         raise MissionError("states and controls must be finite")
-    return sk.rk4_step_team(st, u, float(dt))
+    return np.array(sk.rk4_step_team(st.tolist(), u.tolist(), float(dt))).reshape(st.shape)
 
 
 def nearest_parameter(p, curve: Curve) -> float:

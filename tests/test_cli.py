@@ -260,7 +260,7 @@ def _fail_after(monkeypatch, steps, exc):
         if len(calls) <= steps:
             return real(states, controls, dt)
         if exc is None:
-            return np.full(states.shape, np.nan)
+            return [[np.nan] * 6 for _ in states]
         raise exc
 
     monkeypatch.setattr(sk, "rk4_step_team", step)

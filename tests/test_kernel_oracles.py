@@ -12,6 +12,16 @@ deltoid cusps, the gear corners, the lissajous-32 crossings, a lone
 sweep-only agent, two agents close enough for the avoidance law to
 engage, twelve agents, and a cusp search that finds no regular parameter.
 
+curve_jet's float path (a tuple of parameters, a float s) must equal its
+array path bit for bit, except on the three families that raise an
+array to a power (superellipse, cassini, lemniscate): numpy's vectorized
+power and libm pow differ there by a few ulps, so those are held to 4
+ulps of each column's largest magnitude.  The tick's curve geometry is
+held to its earlier form, one frame_raw call on the stacked parameters,
+in the same way; on the power families its derived quantities get 32
+ulps, the turn derivative's measured against the largest turn rate over
+the difference step 2h.
+
 The float tick is expected to match its oracle exactly on hosts where
 math.sin/cos agree with numpy's, but it is checked within 1e-12 (relative
 above 1), since the two libraries may round differently by an ulp
@@ -803,6 +813,30 @@ def old_sweep_only_controls(states, z0, z_cap, t, curve, ref_rate, cp):
 unit = st.floats(-1.0, 1.0)
 
 
+def old_curve_geometry(curve, s):
+    """The tick's curve geometry as one frame_raw call on the stacked array s."""
+    m = s.shape[0]
+    h = control._W_FD_STEP
+    stacked = np.concatenate((s, s + h, s - h))
+    gx, gy, tx, ty, _nx, _ny, psi_t, speed, speed_rate, _kappa, turn, _ok = frame_raw(
+        curve.kind, curve.par, stacked, curve.eps_sing
+    )
+    turn_deriv = (turn[m : 2 * m] - turn[2 * m :]) / (2.0 * h)
+    return list(
+        zip(
+            gx[:m].tolist(),
+            gy[:m].tolist(),
+            tx[:m].tolist(),
+            ty[:m].tolist(),
+            psi_t[:m].tolist(),
+            speed[:m].tolist(),
+            turn[:m].tolist(),
+            turn_deriv.tolist(),
+            speed_rate[:m].tolist(),
+        )
+    )
+
+
 @st.composite
 def curve_parameter(draw, curve):
     """A parameter anywhere, or within 2e-3 of a cusp, gear corner or crossing."""
@@ -953,8 +987,12 @@ def tick_case(draw):
 @given(case_args=tick_case())
 def test_team_controls_match_scalar_oracle(case_args):
     case, args, oracle_args = case_args
-    states = args[0]
-    got, md = sk.team_controls(*args)
+    states, z0, z_cap, t, tick_curve, targets, cp = args
+    got, md = sk.team_controls(
+        states.tolist(), z0.tolist(), z_cap.tolist(), t, tick_curve,
+        None if targets is None else targets.tolist(), cp,
+    )
+    got = np.array(got)
     assert_close(got, quiet(scalar_team_controls, *oracle_args))
     # the tick's minimum separation
     ref_md = sk.min_pair_distance(states[:, 0], states[:, 1])
@@ -975,7 +1013,8 @@ def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
     states = np.array([[3.0, 0.0, 0.0, 0.0, 0.0, 0.27], [3.0, gap, 0.5, 0.0, 0.0, 0.27]])
     zeros = np.zeros(2)
     caps = np.full(2, np.inf)
-    got, md = sk.team_controls(states, zeros, caps, 0.0, DELTOID, None, cp)
+    got, md = sk.team_controls(states.tolist(), zeros.tolist(), caps.tolist(), 0.0, DELTOID, None, cp)
+    got = np.array(got)
     ref = quiet(
         scalar_team_controls, states, zeros, caps, 0.0, DELTOID.kind, DELTOID.par,
         DELTOID.eps_sing, zeros, zeros, zeros, False, cp.lift_gain * cp.v_ref, cp,
@@ -1029,7 +1068,7 @@ def test_rk4_step_team_matches_scalar_loop(data, dt):
     controls = np.array(
         [[5.0 * data.draw(unit) for _ in range(3)] for _ in range(states.shape[0])]
     )
-    got = sk.rk4_step_team(states, controls, dt)
+    got = np.array(sk.rk4_step_team(states.tolist(), controls.tolist(), dt))
     assert got.shape == states.shape
     assert_close(got, array_rk4_step_team(states, controls, dt))
     assert_close(got, old_rk4_step_team(states, controls, dt))
@@ -1064,7 +1103,8 @@ def test_sweep_only_controls_match_their_own_blend(data, close_pair, t):
     n = states.shape[0]
     z_cap = np.full(n, np.inf)
     ref_rate = cp.lift_gain * cp.v_ref
-    got, _md = sk.team_controls(states, z0, z_cap, t, curve, None, cp)
+    got, _md = sk.team_controls(states.tolist(), z0.tolist(), z_cap.tolist(), t, curve, None, cp)
+    got = np.array(got)
     ref = quiet(old_sweep_only_controls, states, z0, z_cap, t, curve, ref_rate, cp)
     assert_close(got, ref)
     assert np.all(got[:, 3] == 0.0)
@@ -1245,6 +1285,81 @@ def test_curve_jet_matches_per_order_kernels(name):
             assert all(same_bits(g, r) for g, r in zip(got, ref)), (name, order, s)
         entry = curve_point(kind, par, s) + curve_d1(kind, par, s) + curve_d2(kind, par, s)
         assert all(same_bits(g, r) for g, r in zip(entry, ref)), (name, s)
+
+
+# the families whose jet raises an array to a power: numpy's vectorized
+# power on arrays, libm pow on floats
+POW_KINDS = (kernels.KIND_SUPERELLIPSE, kernels.KIND_CASSINI, kernels.KIND_LEMNISCATE)
+
+
+def within_ulps(got, ref, ulps, scale=None):
+    """|got - ref| within `ulps` ulps of each column's largest |ref| (or of scale)."""
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    if scale is None:
+        scale = np.max(np.abs(ref), axis=0)
+    return np.all(np.abs(got - ref) <= ulps * np.spacing(scale))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_float_jet_matches_array_jet(name):
+    curve = make_curve(name)
+    kind, par = curve.kind, tuple(curve.par.tolist())
+    special = np.array(DELTOID_CUSPS + GEAR_CORNERS + (-1.0, 7.0, 13.0))
+    s_all = np.concatenate((special, np.random.default_rng(5).uniform(0.0, TWO_PI, 400)))
+    for order in (0, 1, 2):
+        ref = np.array(curve_jet(kind, curve.par, s_all, order)).T
+        rows = [curve_jet(kind, par, s, order) for s in s_all.tolist()]
+        assert all(type(v) is float for row in rows for v in row)
+        got = np.array(rows)
+        if kind in POW_KINDS:
+            assert within_ulps(got, ref, 4), (name, order)
+        else:
+            assert np.array_equal(got, ref), (name, order)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_curve_geometry_matches_array_oracle(name, monkeypatch):
+    curve = make_curve(name)
+    fallbacks = []
+    array_path = control._curve_geometry_array
+
+    def counted(*args):
+        fallbacks.append(1)
+        return array_path(*args)
+
+    monkeypatch.setattr(control, "_curve_geometry_array", counted)
+    h = control._W_FD_STEP
+    rng = np.random.default_rng(7)
+    cases = [rng.uniform(0.0, TWO_PI, 4) for _ in range(100)]
+    # a cusp or corner at s, or at s + h or s - h only
+    for special in (DELTOID_CUSPS, GEAR_CORNERS):
+        cases += [np.array(special), np.array(special) - h, np.array(special) + h]
+    for s in cases:
+        fallbacks.clear()
+        got = control.curve_geometry(curve, s.tolist())
+        ref = old_curve_geometry(curve, s)
+        assert all(type(v) is float for row in got for v in row)
+        if fallbacks or curve.kind not in POW_KINDS:
+            assert np.array_equal(got, ref, equal_nan=True), (name, s)
+        else:
+            # jet errors of a few ulps; the turn derivative divides the
+            # difference of two turn rates by 2h
+            got, ref = np.array(got), np.array(ref)
+            direct = [0, 1, 2, 3, 4, 5, 6, 8]
+            assert within_ulps(got[:, direct], ref[:, direct], 32), (name, s)
+            turn_scale = np.max(np.abs(ref[:, 6])) / (2.0 * h)
+            assert within_ulps(got[:, 7], ref[:, 7], 32, turn_scale), (name, s)
+        singular = np.hypot(*curve_d1(curve.kind, curve.par, np.concatenate((s, s + h, s - h))))
+        assert bool(fallbacks) == bool(np.any(singular < curve.eps_sing)), (name, s)
+    # an eps_sing above the slowest of the 3m speeds takes the array path
+    s = cases[0]
+    speeds = np.hypot(*curve_d1(curve.kind, curve.par, np.concatenate((s, s + h, s - h))))
+    forced = SimpleNamespace(kind=curve.kind, par=curve.par, eps_sing=1.5 * speeds.min())
+    fallbacks.clear()
+    got = control.curve_geometry(forced, s.tolist())
+    assert fallbacks == [1]
+    assert np.array_equal(got, old_curve_geometry(forced, s))
 
 
 # -- the formation finder ----------------------------------------------------

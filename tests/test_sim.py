@@ -140,6 +140,11 @@ def test_march_profile_linear_then_eases_into_cap():
     z1, r1 = sk.march_profile(z0, cap, 2.0, rate, width)
     assert z1 == pytest.approx(1.0, rel=1e-12)
     assert r1 == pytest.approx(rate, rel=1e-12)
+    # linear, easing from beyond the width, easing from within it: the
+    # ease must not hand numpy scalars to the float tick
+    for start, t in ((z0, 2.0), (z0, 9.5), (cap - 0.5 * width, 1.0)):
+        z, r = sk.march_profile(start, cap, t, rate, width)
+        assert type(z) is float and type(r) is float
     prev = -np.inf
     for t in np.linspace(0.0, 60.0, 1201):
         z, r = sk.march_profile(z0, cap, float(t), rate, width)
