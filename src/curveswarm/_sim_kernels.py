@@ -1,12 +1,17 @@
 """Mission integration kernels: team control ticks, RK4 stepping,
-curve-distance queries, and the full fixed-step mission loop.  The
-adherence metric is not part of the loop: it is one batched
-nearest-point pass over the recorded positions once the loop ends.
-Each point's closest cached curve sample comes from a search that skips
+curve-distance queries, and the full fixed-step mission loop.
+
+The loop runs in blocks of TICK_BLOCK ticks.  Each block takes its
+marching references from one array march_profile call (the reference
+depends only on time), and once its records are made, its adherence
+from one batched nearest-point pass over the block's positions.  Each
+point's closest cached curve sample comes from a search that skips
 every chunk of samples whose bounding circle cannot hold it (the same
 index a brute-force argmin gives); a few ternary steps around it pick
 the branch of the curve, and a bracketed Newton method polishes the
 parameter.  Placement (`sim.nearest_parameter`) uses the same query.
+The finished block then goes to an optional callback, so a writer can
+format it on another core while the loop runs on (output.MissionWriter).
 
 A tick runs on Python floats end to end: the curve geometry (from the
 float path of curve_jet; numpy only for the tangent angles and near a
@@ -15,26 +20,36 @@ agents that is faster than array expressions over agents, whose
 per-call overhead dwarfs the arithmetic.  mission_core converts its
 array inputs once, holds each agent's state as a tuple of floats, and
 writes each tick's record into the trajectory array with one
-assignment.  The laws live in `control`; team_controls is their caller
-and adds what belongs to the mission rather than to one agent's law:
-the marching reference and its leash, the speed envelope and the
-turn-rate clamp.  The tick's neighbor loop also yields the smallest
-separation, so the loop needs no separate pairwise-distance pass.
+assignment.  team_controls is one flat function: it reads its gains
+once, runs the feedback-linearizing path law inline, calls the pose,
+blend and repulsion laws of `control`, takes every agent's avoidance
+steering angle from one np.arctan2 call, and adds what belongs to the
+mission rather than to one agent's law: the reference leash, the speed
+envelope and the turn-rate clamp.  Its neighbor loop also yields the
+smallest separation, so the loop needs no separate pairwise-distance
+pass.
 
 A trajectory record holds one row per agent in the TRAJECTORY_COLUMNS
 order.  Controls are recomputed from each snapshot before stepping and
-held constant across the step (zero-order hold).  The loop can hand each
-finished block of TICK_BLOCK records to a callback while it runs on, so
-a writer can format them on another core (output.TrajectoryWriter).
+held constant across the step (zero-order hold).
 """
 
 import itertools
 import math
+from operator import attrgetter
 
 import numpy as np
 
 from ._curve_kernels import curve_jet, curve_point
-from .control import agent_control, curve_geometry
+from .control import (
+    avoidance_control_law,
+    beta_smooth,
+    blend_weight,
+    curve_geometry,
+    pose_control_law,
+    repulsion_sum,
+    transverse_terms,
+)
 from .curves import SAMPLE_CHUNK
 
 TWO_PI = 2.0 * np.pi
@@ -60,8 +75,8 @@ NEWTON_TOL = 1e-12  # Newton step at which a point counts as converged
 NEWTON_CAP = 64  # Newton rounds at most; a point still moving keeps its last step
 POINT_BLOCK = 256  # points per pruned nearest-sample pass
 PAIR_BLOCK = 2048  # (point, chunk) pairs per exact pass: (2048, 32) temporaries
-# records per adherence pass after the mission loop, and per block that
-# mission_core streams to its on_block callback
+# ticks per block of the mission loop: one march_profile call, one
+# adherence pass and one on_block callback each
 TICK_BLOCK = 512
 
 
@@ -282,116 +297,179 @@ def closest_pair(px, py):
 
 
 def march_profile(z0, z_cap, t, rate, width):
-    """Lifted reference position and rate at time t.
+    """Lifted reference positions and rates at the times t, per agent.
 
-    Marches linearly at `rate` from z0, then eases into the cap over
-    the final `width` of lift: the rate scales with the remaining gap,
-    so the profile is C1 and the reference never overshoots the cap.
-    A hard stop here would dump the arrival speed into the transverse
-    errors and leave agents stranded in a standstill tug-of-war.  Both
-    outputs are Python floats for float inputs: the ease takes numpy's
-    exp (math.exp differs from it in the last bit on some arguments) and
-    converts its result.
+    z0 and z_cap are (n,) arrays and t is an (m,) array; returns (z_ref,
+    rate) as (m, n) arrays.  Each reference marches linearly at `rate`
+    from z0, then eases into the cap over the final `width` of lift: the
+    rate scales with the remaining gap, so the profile is C1 and the
+    reference never overshoots the cap.  A hard stop here would dump the
+    arrival speed into the transverse errors and leave agents stranded
+    in a standstill tug-of-war.  An infinite cap (a sweep-only mission)
+    marches forever.  The ease evaluates np.exp on every entry, the
+    linear ones too, where it can overflow; those entries are discarded.
     """
+    t = t[:, None]
     linear = z0 + rate * t
-    if linear <= z_cap - width:
-        return linear, rate
     gap0 = z_cap - z0
-    if gap0 > width:
-        t_ramp = t - (gap0 - width) / rate
-        gap = width * float(np.exp(-rate * t_ramp / width))
-    else:
-        gap = gap0 * float(np.exp(-rate * t / width))
-    return z_cap - gap, rate * gap / width
+    late = gap0 > width
+    # past the linear stretch the remaining gap shrinks by a factor of e
+    # every width / rate seconds, from width (a long march) or from gap0
+    t_ease = np.where(late, t - (gap0 - width) / rate, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.where(late, width, gap0) * np.exp(-rate * t_ease / width)
+        on_line = linear <= z_cap - width
+        return (
+            np.where(on_line, linear, z_cap - gap),
+            np.where(on_line, rate, rate * gap / width),
+        )
 
 
-def team_controls(states, z0, z_cap, t, curve, targets, cp):
+# the ControllerParams fields team_controls reads itself, once per call
+_TICK_GAINS = attrgetter(
+    *"""lift_gain kp_n kp_t kp_lift kd_n kd_t kd_lift v_min v_ref lead_width revs_star d_sw
+    blend_mode sigma_accept delta_sigma d_ao d_safe shrink_sigma shrink_factor v_max kv_limit
+    omega_max""".split()
+)
+
+
+def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     """Controls plus (sigma, alpha, duty) for every agent at one instant.
 
-    The lifted reference for agent i marches as z0[i] + ref_rate * t,
-    with ref_rate = cp.lift_gain * cp.v_ref, and eases smoothly into
-    z_cap[i] (the agent's vertex address after the required
-    revolutions); a sweep-only mission passes an infinite cap, so the
-    march never stops, and targets = None.  states holds one (x, y,
-    psi, v, z, vz) row of floats per agent, z0 and z_cap are lists of
-    floats, and targets is None or one (target_x, target_y, target_psi)
-    row per agent.  The curve is read for kind, par and eps_sing only.
+    states holds one (x, y, psi, v, z, vz) row of floats per agent, z0
+    their starting lifted coordinates, and z_ref and z_ref_rate the
+    marching reference of each agent at this instant (a row of
+    march_profile), all lists of floats.  targets is None (a sweep-only
+    mission) or one (target_x, target_y, target_psi) row per agent.  The
+    curve is read for kind, par and eps_sing only.
+
     The reference is leashed to at most lead_width (in parameter) ahead
     of the agent's own lifted coordinate so an agent held up by
     avoidance is not punished with a catch-up sprint once it breaks
-    free.  Without targets sigma is
-    pinned at zero and the nominal input is pure path following;
-    avoidance still applies.  A speed envelope caps acceleration once
-    |v| (or |vz|) would exceed its bound, so a delayed agent catches up
-    at a pace other agents' avoidance can still brake against.
+    free.  Path following and pose regulation mix through sigma, from
+    the revolutions done since z0 and the distance to the target;
+    without targets sigma is pinned at zero and the nominal input is
+    pure path following.  The avoidance law overrides through alpha,
+    gated by the duty factor so settled agents (sigma >= sigma_accept)
+    ignore traffic; its steering angles come from one np.arctan2 call
+    over the team.  A speed envelope caps acceleration once |v| (or
+    |vz|) would exceed its bound, so a delayed agent catches up at a
+    pace other agents' avoidance can still brake against, and the turn
+    rate is clamped to omega_max.
 
     Returns (controls, min_sep): controls holds one (accel, turn,
     lift_accel, sigma, alpha, duty) tuple per agent, and min_sep is the
     smallest inter-agent separation of the snapshot (inf for a lone
     agent).
     """
+    (lift_gain, kp_n, kp_t, kp_lift, kd_n, kd_t, kd_lift, v_min, v_ref, lead_width, revs_star, d_sw,
+     blend_mode, sigma_accept, delta_sigma, d_ao, d_safe, shrink_sigma, shrink_factor, v_max,
+     kv_limit, omega_max) = _TICK_GAINS(cp)
     px, py, psi, v, z, vz = zip(*states)
-    geo = curve_geometry(curve, [zi / cp.lift_gain for zi in z])
-    goals = [(0.0, 0.0, 0.0)] * len(px) if targets is None else targets
-    ref_rate = cp.lift_gain * cp.v_ref
-    width = cp.lift_gain * cp.brake_width
-    lead = cp.lift_gain * cp.lead_width
-    vz_max = 2.0 * ref_rate
-    rows = []
+    geo = curve_geometry(curve, [zi / lift_gain for zi in z])
+    lead = lift_gain * lead_width
+    vz_max = 2.0 * (lift_gain * v_ref)
+    lap = TWO_PI * lift_gain
+    nominal = []
+    field_x = []
+    field_y = []
     min_sep = math.inf
-    for i in range(len(px)):
-        z_ref, rate_i = march_profile(z0[i], z_cap[i], t, ref_rate, width)
+    for i, (x, y, psi_i, v_i, z_i, vz_i) in enumerate(states):
+        zr = z_ref[i]
+        rate_i = z_ref_rate[i]
         # leash: a blocked agent's reference waits just ahead of it
-        if z_ref > z[i] + lead:
-            z_ref = z[i] + lead
+        if zr > z_i + lead:
+            zr = z_i + lead
             rate_i = 0.0
         # a sweep-only mission has done no revolutions toward a target,
         # which pins sigma at zero
         revs = 0.0
-        if targets is not None:
-            revs = (z[i] - z0[i]) / (TWO_PI * cp.lift_gain)
+        if targets is None:
+            target_x = target_y = target_psi = 0.0
+        else:
+            target_x, target_y, target_psi = targets[i]
+            revs = (z_i - z0[i]) / lap
             if revs < 0.0:
                 revs = 0.0
-        target_x, target_y, target_psi = goals[i]
-        a, om, az, sg, al, du, sep = agent_control(
-            i,
-            px,
-            py,
-            psi,
-            v,
-            z,
-            vz,
-            revs,
-            geo[i],
-            target_x,
-            target_y,
-            target_psi,
-            z_ref,
-            rate_i,
-            cp,
+        dx = x - target_x
+        dy = y - target_y
+        sigma = blend_weight(revs, math.sqrt(dx * dx + dy * dy), revs_star, d_sw, blend_mode)
+        # path following: a PD law on the transverse outputs (e_n, e_t,
+        # h3), feedback-linearized by inverting their decoupling matrix
+        # in closed form; the speed is floored at v_min inside the matrix
+        # only, so the law stays defined through v = 0
+        (e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi, speed, turn, turn_deriv,
+         speed_deriv, s_rate) = transverse_terms(geo[i], x, y, psi_i, v_i, z_i, vz_i, lift_gain, zr, rate_i)
+        # the output accelerations with zero input
+        drift_n = -turn_deriv * s_rate * s_rate * e_t - turn * s_rate * (
+            turn * s_rate * e_n + 2.0 * v_i * cos_dpsi - speed * s_rate
         )
+        drift_t = (
+            turn_deriv * s_rate * s_rate * e_n
+            + turn * s_rate * (-turn * s_rate * e_t + 2.0 * v_i * sin_dpsi)
+            - speed_deriv * s_rate * s_rate
+        )
+        az_tfl = -kp_lift * h3 - kd_lift * h3_dot
+        v_reg = v_i
+        if abs(v_reg) < v_min:
+            v_reg = v_min if v_reg >= 0.0 else -v_min
+        # less what a_z contributes through the matrix's lifted column
+        r1 = -kp_n * e_n - kd_n * e_n_dot - drift_n - (-turn * e_t / lift_gain) * az_tfl
+        r2 = -kp_t * e_t - kd_t * e_t_dot - drift_t - ((turn * e_n - speed) / lift_gain) * az_tfl
+        # closed-form inverse of the upper-left block [[sin, v cos], [cos, -v sin]]
+        a_tfl = sin_dpsi * r1 + cos_dpsi * r2
+        om_tfl = (cos_dpsi * r1 - sin_dpsi * r2) / v_reg
+        a_pose, om_pose, az_pose = pose_control_law(
+            x, y, psi_i, v_i, vz_i, target_x, target_y, target_psi, cp
+        )
+        duty = beta_smooth((sigma_accept - sigma) / delta_sigma)
+        d_act = d_ao
+        if sigma > shrink_sigma:
+            d_act = shrink_factor * d_safe
+        fx, fy, prox, sep = repulsion_sum(i, px, py, psi, d_act, cp)
         if sep < min_sep:
             min_sep = sep
+        field_x.append(duty * fx)
+        field_y.append(duty * fy)
+        nominal.append(
+            (
+                (1.0 - sigma) * a_tfl + sigma * a_pose,
+                (1.0 - sigma) * om_tfl + sigma * om_pose,
+                (1.0 - sigma) * az_tfl + sigma * az_pose,
+                sigma,
+                duty * prox,
+                duty,
+            )
+        )
+    psi_des = np.arctan2(field_y, field_x).tolist()
+    rows = []
+    for i, (a, om, az, sigma, alpha, duty) in enumerate(nominal):
+        v_i = v[i]
+        vz_i = vz[i]
+        a_av, om_av, az_av = avoidance_control_law(psi_des[i], psi[i], v_i, vz_i, cp)
+        a = (1.0 - alpha) * a + alpha * a_av
+        om = (1.0 - alpha) * om + alpha * om_av
+        az = (1.0 - alpha) * az + alpha * az_av
         # speed envelope: restrict acceleration toward high |v|, |vz|
-        hi = cp.kv_limit * (cp.v_max - v[i])
-        lo = cp.kv_limit * (-cp.v_max - v[i])
+        hi = kv_limit * (v_max - v_i)
+        lo = kv_limit * (-v_max - v_i)
         if a > hi:
             a = hi
         if a < lo:
             a = lo
-        hi = cp.kv_limit * (vz_max - vz[i])
-        lo = cp.kv_limit * (-vz_max - vz[i])
+        hi = kv_limit * (vz_max - vz_i)
+        lo = kv_limit * (-vz_max - vz_i)
         if az > hi:
             az = hi
         if az < lo:
             az = lo
         # turn-rate saturation: near standstill the regularized inversion
         # emits demand/v_min noise that would thrash the heading
-        if om > cp.omega_max:
-            om = cp.omega_max
-        if om < -cp.omega_max:
-            om = -cp.omega_max
-        rows.append((a, om, az, sg, al, du))
+        if om > omega_max:
+            om = omega_max
+        if om < -omega_max:
+            om = -omega_max
+        rows.append((a, om, az, sigma, alpha, duty))
     return rows, min_sep
 
 
@@ -402,13 +480,14 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
     t_k = k*dt for k = 0..n_steps, stepping between records.  states0
     is an (n, 6) array, z0 and z_cap are (n,) arrays and targets is
     None or an (n, 3) array; they become the Python floats that
-    team_controls takes once, before the loop.  on_block, if given,
-    is called with traj[k - TICK_BLOCK : k] each time k records are
-    complete and k is a multiple of TICK_BLOCK; the records after the
-    last such block reach no callback.  Stops early when
-    agents close within 0.5 * cp.d_safe (collision) or any state goes
-    non-finite.  The adherence series is computed after the loop from
-    the recorded positions.  Returns (trajectory, min_distance,
+    team_controls takes once, before the loop.  The loop runs in blocks
+    of TICK_BLOCK ticks: each block takes its marching references from
+    one march_profile call, and once its records are made, its mean
+    adherence from one mean_adherence call.  on_block, if given, is then
+    called with the block's (records, min_distance, adherence) array
+    slices; every record reaches it, the last block possibly shorter.
+    Stops early when agents close within 0.5 * cp.d_safe (collision)
+    or any state goes non-finite.  Returns (trajectory, min_distance,
     adherence, collision, nonfinite); the three series hold one entry
     per record made, a trajectory record being (n, TRAJECTORY_COLUMNS).
     """
@@ -416,32 +495,39 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
     total = n_steps + 1
     traj = np.zeros((total, n, len(TRAJECTORY_COLUMNS)))
     min_dist = np.zeros(total)
+    adherence = np.zeros(total)
     states = list(map(tuple, states0.tolist()))
-    z0 = z0.tolist()
-    z_cap = z_cap.tolist()
+    z0_rows = z0.tolist()
     if targets is not None:
         targets = targets.tolist()
+    ref_rate = cp.lift_gain * cp.v_ref
+    width = cp.lift_gain * cp.brake_width
     abort_dist = 0.5 * cp.d_safe
     collision = False
     nonfinite = False
     filled = 0
-    for k in range(total):
-        t = k * dt
-        if not all(map(math.isfinite, itertools.chain.from_iterable(states))):
-            nonfinite = True
+    for start in range(0, total, TICK_BLOCK):
+        stop = min(start + TICK_BLOCK, total)
+        z_ref, z_ref_rate = march_profile(z0, z_cap, np.arange(start, stop) * dt, ref_rate, width)
+        for k, zr, rr in zip(range(start, stop), z_ref.tolist(), z_ref_rate.tolist()):
+            if not all(map(math.isfinite, itertools.chain.from_iterable(states))):
+                nonfinite = True
+                break
+            ctrl, md = team_controls(states, z0_rows, zr, rr, curve, targets, cp)
+            traj[k] = [
+                (*st, sg, al, du, a, om, az) for st, (a, om, az, sg, al, du) in zip(states, ctrl)
+            ]
+            min_dist[k] = md
+            filled = k + 1
+            if md < abort_dist:
+                collision = True
+                break
+            if k < n_steps:
+                states = rk4_step_team(states, ctrl, dt)
+        if filled > start:
+            adherence[start:filled] = mean_adherence(curve, traj[start:filled, :, 0:2])
+            if on_block is not None:
+                on_block(traj[start:filled], min_dist[start:filled], adherence[start:filled])
+        if collision or nonfinite:
             break
-        ctrl, md = team_controls(states, z0, z_cap, t, curve, targets, cp)
-        traj[k] = [
-            (*st, sg, al, du, a, om, az) for st, (a, om, az, sg, al, du) in zip(states, ctrl)
-        ]
-        min_dist[k] = md
-        filled = k + 1
-        if on_block is not None and filled % TICK_BLOCK == 0:
-            on_block(traj[filled - TICK_BLOCK : filled])
-        if md < abort_dist:
-            collision = True
-            break
-        if k < n_steps:
-            states = rk4_step_team(states, ctrl, dt)
-    adherence = mean_adherence(curve, traj[:filled, :, 0:2])
-    return traj[:filled], min_dist[:filled], adherence, collision, nonfinite
+    return traj[:filled], min_dist[:filled], adherence[:filled], collision, nonfinite

@@ -14,7 +14,7 @@ from .config import ConfigError, dump_config, load_config, parse_target
 from .curves import CurveError, catalog_names, make_curve
 from .finder import multistart
 from .output import (
-    TrajectoryWriter,
+    MissionWriter,
     format_samples_csv,
     write_cost_trace_csv,
     write_metrics_csv,
@@ -123,20 +123,23 @@ def cmd_simulate(args) -> int:
         sys.stdout.write(dump_config(cfg))
         return EXIT_OK
     traj_path = os.path.join(args.out, "trajectory.csv")
-    with TrajectoryWriter(traj_path, mission.dt) as writer:
+    metrics_path = os.path.join(args.out, "metrics.csv")
+    with MissionWriter(traj_path, metrics_path, mission.dt) as writer:
         try:
             metrics, log = run_mission(mission, on_block=writer.send)
         except MissionError as exc:
             print(f"mission error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
         os.makedirs(args.out, exist_ok=True)
-        write_metrics_csv(os.path.join(args.out, "metrics.csv"), metrics)
+        # the snapshots go first, while the writer's child may still be
+        # formatting the last blocks
+        snap_times = mission.snapshot_times or (float(log.times[-1]),)
+        for t_snap in snap_times:
+            k = int(round(t_snap / mission.dt))
+            path = os.path.join(args.out, f"snapshot_t{t_snap:08.2f}s.svg")
+            write_snapshot_svg(path, cfg.curve, log, k, metrics.assignment)
         write_trajectory_csv(traj_path, log, writer)
-    snap_times = mission.snapshot_times or (float(log.times[-1]),)
-    for t_snap in snap_times:
-        k = int(round(t_snap / mission.dt))
-        path = os.path.join(args.out, f"snapshot_t{t_snap:08.2f}s.svg")
-        write_snapshot_svg(path, cfg.curve, log, k, metrics.assignment)
+        write_metrics_csv(metrics_path, metrics, writer)
     sigma_last = float(metrics.sigma[-1].min()) if metrics.sigma.size else 0.0
     err_last = (
         float(metrics.final_vertex_errors.max())

@@ -1,10 +1,14 @@
 """Agent feedback laws: lifted path following, vertex pose regulation,
 smooth authority blending, and distributed collision avoidance.
 
-This module holds the laws; `_sim_kernels.team_controls` is their
-caller.  Once per tick it makes one curve_geometry call for the whole
-team, runs agent_control per agent, and adds the reference leash, the
-speed envelope and the turn-rate clamp.
+This module holds the laws and the transverse outputs they act on;
+`_sim_kernels.team_controls` is their caller.  Once per tick it makes
+one curve_geometry call for the whole team, runs the feedback-linearizing
+path-following law inline on transverse_terms, blends it with
+pose_control_law and avoidance_control_law per agent through
+blend_weight and the duty factor, and adds the reference leash, the
+speed envelope and the turn-rate clamp.  decoupling_matrix is the
+matrix that the path law inverts.
 
 An agent state is (x, y, psi, v, z, vz): planar pose and forward speed
 plus a lifted coordinate pair.  The lifted coordinate addresses the
@@ -30,11 +34,12 @@ The tick keeps the bits of numpy's array code, measured on an x86-64
 - a speed is abs(complex(dx, dy)), which calls libm hypot as np.hypot
   does (0 of 300k random pairs differed); math.hypot differed on 1,725
   of the same 300k;
-- the tangent angles come from one np.arctan2 call, whose bits are the
-  same at length 4, at length 200k and on scalars; math.atan2 differed
-  on 14,664 of 200k;
-- exp stays numpy's (march_profile, converted to a float); math.exp
-  differed on 9,282 of 200k.
+- the tangent angles come from one np.arctan2 call per tick, and so do
+  the avoidance law's steering angles; its bits are the same at length
+  4, at length 200k and on scalars; math.atan2 differed on 14,664 of
+  200k;
+- exp stays numpy's, in the array march_profile that the mission calls
+  once per block of ticks; math.exp differed on 9,282 of 200k.
 """
 
 import math
@@ -344,84 +349,6 @@ def transverse_terms(geo, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
     )
 
 
-def decoupling_entries(sin_dpsi, cos_dpsi, v, e_n, e_t, speed, turn, lift_gain):
-    """Row-major entries of the input-to-output-acceleration matrix at speed v.
-
-    Rows are the outputs (e_n, e_t, h3), columns the inputs (a, omega,
-    a_z); the determinant is -v.  path_following_control inverts it at
-    the floored speed, decoupling_matrix returns it at the true one.
-    """
-    b1 = -turn * e_t / lift_gain
-    b2 = (turn * e_n - speed) / lift_gain
-    return (
-        sin_dpsi,
-        v * cos_dpsi,
-        b1,
-        cos_dpsi,
-        -v * sin_dpsi,
-        b2,
-        0.0,
-        0.0,
-        1.0,
-    )
-
-
-def drift_acceleration(e_n, e_t, v, sin_dpsi, cos_dpsi, speed, turn, turn_deriv, speed_deriv, s_rate):
-    """Output accelerations with zero input (the feedforward term)."""
-    lf1 = -turn_deriv * s_rate * s_rate * e_t - turn * s_rate * (
-        turn * s_rate * e_n + 2.0 * v * cos_dpsi - speed * s_rate
-    )
-    lf2 = (
-        turn_deriv * s_rate * s_rate * e_n
-        + turn * s_rate * (-turn * s_rate * e_t + 2.0 * v * sin_dpsi)
-        - speed_deriv * s_rate * s_rate
-    )
-    return lf1, lf2, 0.0
-
-
-def path_following_control(geo, x, y, psi, v, z, vz, z_ref, z_ref_rate, cp):
-    """Feedback-linearizing PD law tracking the lifted curve.
-
-    geo is the agent's entry of curve_geometry.  Solves the 3x3
-    decoupling system in closed form; the forward speed is floored at
-    v_min inside the matrix (only there) so the law stays defined
-    through v = 0.
-    """
-    (
-        e_n,
-        e_t,
-        h3,
-        e_n_dot,
-        e_t_dot,
-        h3_dot,
-        sin_dpsi,
-        cos_dpsi,
-        speed,
-        turn,
-        turn_deriv,
-        speed_deriv,
-        s_rate,
-    ) = transverse_terms(geo, x, y, psi, v, z, vz, cp.lift_gain, z_ref, z_ref_rate)
-    lf1, lf2, _ = drift_acceleration(
-        e_n, e_t, v, sin_dpsi, cos_dpsi, speed, turn, turn_deriv, speed_deriv, s_rate
-    )
-    rhs1 = -cp.kp_n * e_n - cp.kd_n * e_n_dot - lf1
-    rhs2 = -cp.kp_t * e_t - cp.kd_t * e_t_dot - lf2
-    a_z = -cp.kp_lift * h3 - cp.kd_lift * h3_dot
-    v_reg = v
-    if abs(v_reg) < cp.v_min:
-        v_reg = cp.v_min if v_reg >= 0.0 else -cp.v_min
-    _d11, _d12, b1, _d21, _d22, b2, _d31, _d32, _d33 = decoupling_entries(
-        sin_dpsi, cos_dpsi, v_reg, e_n, e_t, speed, turn, cp.lift_gain
-    )
-    r1 = rhs1 - b1 * a_z
-    r2 = rhs2 - b2 * a_z
-    # closed-form inverse of the upper-left block [[sin, v cos], [cos, -v sin]]
-    a = sin_dpsi * r1 + cos_dpsi * r2
-    omega = (cos_dpsi * r1 - sin_dpsi * r2) / v_reg
-    return a, omega, a_z
-
-
 def pose_control_law(x, y, psi, v, vz, target_x, target_y, target_psi, cp):
     """Damped regulator parking the agent at its assigned vertex pose."""
     hx = math.cos(psi)
@@ -475,69 +402,18 @@ def repulsion_sum(idx, px, py, psi, d_act, cp):
     return fx, fy, prox, min_sep
 
 
-def avoidance_control_law(psi_i, v, vz, fx, fy, cp):
-    """Steer along the repulsive field, modulating speed by alignment."""
-    psi_des = float(np.arctan2(fy, fx))
+def avoidance_control_law(psi_des, psi_i, v, vz, cp):
+    """Steer toward psi_des, the repulsive field's angle, modulating speed by alignment.
+
+    team_controls takes psi_des for the whole team from one np.arctan2
+    call on the duty-weighted fields (fy, fx).
+    """
     err = wrap_angle(psi_des - psi_i)
     v_des = cp.v_max * math.cos(err)
     a = cp.kv_avoid * (v_des - v)
     omega = cp.komega_avoid * err
     a_z = -cp.kz_avoid * vz
     return a, omega, a_z
-
-
-def agent_control(
-    idx,
-    px,
-    py,
-    psi,
-    v,
-    z,
-    vz,
-    revs_i,
-    geo,
-    target_x,
-    target_y,
-    target_psi,
-    z_ref,
-    z_ref_rate,
-    cp,
-):
-    """Full blended control for one agent given the team snapshot.
-
-    The team columns px ... vz are sequences of floats and geo is the
-    agent's entry of curve_geometry.  Returns (a, omega, a_z, sigma,
-    alpha, duty, min_sep).  Path following and pose regulation
-    mix through sigma; the avoidance law overrides through alpha, which
-    is gated by the duty factor so settled agents (sigma >= sigma_accept)
-    ignore traffic.  min_sep is repulsion_sum's.
-    """
-    dx = px[idx] - target_x
-    dy = py[idx] - target_y
-    dist = math.sqrt(dx * dx + dy * dy)
-    sigma = blend_weight(revs_i, dist, cp.revs_star, cp.d_sw, cp.blend_mode)
-    a_tfl, om_tfl, az_tfl = path_following_control(
-        geo, px[idx], py[idx], psi[idx], v[idx], z[idx], vz[idx], z_ref, z_ref_rate, cp
-    )
-    a_pose, om_pose, az_pose = pose_control_law(
-        px[idx], py[idx], psi[idx], v[idx], vz[idx], target_x, target_y, target_psi, cp
-    )
-    a_nom = (1.0 - sigma) * a_tfl + sigma * a_pose
-    om_nom = (1.0 - sigma) * om_tfl + sigma * om_pose
-    az_nom = (1.0 - sigma) * az_tfl + sigma * az_pose
-    duty = beta_smooth((cp.sigma_accept - sigma) / cp.delta_sigma)
-    d_act = cp.d_ao
-    if sigma > cp.shrink_sigma:
-        d_act = cp.shrink_factor * cp.d_safe
-    fx_raw, fy_raw, prox, min_sep = repulsion_sum(idx, px, py, psi, d_act, cp)
-    fx = duty * fx_raw
-    fy = duty * fy_raw
-    alpha = duty * prox
-    a_av, om_av, az_av = avoidance_control_law(psi[idx], v[idx], vz[idx], fx, fy, cp)
-    a = (1.0 - alpha) * a_nom + alpha * a_av
-    omega = (1.0 - alpha) * om_nom + alpha * om_av
-    a_z = (1.0 - alpha) * az_nom + alpha * az_av
-    return a, omega, a_z, sigma, alpha, duty, min_sep
 
 
 def _state6(state) -> np.ndarray:
@@ -559,7 +435,8 @@ def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:
     """Input-to-output-acceleration matrix, rows (e_n, e_t, h3) by (a, omega, a_z).
 
     Unregularized: its determinant is exactly -v, so it is singular at
-    standstill.
+    standstill.  The path-following law in team_controls inverts it in
+    closed form at the speed floored at v_min.
     """
     x, y, psi, v, z, vz = _state6(state).tolist()
     lift_gain = float(lift_gain)
@@ -580,10 +457,13 @@ def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:
     ) = transverse_terms(
         _geometry(curve, z, lift_gain), x, y, psi, v, z, vz, lift_gain, 0.0, 0.0
     )
-    entries = decoupling_entries(
-        sin_dpsi, cos_dpsi, v, e_n, e_t, speed, turn, lift_gain
+    return np.array(
+        [
+            [sin_dpsi, v * cos_dpsi, -turn * e_t / lift_gain],
+            [cos_dpsi, -v * sin_dpsi, (turn * e_n - speed) / lift_gain],
+            [0.0, 0.0, 1.0],
+        ]
     )
-    return np.array(entries).reshape(3, 3)
 
 
 def assign_vertices(states, solution: FormationSolution, curve: Curve, params: ControllerParams) -> FormationAssignment:

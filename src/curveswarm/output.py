@@ -4,9 +4,10 @@ All writers format floats with repr (shortest round-trip form), so a
 rerun with the same seed produces byte-identical files; that is the
 reproducibility contract the CLI and tests rely on.
 
-trajectory.csv, the largest and slowest file, can be formatted by a
-forked child while the mission loop runs (TrajectoryWriter).  It only
-ever appears whole: rows go to a .part file that is renamed when done.
+trajectory.csv and metrics.csv, the two files with one row per tick,
+can be formatted by a forked child while the mission loop runs
+(MissionWriter).  Either file only ever appears whole: rows go to a
+.part file that is renamed when done.
 """
 
 import os
@@ -14,7 +15,7 @@ import os
 import numpy as np
 
 from .curves import Curve
-from .sim import TRAJECTORY_COLUMNS
+from ._sim_kernels import TICK_BLOCK, TRAJECTORY_COLUMNS
 
 # trajectory log column indices for the CSV payload after (t, agent):
 # every logged column except the avoidance duty factor
@@ -24,6 +25,10 @@ _LOG_COLS = tuple(
 TRAJECTORY_HEADER = ",".join(
     ("t", "agent") + tuple(TRAJECTORY_COLUMNS[c] for c in _LOG_COLS)
 )
+
+# the writer pipe's capacity, five 512-tick blocks of four agents; the
+# largest an unprivileged Linux process may set by default
+PIPE_BYTES = 1 << 20
 
 SVG_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b7950b", "#7d3c98", "#148f77")
 
@@ -52,45 +57,67 @@ def _remove(path) -> None:
         pass
 
 
-def _format_stream(fd, part) -> None:
-    """The forked child's work: format every block read from fd into part.
+def _metrics_header(n) -> str:
+    return "t,min_distance,mean_adherence" + "".join(f",sigma_{i}" for i in range(n))
 
-    A block is two int64 (ticks m, agents n), m float64 times and the
-    m x n x len(TRAJECTORY_COLUMNS) float64 records; the stream ends at
-    the end of the pipe.
+
+def _write_metrics_rows(f, *columns) -> None:
+    """metrics.csv rows of the columns: time, safety distance, adherence, sigma (ticks, n)."""
+    for row in np.column_stack(columns).tolist():
+        f.write(",".join(map(repr, row)) + "\n")
+
+
+def _format_stream(fd, parts, dt) -> None:
+    """The forked child's work: format every block read from fd.
+
+    A block is two int64 (ticks m, agents n), then float64: m minimum
+    distances, m mean adherences and the m x n x len(TRAJECTORY_COLUMNS)
+    records; the stream ends at the end of the pipe.  Record k is at
+    time k * dt, as in run_mission.  parts are the .part paths of
+    trajectory.csv and metrics.csv.
     """
     width = len(TRAJECTORY_COLUMNS)
-    with os.fdopen(fd, "rb") as pipe, open(part, "w") as f:
-        f.write(TRAJECTORY_HEADER + "\n")
+    sigma = TRAJECTORY_COLUMNS.index("sigma")
+    with os.fdopen(fd, "rb") as pipe, open(parts[0], "w") as traj, open(parts[1], "w") as metrics:
+        traj.write(TRAJECTORY_HEADER + "\n")
+        k = 0
         while True:
             head = pipe.read(16)
             if not head:
                 return
             m, n = np.frombuffer(head, dtype=np.int64).tolist()
-            body = pipe.read(8 * m * (1 + n * width))
-            times = np.frombuffer(body, count=m)
-            _write_ticks(f, times, np.frombuffer(body, offset=8 * m).reshape(m, n, width))
+            if k == 0:
+                metrics.write(_metrics_header(n) + "\n")
+            body = pipe.read(8 * m * (2 + n * width))
+            min_distance, adherence = np.frombuffer(body, count=2 * m).reshape(2, m)
+            data = np.frombuffer(body, offset=16 * m).reshape(m, n, width)
+            times = np.arange(k, k + m) * dt
+            _write_ticks(traj, times, data)
+            _write_metrics_rows(metrics, times, min_distance, adherence, data[:, :, sigma])
+            k += m
 
 
-class TrajectoryWriter:
-    """Formats trajectory.csv in a forked child while a mission runs.
+class MissionWriter:
+    """Formats trajectory.csv and metrics.csv in a forked child while a mission runs.
 
-    Pass send to run_mission as on_block, then complete the file with
-    write_trajectory_csv(path, log, writer).  The first block creates
-    the output directory and forks the child, which formats each block
-    into path + ".part" on another core, so a mission that fails before
-    its loop leaves nothing behind.  Without os.fork, or when the fork
-    fails, send does nothing and write_trajectory_csv formats the whole
-    log in-process.  Use it as a context manager: leaving the block
-    kills and reaps a child still running and deletes its .part file,
+    Pass send to run_mission as on_block, then complete the files with
+    write_trajectory_csv and write_metrics_csv, each given this writer
+    and its own path.  The first full block of TICK_BLOCK records
+    creates the output directory and forks the child, which formats
+    each block into the two paths + ".part" on another core, so a
+    mission that fails before its loop leaves nothing behind; a mission
+    shorter than one block is formatted in-process.  Without os.fork,
+    or when the fork fails, send does nothing and the two writers format
+    in-process.  Use it as a context manager: leaving the block kills
+    and reaps a child still running and deletes the .part files left,
     whatever the exception.
     """
 
-    def __init__(self, path, dt):
-        self.path = os.fspath(path)
-        self.dt = dt  # record k is at time k * dt, as in run_mission
-        self.sent = 0  # records sent to the child
+    def __init__(self, trajectory_path, metrics_path, dt):
+        self.parts = (os.fspath(trajectory_path) + ".part", os.fspath(metrics_path) + ".part")
+        self.dt = dt
         self.pid = None
+        self._forked = False
         self._fd = None
         self._inline = not hasattr(os, "fork")
 
@@ -100,60 +127,76 @@ class TrajectoryWriter:
     def __exit__(self, *exc):
         self.close()
 
-    def send(self, block) -> None:
-        """Pipe the next block of records to the child, forking it first."""
+    def send(self, records, min_distance, adherence) -> None:
+        """Pipe the next block to the child, forking it on the first full block."""
         if self._inline:
             return
-        if self.pid is None:
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes or memory: format in-process
-                os.close(r)
-                os.close(w)
-                self._inline = True
+        if not self._forked:
+            if records.shape[0] < TICK_BLOCK:
+                return  # the whole mission, too short to be worth a fork
+            self._fork()
+            if self._inline:
                 return
-            if pid == 0:
-                # the child exits here and never returns into the caller's
-                # stack; it runs Python and numpy buffer code only, so no
-                # lock held by another thread (a BLAS worker) at the fork
-                # can stall it
-                status = 1
-                try:
-                    os.close(w)
-                    _format_stream(r, self.path + ".part")
-                    status = 0
-                except BaseException as exc:
-                    os.write(2, f"trajectory writer: {exc!r}\n".encode())
-                finally:
-                    os._exit(status)
-            os.close(r)
-            self.pid, self._fd = pid, w
-        times = np.arange(self.sent, self.sent + block.shape[0]) * self.dt
-        self._put(times, block)
-
-    def _put(self, times, data) -> None:
-        m, n = data.shape[:2]
+        m, n = records.shape[:2]
         frame = memoryview(
-            np.array((m, n), dtype=np.int64).tobytes() + times.tobytes() + data.tobytes()
+            np.array((m, n), dtype=np.int64).tobytes()
+            + min_distance.tobytes()
+            + adherence.tobytes()
+            + records.tobytes()
         )
         while frame:
             frame = frame[os.write(self._fd, frame) :]
-        self.sent += m
 
-    def finish(self, log) -> None:
-        """Send the records not yet sent, then wait for the child to end."""
-        self._put(log.times[self.sent :], log.data[self.sent :])
-        os.close(self._fd)
-        self._fd = None
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if code != 0:
-            raise OSError(f"trajectory writer for {self.path} failed (exit {code})")
+    def _fork(self) -> None:
+        os.makedirs(os.path.dirname(self.parts[0]) or ".", exist_ok=True)
+        r, w = os.pipe()
+        try:
+            # a default pipe holds 64 KB, less than one block: room for a
+            # few blocks keeps the loop out of os.write while the child
+            # catches up; where the call is missing or refused the pipe
+            # keeps its size
+            import fcntl
+
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes or memory: format in-process
+            os.close(r)
+            os.close(w)
+            self._inline = True
+            return
+        if pid == 0:
+            # the child exits here and never returns into the caller's
+            # stack; it runs Python and numpy buffer code only, so no
+            # lock held by another thread (a BLAS worker) at the fork
+            # can stall it
+            status = 1
+            try:
+                os.close(w)
+                _format_stream(r, self.parts, self.dt)
+                status = 0
+            except BaseException as exc:
+                os.write(2, f"mission writer: {exc!r}\n".encode())
+            finally:
+                os._exit(status)
+        os.close(r)
+        self.pid, self._fd, self._forked = pid, w, True
+
+    def wait(self) -> bool:
+        """End the stream and wait for the child; True if it wrote both .part files."""
+        if self.pid is not None:
+            os.close(self._fd)
+            self._fd = None
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            if code != 0:
+                raise OSError(f"mission writer for {self.parts[0]} failed (exit {code})")
+        return self._forked
 
     def close(self) -> None:
-        """Kill and reap a child still running; delete its .part file."""
+        """Kill and reap a child still running; delete the .part files left."""
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -163,46 +206,56 @@ class TrajectoryWriter:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-            _remove(self.path + ".part")
+        if self._forked:
+            for part in self.parts:
+                _remove(part)
 
 
-def write_trajectory_csv(path, log, writer=None) -> None:
-    """One row per (time, agent): states, weights, control triple.
-
-    The rows go to path + ".part", renamed to path once complete.  A
-    writer whose child is running (TrajectoryWriter.send) is sent the
-    records it has not seen and waited for; otherwise the log is
-    formatted here.
-    """
+def _complete(path, writer, write) -> None:
+    """Rename the writer child's path + ".part" to path, or fill it with write(f) first."""
     part = os.fspath(path) + ".part"
     try:
-        if writer is not None and writer.pid is not None:
-            writer.finish(log)
-        else:
+        if writer is None or not writer.wait():
             with open(part, "w") as f:
-                f.write(TRAJECTORY_HEADER + "\n")
-                _write_ticks(f, log.times, log.data)
+                write(f)
         os.replace(part, path)
     except BaseException:
         _remove(part)
         raise
 
 
-def write_metrics_csv(path, metrics) -> None:
-    """Shared time grid: safety distance, adherence, per-agent sigma."""
+def write_trajectory_csv(path, log, writer=None) -> None:
+    """One row per (time, agent): states, weights, control triple.
+
+    The rows go to path + ".part", renamed to path once complete.  A
+    MissionWriter that forked is waited for and its file renamed;
+    otherwise the log is formatted here.
+    """
+
+    def write(f):
+        f.write(TRAJECTORY_HEADER + "\n")
+        _write_ticks(f, log.times, log.data)
+
+    _complete(path, writer, write)
+
+
+def write_metrics_csv(path, metrics, writer=None) -> None:
+    """Shared time grid: safety distance, adherence, per-agent sigma.
+
+    Completed like write_trajectory_csv, from a MissionWriter's child or
+    formatted here.
+    """
     sigma = metrics.sigma
     n = sigma.shape[1] if sigma.ndim == 2 else 0
-    header = "t,min_distance,mean_adherence" + "".join(
-        f",sigma_{i}" for i in range(n)
-    )
-    table = np.column_stack(
-        (metrics.times, metrics.min_distance, metrics.mean_adherence)
-        + ((sigma,) if n else ())
-    )
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in table:
-            f.write(",".join(map(repr, row.tolist())) + "\n")
+
+    def write(f):
+        f.write(_metrics_header(n) + "\n")
+        _write_metrics_rows(
+            f, metrics.times, metrics.min_distance, metrics.mean_adherence,
+            *((sigma,) if n else ()),
+        )
+
+    _complete(path, writer, write)
 
 
 def write_solution_file(path, best, runs=None) -> None:

@@ -33,6 +33,9 @@ from .finder import FinderConfig, FormationSolution, multistart
 
 TWO_PI = 2.0 * np.pi
 DT_MAX = 0.02
+# bytes a mission may ask for in arrays with one entry per tick: the
+# trajectory records plus the min_distance and adherence series
+RECORD_BUDGET = 1 << 30
 
 
 class MissionError(ValueError):
@@ -82,6 +85,13 @@ class MissionConfig:
             raise MissionError(f"dt must lie in (0, {DT_MAX}]")
         if not self.horizon > 0.0:
             raise MissionError("horizon must be positive")
+        ticks = self.horizon / self.dt + 1.0
+        nbytes = 8.0 * ticks * (self.n * len(TRAJECTORY_COLUMNS) + 2)
+        if not nbytes <= RECORD_BUDGET:
+            raise MissionError(
+                f"horizon {self.horizon!r} s at dt {self.dt!r} s with n = {self.n} agents asks for"
+                f" {nbytes:.4g} bytes of per-tick records, over the budget of {RECORD_BUDGET} bytes"
+            )
         if self.annulus_frac < 0.0:
             raise MissionError("annulus_frac must be nonnegative")
         if self.heading_spread < 0.0:
@@ -283,8 +293,8 @@ def run_mission(config: MissionConfig, on_block=None):
     is not geometrically usable raises MissionError.  Early stops:
     inter-agent distance under 0.5 * d_safe sets the collision flag,
     non-finite states set nonfinite; both truncate the series.  on_block
-    receives the finished trajectory records block by block while the
-    loop runs (see _sim_kernels.mission_core).
+    receives every block of records with its minimum distances and mean
+    adherence while the loop runs (see _sim_kernels.mission_core).
     """
     config.validate()
     curve = config.curve

@@ -23,7 +23,7 @@ from curveswarm.curves import make_curve
 from curveswarm.finder import FinderConfig, multistart
 from curveswarm.output import (
     TRAJECTORY_HEADER,
-    TrajectoryWriter,
+    MissionWriter,
     format_samples_csv,
     write_metrics_csv,
     write_snapshot_svg,
@@ -294,18 +294,23 @@ def test_streamed_trajectory_matches_in_process_writer(
         monkeypatch.setattr(os, "fork", fork)
     config = MissionConfig(curve=make_curve(curve), n=n, seed=0, horizon=horizon)
     path = tmp_path / "out" / "trajectory.csv"
+    metrics_path = tmp_path / "out" / "metrics.csv"
     path.parent.mkdir()
-    with TrajectoryWriter(path, config.dt) as writer:
+    with MissionWriter(path, metrics_path, config.dt) as writer:
         metrics, log = run_mission(config, on_block=writer.send)
         forked = writer.pid is not None
         write_trajectory_csv(path, log, writer)
+        write_metrics_csv(metrics_path, metrics, writer)
     assert log.data.shape[0] == records
     assert forked == (records >= sk.TICK_BLOCK and case not in ("no-fork", "fork-fails"))
     assert metrics.nonfinite == (case == "nonfinite")
     inline = tmp_path / "inline.csv"
     write_trajectory_csv(inline, log)
     assert path.read_bytes() == inline.read_bytes()
-    assert os.listdir(tmp_path / "out") == ["trajectory.csv"]
+    inline_metrics = tmp_path / "inline_metrics.csv"
+    write_metrics_csv(inline_metrics, metrics)
+    assert metrics_path.read_bytes() == inline_metrics.read_bytes()
+    assert sorted(os.listdir(tmp_path / "out")) == ["metrics.csv", "trajectory.csv"]
     _no_child_left()
 
 
@@ -353,23 +358,37 @@ def test_interrupted_mission_leaves_no_trajectory(monkeypatch, tmp_path):
     _no_child_left()
 
 
-@pytest.mark.parametrize("at_tail", [False, True], ids=["first-block", "tail"])
-def test_writer_failure_leaves_no_trajectory(monkeypatch, tmp_path, capfd, at_tail):
+@pytest.mark.parametrize("how", ["first-block", "tail", "killed"])
+def test_writer_failure_leaves_no_trajectory(monkeypatch, tmp_path, capfd, how):
     # the forked child dies on its first block (the loop's next send finds
-    # the pipe broken) or on the records sent at the end (it exits 1): the
-    # run raises, and neither trajectory.csv nor its .part is left behind
-    def broken(f, times, data):
-        if not at_tail or data.shape[0] < sk.TICK_BLOCK:
-            raise OSError("disk full")
+    # the pipe broken), on the last block (it exits 1), or by SIGKILL after
+    # the first block (the next send finds the pipe broken): the run
+    # raises, and neither CSV nor any .part file is left behind
+    if how == "killed":
+        import signal
 
-    monkeypatch.setattr(output, "_write_ticks", broken)
+        send = output.MissionWriter.send
+
+        def send_then_kill(self, *block):
+            send(self, *block)
+            if self.pid is not None:
+                os.kill(self.pid, signal.SIGKILL)
+
+        monkeypatch.setattr(output.MissionWriter, "send", send_then_kill)
+    else:
+        def broken(f, times, data):
+            if how == "first-block" or data.shape[0] < sk.TICK_BLOCK:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(output, "_write_ticks", broken)
     out = tmp_path / "out"
     with pytest.raises(OSError):
         run_cli(["simulate", "--curve", "deltoid", "--n", "4", "--horizon", "10",
                  "--out", str(out)])
-    assert "trajectory writer: OSError('disk full')" in capfd.readouterr().err
-    assert not (out / "trajectory.csv").exists()
-    assert not (out / "trajectory.csv.part").exists()
+    if how != "killed":
+        assert "mission writer: OSError('disk full')" in capfd.readouterr().err
+    # the snapshot goes out before the writer is waited for, and may stay
+    assert not [f for f in os.listdir(out) if f.endswith((".csv", ".part"))]
     _no_child_left()
 
 
@@ -528,6 +547,16 @@ def test_cli_exit_3_when_no_feasible_formation(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "multistart", fake_multistart)
     code = run_cli(["find", "--curve", "circle", "--n", "3", "--out", str(tmp_path)])
     assert code == 3
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon", "1e300"), ("--dt", "1e-300")])
+def test_cli_rejects_records_over_the_budget(tmp_path, capsys, flag, value):
+    # MissionConfig.validate refuses the mission before placement
+    out = tmp_path / "out"
+    code = run_cli(["simulate", "--curve", "ellipse", "--n", "2", flag, value, "--out", str(out)])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exit_4_on_collision(monkeypatch, tmp_path):

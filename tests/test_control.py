@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
+from curveswarm import _sim_kernels as sk
 from curveswarm import control
 from curveswarm.control import (
     ControlError,
     ControllerParams,
-    agent_control,
     assign_vertices,
     avoidance_control_law,
     beta_smooth,
     blend_weight,
     decoupling_matrix,
-    drift_acceleration,
     make_params,
-    path_following_control,
     pose_control_law,
     repulsion_sum,
     transverse_terms,
@@ -66,16 +64,39 @@ def rk4_step(state, u, dt):
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def unclamped(cp):
+    """cp with the tick's leash, speed envelope and turn clamp out of reach.
+
+    The mission bounds what the path-following law asks for; these
+    parameters let the law's own output through.
+    """
+    return cp._replace(v_max=1e9, v_ref=1e9, omega_max=1e9, lead_width=1e9)
+
+
+def path_law(curve, cp, state, z_ref, z_ref_rate):
+    """The tick's controls (a, omega, a_z) for a lone sweep-only agent.
+
+    Alone and without a target, the agent has sigma = 0 and alpha = 0:
+    team_controls gives it pure path following, then the leash, the
+    speed envelope and the turn clamp of cp.
+    """
+    rows, _sep = sk.team_controls(
+        [tuple(map(float, state))], [float(state[4])], [float(z_ref)], [float(z_ref_rate)],
+        curve, None, cp,
+    )
+    return np.array(rows[0][:3])
+
+
 def run_path_following(curve, cp, state0, horizon, dt=0.01, record=None):
     """Closed loop under the path-following law alone, constant-rate reference."""
+    free = unclamped(cp)
     rate = cp.lift_gain * cp.v_ref
     z_ref = state0[4]
     state = state0.copy()
     rows = []
     steps = int(round(horizon / dt))
     for k in range(steps):
-        geo = control._geometry(curve, state[4], cp.lift_gain)
-        u = np.array(path_following_control(geo, *state, z_ref, rate, cp))
+        u = path_law(curve, free, state, z_ref, rate)
         if record is not None:
             rows.append(record(k * dt, state, z_ref, rate))
         state = rk4_step(state, u, dt)
@@ -137,46 +158,58 @@ def test_output_rates_match_finite_differences_along_flow():
             assert abs(fd - mid[3 + i]) <= 1e-4 * max(1.0, abs(mid[3 + i]))
 
 
-def test_drift_acceleration_matches_second_differences():
-    # L_f^2 h is the second time-derivative of the outputs under zero input
+def zero_input_accelerations(curve, cp, st, z_ref, rate, h=2e-4):
+    """Second differences of (e_n, e_t, h3) along the zero-input flow.
+
+    L_f^2 h, the output accelerations with zero input: planar motion on
+    a straight line at constant speed, z linear, the reference marching
+    at rate.
+    """
+    x, y, psi, v, z, vz = st
+
+    def outputs_at(t):
+        moved = np.array(
+            [x + t * v * np.cos(psi), y + t * v * np.sin(psi), psi, v, z + t * vz, vz]
+        )
+        geo = control._geometry(curve, moved[4], cp.lift_gain)
+        return transverse_terms(geo, *moved, cp.lift_gain, z_ref + rate * t, rate)
+
+    lo = outputs_at(-h)
+    mid = outputs_at(0.0)
+    hi = outputs_at(h)
+    return np.array([(hi[i] - 2.0 * mid[i] + lo[i]) / (h * h) for i in range(3)])
+
+
+def test_path_law_solves_the_decoupled_system():
+    # the tick's path-following controls u satisfy D(v_reg) u + L_f^2 h =
+    # -kp e - kd e_dot, with the drift L_f^2 h from finite differences and
+    # D the decoupling matrix at the speed floored at v_min
     curves = [make_curve("circle"), make_curve("ellipse"), make_curve("lissajous-32")]
     rng = np.random.default_rng(23)
-    h = 2e-4
     for curve in curves:
         cp = make_params(curve)
         rate = cp.lift_gain * cp.v_ref
-        for _ in range(40):
+        for k in range(40):
             st = random_lifted_state(curve, cp, rng)
+            if k % 4 == 0:
+                st[3] = rng.uniform(-1.0, 1.0) * cp.v_min  # inside the floor
             z_ref = st[4] + rng.uniform(-0.1, 0.1)
-
-            def outputs_at(t):
-                x, y, psi, v, z, vz = st
-                moved = np.array(
-                    [
-                        x + t * v * np.cos(psi),
-                        y + t * v * np.sin(psi),
-                        psi,
-                        v,
-                        z + t * vz,
-                        vz,
-                    ]
-                )
-                geo = control._geometry(curve, moved[4], cp.lift_gain)
-                return transverse_terms(geo, *moved, cp.lift_gain, z_ref + rate * t, rate)
-
-            lo = outputs_at(-h)
-            mid = outputs_at(0.0)
-            hi = outputs_at(h)
-            terms = transverse_terms(
-                control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
+            u = path_law(curve, unclamped(cp), st, z_ref, rate)
+            geo = control._geometry(curve, st[4], cp.lift_gain)
+            e_n, e_t, h3, den, det_, dh3 = transverse_terms(geo, *st, cp.lift_gain, z_ref, rate)[:6]
+            target = np.array(
+                [
+                    -cp.kp_n * e_n - cp.kd_n * den,
+                    -cp.kp_t * e_t - cp.kd_t * det_,
+                    -cp.kp_lift * h3 - cp.kd_lift * dh3,
+                ]
             )
-            lf = drift_acceleration(
-                terms[0], terms[1], st[3], terms[6], terms[7], terms[8], terms[9],
-                terms[10], terms[11], terms[12],
-            )
-            for i in range(3):
-                fd = (hi[i] - 2.0 * mid[i] + lo[i]) / (h * h)
-                assert abs(fd - lf[i]) <= 1e-4 * max(1.0, abs(lf[i]))
+            st_reg = st.copy()
+            if abs(st[3]) < cp.v_min:
+                st_reg[3] = cp.v_min if st[3] >= 0.0 else -cp.v_min
+            got = decoupling_matrix(st_reg, curve, cp.lift_gain) @ u
+            got += zero_input_accelerations(curve, cp, st, z_ref, rate)
+            assert np.all(np.abs(got - target) <= 1e-4 * np.maximum(1.0, np.abs(target)))
 
 
 # -- decoupling matrix -------------------------------------------------------
@@ -231,45 +264,12 @@ def test_decoupling_third_row_always_unit():
 # -- path-following law ------------------------------------------------------
 
 
-def test_tfl_solution_matches_dense_solve():
-    # closed-form inversion vs numpy solve on the regularized matrix
-    rng = np.random.default_rng(41)
-    curve = make_curve("ellipse")
-    cp = make_params(curve)
-    rate = cp.lift_gain * cp.v_ref
-    for _ in range(200):
-        st = random_lifted_state(curve, cp, rng)
-        z_ref = st[4] + rng.uniform(-0.2, 0.2)
-        geo = control._geometry(curve, st[4], cp.lift_gain)
-        u = path_following_control(geo, *st, z_ref, rate, cp)
-        terms = transverse_terms(geo, *st, cp.lift_gain, z_ref, rate)
-        e_n, e_t, h3, den, det_, dh3 = terms[:6]
-        lf = drift_acceleration(
-            e_n, e_t, st[3], terms[6], terms[7], terms[8], terms[9], terms[10],
-            terms[11], terms[12],
-        )
-        rhs = np.array(
-            [
-                -cp.kp_n * e_n - cp.kd_n * den - lf[0],
-                -cp.kp_t * e_t - cp.kd_t * det_ - lf[1],
-                -cp.kp_lift * h3 - cp.kd_lift * dh3,
-            ]
-        )
-        v_reg = st[3] if abs(st[3]) >= cp.v_min else np.copysign(cp.v_min, st[3] if st[3] != 0 else 1.0)
-        st_reg = st.copy()
-        st_reg[3] = v_reg
-        d_reg = decoupling_matrix(st_reg, curve, cp.lift_gain)
-        expected = np.linalg.solve(d_reg, rhs)
-        assert np.allclose(u, expected, rtol=1e-10, atol=1e-10)
-
-
 def test_tfl_regularization_keeps_law_finite_at_standstill():
     curve = make_curve("circle")
     cp = make_params(curve)
     st = on_curve_state(curve, cp, 1.0, s_rate=0.5)
     st[3] = 0.0
-    geo = control._geometry(curve, st[4], cp.lift_gain)
-    u = path_following_control(geo, *st, st[4], cp.lift_gain * cp.v_ref, cp)
+    u = path_law(curve, unclamped(cp), st, st[4], cp.lift_gain * cp.v_ref)
     assert np.all(np.isfinite(u))
 
 
@@ -449,16 +449,25 @@ def two_agent_states(cp, r, psi_other=np.pi):
 
 
 def blended(i, states, revs_i, target, curve, cp, z_ref, z_ref_rate=0.0):
-    """agent_control for agent i of an (n, 6) snapshot.
+    """team_controls for agent i of an (n, 6) snapshot.
 
-    target is the vertex (x, y, heading).  Returns (controls, sigma,
-    alpha, duty) with the controls (a, omega, a_z) as an array.
+    Every agent gets the target (x, y, heading), the reference (z_ref,
+    z_ref_rate) and a start z0 that puts revs_i revolutions behind its
+    lifted coordinate.  Returns agent i's (controls, sigma, alpha, duty)
+    with the controls (a, omega, a_z) as an array.
     """
-    cols = states.T.tolist()
-    geo = control._geometry(curve, cols[4][i], cp.lift_gain)
-    a, omega, a_z, sigma, alpha, duty, _sep = agent_control(
-        i, *cols, float(revs_i), geo, *target, float(z_ref), float(z_ref_rate), cp
+    n = states.shape[0]
+    lap = 2.0 * np.pi * cp.lift_gain
+    rows, _sep = sk.team_controls(
+        list(map(tuple, states.tolist())),
+        (states[:, 4] - lap * float(revs_i)).tolist(),
+        [float(z_ref)] * n,
+        [float(z_ref_rate)] * n,
+        curve,
+        [tuple(map(float, target))] * n,
+        cp,
     )
+    a, omega, a_z, sigma, alpha, duty = rows[i]
     return np.array([a, omega, a_z]), sigma, alpha, duty
 
 
@@ -544,10 +553,12 @@ def test_avoidance_control_alignment_cases():
     cp = make_params(make_curve("circle"))
     st = np.array([0.0, 0.0, 0.3, 1.0, 0.0, 0.4])
     along = np.array([np.cos(0.3), np.sin(0.3)])
-    a, omega, a_z = avoidance_control_law(st[2], st[3], st[5], *along, cp)
+    a, omega, a_z = avoidance_control_law(float(np.arctan2(along[1], along[0])), st[2], st[3], st[5], cp)
     assert omega == pytest.approx(0.0, abs=1e-12)
     assert a == pytest.approx(cp.kv_avoid * (cp.v_max - 1.0), rel=1e-12)
-    a_back, _omega, _a_z = avoidance_control_law(st[2], st[3], st[5], *-along, cp)
+    a_back, _omega, _a_z = avoidance_control_law(
+        float(np.arctan2(-along[1], -along[0])), st[2], st[3], st[5], cp
+    )
     assert a_back == pytest.approx(cp.kv_avoid * (-cp.v_max - 1.0), rel=1e-12)
     assert a_z == pytest.approx(-cp.kz_avoid * 0.4, rel=1e-12)
 
@@ -558,8 +569,8 @@ def test_avoidance_control_expression_oracle():
     for _ in range(50):
         st = rng.normal(size=6)
         F = rng.normal(size=2)
-        a, omega, _a_z = avoidance_control_law(st[2], st[3], st[5], F[0], F[1], cp)
         psi_des = np.arctan2(F[1], F[0])
+        a, omega, _a_z = avoidance_control_law(float(psi_des), st[2], st[3], st[5], cp)
         err = wrap_angle(psi_des - st[2])
         assert a == pytest.approx(cp.kv_avoid * (cp.v_max * np.cos(err) - st[3]), rel=1e-12)
         assert omega == pytest.approx(cp.komega_avoid * err, rel=1e-12)
@@ -594,8 +605,7 @@ def test_final_control_isolated_sweeping_agent_is_pure_path_following():
     z_ref = spread[1, 4] + 0.3
     rate = cp.lift_gain * cp.v_ref
     u, sigma, alpha, _duty = blended(1, spread, 0.0, vertex(asn, 1), curve, cp, z_ref, rate)
-    geo = control._geometry(curve, spread[1, 4], cp.lift_gain)
-    ref = np.array(path_following_control(geo, *spread[1], z_ref, rate, cp))
+    ref = path_law(curve, cp, spread[1], z_ref, rate)
     assert sigma == 0.0
     assert alpha == 0.0
     assert u == pytest.approx(ref, rel=1e-12)
@@ -635,6 +645,8 @@ def test_final_control_no_neighbors_alpha_zero():
 
 def test_final_control_blend_convexity():
     curve, cp, sol, states, asn = formation_setup()
+    # the speed envelope and turn clamp act after the blend
+    cp = unclamped(cp)
     rng = np.random.default_rng(31)
     rate = cp.lift_gain * cp.v_ref
     for _ in range(30):
@@ -646,8 +658,7 @@ def test_final_control_blend_convexity():
         i = int(rng.integers(0, 4))
         z_ref = states2[i, 4] + rng.uniform(-0.1, 0.1)
         full, sigma, _alpha, duty = blended(i, states2, revs[i], vertex(asn, i), curve, cp, z_ref, rate)
-        geo = control._geometry(curve, states2[i, 4], cp.lift_gain)
-        u_tfl = np.array(path_following_control(geo, *states2[i], z_ref, rate, cp))
+        u_tfl = path_law(curve, cp, states2[i], z_ref, rate)
         u_pose = np.array(pose_control_law(*states2[i, [0, 1, 2, 3, 5]], *vertex(asn, i), cp))
         u_nom = (1.0 - sigma) * u_tfl + sigma * u_pose
         lo = np.minimum(u_tfl, u_pose) - 1e-9
@@ -657,8 +668,9 @@ def test_final_control_blend_convexity():
         # field acts out to the full radius d_ao
         fx, fy, _prox, _sep = repulsion_sum(i, *states2[:, 0:3].T.tolist(), cp.d_ao, cp)
         if duty > 0.0 and np.hypot(fx, fy) > 0.0:
+            psi_des = float(np.arctan2(duty * fy, duty * fx))
             u_avoid = np.array(
-                avoidance_control_law(states2[i, 2], states2[i, 3], states2[i, 5], duty * fx, duty * fy, cp)
+                avoidance_control_law(psi_des, states2[i, 2], states2[i, 3], states2[i, 5], cp)
             )
             lo2 = np.minimum(u_nom, u_avoid) - 1e-9
             hi2 = np.maximum(u_nom, u_avoid) + 1e-9
@@ -821,14 +833,13 @@ def test_wrap_angle_convention():
 
 
 def test_control_laws_match_recorded_values():
-    # path_following_control, decoupling_matrix and the duty-weighted
-    # repulsion at fixed inputs, recorded from the per-agent scalar kernels
-    # this package started with
+    # the path-following law of the tick, decoupling_matrix and the
+    # duty-weighted repulsion at fixed inputs, recorded from the per-agent
+    # scalar kernels this package started with
     curve = make_curve("deltoid")
     cp = make_params(curve)
     st = np.array([1.0, -0.4, 0.7, 0.6, 0.9, 0.2])
-    geo = control._geometry(curve, st[4], cp.lift_gain)
-    u = path_following_control(geo, *st.tolist(), 0.8, 0.1, cp)
+    u = path_law(curve, unclamped(cp), st, 0.8, 0.1)
     D = decoupling_matrix(st, curve, cp.lift_gain)
     states = np.zeros((3, 6))
     states[1, 0] = 0.1

@@ -4,7 +4,8 @@ The functions below are copies of earlier kernels, kept as reference
 implementations: the per-order curve kernels (one function each for the
 point, the first and the second derivative), the per-agent control tick
 that evaluated the curve for each agent on numpy scalars, the scalar
-frame, the array RK4 step, the scalar nearest-point query, the
+march of the lifted reference (which the block-array march_profile must
+match bit for bit), the scalar frame, the array RK4 step, the scalar nearest-point query, the
 brute-force nearest-sample argmin, and the per-start Gauss-Newton finder
 with its numpy-scalar residual and Jacobian.  The fused curve_jet and
 the pruned nearest-sample search must match their copies exactly.  Random snapshots (hypothesis) cover the
@@ -439,8 +440,13 @@ def scalar_path_following_control(kind, par, eps_sing, x, y, psi, v, z, vz, z_re
     ) = scalar_transverse_terms(
         kind, par, eps_sing, x, y, psi, v, z, vz, cp.lift_gain, z_ref, z_ref_rate
     )
-    lf1, lf2, _ = control.drift_acceleration(
-        e_n, e_t, v, sin_dpsi, cos_dpsi, speed, turn, turn_deriv, speed_deriv, s_rate
+    lf1 = -turn_deriv * s_rate * s_rate * e_t - turn * s_rate * (
+        turn * s_rate * e_n + 2.0 * v * cos_dpsi - speed * s_rate
+    )
+    lf2 = (
+        turn_deriv * s_rate * s_rate * e_n
+        + turn * s_rate * (-turn * s_rate * e_t + 2.0 * v * sin_dpsi)
+        - speed_deriv * s_rate * s_rate
     )
     rhs1 = -cp.kp_n * e_n - cp.kd_n * e_n_dot - lf1
     rhs2 = -cp.kp_t * e_t - cp.kd_t * e_t_dot - lf2
@@ -576,6 +582,29 @@ def scalar_agent_control(
     return a, omega, a_z, sigma, alpha, duty
 
 
+def scalar_march_profile(z0, z_cap, t, rate, width):
+    """Lifted reference position and rate of one agent at time t."""
+    linear = z0 + rate * t
+    if linear <= z_cap - width:
+        return linear, rate
+    gap0 = z_cap - z0
+    if gap0 > width:
+        t_ramp = t - (gap0 - width) / rate
+        gap = width * float(np.exp(-rate * t_ramp / width))
+    else:
+        gap = gap0 * float(np.exp(-rate * t / width))
+    return z_cap - gap, rate * gap / width
+
+
+def march_row(z0, z_cap, t, cp):
+    """The (z_ref, z_ref_rate) lists that team_controls takes at time t."""
+    z_ref, rate = sk.march_profile(
+        np.asarray(z0, dtype=float), np.asarray(z_cap, dtype=float), np.array([t]),
+        cp.lift_gain * cp.v_ref, cp.lift_gain * cp.brake_width,
+    )
+    return z_ref[0].tolist(), rate[0].tolist()
+
+
 def scalar_team_controls(
     states,
     z0,
@@ -599,7 +628,7 @@ def scalar_team_controls(
     lead = cp.lift_gain * cp.lead_width
     vz_max = 2.0 * ref_rate
     for i in range(n):
-        z_ref, rate_i = sk.march_profile(z0[i], z_cap[i], t, ref_rate, width)
+        z_ref, rate_i = scalar_march_profile(z0[i], z_cap[i], t, ref_rate, width)
         # leash: a blocked agent's reference waits just ahead of it
         if z_ref > z[i] + lead:
             z_ref = z[i] + lead
@@ -769,7 +798,7 @@ def old_sweep_only_controls(states, z0, z_cap, t, curve, ref_rate, cp):
     lead = cp.lift_gain * cp.lead_width
     vz_max = 2.0 * ref_rate
     for i in range(n):
-        z_ref, rate_i = sk.march_profile(z0[i], z_cap[i], t, ref_rate, width)
+        z_ref, rate_i = scalar_march_profile(z0[i], z_cap[i], t, ref_rate, width)
         if z_ref > z[i] + lead:
             z_ref = z[i] + lead
             rate_i = 0.0
@@ -989,7 +1018,7 @@ def test_team_controls_match_scalar_oracle(case_args):
     case, args, oracle_args = case_args
     states, z0, z_cap, t, tick_curve, targets, cp = args
     got, md = sk.team_controls(
-        states.tolist(), z0.tolist(), z_cap.tolist(), t, tick_curve,
+        states.tolist(), z0.tolist(), *march_row(z0, z_cap, t, cp), tick_curve,
         None if targets is None else targets.tolist(), cp,
     )
     got = np.array(got)
@@ -1013,7 +1042,9 @@ def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
     states = np.array([[3.0, 0.0, 0.0, 0.0, 0.0, 0.27], [3.0, gap, 0.5, 0.0, 0.0, 0.27]])
     zeros = np.zeros(2)
     caps = np.full(2, np.inf)
-    got, md = sk.team_controls(states.tolist(), zeros.tolist(), caps.tolist(), 0.0, DELTOID, None, cp)
+    got, md = sk.team_controls(
+        states.tolist(), zeros.tolist(), *march_row(zeros, caps, 0.0, cp), DELTOID, None, cp
+    )
     got = np.array(got)
     ref = quiet(
         scalar_team_controls, states, zeros, caps, 0.0, DELTOID.kind, DELTOID.par,
@@ -1021,6 +1052,40 @@ def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
     )
     assert_close(got, ref)
     assert md == sk.min_pair_distance(states[:, 0], states[:, 1])
+
+
+@st.composite
+def march_case(draw):
+    """Starts, caps and times for march_profile: every agent's cap lies
+    further than the ease width ahead of its start, within it, or at
+    infinity (a sweep-only mission); the times reach far into the ease."""
+    rate = draw(st.floats(0.01, 2.0))
+    width = draw(st.floats(0.05, 5.0))
+    z0 = [draw(st.floats(-50.0, 50.0)) for _ in range(draw(st.integers(1, 5)))]
+    caps = []
+    for z in z0:
+        kind = draw(st.sampled_from(("long", "short", "sweep")))
+        if kind == "sweep":
+            caps.append(np.inf)
+        elif kind == "long":
+            caps.append(z + width * (1.0 + draw(st.floats(1e-9, 20.0))))
+        else:
+            caps.append(z + width * draw(st.floats(0.0, 1.0)))
+    times = [draw(st.floats(0.0, 400.0)) for _ in range(draw(st.integers(1, 40)))]
+    return np.array(z0), np.array(caps), np.array(times), rate, width
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=march_case())
+def test_march_profile_matches_scalar_expression(case):
+    z0, caps, times, rate, width = case
+    z_ref, z_rate = sk.march_profile(z0, caps, times, rate, width)
+    assert z_ref.shape == z_rate.shape == (times.shape[0], z0.shape[0])
+    for k, t in enumerate(times.tolist()):
+        for i in range(z0.shape[0]):
+            ref = scalar_march_profile(float(z0[i]), float(caps[i]), t, rate, width)
+            got = np.array((z_ref[k, i], z_rate[k, i]))
+            assert got.tobytes() == np.array(ref).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -1103,7 +1168,9 @@ def test_sweep_only_controls_match_their_own_blend(data, close_pair, t):
     n = states.shape[0]
     z_cap = np.full(n, np.inf)
     ref_rate = cp.lift_gain * cp.v_ref
-    got, _md = sk.team_controls(states.tolist(), z0.tolist(), z_cap.tolist(), t, curve, None, cp)
+    got, _md = sk.team_controls(
+        states.tolist(), z0.tolist(), *march_row(z0, z_cap, t, cp), curve, None, cp
+    )
     got = np.array(got)
     ref = quiet(old_sweep_only_controls, states, z0, z_cap, t, curve, ref_rate, cp)
     assert_close(got, ref)

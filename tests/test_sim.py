@@ -1,9 +1,12 @@
 """Tests for the mission simulator: integrator, helpers, closed loop."""
 
+import re
+
 import numpy as np
 import pytest
 
 from curveswarm import _sim_kernels as sk
+from curveswarm import sim
 from curveswarm.control import make_params
 from curveswarm.curves import make_curve
 from curveswarm.sim import (
@@ -132,39 +135,70 @@ def test_nearest_parameter_recovers_on_curve_point():
         assert d <= 1e-8 * curve.scale
 
 
+@pytest.mark.parametrize("horizon, dt", [(1e300, 0.01), (120.0, 1e-300), (1e300, 1e-300)])
+def test_mission_config_rejects_records_over_the_budget(horizon, dt):
+    # checked before anything is allocated: 1e300 / 1e-300 overflows to inf
+    config = MissionConfig(curve=make_curve("ellipse"), n=2, horizon=horizon, dt=dt)
+    with pytest.raises(MissionError) as info:
+        config.validate()
+    message = str(info.value)
+    for part in (f"horizon {horizon!r} s", f"dt {dt!r} s", "n = 2", f"{sim.RECORD_BUDGET} bytes"):
+        assert part in message
+    assert re.search(r"asks for (inf|[0-9.e+]+) bytes", message)
+
+
+def test_mission_config_accepts_records_within_the_budget():
+    per_tick = 8 * (12 * len(TRAJECTORY_COLUMNS) + 2)
+    horizon = 0.01 * (sim.RECORD_BUDGET // per_tick - 1)
+    MissionConfig(curve=make_curve("ellipse"), n=12, horizon=horizon).validate()
+    with pytest.raises(MissionError, match="budget"):
+        MissionConfig(curve=make_curve("ellipse"), n=12, horizon=horizon + 0.02).validate()
+
+
 # -- reference march ----------------------------------------------------------
+
+
+def march(z0, cap, t, rate, width):
+    """march_profile for one agent: (z_ref, rate) arrays over the times t."""
+    z, r = sk.march_profile(np.array([z0]), np.array([cap]), np.atleast_1d(t), rate, width)
+    return z[:, 0], r[:, 0]
 
 
 def test_march_profile_linear_then_eases_into_cap():
     z0, cap, rate, width = 0.0, 5.0, 0.5, 1.0
-    z1, r1 = sk.march_profile(z0, cap, 2.0, rate, width)
-    assert z1 == pytest.approx(1.0, rel=1e-12)
-    assert r1 == pytest.approx(rate, rel=1e-12)
-    # linear, easing from beyond the width, easing from within it: the
-    # ease must not hand numpy scalars to the float tick
-    for start, t in ((z0, 2.0), (z0, 9.5), (cap - 0.5 * width, 1.0)):
-        z, r = sk.march_profile(start, cap, t, rate, width)
-        assert type(z) is float and type(r) is float
-    prev = -np.inf
-    for t in np.linspace(0.0, 60.0, 1201):
-        z, r = sk.march_profile(z0, cap, float(t), rate, width)
-        assert z <= cap + 1e-12
-        assert z >= prev - 1e-12
-        assert r >= -1e-12
-        prev = z
-    z_end, r_end = sk.march_profile(z0, cap, 60.0, rate, width)
-    assert z_end == pytest.approx(cap, abs=1e-8)
-    assert r_end == pytest.approx(0.0, abs=1e-8)
+    z1, r1 = march(z0, cap, 2.0, rate, width)
+    assert z1[0] == pytest.approx(1.0, rel=1e-12)
+    assert r1[0] == pytest.approx(rate, rel=1e-12)
+    t = np.linspace(0.0, 60.0, 1201)
+    z, r = march(z0, cap, t, rate, width)
+    assert z.shape == r.shape == t.shape
+    assert np.all(z <= cap + 1e-12)
+    assert np.all(np.diff(z) >= -1e-12)
+    assert np.all(r >= -1e-12)
+    assert z[-1] == pytest.approx(cap, abs=1e-8)
+    assert r[-1] == pytest.approx(0.0, abs=1e-8)
+    # one row per time, one column per agent: linear, easing from beyond
+    # the width, easing from within it, and a sweep-only infinite cap
+    starts = np.array([z0, z0, cap - 0.5 * width, z0])
+    caps = np.array([cap, cap, cap, np.inf])
+    times = np.array([2.0, 9.5, 1.0])
+    z, r = sk.march_profile(starts, caps, times, rate, width)
+    assert z.shape == r.shape == (3, 4)
+    for k, t in enumerate(times):
+        for i in range(4):
+            zi, ri = march(starts[i], caps[i], t, rate, width)
+            assert (z[k, i], r[k, i]) == (zi[0], ri[0])
+    assert np.array_equal(z[:, 3], z0 + rate * times)
+    assert np.all(r[:, 3] == rate)
 
 
 def test_march_profile_c1_at_ease_junction():
     z0, cap, rate, width = 0.0, 5.0, 0.5, 1.0
     t_junction = (cap - z0 - width) / rate
     for eps in (1e-7, 1e-5):
-        z_m, r_m = sk.march_profile(z0, cap, t_junction - eps, rate, width)
-        z_p, r_p = sk.march_profile(z0, cap, t_junction + eps, rate, width)
-        assert z_p - z_m == pytest.approx(2.0 * eps * rate, rel=1e-3)
-        assert r_p == pytest.approx(r_m, rel=1e-4)
+        z, r = march(z0, cap, np.array([t_junction - eps, t_junction + eps]), rate, width)
+        assert z[1] - z[0] == pytest.approx(2.0 * eps * rate, rel=1e-3)
+        assert r[1] == pytest.approx(r[0], rel=1e-4)
 
 
 # -- initial conditions -------------------------------------------------------
