@@ -180,36 +180,45 @@ def zero_input_accelerations(curve, cp, st, z_ref, rate, h=2e-4):
     return np.array([(hi[i] - 2.0 * mid[i] + lo[i]) / (h * h) for i in range(3)])
 
 
-def test_path_law_solves_the_decoupled_system():
-    # the tick's path-following controls u satisfy D(v_reg) u + L_f^2 h =
-    # -kp e - kd e_dot, with the drift L_f^2 h from finite differences and
-    # D the decoupling matrix at the speed floored at v_min
+def pd_target(cp, terms):
+    """The PD demand -kp e - kd e_dot on (e_n, e_t, h3)."""
+    e_n, e_t, h3, den, det_, dh3 = terms[:6]
+    return np.array(
+        [
+            -cp.kp_n * e_n - cp.kd_n * den,
+            -cp.kp_t * e_t - cp.kd_t * det_,
+            -cp.kp_lift * h3 - cp.kd_lift * dh3,
+        ]
+    )
+
+
+def floored_speed(st, cp):
+    """st with its forward speed floored at v_min, as inside the path law."""
+    st_reg = st.copy()
+    if abs(st[3]) < cp.v_min:
+        st_reg[3] = cp.v_min if st[3] >= 0.0 else -cp.v_min
+    return st_reg
+
+
+def test_drift_acceleration_matches_second_differences():
+    # L_f^2 h is the second time-derivative of the outputs under zero input;
+    # the drift the tick subtracts is PD target - D(v_reg) u
     curves = [make_curve("circle"), make_curve("ellipse"), make_curve("lissajous-32")]
     rng = np.random.default_rng(23)
     for curve in curves:
         cp = make_params(curve)
         rate = cp.lift_gain * cp.v_ref
-        for k in range(40):
+        for _ in range(40):
             st = random_lifted_state(curve, cp, rng)
-            if k % 4 == 0:
-                st[3] = rng.uniform(-1.0, 1.0) * cp.v_min  # inside the floor
             z_ref = st[4] + rng.uniform(-0.1, 0.1)
             u = path_law(curve, unclamped(cp), st, z_ref, rate)
-            geo = control._geometry(curve, st[4], cp.lift_gain)
-            e_n, e_t, h3, den, det_, dh3 = transverse_terms(geo, *st, cp.lift_gain, z_ref, rate)[:6]
-            target = np.array(
-                [
-                    -cp.kp_n * e_n - cp.kd_n * den,
-                    -cp.kp_t * e_t - cp.kd_t * det_,
-                    -cp.kp_lift * h3 - cp.kd_lift * dh3,
-                ]
+            terms = transverse_terms(
+                control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
             )
-            st_reg = st.copy()
-            if abs(st[3]) < cp.v_min:
-                st_reg[3] = cp.v_min if st[3] >= 0.0 else -cp.v_min
-            got = decoupling_matrix(st_reg, curve, cp.lift_gain) @ u
-            got += zero_input_accelerations(curve, cp, st, z_ref, rate)
-            assert np.all(np.abs(got - target) <= 1e-4 * np.maximum(1.0, np.abs(target)))
+            lf = pd_target(cp, terms) - decoupling_matrix(floored_speed(st, cp), curve, cp.lift_gain) @ u
+            fd = zero_input_accelerations(curve, cp, st, z_ref, rate)
+            for i in range(3):
+                assert abs(fd[i] - lf[i]) <= 1e-4 * max(1.0, abs(lf[i]))
 
 
 # -- decoupling matrix -------------------------------------------------------
@@ -262,6 +271,31 @@ def test_decoupling_third_row_always_unit():
 
 
 # -- path-following law ------------------------------------------------------
+
+
+def test_tfl_solution_matches_dense_solve():
+    # closed-form inversion vs numpy solve on the regularized matrix.  The
+    # drift does not depend on the gains, so it cancels from the difference
+    # of the tick's controls with and without them: u - u0 = D(v_reg)^-1 PD
+    rng = np.random.default_rng(41)
+    curve = make_curve("ellipse")
+    cp = make_params(curve)
+    free = unclamped(cp)
+    gainless = free._replace(kp_n=0.0, kp_t=0.0, kp_lift=0.0, kd_n=0.0, kd_t=0.0, kd_lift=0.0)
+    rate = cp.lift_gain * cp.v_ref
+    for k in range(200):
+        st = random_lifted_state(curve, cp, rng)
+        if k % 4 == 0:
+            st[3] = rng.uniform(-1.0, 1.0) * cp.v_min  # inside the floor
+        z_ref = st[4] + rng.uniform(-0.2, 0.2)
+        u = path_law(curve, free, st, z_ref, rate)
+        u0 = path_law(curve, gainless, st, z_ref, rate)
+        terms = transverse_terms(
+            control._geometry(curve, st[4], cp.lift_gain), *st, cp.lift_gain, z_ref, rate
+        )
+        d_reg = decoupling_matrix(floored_speed(st, cp), curve, cp.lift_gain)
+        expected = np.linalg.solve(d_reg, pd_target(cp, terms))
+        assert np.allclose(u - u0, expected, rtol=1e-10, atol=1e-10)
 
 
 def test_tfl_regularization_keeps_law_finite_at_standstill():
