@@ -1,7 +1,7 @@
 """Closed-form curve-family kernels.
 
 Every family maps a parameter s (period 2*pi) to a plane point and its first
-and second parameter derivatives.  curve_jet evaluates all three in one pass:
+three parameter derivatives.  curve_jet evaluates them in one pass:
 each trig value, gear segment and polar radius term is computed once, and only
 as far as the asked-for order needs it.  curve_point, curve_d1 and curve_d2 are
 its one-order entry points.  Family parameters arrive as a flat vector (layout
@@ -15,7 +15,12 @@ per agent: at one point a numpy call costs about a microsecond, against tens of
 nanoseconds for a float operation.  sin, cos, sqrt and floor give the same bits
 either way; the families that raise an array to a power (superellipse, cassini,
 lemniscate) take libm pow on floats against numpy's vectorized power on arrays,
-a few ulps apart.  frame_raw takes arrays only.
+a few ulps apart.
+
+curve_frame is the one Frenet frame, with the one cusp fallback, and runs on
+the float path: the mission tick takes it per agent and Curve.frenet per
+query.  Its third derivative gives the turn rate's parameter derivative in
+closed form, which the drift of the path-following law needs.
 """
 
 import math
@@ -41,7 +46,8 @@ KIND_GEAR = 11         # par = [teeth, R_outer, R_inner]
 def _polar_terms(xp, kind, par, s, c, sn, order):
     """Radius r(s) and its derivatives up to `order` for the polar families.
 
-    c and sn are cos(s) and sin(s).  Returns (r,), (r, r') or (r, r', r'').
+    c and sn are cos(s) and sin(s).  Returns (r,), (r, r'), (r, r', r'')
+    or (r, r', r'', r''').
     """
     if kind == KIND_SUPERELLIPSE:
         a = par[0]
@@ -64,7 +70,25 @@ def _polar_terms(xp, kind, par, s, c, sn, order):
         rpp = (1.0 / m) * (1.0 / m + 1.0) * q ** (-1.0 / m - 2.0) * qp * qp - (
             1.0 / m
         ) * q ** (-1.0 / m - 1.0) * qpp
-        return r, rp, rpp
+        if order == 2:
+            return r, rp, rpp
+        # every power of |sin| and |cos| keeps a nonnegative exponent, so
+        # m = 4 at sin s = 0 or cos s = 0 meets no 0 * inf
+        c2 = c * c
+        sn2 = sn * sn
+        ps = abs(sn) ** (m - 4.0) / bm
+        pc = abs(c) ** (m - 4.0) / am
+        qppp = m * sn * c * (
+            -4.0 * g
+            + 3.0 * (m - 2.0) * (c2 - sn2) * (ps + pc)
+            + (m - 2.0) * (m - 4.0) * (ps * c2 - pc * sn2)
+        )
+        rppp = (
+            -(1.0 / m) * (1.0 / m + 1.0) * (1.0 / m + 2.0) * q ** (-1.0 / m - 3.0) * qp * qp * qp
+            + 3.0 * (1.0 / m) * (1.0 / m + 1.0) * q ** (-1.0 / m - 2.0) * qp * qpp
+            - (1.0 / m) * q ** (-1.0 / m - 1.0) * qppp
+        )
+        return r, rp, rpp, rppp
     elif kind == KIND_CASSINI:
         a = par[0]
         b = par[1]
@@ -85,7 +109,13 @@ def _polar_terms(xp, kind, par, s, c, sn, order):
         upp = -4.0 * a * a * c2
         r2pp = upp * lift + up * up * (disc * disc - u * u) / disc ** 3
         rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
-        return r, rp, rpp
+        if order == 2:
+            return r, rp, rpp
+        # u''' = -4 u', the lift's rate is u' (disc^2 - u^2) / disc^3, and
+        # disc^2 - u^2 is the constant b^4 - a^4
+        bend = (b ** 4 - a ** 4) / disc ** 3
+        r2ppp = -4.0 * up * lift + 3.0 * bend * up * (upp - u * up * up / (disc * disc))
+        return r, rp, rpp, (r2ppp - 6.0 * rp * rpp) / (2.0 * r)
     elif kind == KIND_PEANUT:
         a = par[0]
         e = par[1]
@@ -101,11 +131,15 @@ def _polar_terms(xp, kind, par, s, c, sn, order):
             return r, rp
         r2pp = 4.0 * a * a * e * c2
         rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
-        return r, rp, rpp
+        if order == 2:
+            return r, rp, rpp
+        # (r^2)''' = -4 (r^2)' and (r^2)''' = 2 r r''' + 6 r' r''
+        return r, rp, rpp, (-4.0 * r2p - 6.0 * rp * rpp) / (2.0 * r)
     else:  # KIND_FOURIER
         r = par[0] + 0.0 * s
         rp = 0.0 * s
         rpp = 0.0 * s
+        rppp = 0.0 * s
         nh = (len(par) - 1) // 2
         for j in range(1, nh + 1):
             aj = par[2 * j - 1]
@@ -118,7 +152,9 @@ def _polar_terms(xp, kind, par, s, c, sn, order):
                 rp = rp + j * (bj * cj - aj * sj)
             if order >= 2:
                 rpp = rpp - j * j * (aj * cj + bj * sj)
-        return (r, rp, rpp)[: order + 1]
+            if order >= 3:
+                rppp = rppp + j * j * j * (aj * sj - bj * cj)
+        return (r, rp, rpp, rppp)[: order + 1]
 
 
 def _gear_terms(xp, par, s):
@@ -168,7 +204,10 @@ def curve_jet(kind, par, s, order):
         dx, dy = -par[0] * sn, par[1] * c
         if order == 1:
             return x, y, dx, dy
-        return x, y, dx, dy, -par[0] * c, -par[1] * sn
+        ddx, ddy = -par[0] * c, -par[1] * sn
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, par[0] * sn, -par[1] * c
     elif kind == KIND_DELTOID:
         a = par[0]
         c = xp.cos(s)
@@ -182,7 +221,10 @@ def curve_jet(kind, par, s, order):
         dx, dy = a * (-2.0 * sn - 2.0 * s2), a * (2.0 * c - 2.0 * c2)
         if order == 1:
             return x, y, dx, dy
-        return x, y, dx, dy, a * (-2.0 * c - 4.0 * c2), a * (-2.0 * sn + 4.0 * s2)
+        ddx, ddy = a * (-2.0 * c - 4.0 * c2), a * (-2.0 * sn + 4.0 * s2)
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, a * (2.0 * sn + 8.0 * s2), a * (-2.0 * c + 8.0 * c2)
     elif kind == KIND_ROSE:
         a = par[0]
         k = par[1]
@@ -198,8 +240,13 @@ def curve_jet(kind, par, s, order):
         if order == 1:
             return x, y, dx, dy
         kk1 = k * k + 1.0
-        return x, y, dx, dy, a * (-kk1 * ck * c + 2.0 * k * sk * sn), a * (
-            -kk1 * ck * sn - 2.0 * k * sk * c
+        ddx, ddy = a * (-kk1 * ck * c + 2.0 * k * sk * sn), a * (-kk1 * ck * sn - 2.0 * k * sk * c)
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        k3 = k * (k * k + 3.0)
+        kk3 = 3.0 * k * k + 1.0
+        return x, y, dx, dy, ddx, ddy, a * (k3 * sk * c + kk3 * ck * sn), a * (
+            k3 * sk * sn - kk3 * ck * c
         )
     elif kind == KIND_LISSAJOUS:
         phase_x = par[2] * s + par[4]
@@ -209,10 +256,17 @@ def curve_jet(kind, par, s, order):
         x, y = par[0] * sx, par[1] * sy
         if order == 0:
             return x, y
-        dx, dy = par[0] * par[2] * xp.cos(phase_x), par[1] * par[3] * xp.cos(phase_y)
+        cx = xp.cos(phase_x)
+        cy = xp.cos(phase_y)
+        dx, dy = par[0] * par[2] * cx, par[1] * par[3] * cy
         if order == 1:
             return x, y, dx, dy
-        return x, y, dx, dy, -par[0] * par[2] * par[2] * sx, -par[1] * par[3] * par[3] * sy
+        ddx, ddy = -par[0] * par[2] * par[2] * sx, -par[1] * par[3] * par[3] * sy
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, -par[0] * par[2] * par[2] * par[2] * cx, (
+            -par[1] * par[3] * par[3] * par[3] * cy
+        )
     elif kind == KIND_LEMNISCATE:
         a = par[0]
         sn = xp.sin(s)
@@ -227,9 +281,16 @@ def curve_jet(kind, par, s, order):
         if order == 1:
             return x, y, dx, dy
         d3 = d * d * d
-        return x, y, dx, dy, -a * c * (3.0 - 12.0 * sn * sn + sn4) / d3, -2.0 * a * sn * c * (
-            5.0 - 3.0 * sn * sn
-        ) / d3
+        ddx = -a * c * (3.0 - 12.0 * sn * sn + sn4) / d3
+        ddy = -2.0 * a * sn * c * (5.0 - 3.0 * sn * sn) / d3
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        sn2 = sn * sn
+        sn6 = sn2 * sn4
+        d4 = d2 * d2
+        return x, y, dx, dy, ddx, ddy, a * sn * (45.0 - 103.0 * sn2 + 43.0 * sn4 - sn6) / d4, (
+            2.0 * a * (6.0 * sn6 - 41.0 * sn4 + 44.0 * sn2 - 5.0) / d4
+        )
     elif kind == KIND_NEPHROID:
         a = par[0]
         c = xp.cos(s)
@@ -243,7 +304,10 @@ def curve_jet(kind, par, s, order):
         dx, dy = a * (-3.0 * sn + 3.0 * s3), a * (3.0 * c - 3.0 * c3)
         if order == 1:
             return x, y, dx, dy
-        return x, y, dx, dy, a * (-3.0 * c + 9.0 * c3), a * (-3.0 * sn + 9.0 * s3)
+        ddx, ddy = a * (-3.0 * c + 9.0 * c3), a * (-3.0 * sn + 9.0 * s3)
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, a * (3.0 * sn - 27.0 * s3), a * (-3.0 * c + 27.0 * c3)
     elif kind == KIND_SPIROGRAPH:
         rr = par[0] - par[1]
         d = par[2]
@@ -260,7 +324,11 @@ def curve_jet(kind, par, s, order):
         if order == 1:
             return x, y, dx, dy
         q2 = q * q
-        return x, y, dx, dy, -rr * c - d * q2 * cq, -rr * sn + d * q2 * sq
+        ddx, ddy = -rr * c - d * q2 * cq, -rr * sn + d * q2 * sq
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        q3 = q2 * q
+        return x, y, dx, dy, ddx, ddy, rr * sn + d * q3 * sq, -rr * c + d * q3 * cq
     elif kind == KIND_GEAR:
         ax, ay, bx, by, u, delta = _gear_terms(xp, par, s)
         ex = bx - ax
@@ -274,7 +342,10 @@ def curve_jet(kind, par, s, order):
         if order == 1:
             return x, y, dx, dy
         wpp = (6.0 - 12.0 * u) / (delta * delta)
-        return x, y, dx, dy, ex * wpp, ey * wpp
+        if order == 2:
+            return x, y, dx, dy, ex * wpp, ey * wpp
+        wppp = -12.0 / (delta * delta * delta)
+        return x, y, dx, dy, ex * wpp, ey * wpp, ex * wppp, ey * wppp
     else:
         c = xp.cos(s)
         sn = xp.sin(s)
@@ -288,7 +359,13 @@ def curve_jet(kind, par, s, order):
         if order == 1:
             return x, y, dx, dy
         rpp = radial[2]
-        return x, y, dx, dy, (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
+        ddx, ddy = (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        # gamma = r e^{is}: gamma''' = ((r''' - 3 r') + i (3 r'' - r)) e^{is}
+        tan3 = radial[3] - 3.0 * rp
+        nor3 = 3.0 * rpp - r
+        return x, y, dx, dy, ddx, ddy, tan3 * c - nor3 * sn, tan3 * sn + nor3 * c
 
 
 def curve_point(kind, par, s):
@@ -306,52 +383,44 @@ def curve_d2(kind, par, s):
     return curve_jet(kind, par, s, 2)[4:]
 
 
-# cusp search offsets: +/-1e-4 j for j = 1..10, the positive side first
-_CUSP_STEPS = np.array([sign * 1e-4 * j for j in range(1, 11) for sign in (1.0, -1.0)])
+def curve_frame(kind, par, s, eps_sing):
+    """Point, Frenet frame and turn data at the float s, with the cusp fallback.
 
-
-def frame_raw(kind, par, s, eps_sing):
-    """Point and Frenet data at every entry of the parameter array s, with the cusp fallback.
-
-    One curve_jet call gives the point and both derivatives.  An entry
-    below eps_sing tangent speed takes its frame from the first regular
-    parameter among s + 1e-4, s - 1e-4, s + 2e-4, ... s - 1e-3.
-    Returns arrays shaped like s: (gx, gy, tx, ty, nx, ny, psi_t, speed,
-    speed_rate, kappa_signed, turn_rate, ok).  The point (gx, gy),
-    speed = ||gamma'(s)|| and speed_rate = gamma'.gamma'' /
-    max(speed, eps_sing) (its parameter derivative) belong to the query
-    point; direction, curvature and turn_rate = d(psi_t)/ds come from the
-    fallback point; the normal is the tangent rotated a quarter turn
-    counterclockwise.  An entry with no regular neighbour has a zero frame
-    there and ok False.
+    par is the tuple of family parameters, so every result is a Python
+    float.  One order-3 curve_jet call gives the point and three
+    derivatives.  Below eps_sing tangent speed (not at a NaN speed) the
+    frame comes from the first regular parameter among s + 1e-4,
+    s - 1e-4, s + 2e-4, ... s - 1e-3, one order-3 call each.  Returns
+    (gx, gy, tx, ty, speed, turn, turn_deriv, speed_rate, kappa, ok).
+    The point, speed = |gamma'| and its parameter derivative speed_rate =
+    gamma'.gamma'' / max(speed, eps_sing) belong to s.  The fallback
+    point gives the rest: the unit tangent, the signed turn rate
+    turn = (x'y'' - y'x'') / |gamma'|^2 (the tangent angle's derivative),
+    its derivative turn_deriv = (x'y''' - y'x''') / |gamma'|^2 -
+    2 turn gamma'.gamma'' / |gamma'|^2, and the signed curvature
+    kappa = (x'y'' - y'x'') / |gamma'|^3.  With no regular parameter in
+    reach those are all zero and ok is False.
     """
-    gx, gy, dx, dy, ddx, ddy = curve_jet(kind, par, s, 2)
-    speed = np.hypot(dx, dy)
-    sing = speed < eps_sing
-    speed_rate = (dx * ddx + dy * ddy) / np.where(sing, eps_sing, speed)
-    ok = ~sing
-    bad = None
-    if sing.any():
-        idx = np.flatnonzero(sing)
-        cand = s[idx, None] + _CUSP_STEPS
-        cx, cy = curve_d1(kind, par, cand)
-        regular = np.hypot(cx, cy) >= eps_sing
-        hit = regular.any(axis=1)
-        ok[idx] = hit
-        sf = cand[hit, np.argmax(regular[hit], axis=1)]
-        dx[idx[hit]], dy[idx[hit]], ddx[idx[hit]], ddy[idx[hit]] = curve_jet(kind, par, sf, 2)[2:]
-        # a placeholder unit tangent keeps the arithmetic below quiet;
-        # these entries are zeroed afterwards
-        bad = ~ok
-        dx[bad], dy[bad], ddx[bad], ddy[bad] = 1.0, 0.0, 0.0, 0.0
-    mf = speed if bad is None else np.hypot(dx, dy)
-    tx = dx / mf
-    ty = dy / mf
+    gx, gy, dx, dy, ddx, ddy, d3x, d3y = curve_jet(kind, par, s, 3)
+    # complex abs is libm hypot, as np.hypot is
+    speed = abs(complex(dx, dy))
+    dot = dx * ddx + dy * ddy
+    mf = speed
+    if speed < eps_sing:
+        speed_rate = dot / eps_sing
+        for step in (sign * 1e-4 * j for j in range(1, 11) for sign in (1.0, -1.0)):
+            _x, _y, dx, dy, ddx, ddy, d3x, d3y = curve_jet(kind, par, s + step, 3)
+            mf = abs(complex(dx, dy))
+            if mf >= eps_sing:
+                break
+        else:
+            return gx, gy, 0.0, 0.0, speed, 0.0, 0.0, speed_rate, 0.0, False
+        dot = dx * ddx + dy * ddy
+    else:
+        speed_rate = dot / speed
     cross = dx * ddy - dy * ddx
+    m2 = dx * dx + dy * dy
+    turn = cross / m2
+    turn_deriv = (dx * d3y - dy * d3x) / m2 - 2.0 * turn * dot / m2
     kappa = cross / (mf * mf * mf)
-    turn = cross / (dx * dx + dy * dy)
-    psi_t = np.arctan2(ty, tx)
-    if bad is not None:
-        for out in (tx, ty, psi_t, kappa, turn):
-            out[bad] = 0.0
-    return gx, gy, tx, ty, -ty, tx, psi_t, speed, speed_rate, kappa, turn, ok
+    return gx, gy, dx / mf, dy / mf, speed, turn, turn_deriv, speed_rate, kappa, True

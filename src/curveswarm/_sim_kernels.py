@@ -13,19 +13,22 @@ parameter.  Placement (`sim.nearest_parameter`) uses the same query.
 The finished block then goes to an optional callback, so a writer can
 format it on another core while the loop runs on (output.MissionWriter).
 
-A tick runs on Python floats end to end: the curve geometry (from the
-float path of curve_jet; numpy only for the tangent angles and near a
-cusp), the control laws and the RK4 step, per agent.  At a handful of
-agents that is faster than array expressions over agents, whose
-per-call overhead dwarfs the arithmetic.  mission_core converts its
-array inputs once, holds each agent's state as a tuple of floats, and
-writes each tick's record into the trajectory array with one
+A tick runs on Python floats end to end: the curve geometry (one
+float order-3 curve_jet call per agent, with the cusp fallback of
+curve_frame), the control laws and the RK4 step, per agent.  At a
+handful of agents that is faster than array expressions over agents,
+whose per-call overhead dwarfs the arithmetic.  mission_core converts
+its array inputs once, holds each agent's state as a tuple of floats,
+and writes each tick's record into the trajectory array with one
 assignment.  team_controls is one flat function: it reads its gains
 once, runs the feedback-linearizing path law inline, calls the pose,
-blend and repulsion laws of `control`, takes every agent's avoidance
-steering angle from one np.arctan2 call, and adds what belongs to the
+blend and repulsion laws of `control`, and adds what belongs to the
 mission rather than to one agent's law: the reference leash, the speed
-envelope and the turn-rate clamp.  Its neighbor loop also yields the
+envelope and the turn-rate clamp.  Only on a tick where some agent has
+a neighbor in range (or a nominal control of zero) does it take every
+agent's avoidance steering angle from one np.arctan2 call and blend in
+the avoidance law; on the other ticks the blend would return the
+nominal controls bit for bit.  Its neighbor loop also yields the
 smallest separation, so the loop needs no separate pairwise-distance
 pass.
 
@@ -352,10 +355,11 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     pure path following.  The avoidance law overrides through alpha,
     gated by the duty factor so settled agents (sigma >= sigma_accept)
     ignore traffic; its steering angles come from one np.arctan2 call
-    over the team.  A speed envelope caps acceleration once |v| (or
-    |vz|) would exceed its bound, so a delayed agent catches up at a
-    pace other agents' avoidance can still brake against, and the turn
-    rate is clamped to omega_max.
+    over the team, made only on ticks that need the blend.  A speed
+    envelope caps acceleration once |v| (or |vz|) would exceed its
+    bound, so a delayed agent catches up at a pace other agents'
+    avoidance can still brake against, and the turn rate is clamped to
+    omega_max.
 
     Returns (controls, min_sep): controls holds one (accel, turn,
     lift_accel, sigma, alpha, duty) tuple per agent, and min_sep is the
@@ -374,6 +378,7 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     field_x = []
     field_y = []
     min_sep = math.inf
+    engaged = False
     for i, (x, y, psi_i, v_i, z_i, vz_i) in enumerate(states):
         zr = z_ref[i]
         rate_i = z_ref_rate[i]
@@ -431,25 +436,28 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
             min_sep = sep
         field_x.append(duty * fx)
         field_y.append(duty * fy)
-        nominal.append(
-            (
-                (1.0 - sigma) * a_tfl + sigma * a_pose,
-                (1.0 - sigma) * om_tfl + sigma * om_pose,
-                (1.0 - sigma) * az_tfl + sigma * az_pose,
-                sigma,
-                duty * prox,
-                duty,
-            )
-        )
-    psi_des = np.arctan2(field_y, field_x).tolist()
+        a = (1.0 - sigma) * a_tfl + sigma * a_pose
+        om = (1.0 - sigma) * om_tfl + sigma * om_pose
+        az = (1.0 - sigma) * az_tfl + sigma * az_pose
+        # alpha = duty * prox is 0 unless a neighbor is in range, and then
+        # the blend (1 - 0) u + 0 u_av returns u bit for bit, unless u is
+        # -0.0 (the sum is +0.0); with a neighbor in range u_av may also
+        # be nan (a zero duty times an overflowed field).  So the blend
+        # runs on ticks with a neighbor in range or a zero nominal control
+        if prox != 0.0 or a == 0.0 or om == 0.0 or az == 0.0:
+            engaged = True
+        nominal.append((a, om, az, sigma, duty * prox, duty))
+    if engaged:
+        psi_des = np.arctan2(field_y, field_x).tolist()
     rows = []
     for i, (a, om, az, sigma, alpha, duty) in enumerate(nominal):
         v_i = v[i]
         vz_i = vz[i]
-        a_av, om_av, az_av = avoidance_control_law(psi_des[i], psi[i], v_i, vz_i, cp)
-        a = (1.0 - alpha) * a + alpha * a_av
-        om = (1.0 - alpha) * om + alpha * om_av
-        az = (1.0 - alpha) * az + alpha * az_av
+        if engaged:
+            a_av, om_av, az_av = avoidance_control_law(psi_des[i], psi[i], v_i, vz_i, cp)
+            a = (1.0 - alpha) * a + alpha * a_av
+            om = (1.0 - alpha) * om + alpha * om_av
+            az = (1.0 - alpha) * az + alpha * az_av
         # speed envelope: restrict acceleration toward high |v|, |vz|
         hi = kv_limit * (v_max - v_i)
         lo = kv_limit * (-v_max - v_i)

@@ -23,21 +23,25 @@ The curve frame convention matches the curve kernels: the normal is the
 tangent rotated by +pi/2 and the turn rate w(s) = d(tangent angle)/ds
 is signed, which is what makes the decoupling determinant exactly -v.
 
-Only curve_geometry touches the curve: it returns each agent's geometry
-as a tuple of Python floats from the float path of curve_jet, and the
-laws run per agent on those floats.  At n = 4 a float operation costs a
-few tens of nanoseconds against about a microsecond for any numpy call.
-The tick keeps the bits of numpy's array code, measured on an x86-64
-(AVX-512) host with numpy 2.4:
+Only curve_geometry touches the curve: it returns each agent's frame as
+a tuple of Python floats from curve_frame, one order-3 float curve_jet
+call per agent, whose third derivative gives the turn rate's parameter
+derivative in closed form.  The laws run per agent on those floats.  At
+n = 4 a float operation costs a few tens of nanoseconds against about a
+microsecond for any numpy call.  The tick keeps the bits of numpy's
+array code, measured on an x86-64 (AVX-512) host with numpy 2.4:
 - math.sin, math.cos and math.sqrt matched numpy on 200k of 200k random
   arguments;
 - a speed is abs(complex(dx, dy)), which calls libm hypot as np.hypot
   does (0 of 300k random pairs differed); math.hypot differed on 1,725
   of the same 300k;
-- the tangent angles come from one np.arctan2 call per tick, and so do
-  the avoidance law's steering angles; its bits are the same at length
-  4, at length 200k and on scalars; math.atan2 differed on 14,664 of
-  200k;
+- the tick takes no tangent angle: the heading error enters through its
+  sine and cosine, products of the unit tangent and the heading's own
+  cosine and sine;
+- the avoidance law's steering angles come from one np.arctan2 call,
+  on the ticks where some agent has a neighbor in range (or a nominal
+  control of zero); its bits are the same at length 4, at length 200k
+  and on scalars; math.atan2 differed on 14,664 of 200k;
 - exp stays numpy's, in the array march_profile that the mission calls
   once per block of ticks; math.exp differed on 9,282 of 200k.
 """
@@ -48,12 +52,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._curve_kernels import curve_jet, frame_raw
+from ._curve_kernels import curve_frame
 from .curves import Curve
 from .finder import FormationSolution
 
 TWO_PI = 2.0 * np.pi
-_W_FD_STEP = 1e-5
 
 _BLEND_MODES = {"product": 0.0, "anti-deadlock": 1.0}
 
@@ -214,66 +217,14 @@ class FormationAssignment:
 def curve_geometry(curve, s):
     """What the path law needs of the curve at every entry of the list s.
 
-    The point, frame and speed at s, and the turn rate at s + h and s - h
-    for its central difference.  Each of the 3m parameters takes one
-    float curve_jet call; one np.arctan2 call gives the m tangent angles.
-    If any of the 3m tangent speeds is below eps_sing (or NaN), the whole
-    call runs the array path instead: one frame_raw call, which holds the cusp
-    fallback, on the stacked parameters (s, s + h, s - h).  The curve is
-    read for kind, par and eps_sing only.  Returns one tuple per entry,
-    (gx, gy, tx, ty, psi_t, speed, turn, turn_deriv, speed_deriv), all
-    Python floats.
+    One curve_frame tuple per entry, (gx, gy, tx, ty, speed, turn,
+    turn_deriv, speed_rate, kappa, ok), all Python floats: one order-3
+    curve_jet call per parameter, more only at a cusp or corner.  The
+    curve is read for kind, par and eps_sing only.
     """
     kind, eps_sing = curve.kind, curve.eps_sing
     par = tuple(curve.par.tolist())
-    rows = []
-    for si in s:
-        x, y, dx, dy, ddx, ddy = curve_jet(kind, par, si, 2)
-        _x, _y, dxp, dyp, ddxp, ddyp = curve_jet(kind, par, si + _W_FD_STEP, 2)
-        _x, _y, dxm, dym, ddxm, ddym = curve_jet(kind, par, si - _W_FD_STEP, 2)
-        # complex abs is libm hypot, as np.hypot is
-        speed = abs(complex(dx, dy))
-        if not (
-            speed >= eps_sing
-            and abs(complex(dxp, dyp)) >= eps_sing
-            and abs(complex(dxm, dym)) >= eps_sing
-        ):
-            return _curve_geometry_array(curve, s)
-        turn = (dx * ddy - dy * ddx) / (dx * dx + dy * dy)
-        turn_p = (dxp * ddyp - dyp * ddxp) / (dxp * dxp + dyp * dyp)
-        turn_m = (dxm * ddym - dym * ddxm) / (dxm * dxm + dym * dym)
-        turn_deriv = (turn_p - turn_m) / (2.0 * _W_FD_STEP)
-        speed_deriv = (dx * ddx + dy * ddy) / speed
-        rows.append((x, y, dx / speed, dy / speed, speed, turn, turn_deriv, speed_deriv))
-    psi_t = np.arctan2([r[3] for r in rows], [r[2] for r in rows]).tolist()
-    return [
-        (gx, gy, tx, ty, psi, speed, turn, turn_deriv, speed_deriv)
-        for (gx, gy, tx, ty, speed, turn, turn_deriv, speed_deriv), psi in zip(rows, psi_t)
-    ]
-
-
-def _curve_geometry_array(curve, s):
-    """curve_geometry through frame_raw on the stacked parameter array."""
-    m = len(s)
-    s = np.array(s, dtype=np.float64)
-    stacked = np.concatenate((s, s + _W_FD_STEP, s - _W_FD_STEP))
-    gx, gy, tx, ty, _nx, _ny, psi_t, speed, speed_rate, _kappa, turn, _ok = frame_raw(
-        curve.kind, curve.par, stacked, curve.eps_sing
-    )
-    turn_deriv = (turn[m : 2 * m] - turn[2 * m :]) / (2.0 * _W_FD_STEP)
-    return list(
-        zip(
-            gx[:m].tolist(),
-            gy[:m].tolist(),
-            tx[:m].tolist(),
-            ty[:m].tolist(),
-            psi_t[:m].tolist(),
-            speed[:m].tolist(),
-            turn[:m].tolist(),
-            turn_deriv.tolist(),
-            speed_rate[:m].tolist(),
-        )
-    )
+    return [curve_frame(kind, par, si, eps_sing) for si in s]
 
 
 def wrap_angle(x):
@@ -317,16 +268,19 @@ def transverse_terms(geo, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
 
     geo is one entry of curve_geometry at s = z / lift_gain.  Returns
     (e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi, speed,
-    turn, turn_rate_deriv, speed_deriv, s_rate).
+    turn, turn_rate_deriv, speed_deriv, s_rate).  The heading error
+    psi - psi_t enters through its sine and cosine only, taken from the
+    unit tangent (tx, ty) = (cos psi_t, sin psi_t) without the angle.
     """
-    gx, gy, tx, ty, psi_t, speed, turn, turn_deriv, speed_deriv = geo
+    gx, gy, tx, ty, speed, turn, turn_deriv, speed_deriv, _kappa, _ok = geo
     dx = x - gx
     dy = y - gy
     e_n = -ty * dx + tx * dy  # normal (-ty, tx)
     e_t = tx * dx + ty * dy
-    dpsi = wrap_angle(psi - psi_t)
-    sin_dpsi = math.sin(dpsi)
-    cos_dpsi = math.cos(dpsi)
+    hx = math.cos(psi)
+    hy = math.sin(psi)
+    sin_dpsi = hy * tx - hx * ty
+    cos_dpsi = hx * tx + hy * ty
     s_rate = vz / lift_gain
     e_n_dot = -turn * s_rate * e_t + v * sin_dpsi
     e_t_dot = turn * s_rate * e_n + v * cos_dpsi - speed * s_rate
@@ -406,7 +360,7 @@ def avoidance_control_law(psi_des, psi_i, v, vz, cp):
     """Steer toward psi_des, the repulsive field's angle, modulating speed by alignment.
 
     team_controls takes psi_des for the whole team from one np.arctan2
-    call on the duty-weighted fields (fy, fx).
+    call on the duty-weighted fields (fy, fx), on the ticks that blend.
     """
     err = wrap_angle(psi_des - psi_i)
     v_des = cp.v_max * math.cos(err)

@@ -288,9 +288,8 @@ class Curve:
 
     def frenet(self, s: float) -> FrenetFrame:
         """Frenet frame at scalar s, with the cusp fallback near singularities."""
-        _gx, _gy, tx, ty, nx, ny, psi_t, speed, _rate, kappa, w, ok = (
-            out[0]
-            for out in ck.frame_raw(self.kind, self.par, np.array([float(s)]), self.eps_sing)
+        _gx, _gy, tx, ty, speed, turn, _turn_deriv, _rate, kappa, ok = ck.curve_frame(
+            self.kind, tuple(self.par.tolist()), float(s), self.eps_sing
         )
         if not ok:
             raise SingularPointError(
@@ -298,11 +297,11 @@ class Curve:
             )
         return FrenetFrame(
             tangent=np.array([tx, ty]),
-            normal=np.array([nx, ny]),
-            tangent_angle=float(psi_t),
-            speed=float(speed),
-            curvature=abs(float(kappa)),
-            turn_rate=float(w),
+            normal=np.array([-ty, tx]),
+            tangent_angle=float(np.arctan2(ty, tx)),
+            speed=speed,
+            curvature=abs(kappa),
+            turn_rate=turn,
         )
 
     # -- cached geometry ----------------------------------------------------

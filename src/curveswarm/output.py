@@ -19,9 +19,9 @@ from ._sim_kernels import TICK_BLOCK, TRAJECTORY_COLUMNS
 
 # trajectory log column indices for the CSV payload after (t, agent):
 # every logged column except the avoidance duty factor
-_LOG_COLS = tuple(
-    c for c, name in enumerate(TRAJECTORY_COLUMNS) if name != "alpha_duty"
-)
+_LOG_COLS = [c for c, name in enumerate(TRAJECTORY_COLUMNS) if name != "alpha_duty"]
+# where sigma sits among them
+_SIGMA_AT = _LOG_COLS.index(TRAJECTORY_COLUMNS.index("sigma"))
 TRAJECTORY_HEADER = ",".join(
     ("t", "agent") + tuple(TRAJECTORY_COLUMNS[c] for c in _LOG_COLS)
 )
@@ -37,17 +37,46 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_ticks(f, times, data) -> None:
-    """trajectory.csv rows of the records data (ticks, n, columns) at times.
+def _reprs(a) -> list:
+    """The repr of every entry of the array a, in C order."""
+    return list(map(repr, a.ravel().tolist()))
 
-    Formats one tick at a time: a whole-log tolist() would hold every
-    value as a Python float at once.
+
+def _lines(rows) -> str:
+    """CSV lines of the rows, each a sequence of strings; at least one row."""
+    return "\n".join(map(",".join, rows)) + "\n"
+
+
+def _trajectory_rows(t_strs, values, n) -> str:
+    """trajectory.csv rows of one block of n-agent records.
+
+    t_strs holds one time string per tick and values the repr of every
+    logged value (_reprs of the records' _LOG_COLS), tick by tick, agent
+    by agent; column c of the rows is values[c::len(_LOG_COLS)].
     """
-    cols = list(_LOG_COLS)
-    for t, tick in zip(times.tolist(), data):
-        t_str = repr(t)
-        for i, row in enumerate(tick[:, cols].tolist()):
-            f.write(f"{t_str},{i},{','.join(map(repr, row))}\n")
+    width = len(_LOG_COLS)
+    return _lines(
+        zip(
+            (t for t in t_strs for _ in range(n)),
+            list(map(str, range(n))) * len(t_strs),
+            *(values[c::width] for c in range(width)),
+        )
+    )
+
+
+def _metrics_rows(t_strs, min_distance, adherence, sigma_strs, n) -> str:
+    """metrics.csv rows of one block: time, safety distance, adherence, sigma.
+
+    sigma_strs holds the repr of each agent's sigma, tick by tick.
+    """
+    return _lines(
+        zip(
+            t_strs,
+            map(repr, min_distance.tolist()),
+            map(repr, adherence.tolist()),
+            *(sigma_strs[i::n] for i in range(n)),
+        )
+    )
 
 
 def _remove(path) -> None:
@@ -61,12 +90,6 @@ def _metrics_header(n) -> str:
     return "t,min_distance,mean_adherence" + "".join(f",sigma_{i}" for i in range(n))
 
 
-def _write_metrics_rows(f, *columns) -> None:
-    """metrics.csv rows of the columns: time, safety distance, adherence, sigma (ticks, n)."""
-    for row in np.column_stack(columns).tolist():
-        f.write(",".join(map(repr, row)) + "\n")
-
-
 def _format_stream(fd, parts, dt) -> None:
     """The forked child's work: format every block read from fd.
 
@@ -74,10 +97,10 @@ def _format_stream(fd, parts, dt) -> None:
     distances, m mean adherences and the m x n x len(TRAJECTORY_COLUMNS)
     records; the stream ends at the end of the pipe.  Record k is at
     time k * dt, as in run_mission.  parts are the .part paths of
-    trajectory.csv and metrics.csv.
+    trajectory.csv and metrics.csv.  Each value's repr is taken once:
+    the block's time and sigma strings serve both files.
     """
     width = len(TRAJECTORY_COLUMNS)
-    sigma = TRAJECTORY_COLUMNS.index("sigma")
     with os.fdopen(fd, "rb") as pipe, open(parts[0], "w") as traj, open(parts[1], "w") as metrics:
         traj.write(TRAJECTORY_HEADER + "\n")
         k = 0
@@ -91,9 +114,11 @@ def _format_stream(fd, parts, dt) -> None:
             body = pipe.read(8 * m * (2 + n * width))
             min_distance, adherence = np.frombuffer(body, count=2 * m).reshape(2, m)
             data = np.frombuffer(body, offset=16 * m).reshape(m, n, width)
-            times = np.arange(k, k + m) * dt
-            _write_ticks(traj, times, data)
-            _write_metrics_rows(metrics, times, min_distance, adherence, data[:, :, sigma])
+            t_strs = _reprs(np.arange(k, k + m) * dt)
+            values = _reprs(data[:, :, _LOG_COLS])
+            traj.write(_trajectory_rows(t_strs, values, n))
+            sigma_strs = values[_SIGMA_AT :: len(_LOG_COLS)]
+            metrics.write(_metrics_rows(t_strs, min_distance, adherence, sigma_strs, n))
             k += m
 
 
@@ -234,7 +259,13 @@ def write_trajectory_csv(path, log, writer=None) -> None:
 
     def write(f):
         f.write(TRAJECTORY_HEADER + "\n")
-        _write_ticks(f, log.times, log.data)
+        n = log.data.shape[1]
+        # a block at a time: a whole-log repr would hold every value's
+        # string at once
+        for k in range(0, log.data.shape[0], TICK_BLOCK):
+            block = slice(k, k + TICK_BLOCK)
+            values = _reprs(log.data[block][:, :, _LOG_COLS])
+            f.write(_trajectory_rows(_reprs(log.times[block]), values, n))
 
     _complete(path, writer, write)
 
@@ -245,15 +276,18 @@ def write_metrics_csv(path, metrics, writer=None) -> None:
     Completed like write_trajectory_csv, from a MissionWriter's child or
     formatted here.
     """
-    sigma = metrics.sigma
-    n = sigma.shape[1] if sigma.ndim == 2 else 0
+    n = metrics.sigma.shape[1]
 
     def write(f):
         f.write(_metrics_header(n) + "\n")
-        _write_metrics_rows(
-            f, metrics.times, metrics.min_distance, metrics.mean_adherence,
-            *((sigma,) if n else ()),
-        )
+        for k in range(0, metrics.times.shape[0], TICK_BLOCK):
+            block = slice(k, k + TICK_BLOCK)
+            f.write(
+                _metrics_rows(
+                    _reprs(metrics.times[block]), metrics.min_distance[block],
+                    metrics.mean_adherence[block], _reprs(metrics.sigma[block]), n,
+                )
+            )
 
     _complete(path, writer, write)
 

@@ -273,12 +273,13 @@ def _fail_after(monkeypatch, steps, exc):
         ("deltoid", 4, 6.0, 601, "stream"),
         ("deltoid", 4, 2.0, 201, "stream"),
         ("ellipse", 2, 6.0, 601, "stream"),
+        ("ellipse", 1, 6.0, 601, "stream"),
         ("deltoid", 4, 10.0, 701, "nonfinite"),
         ("deltoid", 4, 6.0, 601, "no-fork"),
         ("deltoid", 4, 6.0, 601, "fork-fails"),
     ],
     ids=["block-multiple", "block-remainder", "one-partial-block", "sweep-only",
-         "nonfinite", "no-fork", "fork-fails"],
+         "lone-agent", "nonfinite", "no-fork", "fork-fails"],
 )
 def test_streamed_trajectory_matches_in_process_writer(
     monkeypatch, tmp_path, curve, n, horizon, records, case
@@ -304,6 +305,9 @@ def test_streamed_trajectory_matches_in_process_writer(
     assert log.data.shape[0] == records
     assert forked == (records >= sk.TICK_BLOCK and case not in ("no-fork", "fork-fails"))
     assert metrics.nonfinite == (case == "nonfinite")
+    if n == 1:
+        # a lone agent has no neighbor: every min_distance is inf
+        assert np.all(metrics.min_distance == np.inf)
     inline = tmp_path / "inline.csv"
     write_trajectory_csv(inline, log)
     assert path.read_bytes() == inline.read_bytes()
@@ -376,11 +380,12 @@ def test_writer_failure_leaves_no_trajectory(monkeypatch, tmp_path, capfd, how):
 
         monkeypatch.setattr(output.MissionWriter, "send", send_then_kill)
     else:
-        def broken(f, times, data):
-            if how == "first-block" or data.shape[0] < sk.TICK_BLOCK:
+        def broken(t_strs, values, n):
+            if how == "first-block" or len(t_strs) < sk.TICK_BLOCK:
                 raise OSError("disk full")
+            return ""
 
-        monkeypatch.setattr(output, "_write_ticks", broken)
+        monkeypatch.setattr(output, "_trajectory_rows", broken)
     out = tmp_path / "out"
     with pytest.raises(OSError):
         run_cli(["simulate", "--curve", "deltoid", "--n", "4", "--horizon", "10",

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveswarm import CurveError, SingularPointError, make_curve
-from curveswarm.curves import FAMILIES, SQUARE_SUITE, TWO_PI
+from curveswarm._curve_kernels import _polar_terms, curve_jet
+from curveswarm.curves import FAMILIES, SQUARE_SUITE, TWO_PI, catalog_names
 
 DELTOID_CUSPS = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
 
@@ -116,20 +119,92 @@ def test_cusp_fallback_frame():
     assert abs(d.frenet(0.7).turn_rate + 0.5) < 1e-10
 
 
+def third_derivative(c, s):
+    """gamma'''(s) from the order-3 jet, shaped like Curve.deriv's output."""
+    return np.stack(curve_jet(c.kind, c.par, s, 3)[6:], axis=-1)
+
+
+def gear_corner_gap(c, s):
+    """Parameter distance from s to the nearest corner of a gear curve."""
+    delta = TWO_PI / (2 * c.params["teeth"])
+    return np.abs(s / delta - np.round(s / delta)) * delta
+
+
 def test_analytic_vs_central_differences():
     h = 1e-5
     rng = np.random.default_rng(5)
-    for name in SQUARE_SUITE:
+    for name in catalog_names():
         c = make_curve(name)
         s = rng.uniform(0.0, TWO_PI, 1000)
-        if name == "gear-hermite":
-            # second derivative jumps at segment corners; test away from them
-            delta = TWO_PI / (2 * c.params["teeth"])
-            s = s[np.abs(s / delta - np.round(s / delta)) * delta > 10 * h]
+        if c.family == "gear-hermite":
+            # the second and third derivatives jump at segment corners;
+            # test away from them
+            s = s[gear_corner_gap(c, s) > 10 * h]
         fd1 = (c.point(s + h) - c.point(s - h)) / (2 * h)
         fd2 = (c.point(s + h) - 2 * c.point(s) + c.point(s - h)) / (h * h)
+        fd3 = (c.deriv(s + h, 2) - c.deriv(s - h, 2)) / (2 * h)
         assert np.max(np.abs(c.deriv(s, 1) - fd1)) < 1e-5 * c.scale, name
         assert np.max(np.abs(c.deriv(s, 2) - fd2)) < 1e-3 * c.scale, name
+        assert np.max(np.abs(third_derivative(c, s) - fd3)) < 1e-6 * c.scale, name
+
+
+# multiples of pi/2 (the superellipse's axes), the deltoid's and the
+# nephroid's cusps, and the corners of the 8-tooth gear
+SPECIAL_S = (
+    tuple(k * math.pi / 2.0 for k in range(4))
+    + DELTOID_CUSPS
+    + (0.0, math.pi)
+    + tuple(k * math.pi / 8.0 for k in range(16))
+)
+POW_FAMILIES = ("superellipse", "cassini", "lemniscate")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(catalog_names()),
+    base=st.one_of(st.sampled_from(SPECIAL_S), st.floats(0.0, TWO_PI)),
+    offset=st.sampled_from((0.0, 1e-12, -1e-12, 1e-7, -1e-7, 3e-4, -3e-4)),
+)
+def test_third_derivative_at_special_parameters(name, base, offset):
+    c = make_curve(name)
+    s = base + offset
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        ref = curve_jet(c.kind, c.par, np.array([s]), 3)
+        got = curve_jet(c.kind, tuple(c.par.tolist()), s, 3)
+    assert all(np.isfinite(v[0]) for v in ref) and all(math.isfinite(v) for v in got)
+    ref = np.array([v[0] for v in ref])
+    if c.family in POW_FAMILIES:
+        bound = 16.0 * np.spacing(np.max(np.abs(ref)))
+        assert np.all(np.abs(np.array(got) - ref) <= bound), (name, s)
+    else:
+        assert np.array_equal(np.array(got), ref), (name, s)
+    h = 1e-5
+    if c.family == "gear-hermite" and gear_corner_gap(c, s) <= 2 * h:
+        return
+    fd3 = (c.deriv(s + h, 2) - c.deriv(s - h, 2)) / (2 * h)
+    assert np.max(np.abs(ref[6:] - fd3)) < 1e-6 * c.scale, (name, s)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_superellipse_jet_where_sin_or_cos_vanishes(m):
+    # the third derivative holds (m - 4) |sin s|^(m - 6) sin^2 s, which
+    # the kernel writes as (m - 4) |sin s|^(m - 4) (and the same in cos),
+    # so at m = 4 it forms neither 0 ** -2 nor 0 * inf, on floats or arrays
+    c = make_curve("superellipse", m=m)
+    par = tuple(c.par.tolist())
+    for cs, sn in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+        s = math.atan2(sn, cs)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            radial = _polar_terms(math, c.kind, par, s, cs, sn, 3)
+            radial_array = _polar_terms(np, c.kind, c.par, np.array([s]), np.array([cs]), np.array([sn]), 3)
+        assert all(math.isfinite(v) for v in radial)
+        assert np.allclose([v[0] for v in radial_array], radial, rtol=1e-14, atol=0.0)
+    # s = 0 is the one float parameter with sin s exactly 0
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        x3 = third_derivative(c, np.array([0.0, -0.0]))
+    h = 1e-5
+    fd3 = (c.deriv(np.array([h]), 2) - c.deriv(np.array([-h]), 2)) / (2 * h)
+    assert np.allclose(x3, fd3, rtol=0.0, atol=1e-6 * c.scale)
 
 
 def test_arclength_circle():
