@@ -13,28 +13,28 @@ parameter.  Placement (`sim.nearest_parameter`) uses the same query.
 The finished block then goes to an optional callback, so a writer can
 format it on another core while the loop runs on (output.MissionWriter).
 
-A tick runs on Python floats end to end: the curve geometry (one
-float order-3 curve_jet call per agent, with the cusp fallback of
-curve_frame), the control laws and the RK4 step, per agent.  At a
-handful of agents that is faster than array expressions over agents,
-whose per-call overhead dwarfs the arithmetic.  mission_core converts
-its array inputs once, holds each agent's state as a tuple of floats,
-and writes each tick's record into the trajectory array with one
-assignment.  team_controls is one flat function: it reads its gains
-once, runs the feedback-linearizing path law inline, calls the pose,
-blend and repulsion laws of `control`, and adds what belongs to the
-mission rather than to one agent's law: the reference leash, the speed
-envelope and the turn-rate clamp.  Only on a tick where some agent has
-a neighbor in range (or a nominal control of zero) does it take every
-agent's avoidance steering angle from one np.arctan2 call and blend in
-the avoidance law; on the other ticks the blend would return the
-nominal controls bit for bit.  Its neighbor loop also yields the
-smallest separation, so the loop needs no separate pairwise-distance
-pass.
+A tick runs on Python floats end to end: each agent's curve frame (one
+curve_frame call: one float order-3 curve_jet call, more at a cusp), the
+control laws and the RK4 step, per agent.  At a handful of agents that
+is faster than array expressions over agents, whose per-call overhead
+dwarfs the arithmetic.  mission_core converts its array inputs once and
+holds each agent's state as a tuple of floats.  team_controls is one
+flat function: it reads its gains once, runs the feedback-linearizing
+path law inline, calls the pose, blend and repulsion laws of `control`,
+and adds what belongs to the mission rather than to one agent's law:
+the reference leash, the speed envelope and the turn-rate clamp.  Only
+on a tick where some agent has a neighbor in range (or a nominal
+control of zero) does it take every agent's avoidance steering angle
+from one np.arctan2 call and blend in the avoidance law; on the other
+ticks the blend would return the nominal controls bit for bit.  Its
+neighbor loop also yields the smallest separation, so the loop needs no
+separate pairwise-distance pass.
 
-A trajectory record holds one row per agent in the TRAJECTORY_COLUMNS
-order.  Controls are recomputed from each snapshot before stepping and
-held constant across the step (zero-order hold).
+team_controls returns each agent's finished record row, laid out as
+TRAJECTORY_COLUMNS: mission_core stores a tick's rows with one
+assignment, and rk4_step_team steps them.  Controls are recomputed from
+each snapshot before stepping and held constant across the step
+(zero-order hold).
 """
 
 import itertools
@@ -43,12 +43,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._curve_kernels import curve_jet, curve_point
+from ._curve_kernels import curve_frame, curve_jet, curve_point
 from .control import (
     avoidance_control_law,
     beta_smooth,
     blend_weight,
-    curve_geometry,
     pose_control_law,
     repulsion_sum,
     transverse_terms,
@@ -56,7 +55,9 @@ from .control import (
 from .curves import SAMPLE_CHUNK
 
 TWO_PI = 2.0 * np.pi
-# one trajectory record row: the state, the blend diagnostics, the controls
+# one trajectory record row, as team_controls makes it and trajectory.csv
+# writes it after (t, agent): the state, the blend weight and avoidance
+# authority, and the controls held over the next step
 TRAJECTORY_COLUMNS = (
     "x",
     "y",
@@ -66,7 +67,6 @@ TRAJECTORY_COLUMNS = (
     "vz",
     "sigma",
     "alpha",
-    "alpha_duty",
     "accel",
     "turn_rate",
     "lift_accel",
@@ -83,18 +83,18 @@ PAIR_BLOCK = 2048  # (point, chunk) pairs per exact pass: (2048, 32) temporaries
 TICK_BLOCK = 512
 
 
-def rk4_step_team(states, controls, dt):
+def rk4_step_team(rows, dt):
     """One classical Runge-Kutta step of every agent's 6-state dynamics.
 
     The dynamics with frozen controls do not depend on the curve:
     (x', y', psi', v', z', vz') = (v cos psi, v sin psi, turn, accel,
-    vz, lift_accel).  states holds one (x, y, psi, v, z, vz) row of
-    floats per agent and controls one row per agent that starts (accel,
-    turn, lift_accel); returns the stepped states as a list of tuples.
+    vz, lift_accel).  rows holds one TRAJECTORY_COLUMNS row of floats
+    per agent, as team_controls makes it (sigma and alpha do not enter
+    the step); returns the stepped states as a list of (x, y, psi, v, z,
+    vz) tuples.
     """
     out = []
-    for (x, y, psi, v, z, vz), c in zip(states, controls):
-        a, om, az = c[0], c[1], c[2]
+    for x, y, psi, v, z, vz, _sigma, _alpha, a, om, az in rows:
         # stage 1
         k1x = v * math.cos(psi)
         k1y = v * math.sin(psi)
@@ -337,14 +337,15 @@ _TICK_GAINS = attrgetter(
 
 
 def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
-    """Controls plus (sigma, alpha, duty) for every agent at one instant.
+    """Every agent's trajectory record row at one instant.
 
     states holds one (x, y, psi, v, z, vz) row of floats per agent, z0
     their starting lifted coordinates, and z_ref and z_ref_rate the
     marching reference of each agent at this instant (a row of
     march_profile), all lists of floats.  targets is None (a sweep-only
     mission) or one (target_x, target_y, target_psi) row per agent.  The
-    curve is read for kind, par and eps_sing only.
+    curve is read for kind, par and eps_sing only: each agent's frame is
+    one curve_frame call at s = z / lift_gain.
 
     The reference is leashed to at most lead_width (in parameter) ahead
     of the agent's own lifted coordinate so an agent held up by
@@ -353,24 +354,25 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     the revolutions done since z0 and the distance to the target;
     without targets sigma is pinned at zero and the nominal input is
     pure path following.  The avoidance law overrides through alpha,
-    gated by the duty factor so settled agents (sigma >= sigma_accept)
-    ignore traffic; its steering angles come from one np.arctan2 call
-    over the team, made only on ticks that need the blend.  A speed
-    envelope caps acceleration once |v| (or |vz|) would exceed its
-    bound, so a delayed agent catches up at a pace other agents'
-    avoidance can still brake against, and the turn rate is clamped to
-    omega_max.
+    gated by the duty factor beta_smooth((sigma_accept - sigma) /
+    delta_sigma) so settled agents (sigma >= sigma_accept) ignore
+    traffic; its steering angles come from one np.arctan2 call over the
+    team, made only on ticks that need the blend.  A speed envelope caps
+    acceleration once |v| (or |vz|) would exceed its bound, so a delayed
+    agent catches up at a pace other agents' avoidance can still brake
+    against, and the turn rate is clamped to omega_max.
 
-    Returns (controls, min_sep): controls holds one (accel, turn,
-    lift_accel, sigma, alpha, duty) tuple per agent, and min_sep is the
-    smallest inter-agent separation of the snapshot (inf for a lone
-    agent).
+    Returns (rows, min_sep): rows holds one TRAJECTORY_COLUMNS row per
+    agent, its state, sigma, alpha and the controls (accel, turn,
+    lift_accel), and min_sep is the smallest inter-agent separation of
+    the snapshot (inf for a lone agent).
     """
     (lift_gain, kp_n, kp_t, kp_lift, kd_n, kd_t, kd_lift, v_min, v_ref, lead_width, revs_star, d_sw,
      blend_mode, sigma_accept, delta_sigma, d_ao, d_safe, shrink_sigma, shrink_factor, v_max,
      kv_limit, omega_max) = _TICK_GAINS(cp)
-    px, py, psi, v, z, vz = zip(*states)
-    geo = curve_geometry(curve, [zi / lift_gain for zi in z])
+    kind, eps_sing = curve.kind, curve.eps_sing
+    par = tuple(curve.par.tolist())
+    px, py, psi, *_ = zip(*states)
     lead = lift_gain * lead_width
     vz_max = 2.0 * (lift_gain * v_ref)
     lap = TWO_PI * lift_gain
@@ -403,8 +405,11 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
         # h3), feedback-linearized by inverting their decoupling matrix
         # in closed form; the speed is floored at v_min inside the matrix
         # only, so the law stays defined through v = 0
-        (e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi, speed, turn, turn_deriv,
-         speed_deriv, s_rate) = transverse_terms(geo[i], x, y, psi_i, v_i, z_i, vz_i, lift_gain, zr, rate_i)
+        frame = curve_frame(kind, par, z_i / lift_gain, eps_sing)
+        _gx, _gy, _tx, _ty, speed, turn, turn_deriv, speed_deriv, _kappa, _ok = frame
+        e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi, s_rate = transverse_terms(
+            frame, x, y, psi_i, v_i, z_i, vz_i, lift_gain, zr, rate_i
+        )
         # the output accelerations with zero input
         drift_n = -turn_deriv * s_rate * s_rate * e_t - turn * s_rate * (
             turn * s_rate * e_n + 2.0 * v_i * cos_dpsi - speed * s_rate
@@ -446,15 +451,15 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
         # runs on ticks with a neighbor in range or a zero nominal control
         if prox != 0.0 or a == 0.0 or om == 0.0 or az == 0.0:
             engaged = True
-        nominal.append((a, om, az, sigma, duty * prox, duty))
+        nominal.append((a, om, az, sigma, duty * prox))
     if engaged:
         psi_des = np.arctan2(field_y, field_x).tolist()
     rows = []
-    for i, (a, om, az, sigma, alpha, duty) in enumerate(nominal):
-        v_i = v[i]
-        vz_i = vz[i]
+    for i, ((x, y, psi_i, v_i, z_i, vz_i), (a, om, az, sigma, alpha)) in enumerate(
+        zip(states, nominal)
+    ):
         if engaged:
-            a_av, om_av, az_av = avoidance_control_law(psi_des[i], psi[i], v_i, vz_i, cp)
+            a_av, om_av, az_av = avoidance_control_law(psi_des[i], psi_i, v_i, vz_i, cp)
             a = (1.0 - alpha) * a + alpha * a_av
             om = (1.0 - alpha) * om + alpha * om_av
             az = (1.0 - alpha) * az + alpha * az_av
@@ -477,7 +482,7 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
             om = omega_max
         if om < -omega_max:
             om = -omega_max
-        rows.append((a, om, az, sigma, alpha, duty))
+        rows.append((x, y, psi_i, v_i, z_i, vz_i, sigma, alpha, a, om, az))
     return rows, min_sep
 
 
@@ -521,17 +526,15 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
             if not all(map(math.isfinite, itertools.chain.from_iterable(states))):
                 nonfinite = True
                 break
-            ctrl, md = team_controls(states, z0_rows, zr, rr, curve, targets, cp)
-            traj[k] = [
-                (*st, sg, al, du, a, om, az) for st, (a, om, az, sg, al, du) in zip(states, ctrl)
-            ]
+            rows, md = team_controls(states, z0_rows, zr, rr, curve, targets, cp)
+            traj[k] = rows
             min_dist[k] = md
             filled = k + 1
             if md < abort_dist:
                 collision = True
                 break
             if k < n_steps:
-                states = rk4_step_team(states, ctrl, dt)
+                states = rk4_step_team(rows, dt)
         if filled > start:
             adherence[start:filled] = mean_adherence(curve, traj[start:filled, :, 0:2])
             if on_block is not None:

@@ -174,6 +174,10 @@ def cmd_curves(args) -> int:
     except CurveError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.n < 2:
+        # the samples run from s = 0 to s = 2 pi, whose rows coincide
+        print(f"config error: --n = {args.n}: a closed sample needs n >= 2", file=sys.stderr)
+        return EXIT_CONFIG
     if args.out:
         write_samples_csv(args.out, curve, args.n)
         print(f"wrote {args.n} samples to {args.out}")

@@ -2,10 +2,10 @@
 smooth authority blending, and distributed collision avoidance.
 
 This module holds the laws and the transverse outputs they act on;
-`_sim_kernels.team_controls` is their caller.  Once per tick it makes
-one curve_geometry call for the whole team, runs the feedback-linearizing
-path-following law inline on transverse_terms, blends it with
-pose_control_law and avoidance_control_law per agent through
+`_sim_kernels.team_controls` is their caller.  Per agent and tick it
+takes the curve frame from one curve_frame call, runs the
+feedback-linearizing path-following law inline on transverse_terms,
+blends it with pose_control_law and avoidance_control_law through
 blend_weight and the duty factor, and adds the reference leash, the
 speed envelope and the turn-rate clamp.  decoupling_matrix is the
 matrix that the path law inverts.
@@ -23,13 +23,14 @@ The curve frame convention matches the curve kernels: the normal is the
 tangent rotated by +pi/2 and the turn rate w(s) = d(tangent angle)/ds
 is signed, which is what makes the decoupling determinant exactly -v.
 
-Only curve_geometry touches the curve: it returns each agent's frame as
-a tuple of Python floats from curve_frame, one order-3 float curve_jet
-call per agent, whose third derivative gives the turn rate's parameter
-derivative in closed form.  The laws run per agent on those floats.  At
-n = 4 a float operation costs a few tens of nanoseconds against about a
-microsecond for any numpy call.  The tick keeps the bits of numpy's
-array code, measured on an x86-64 (AVX-512) host with numpy 2.4:
+The laws touch the curve only through curve_frame's tuple of Python
+floats, (gx, gy, tx, ty, speed, turn, turn_deriv, speed_rate, kappa,
+ok): one order-3 float curve_jet call per agent, whose third derivative
+gives the turn rate's parameter derivative in closed form.  The laws
+run per agent on those floats.  At n = 4 a float operation costs a few
+tens of nanoseconds against about a microsecond for any numpy call.
+The tick keeps the bits of numpy's array code, measured on an x86-64
+(AVX-512) host with numpy 2.4:
 - math.sin, math.cos and math.sqrt matched numpy on 200k of 200k random
   arguments;
 - a speed is abs(complex(dx, dy)), which calls libm hypot as np.hypot
@@ -214,19 +215,6 @@ class FormationAssignment:
     total_arc: float
 
 
-def curve_geometry(curve, s):
-    """What the path law needs of the curve at every entry of the list s.
-
-    One curve_frame tuple per entry, (gx, gy, tx, ty, speed, turn,
-    turn_deriv, speed_rate, kappa, ok), all Python floats: one order-3
-    curve_jet call per parameter, more only at a cusp or corner.  The
-    curve is read for kind, par and eps_sing only.
-    """
-    kind, eps_sing = curve.kind, curve.eps_sing
-    par = tuple(curve.par.tolist())
-    return [curve_frame(kind, par, si, eps_sing) for si in s]
-
-
 def wrap_angle(x):
     """Wrap an angle to (-pi, pi]."""
     w = (x + math.pi) % TWO_PI - math.pi
@@ -263,16 +251,17 @@ def blend_weight(revs, dist, revs_star, d_sw, blend_mode):
     return (1.0 - w) * prod + w * lo
 
 
-def transverse_terms(geo, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
-    """Outputs, their rates, and the geometry needed by the path law.
+def transverse_terms(frame, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
+    """The path law's outputs and their rates.
 
-    geo is one entry of curve_geometry at s = z / lift_gain.  Returns
-    (e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi, speed,
-    turn, turn_rate_deriv, speed_deriv, s_rate).  The heading error
-    psi - psi_t enters through its sine and cosine only, taken from the
-    unit tangent (tx, ty) = (cos psi_t, sin psi_t) without the angle.
+    frame is curve_frame's tuple at s = z / lift_gain; the speed, turn
+    rate and their parameter derivatives that the law also needs are
+    read from it.  Returns (e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot,
+    sin_dpsi, cos_dpsi, s_rate).  The heading error psi - psi_t enters
+    through its sine and cosine only, taken from the unit tangent (tx,
+    ty) = (cos psi_t, sin psi_t) without the angle.
     """
-    gx, gy, tx, ty, speed, turn, turn_deriv, speed_deriv, _kappa, _ok = geo
+    gx, gy, tx, ty, speed, turn, _turn_deriv, _speed_rate, _kappa, _ok = frame
     dx = x - gx
     dy = y - gy
     e_n = -ty * dx + tx * dy  # normal (-ty, tx)
@@ -286,21 +275,7 @@ def transverse_terms(geo, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):
     e_t_dot = turn * s_rate * e_n + v * cos_dpsi - speed * s_rate
     h3 = z - z_ref
     h3_dot = vz - z_ref_rate
-    return (
-        e_n,
-        e_t,
-        h3,
-        e_n_dot,
-        e_t_dot,
-        h3_dot,
-        sin_dpsi,
-        cos_dpsi,
-        speed,
-        turn,
-        turn_deriv,
-        speed_deriv,
-        s_rate,
-    )
+    return e_n, e_t, h3, e_n_dot, e_t_dot, h3_dot, sin_dpsi, cos_dpsi, s_rate
 
 
 def pose_control_law(x, y, psi, v, vz, target_x, target_y, target_psi, cp):
@@ -381,8 +356,8 @@ def _state6(state) -> np.ndarray:
 
 
 def _geometry(curve: Curve, z, lift_gain: float):
-    """curve_geometry at the curve parameter z / lift_gain, as one tuple."""
-    return curve_geometry(curve, [z / lift_gain])[0]
+    """curve_frame's tuple at the curve parameter z / lift_gain."""
+    return curve_frame(curve.kind, tuple(curve.par.tolist()), z / lift_gain, curve.eps_sing)
 
 
 def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:
@@ -394,22 +369,10 @@ def decoupling_matrix(state, curve: Curve, lift_gain: float) -> np.ndarray:
     """
     x, y, psi, v, z, vz = _state6(state).tolist()
     lift_gain = float(lift_gain)
-    (
-        e_n,
-        e_t,
-        _h3,
-        _edn,
-        _edt,
-        _dh3,
-        sin_dpsi,
-        cos_dpsi,
-        speed,
-        turn,
-        _wd,
-        _md,
-        _sr,
-    ) = transverse_terms(
-        _geometry(curve, z, lift_gain), x, y, psi, v, z, vz, lift_gain, 0.0, 0.0
+    frame = _geometry(curve, z, lift_gain)
+    speed, turn = frame[4], frame[5]
+    e_n, e_t, _h3, _edn, _edt, _dh3, sin_dpsi, cos_dpsi, _sr = transverse_terms(
+        frame, x, y, psi, v, z, vz, lift_gain, 0.0, 0.0
     )
     return np.array(
         [

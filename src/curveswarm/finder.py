@@ -28,6 +28,12 @@ STATUS_LABELS = {
 }
 
 
+# bytes of float64 that one lockstep finder array may take: the cost
+# trace (n_init, k_max + 1) or the Jacobian stack (n_init, 2n + 2, n),
+# which has 2n rows outside square mode
+ARRAY_BUDGET = 1 << 30
+
+
 class FinderError(ValueError):
     """Bad finder configuration or inputs."""
 
@@ -106,6 +112,17 @@ class FinderConfig:
             raise FinderError("backtrack factor must lie in (0, 1)")
         if self.lm_lambda0 <= 0:
             raise FinderError("lm_lambda0 must be positive")
+        # Python ints: a numpy integer count could overflow the products
+        n, n_init, k_max = int(self.n), int(self.n_init), int(self.k_max)
+        for keys, nbytes, array in (
+            (f"n_init = {n_init} and k_max = {k_max}", 8 * n_init * (k_max + 1), "cost trace"),
+            (f"n_init = {n_init} and n = {n}", 8 * n_init * (2 * n + 2) * n, "Jacobian stack"),
+        ):
+            if nbytes > ARRAY_BUDGET:
+                raise FinderError(
+                    f"{keys} ask for a {array} of {nbytes} bytes,"
+                    f" over the budget of {ARRAY_BUDGET} bytes"
+                )
 
 
 # validate checks each field by the type of its default

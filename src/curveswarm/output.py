@@ -17,14 +17,8 @@ import numpy as np
 from .curves import Curve
 from ._sim_kernels import TICK_BLOCK, TRAJECTORY_COLUMNS
 
-# trajectory log column indices for the CSV payload after (t, agent):
-# every logged column except the avoidance duty factor
-_LOG_COLS = [c for c, name in enumerate(TRAJECTORY_COLUMNS) if name != "alpha_duty"]
-# where sigma sits among them
-_SIGMA_AT = _LOG_COLS.index(TRAJECTORY_COLUMNS.index("sigma"))
-TRAJECTORY_HEADER = ",".join(
-    ("t", "agent") + tuple(TRAJECTORY_COLUMNS[c] for c in _LOG_COLS)
-)
+# a trajectory.csv row is a record row after its time and agent index
+TRAJECTORY_HEADER = ",".join(("t", "agent") + TRAJECTORY_COLUMNS)
 
 # the writer pipe's capacity, five 512-tick blocks of four agents; the
 # largest an unprivileged Linux process may set by default
@@ -51,10 +45,10 @@ def _trajectory_rows(t_strs, values, n) -> str:
     """trajectory.csv rows of one block of n-agent records.
 
     t_strs holds one time string per tick and values the repr of every
-    logged value (_reprs of the records' _LOG_COLS), tick by tick, agent
-    by agent; column c of the rows is values[c::len(_LOG_COLS)].
+    record value (_reprs of the records), tick by tick, agent by agent;
+    column c of the rows is values[c::len(TRAJECTORY_COLUMNS)].
     """
-    width = len(_LOG_COLS)
+    width = len(TRAJECTORY_COLUMNS)
     return _lines(
         zip(
             (t for t in t_strs for _ in range(n)),
@@ -115,9 +109,9 @@ def _format_stream(fd, parts, dt) -> None:
             min_distance, adherence = np.frombuffer(body, count=2 * m).reshape(2, m)
             data = np.frombuffer(body, offset=16 * m).reshape(m, n, width)
             t_strs = _reprs(np.arange(k, k + m) * dt)
-            values = _reprs(data[:, :, _LOG_COLS])
+            values = _reprs(data)
             traj.write(_trajectory_rows(t_strs, values, n))
-            sigma_strs = values[_SIGMA_AT :: len(_LOG_COLS)]
+            sigma_strs = values[TRAJECTORY_COLUMNS.index("sigma") :: width]
             metrics.write(_metrics_rows(t_strs, min_distance, adherence, sigma_strs, n))
             k += m
 
@@ -264,8 +258,7 @@ def write_trajectory_csv(path, log, writer=None) -> None:
         # string at once
         for k in range(0, log.data.shape[0], TICK_BLOCK):
             block = slice(k, k + TICK_BLOCK)
-            values = _reprs(log.data[block][:, :, _LOG_COLS])
-            f.write(_trajectory_rows(_reprs(log.times[block]), values, n))
+            f.write(_trajectory_rows(_reprs(log.times[block]), _reprs(log.data[block]), n))
 
     _complete(path, writer, write)
 

@@ -151,7 +151,9 @@ def integrate_step(states, controls, dt: float) -> np.ndarray:
         raise MissionError("controls must be an (n, 3) array")
     if not (np.all(np.isfinite(st)) and np.all(np.isfinite(u))):
         raise MissionError("states and controls must be finite")
-    return np.array(sk.rk4_step_team(st.tolist(), u.tolist(), float(dt))).reshape(st.shape)
+    # as record rows; sigma and alpha do not enter the step
+    rows = [(*s, 0.0, 0.0, *c) for s, c in zip(st.tolist(), u.tolist())]
+    return np.array(sk.rk4_step_team(rows, float(dt))).reshape(st.shape)
 
 
 def nearest_parameter(p, curve: Curve) -> float:

@@ -221,7 +221,24 @@ def test_readme_trajectory_table_lists_the_header():
     table = section.split("\n\n")[1]  # the blank-line-delimited block after the intro
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     names = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert names == ["t", "agent", *sk.TRAJECTORY_COLUMNS]
     assert names == TRAJECTORY_HEADER.split(",")
+
+
+def test_trajectory_csv_carries_every_record_column(tmp_path, short_mission):
+    # a row is (t, agent) and then the agent's record, every column of it
+    # in TRAJECTORY_COLUMNS order, each value's repr read back exactly
+    _curve, _config, _metrics, log = short_mission
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, log)
+    header, *lines = path.read_text().splitlines()
+    assert header.split(",") == ["t", "agent", *sk.TRAJECTORY_COLUMNS]
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+    ticks, n, width = log.data.shape
+    assert width == len(sk.TRAJECTORY_COLUMNS)
+    assert np.array_equal(table[:, 0], np.repeat(log.times, n))
+    assert np.array_equal(table[:, 1], np.tile(np.arange(n), ticks))
+    assert table[:, 2:].tobytes() == log.data.reshape(-1, width).tobytes()
 
 
 def test_trajectory_csv_contract(tmp_path, short_mission):
@@ -255,12 +272,12 @@ def _fail_after(monkeypatch, steps, exc):
     real = sk.rk4_step_team
     calls = []
 
-    def step(states, controls, dt):
+    def step(rows, dt):
         calls.append(1)
         if len(calls) <= steps:
-            return real(states, controls, dt)
+            return real(rows, dt)
         if exc is None:
-            return [[np.nan] * 6 for _ in states]
+            return [[np.nan] * 6 for _ in rows]
         raise exc
 
     monkeypatch.setattr(sk, "rk4_step_team", step)
@@ -605,6 +622,33 @@ def test_cli_curves_list_and_sample(capsys):
     assert run_cli(["curves", "sample", "rose", "--n", "100"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 101
+
+
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_cli_curves_sample_needs_two_rows(tmp_path, capsys, n):
+    # the first and last rows are s = 0 and s = 2 pi, the same point
+    out = tmp_path / "samples.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert run_cli(["curves", "sample", "ellipse", "--n", str(n), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--n = {n}" in captured.err
+    assert not out.exists()
+    assert run_cli(["curves", "sample", "ellipse", "--n", "2"]) == 0
+    first, last = (
+        np.array([float(v) for v in line.split(",")])
+        for line in capsys.readouterr().out.splitlines()[1:]
+    )
+    assert np.hypot(first[1] - last[1], first[2] - last[2]) <= 1e-9 * make_curve("ellipse").scale
+
+
+def test_cli_find_refuses_finder_arrays_over_the_budget(tmp_path, capsys):
+    path = tmp_path / "huge.ini"
+    path.write_text("[curve]\nname = deltoid\n[finder]\nk_max = 1000000000000000\n")
+    assert run_cli(["find", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "k_max = 1000000000000000" in err and "budget" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_dump_config_round_trip(tmp_path, capsys):

@@ -84,7 +84,13 @@ def path_law(curve, cp, state, z_ref, z_ref_rate):
         [tuple(map(float, state))], [float(state[4])], [float(z_ref)], [float(z_ref_rate)],
         curve, None, cp,
     )
-    return np.array(rows[0][:3])
+    return record_controls(rows[0])
+
+
+def record_controls(row):
+    """The controls (accel, turn_rate, lift_accel) of a tick's record row."""
+    at = dict(zip(sk.TRAJECTORY_COLUMNS, row))
+    return np.array([at["accel"], at["turn_rate"], at["lift_accel"]])
 
 
 def run_path_following(curve, cp, state0, horizon, dt=0.01, record=None):
@@ -488,7 +494,8 @@ def blended(i, states, revs_i, target, curve, cp, z_ref, z_ref_rate=0.0):
     Every agent gets the target (x, y, heading), the reference (z_ref,
     z_ref_rate) and a start z0 that puts revs_i revolutions behind its
     lifted coordinate.  Returns agent i's (controls, sigma, alpha, duty)
-    with the controls (a, omega, a_z) as an array.
+    with the controls (a, omega, a_z) as an array.  The record row
+    carries no duty factor: it is recomputed from the row's sigma.
     """
     n = states.shape[0]
     lap = 2.0 * np.pi * cp.lift_gain
@@ -501,8 +508,10 @@ def blended(i, states, revs_i, target, curve, cp, z_ref, z_ref_rate=0.0):
         [tuple(map(float, target))] * n,
         cp,
     )
-    a, omega, a_z, sigma, alpha, duty = rows[i]
-    return np.array([a, omega, a_z]), sigma, alpha, duty
+    assert rows[i][:6] == tuple(states[i].tolist())
+    at = dict(zip(sk.TRAJECTORY_COLUMNS, rows[i]))
+    duty = beta_smooth((cp.sigma_accept - at["sigma"]) / cp.delta_sigma)
+    return record_controls(rows[i]), at["sigma"], at["alpha"], duty
 
 
 def test_avoidance_force_zero_at_activation_radius():

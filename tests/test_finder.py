@@ -427,6 +427,39 @@ def test_config_rejects_non_integer_counts():
     finder.FinderConfig(n=np.int64(4), n_init=np.int64(8), seed=np.int64(3)).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, parts",
+    [
+        (dict(k_max=10**15), ("n_init = 32 and k_max = 1000000000000000", "cost trace")),
+        (dict(n_init=10**12), ("n_init = 1000000000000 and k_max = 100", "cost trace")),
+        # numpy counts whose byte product overflows int64
+        (dict(n_init=np.int64(2**40), k_max=np.int64(2**40)), ("k_max = 1099511627776", "cost trace")),
+        (dict(n=6000), ("n_init = 32 and n = 6000", "Jacobian stack")),
+    ],
+    ids=["k_max", "n_init", "int64", "n"],
+)
+def test_config_rejects_finder_arrays_over_the_budget(monkeypatch, overrides, parts):
+    # refused by validate, before a start is drawn or an array allocated
+    def never(*_args, **_kwargs):
+        raise AssertionError("the search ran past validation")
+
+    for name in ("init_curvature_weighted", "init_random", "_solve_starts"):
+        monkeypatch.setattr(finder, name, never)
+    config = replace(finder.FinderConfig(), **overrides)
+    with pytest.raises(finder.FinderError) as info:
+        finder.multistart(make_curve("ellipse"), config)
+    for part in parts + (f"over the budget of {finder.ARRAY_BUDGET} bytes",):
+        assert part in str(info.value)
+
+
+def test_config_accepts_finder_arrays_within_the_budget():
+    # 8 bytes x 32 starts x (k_max + 1) entries is exactly the budget
+    k_max = finder.ARRAY_BUDGET // (8 * 32) - 1
+    replace(finder.FinderConfig(), k_max=k_max).validate()
+    with pytest.raises(finder.FinderError, match="budget"):
+        replace(finder.FinderConfig(), k_max=k_max + 1).validate()
+
+
 def test_config_file_nan_weight_is_rejected():
     # a NaN weight used to run to a NaN-cost winner that reported feasible
     with pytest.raises(ConfigError, match="weight_length"):

@@ -636,6 +636,22 @@ def march_row(z0, z_cap, t, cp):
     return z_ref[0].tolist(), rate[0].tolist()
 
 
+def tick_controls(rows, states, cp):
+    """The tick's record rows as the oracle's (a, omega, a_z, sigma, alpha, duty) rows.
+
+    Every row must carry its agent's state bit for bit.  The record has
+    no duty factor; it is recomputed from the row's sigma.
+    """
+    col = sk.TRAJECTORY_COLUMNS.index
+    rows = np.array(rows)
+    assert rows.shape == (len(states), len(sk.TRAJECTORY_COLUMNS))
+    assert rows[:, :6].tobytes() == np.asarray(states, dtype=float).tobytes()
+    sigma = rows[:, col("sigma")]
+    duty = [control.beta_smooth((cp.sigma_accept - sg) / cp.delta_sigma) for sg in sigma.tolist()]
+    controls = rows[:, [col("accel"), col("turn_rate"), col("lift_accel")]]
+    return np.column_stack((controls, sigma, rows[:, col("alpha")], duty))
+
+
 def scalar_team_controls(
     states,
     z0,
@@ -1058,7 +1074,7 @@ def test_team_controls_match_scalar_oracle(case_args):
         states.tolist(), z0.tolist(), *march_row(z0, z_cap, t, cp), tick_curve,
         None if targets is None else targets.tolist(), cp,
     )
-    got = np.array(got)
+    got = tick_controls(got, states, cp)
     assert_close(got, quiet(scalar_team_controls, *oracle_args))
     # the tick's minimum separation
     ref_md = sk.min_pair_distance(states[:, 0], states[:, 1])
@@ -1082,7 +1098,7 @@ def test_team_controls_match_scalar_oracle_for_agents_a_hair_apart(gap):
     got, md = sk.team_controls(
         states.tolist(), zeros.tolist(), *march_row(zeros, caps, 0.0, cp), DELTOID, None, cp
     )
-    got = np.array(got)
+    got = tick_controls(got, states, cp)
     ref = quiet(
         scalar_team_controls, states, zeros, caps, 0.0, DELTOID.kind, DELTOID.par,
         DELTOID.eps_sing, zeros, zeros, zeros, False, cp.lift_gain * cp.v_ref, cp,
@@ -1113,7 +1129,8 @@ def assert_skip_matches_blend(states, z0, z_ref, z_ref_rate, curve, targets, cp)
     got, _md = sk.team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp)
     *inputs, pair_targets = with_engaged_pair(states, z0, z_ref, z_ref_rate, targets, cp)
     ref, _md = sk.team_controls(*inputs, curve, pair_targets, cp)
-    assert ref[-2][4] > 0.0 and ref[-1][4] > 0.0
+    alpha = sk.TRAJECTORY_COLUMNS.index("alpha")
+    assert ref[-2][alpha] > 0.0 and ref[-1][alpha] > 0.0
     assert np.array(got).tobytes() == np.array(ref[:-2]).tobytes()
     return got
 
@@ -1151,7 +1168,7 @@ def test_avoidance_skip_blends_a_negative_zero_nominal_control():
         pytest.fail("no negative path-law acceleration found")
     targets = [(state[0], state[1], psi)]
     got = assert_skip_matches_blend([state], [z0], [state[4]], [0.2], curve, targets, cp)
-    a, _om, _az, sigma, alpha, duty = got[0]
+    a, _om, _az, sigma, alpha, duty = tick_controls(got, [state], cp)[0].tolist()
     assert (sigma, alpha, duty) == (1.0, 0.0, 0.0)
     a_pose = scalar_pose_control_law(*state[:4], state[5], *targets[0], cp)[0]
     assert np.signbit(0.0 * a_tfl + a_pose)  # the nominal acceleration is -0.0
@@ -1211,7 +1228,11 @@ def test_transverse_terms_match_scalar_oracle(data):
     x, y, psi, v, z, vz = data.draw(agent_state(curve, cp, s))
     z_ref = z + cp.lift_gain * 0.1 * data.draw(unit)
     args = (x, y, psi, v, z, vz, cp.lift_gain, z_ref, cp.lift_gain * cp.v_ref)
-    got = np.array(control.transverse_terms(control._geometry(curve, z, cp.lift_gain), *args))
+    frame = control._geometry(curve, z, cp.lift_gain)
+    terms = control.transverse_terms(frame, *args)
+    # laid out as the oracle's: the outputs and heading terms, the frame's
+    # speed, turn rate and their derivatives, then the parameter rate
+    got = np.array(terms[:8] + frame[4:8] + terms[8:])
     ref = np.array(
         quiet(scalar_transverse_terms, curve.kind, curve.par, curve.eps_sing, *args)
     )
@@ -1237,7 +1258,12 @@ def test_rk4_step_team_matches_scalar_loop(data, dt):
     controls = np.array(
         [[5.0 * data.draw(unit) for _ in range(3)] for _ in range(states.shape[0])]
     )
-    got = np.array(sk.rk4_step_team(states.tolist(), controls.tolist(), dt))
+    # record rows, with a sigma and an alpha that must not enter the step
+    rows = [
+        (*state, data.draw(unit), data.draw(unit), *u)
+        for state, u in zip(states.tolist(), controls.tolist())
+    ]
+    got = np.array(sk.rk4_step_team(rows, dt))
     assert got.shape == states.shape
     assert_close(got, array_rk4_step_team(states, controls, dt))
     assert_close(got, old_rk4_step_team(states, controls, dt))
@@ -1275,7 +1301,7 @@ def test_sweep_only_controls_match_their_own_blend(data, close_pair, t):
     got, _md = sk.team_controls(
         states.tolist(), z0.tolist(), *march_row(z0, z_cap, t, cp), curve, None, cp
     )
-    got = np.array(got)
+    got = tick_controls(got, states, cp)
     ref = quiet(old_sweep_only_controls, states, z0, z_cap, t, curve, ref_rate, cp)
     assert_close(got, ref)
     assert np.all(got[:, 3] == 0.0)
@@ -1517,7 +1543,8 @@ def turn_deriv_tolerance(curve, s, cd, d1max, d2max):
 
 
 # the oracle here is the three-jet geometry, which fell back to the array
-# frame near a cusp; the test keeps its name from then
+# frame near a cusp; the test keeps its name from then.  The tick takes
+# one curve_frame tuple per agent, as below
 @pytest.mark.parametrize("name", catalog_names())
 def test_curve_geometry_matches_array_oracle(name):
     curve = make_curve(name)
@@ -1534,7 +1561,8 @@ def test_curve_geometry_matches_array_oracle(name):
     speeds = np.hypot(*curve_d1(curve.kind, curve.par, s))
     cases.append((SimpleNamespace(kind=curve.kind, par=curve.par, eps_sing=1.5 * float(speeds.min())), s))
     for tick_curve, s in cases:
-        got = control.curve_geometry(tick_curve, s.tolist())
+        par = tuple(tick_curve.par.tolist())
+        got = [curve_frame(tick_curve.kind, par, si, tick_curve.eps_sing) for si in s.tolist()]
         assert all(type(v) is float for row in got for v in row[:9])
         got = np.array(got)
         ref = np.array(old_curve_geometry(tick_curve, s))

@@ -361,7 +361,8 @@ def test_mission_controls_stay_bounded():
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=40.0)
     _metrics, log = run_mission(config)
-    for col in (9, 10, 11):
+    for name in ("accel", "turn_rate", "lift_accel"):
+        col = TRAJECTORY_COLUMNS.index(name)
         assert float(np.max(np.abs(log.data[:, :, col]))) <= 1e3
 
 
