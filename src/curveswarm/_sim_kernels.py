@@ -7,9 +7,10 @@ depends only on time), and once its records are made, its adherence
 from one batched nearest-point pass over the block's positions.  Each
 point's closest cached curve sample comes from a search that skips
 every chunk of samples whose bounding circle cannot hold it (the same
-index a brute-force argmin gives); a few ternary steps around it pick
-the branch of the curve, and a bracketed Newton method polishes the
-parameter.  Placement (`sim.nearest_parameter`) uses the same query.
+index a brute-force argmin gives), and a bracketed Newton method
+polishes the parameter between that sample's neighbours; only a bracket
+with a cusp or a corner inside first takes ternary steps, which pick
+the branch.  Placement (`sim.nearest_parameter`) uses the same query.
 The finished block then goes to an optional callback, so a writer can
 format it on another core while the loop runs on (output.MissionWriter).
 
@@ -71,7 +72,6 @@ TRAJECTORY_COLUMNS = (
     "turn_rate",
     "lift_accel",
 )
-TERNARY_PREFIX = 8  # ternary steps that pick the branch before Newton polishes it
 TERNARY_STEPS = 64  # ternary steps at most, for brackets that hold a cusp or corner
 TURN_COS = 0.9  # cosine of the largest tangent turn a bracket may hold for Newton
 NEWTON_TOL = 1e-12  # Newton step at which a point counts as converged
@@ -203,12 +203,13 @@ def nearest_on_curve(curve, px, py):
     """Global distance to the curve and the parameter attaining it, per point.
 
     px, py are (m,) arrays.  nearest_sample finds the closest of the
-    curve's cached samples (Curve.sample_cache).  The bracket of its two
-    neighbours takes TERNARY_PREFIX ternary steps, which settle which
-    branch of the curve the point projects to; a bracket that still
-    holds a cusp or a corner keeps stepping until it no longer does.  A
-    safeguarded Newton method then polishes the parameter inside the
-    bracket (rtsafe, Numerical Recipes 9.4; Hu and Wallner 2005).  It
+    curve's cached samples (Curve.sample_cache), and the bracket runs
+    between its two neighbours.  A bracket that holds a cusp or a corner
+    (_turns) takes ternary steps until it no longer does, at most
+    TERNARY_STEPS: they settle which branch of the curve the point
+    projects to.  A safeguarded Newton method then polishes the
+    parameter inside the bracket, from its midpoint (rtsafe, Numerical
+    Recipes 9.4; Hu and Wallner 2005).  It
     seeks the zero of g(s) = (gamma - p) . gamma', half the derivative
     of |gamma(s) - p|^2, with g' = |gamma'|^2 + (gamma - p) . gamma'',
     from one order-2 curve_jet call per round over the points still
@@ -224,12 +225,10 @@ def nearest_on_curve(curve, px, py):
     step = TWO_PI / sample_s.shape[0]
     lo = sample_s[best] - step
     hi = sample_s[best] + step
-    for _ in range(TERNARY_PREFIX):
-        lo, hi = _ternary_step(kind, par, px, py, lo, hi)
     # Newton settles on whichever side of a cusp or corner it starts,
-    # where the ternary search may go on to pick the other side
+    # where the ternary search may pick the other side
     turning = np.flatnonzero(_turns(kind, par, lo, hi))
-    for _ in range(TERNARY_PREFIX, TERNARY_STEPS):
+    for _ in range(TERNARY_STEPS):
         if turning.shape[0] == 0:
             break
         lo[turning], hi[turning] = _ternary_step(
@@ -268,20 +267,18 @@ def nearest_on_curve(curve, px, py):
 def mean_adherence(curve, xy):
     """Mean agent-to-curve distance per tick of xy (ticks, n, 2).
 
-    Runs over blocks of TICK_BLOCK ticks so peak memory stays flat in
-    the horizon; each tick sums its agents in agent order, then / n.
+    One nearest_on_curve call over every position; each tick sums its
+    agents in agent order, then / n.  mission_core passes one block of
+    TICK_BLOCK ticks at a time, so peak memory stays flat in the horizon.
     """
-    ticks, n = xy.shape[:2]
-    out = np.empty(ticks)
-    for k in range(0, ticks, TICK_BLOCK):
-        pts = xy[k : k + TICK_BLOCK].reshape(-1, 2)
-        dist, _s_at = nearest_on_curve(curve, pts[:, 0], pts[:, 1])
-        dist = dist.reshape(-1, n)
-        acc = 0.0
-        for i in range(n):
-            acc = acc + dist[:, i]
-        out[k : k + TICK_BLOCK] = acc / n
-    return out
+    n = xy.shape[1]
+    pts = xy.reshape(-1, 2)
+    dist, _s_at = nearest_on_curve(curve, pts[:, 0], pts[:, 1])
+    dist = dist.reshape(-1, n)
+    acc = 0.0
+    for i in range(n):
+        acc = acc + dist[:, i]
+    return acc / n
 
 
 def min_pair_distance(px, py):

@@ -85,11 +85,48 @@ def _load(args):
     return load_config(text, overrides)
 
 
+def _check_out(path, directory=True) -> None:
+    """Raise ConfigError unless path can become the output directory (or file).
+
+    Nothing is created: the path, or failing that its nearest existing
+    ancestor, must already be a directory, so that os.makedirs and open
+    succeed once the work is done.
+    """
+    if not path:
+        raise ConfigError("--out is empty")
+    if os.path.lexists(path):
+        if os.path.isdir(path) != directory:
+            what = "is not a directory" if directory else "is a directory"
+            raise ConfigError(f"--out {path} {what}")
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out {path}: {parent} is not a directory")
+
+
+def _snapshot_name(t) -> str:
+    return f"snapshot_t{t:08.2f}s.svg"
+
+
+def _check_snapshot_names(times) -> None:
+    """Raise ConfigError if two snapshot times would write the same file."""
+    seen = {}
+    for t in times:
+        name = _snapshot_name(t)
+        if name in seen:
+            raise ConfigError(f"snapshot_times {seen[name]!r} and {t!r} both write {name}")
+        seen[name] = t
+
+
 def cmd_find(args) -> int:
     try:
         cfg = _load(args)
         if cfg.finder.n < 3:
             raise ConfigError(f"n = {cfg.finder.n}: a formation search needs n >= 3")
+        if not args.dump_config:
+            _check_out(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -116,6 +153,9 @@ def cmd_simulate(args) -> int:
         cfg = _load(args)
         mission = cfg.mission_config()
         mission.validate()
+        _check_snapshot_names(mission.snapshot_times)
+        if not args.dump_config:
+            _check_out(args.out)
     except (ConfigError, MissionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -136,7 +176,7 @@ def cmd_simulate(args) -> int:
         snap_times = mission.snapshot_times or (float(log.times[-1]),)
         for t_snap in snap_times:
             k = int(round(t_snap / mission.dt))
-            path = os.path.join(args.out, f"snapshot_t{t_snap:08.2f}s.svg")
+            path = os.path.join(args.out, _snapshot_name(t_snap))
             write_snapshot_svg(path, cfg.curve, log, k, metrics.assignment)
         write_trajectory_csv(traj_path, log, writer)
         write_metrics_csv(metrics_path, metrics, writer)
@@ -171,14 +211,16 @@ def cmd_curves(args) -> int:
         return EXIT_OK
     try:
         curve = make_curve(args.name)
-    except CurveError as exc:
+        if args.n < 2:
+            # the samples run from s = 0 to s = 2 pi, whose rows coincide
+            raise ConfigError(f"--n = {args.n}: a closed sample needs n >= 2")
+        if args.out:
+            _check_out(args.out, directory=False)
+    except (CurveError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.n < 2:
-        # the samples run from s = 0 to s = 2 pi, whose rows coincide
-        print(f"config error: --n = {args.n}: a closed sample needs n >= 2", file=sys.stderr)
-        return EXIT_CONFIG
     if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         write_samples_csv(args.out, curve, args.n)
         print(f"wrote {args.n} samples to {args.out}")
     else:

@@ -642,6 +642,52 @@ def test_cli_curves_sample_needs_two_rows(tmp_path, capsys, n):
     assert np.hypot(first[1] - last[1], first[2] - last[2]) <= 1e-9 * make_curve("ellipse").scale
 
 
+@pytest.mark.parametrize("times", ["1.001, 1.004", "1.0, 1.0"])
+def test_cli_refuses_snapshot_times_that_share_a_file(tmp_path, capsys, times):
+    # both times round to the same file name, so one snapshot would
+    # overwrite the other; the mission must not run
+    config = tmp_path / "snap.ini"
+    config.write_text(f"[curve]\nname = ellipse\n[sim]\nn = 2\nhorizon = 2\nsnapshot_times = {times}\n")
+    out = tmp_path / "out"
+    assert run_cli(["simulate", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    first, second = (repr(float(t)) for t in times.split(","))
+    assert f"snapshot_times {first} and {second} both write snapshot_t00001.00s.svg" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["find", "simulate"])
+@pytest.mark.parametrize("out, why", [("afile", "is not a directory"),
+                                      ("afile/sub", "is not a directory"),
+                                      ("", "--out is empty")])
+def test_cli_refuses_an_unusable_out(monkeypatch, tmp_path, capsys, command, out, why):
+    # refused before any work: neither the search nor the mission runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr(cli, "multistart", no_work)
+    monkeypatch.setattr(cli, "run_mission", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep")
+    assert run_cli([command, "--curve", "ellipse", "--n", "3", "--out", out]) == 2
+    assert why in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
+def test_cli_curves_sample_out_needs_a_file_path(tmp_path, capsys):
+    # a missing parent directory is created, as find and simulate create theirs
+    out = tmp_path / "missing" / "dir" / "x.csv"
+    assert run_cli(["curves", "sample", "ellipse", "--n", "5", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 6
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    for bad, why in ((afile / "x.csv", "is not a directory"), (tmp_path / "missing", "is a directory")):
+        capsys.readouterr()
+        assert run_cli(["curves", "sample", "ellipse", "--n", "5", "--out", str(bad)]) == 2
+        assert why in capsys.readouterr().err
+    assert afile.read_text() == "keep"
+
+
 def test_cli_find_refuses_finder_arrays_over_the_budget(tmp_path, capsys):
     path = tmp_path / "huge.ini"
     path.write_text("[curve]\nname = deltoid\n[finder]\nk_max = 1000000000000000\n")

@@ -36,9 +36,9 @@ above 1), since the two libraries may round differently by an ulp
 elsewhere.
 
 The batched nearest-point query is not bit-identical to its scalar
-copy.  It shares only the first ternary steps with the copy's 64-step
-search (more where a cusp or corner is in the bracket), and then a
-Newton method polishes the parameter.  The scalar code also squares
+copy.  It shares ternary steps with the copy's 64-step search only
+where a cusp or corner is in the bracket, and a Newton method polishes
+the parameter.  The scalar code also squares
 numpy float64 scalars with `**2`, which goes through libm `pow` and
 differs from `x*x` in about 0.1% of cases; the array code squares with
 `x*x`, which is correctly rounded.  So distances agree within 1e-12 of
@@ -1418,6 +1418,56 @@ def test_nearest_on_curve_skips_non_finite_points(monkeypatch):
     assert_nearest_matches(DELTOID, px[3:], py[3:], dist[3:], s_at[3:])
     assert 0 < len(rounds) < sk.NEWTON_CAP
     assert set(rounds) == {1}
+
+
+def test_nearest_on_curve_steps_ternary_only_where_the_bracket_turns(monkeypatch):
+    # Newton alone polishes a bracket on a regular arc; next to a cusp
+    # the ternary search still picks the branch
+    steps = []
+    real = sk._ternary_step
+
+    def counted(kind, par, px, py, lo, hi):
+        steps.append(px.shape[0])
+        return real(kind, par, px, py, lo, hi)
+
+    monkeypatch.setattr(sk, "_ternary_step", counted)
+    rng = np.random.default_rng(11)
+    s_ellipse = rng.uniform(0.0, TWO_PI, 400)
+    # at least 0.2 from each deltoid cusp
+    s_deltoid = rng.uniform(0.2, TWO_PI / 3.0 - 0.2, 400) + rng.integers(0, 3, 400) * TWO_PI / 3.0
+    for curve, s in ((ELLIPSE, s_ellipse), (DELTOID, s_deltoid)):
+        off = rng.choice((0.0, 1e-3, 1e-2), size=s.shape[0]) * curve.scale
+        pts = curve.point(s) + off[:, None] * rng.uniform(-1.0, 1.0, (s.shape[0], 2))
+        dist, s_at = sk.nearest_on_curve(curve, pts[:, 0], pts[:, 1])
+        assert steps == []
+        assert_nearest_matches(curve, pts[:, 0], pts[:, 1], dist, s_at)
+    near_cusp = np.array(DELTOID_CUSPS) + np.array([1e-4, -3e-4, 5e-4])
+    pts = np.vstack((DELTOID.point(near_cusp), [PROJECTION_TRAPS["deltoid-cusp"][1]]))
+    dist, s_at = sk.nearest_on_curve(DELTOID, pts[:, 0], pts[:, 1])
+    assert 0 < len(steps) <= sk.TERNARY_STEPS
+    assert_nearest_matches(DELTOID, pts[:, 0], pts[:, 1], dist, s_at)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_nearest_on_curve_batch_equals_one_point_calls(name):
+    # each point's projection is its own: a batch of m points gives what m
+    # one-point calls give, bit for bit.  The power families are held to
+    # the oracle tests' tolerance instead, since a vectorized power may
+    # round the elements of a long array differently from a one-element one
+    curve = make_curve(name)
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    m = 200
+    off = rng.choice((0.0, 1e-3, 0.1, 1.5), size=m) * curve.scale
+    pts = curve.point(rng.uniform(0.0, TWO_PI, m)) + off[:, None] * rng.uniform(-1.0, 1.0, (m, 2))
+    dist, s_at = sk.nearest_on_curve(curve, pts[:, 0], pts[:, 1])
+    one = np.array([sk.nearest_on_curve(curve, pts[k : k + 1, 0], pts[k : k + 1, 1]) for k in range(m)])
+    if curve.kind in POW_KINDS:
+        tol = 1e-12 * curve.scale
+        assert np.all(np.abs(dist - one[:, 0, 0]) <= tol)
+        gx, gy = curve_point(curve.kind, curve.par, s_at)
+        assert np.all(np.abs(np.hypot(gx - pts[:, 0], gy - pts[:, 1]) - one[:, 0, 0]) <= tol)
+    else:
+        assert same_bits(dist, one[:, 0, 0]) and same_bits(s_at, one[:, 1, 0])
 
 
 NEAREST_SAMPLE_COUNTS = POINT_COUNTS + (sk.POINT_BLOCK - 1, sk.POINT_BLOCK, sk.POINT_BLOCK + 1)
