@@ -251,6 +251,22 @@ def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
     return ok, theta_new, r_new, cost_new, step_norm
 
 
+def solve_floats(n, square_mode):
+    """float64 values per start that gn_solve holds at most, cost trace aside.
+
+    The Jacobian step holds the (m, n) stack J, its C-ordered transpose
+    and w * J, with the normal matrix and a product temporary (n, n
+    each); the Armijo ladder holds LADDER trial rows with their
+    residuals and curve-kernel temporaries, under 20 * LADDER * n.  The
+    two stages never overlap, so their sum bounds the peak: tracemalloc
+    puts it at 8.0-8.2 n^2 per start for n >= 50, and at n = 3 at 463
+    values (gear-hermite, the largest of ten families), where this gives
+    552.
+    """
+    m = 2 * n + 2 if square_mode else 2 * n
+    return 3 * m * n + 2 * n * n + 20 * LADDER * n
+
+
 def gn_solve(curve, theta0, config):
     """Damped Gauss-Newton with Armijo backtracking, all starts in lockstep.
 

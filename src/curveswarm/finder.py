@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import _finder_kernels as fk
+from ._stream import Stream
 from .curves import Curve
 
 TWO_PI = 2.0 * np.pi
@@ -28,9 +29,9 @@ STATUS_LABELS = {
 }
 
 
-# bytes of float64 that one lockstep finder array may take: the cost
-# trace (n_init, k_max + 1) or the Jacobian stack (n_init, 2n + 2, n),
-# which has 2n rows outside square mode
+# bytes of float64 the lockstep finder may hold at once: the cost trace
+# (n_init, k_max + 1) plus fk.solve_floats(n, square_mode) per start,
+# the Jacobian stack with its solve copies or the Armijo ladder
 ARRAY_BUDGET = 1 << 30
 
 
@@ -114,15 +115,17 @@ class FinderConfig:
             raise FinderError("lm_lambda0 must be positive")
         # Python ints: a numpy integer count could overflow the products
         n, n_init, k_max = int(self.n), int(self.n_init), int(self.k_max)
-        for keys, nbytes, array in (
-            (f"n_init = {n_init} and k_max = {k_max}", 8 * n_init * (k_max + 1), "cost trace"),
-            (f"n_init = {n_init} and n = {n}", 8 * n_init * (2 * n + 2) * n, "Jacobian stack"),
-        ):
-            if nbytes > ARRAY_BUDGET:
-                raise FinderError(
-                    f"{keys} ask for a {array} of {nbytes} bytes,"
-                    f" over the budget of {ARRAY_BUDGET} bytes"
-                )
+        trace = 8 * n_init * (k_max + 1)
+        nbytes = trace + 8 * n_init * fk.solve_floats(n, self.square_mode)
+        if nbytes > ARRAY_BUDGET:
+            if trace > ARRAY_BUDGET:
+                keys = f"n_init = {n_init} and k_max = {k_max}"
+            else:
+                keys = f"n_init = {n_init} and n = {n}, with k_max = {k_max},"
+            raise FinderError(
+                f"{keys} ask for {nbytes} bytes of finder arrays (cost trace,"
+                f" Jacobian stack and its solve copies), over the budget of {ARRAY_BUDGET} bytes"
+            )
 
 
 # validate checks each field by the type of its default
@@ -291,11 +294,17 @@ def init_curvature_weighted(curve: Curve, n: int) -> np.ndarray:
     return np.array([curve.arclength_inverse(i / n) for i in range(n)])
 
 
-def init_random(curve: Curve, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n parameters drawn uniformly on [0, 2pi), sorted to keep agent order."""
+def init_random(curve: Curve, n: int, rng) -> np.ndarray:
+    """n parameters drawn uniformly on [0, 2pi), sorted to keep agent order.
+
+    rng is anything with numpy's Generator.uniform: multistart passes a
+    _stream.Stream, which draws the same values as default_rng(seed).
+    """
     if n < 3:
         raise FinderError("formation needs n >= 3 vertices")
-    return np.sort(rng.uniform(0.0, TWO_PI, n))
+    theta = rng.uniform(0.0, TWO_PI, n)
+    theta.sort()
+    return theta
 
 
 def _rank_key(sol: FormationSolution):
@@ -348,10 +357,14 @@ def multistart(curve: Curve, config: FinderConfig, return_all: bool = False):
     run qualifies, the lowest-cost geometrically feasible run (the
     best-fit polygon) is returned, or the overall lowest-cost run when
     every start collapsed.
+
+    The random starts come from _stream.Stream(config.seed), n draws
+    each in start order: the starts numpy's default_rng(seed) would
+    give, bit for bit.
     """
     config.validate()
     starts = [init_curvature_weighted(curve, config.n)]
-    rng = np.random.default_rng(config.seed)
+    rng = Stream(config.seed)
     for _ in range(1, config.n_init):
         starts.append(init_random(curve, config.n, rng))
     kinds = ["curvature-weighted"] + ["random"] * (config.n_init - 1)

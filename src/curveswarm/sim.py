@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _sim_kernels as sk
 from ._sim_kernels import TRAJECTORY_COLUMNS
+from ._stream import Stream
 from .control import (
     ControllerParams,
     FormationAssignment,
@@ -164,7 +165,7 @@ def nearest_parameter(p, curve: Curve) -> float:
     return float(s_at[0])
 
 
-def initial_states(config: MissionConfig, cp: ControllerParams, rng: np.random.Generator):
+def initial_states(config: MissionConfig, cp: ControllerParams, rng):
     """Draw starting states near the curve; returns (states (n,6), z0 (n,)).
 
     Stratified parameters keep the draw reproducible and well spread.
@@ -175,7 +176,11 @@ def initial_states(config: MissionConfig, cp: ControllerParams, rng: np.random.G
     so such draws are unwinnable and rejected up front.  The lifted
     coordinate starts at the address of the nearest curve point, and
     speeds start at the sweep-consistent value there (floored at v_min
-    so the decoupling matrix starts regular).
+    so the decoupling matrix starts regular).  rng is anything with
+    numpy's Generator.uniform; each attempt draws n stratified
+    parameters, n annulus offsets, then one heading per agent.
+    run_mission passes _stream.Stream(seed), which draws what
+    default_rng(seed) would.
     """
     curve = config.curve
     n = config.n
@@ -301,8 +306,7 @@ def run_mission(config: MissionConfig, on_block=None):
     config.validate()
     curve = config.curve
     cp = config.params if config.params is not None else make_params(curve)
-    rng = np.random.default_rng(config.seed)
-    states0, z0 = initial_states(config, cp, rng)
+    states0, z0 = initial_states(config, cp, Stream(config.seed))
 
     solution = None
     assignment = None

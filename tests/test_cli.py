@@ -709,6 +709,18 @@ def test_cli_dump_config_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == dumped
 
 
+def test_cli_dump_config_round_trip_keeps_a_wide_seed(tmp_path, capsys):
+    # the seeded stream takes any nonnegative integer seed
+    seed = 2**128 + 1
+    assert run_cli(["find", "--curve", "deltoid", "--n", "4", "--seed", str(seed), "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert f"seed = {seed}\n" in dumped
+    path = tmp_path / "dump.ini"
+    path.write_text(dumped)
+    assert run_cli(["find", str(path), "--dump-config"]) == 0
+    assert capsys.readouterr().out == dumped
+
+
 def test_cli_n_below_3_is_sweep_only_for_simulate_and_an_error_for_find(tmp_path, capsys):
     # find used to solve the default 4-gon and print n=4
     assert run_cli(["find", "--curve", "circle", "--n", "2", "--out", str(tmp_path / "f")]) == 2

@@ -1,5 +1,6 @@
 """Formation finder tests: residual oracles, Jacobian checks, solver behavior."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -435,8 +436,13 @@ def test_config_rejects_non_integer_counts():
         # numpy counts whose byte product overflows int64
         (dict(n_init=np.int64(2**40), k_max=np.int64(2**40)), ("k_max = 1099511627776", "cost trace")),
         (dict(n=6000), ("n_init = 32 and n = 6000", "Jacobian stack")),
+        # a 512 MB Jacobian stack, under the budget alone: with its solve
+        # copies it took about 2 GB
+        (dict(n=1000), ("n_init = 32 and n = 1000, with k_max = 100,", "Jacobian stack")),
+        # a Jacobian stack of exactly the budget, for one iteration
+        (dict(n=3, n_init=5_592_405, k_max=1), ("n_init = 5592405 and n = 3, with k_max = 1,", "Jacobian stack")),
     ],
-    ids=["k_max", "n_init", "int64", "n"],
+    ids=["k_max", "n_init", "int64", "n", "n1000", "n3"],
 )
 def test_config_rejects_finder_arrays_over_the_budget(monkeypatch, overrides, parts):
     # refused by validate, before a start is drawn or an array allocated
@@ -453,11 +459,42 @@ def test_config_rejects_finder_arrays_over_the_budget(monkeypatch, overrides, pa
 
 
 def test_config_accepts_finder_arrays_within_the_budget():
-    # 8 bytes x 32 starts x (k_max + 1) entries is exactly the budget
-    k_max = finder.ARRAY_BUDGET // (8 * 32) - 1
+    # 8 bytes x 32 starts x (k_max + 1 trace entries + the solve's
+    # per-start floats) is exactly the budget
+    k_max = finder.ARRAY_BUDGET // (8 * 32) - 1 - fk.solve_floats(4, False)
     replace(finder.FinderConfig(), k_max=k_max).validate()
     with pytest.raises(finder.FinderError, match="budget"):
         replace(finder.FinderConfig(), k_max=k_max + 1).validate()
+    # a 128 MB Jacobian stack: the solve peaked at 533 MB
+    replace(finder.FinderConfig(), n=500).validate()
+
+
+@pytest.mark.parametrize(
+    "name, n, n_init, square_mode",
+    [
+        ("gear-hermite", 3, 256, False),
+        ("fourier-blob", 4, 256, True),
+        ("ellipse", 12, 64, False),
+        ("deltoid", 60, 8, False),
+    ],
+)
+def test_solve_floats_bound_the_measured_peak(name, n, n_init, square_mode):
+    # validate charges solve_floats per start for what gn_solve holds
+    # besides its cost trace; tracemalloc sees every numpy buffer
+    curve = make_curve(name)
+    config = finder.FinderConfig(n=n, n_init=n_init, k_max=30, square_mode=square_mode)
+    rng = np.random.default_rng(5)
+    theta0 = np.array([finder.init_random(curve, n, rng) for _ in range(n_init)])
+    tracemalloc.start()
+    try:
+        fk.gn_solve(curve, theta0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace = 8 * n_init * (config.k_max + 1)
+    assert peak - trace <= 8 * n_init * fk.solve_floats(n, square_mode)
+    # and the bound is not loose by more than half
+    assert peak - trace >= 0.5 * 8 * n_init * fk.solve_floats(n, square_mode)
 
 
 def test_config_file_nan_weight_is_rejected():
