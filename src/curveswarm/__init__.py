@@ -20,7 +20,6 @@ from .sim import (
     MissionConfig,
     MissionError,
     MissionMetrics,
-    TrajectoryLog,
     run_mission,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "MissionError",
     "MissionMetrics",
     "SingularPointError",
-    "TrajectoryLog",
     "catalog_names",
     "find_formation",
     "make_curve",

@@ -1,7 +1,7 @@
 """Mission integration kernels: team control ticks, RK4 stepping,
 curve-distance queries, and the full fixed-step mission loop.
 
-The loop runs in blocks of TICK_BLOCK ticks.  Each block takes its
+The loop holds one block of TICK_BLOCK ticks at a time.  Each block takes its
 marching references from one array march_profile call (the reference
 depends only on time), and once its records are made, its adherence
 from one batched nearest-point pass over the block's positions.  Each
@@ -11,8 +11,8 @@ index a brute-force argmin gives), and a bracketed Newton method
 polishes the parameter between that sample's neighbours; only a bracket
 with a cusp or a corner inside first takes ternary steps, which pick
 the branch.  Placement (`sim.nearest_parameter`) uses the same query.
-The finished block then goes to an optional callback, so a writer can
-format it on another core while the loop runs on (output.MissionWriter).
+The finished block then goes to a callback that keeps what it needs
+(sim.run_mission) or formats it while the loop runs (output.MissionWriter).
 
 A tick runs on Python floats end to end: each agent's curve frame (one
 curve_frame call: one float order-3 curve_jet call, more at a cusp), the
@@ -76,8 +76,8 @@ TERNARY_STEPS = 64  # ternary steps at most, for brackets that hold a cusp or co
 TURN_COS = 0.9  # cosine of the largest tangent turn a bracket may hold for Newton
 NEWTON_TOL = 1e-12  # Newton step at which a point counts as converged
 NEWTON_CAP = 64  # Newton rounds at most; a point still moving keeps its last step
-POINT_BLOCK = 256  # points per pruned nearest-sample pass
-PAIR_BLOCK = 2048  # (point, chunk) pairs per exact pass: (2048, 32) temporaries
+POINT_BLOCK = 64  # points per pruned nearest-sample pass
+PAIR_BLOCK = 256  # (point, chunk) pairs per exact pass: (256, 32) temporaries
 # ticks per block of the mission loop: one march_profile call, one
 # adherence pass and one on_block callback each
 TICK_BLOCK = 512
@@ -136,7 +136,7 @@ def nearest_sample(px, py, chunks):
     chunks is curves.chunk_circles(sample_x, sample_y), which
     Curve.sample_chunks caches.  Points run POINT_BLOCK at a time and
     chunk evaluations PAIR_BLOCK at a time, so no temporary exceeds
-    PAIR_BLOCK x SAMPLE_CHUNK entries.
+    PAIR_BLOCK x SAMPLE_CHUNK entries (2048 points peak near 0.5 MiB).
     """
     chunk_x, chunk_y, centre_x, centre_y, radius, reach = chunks
     best = np.zeros(px.shape[0], dtype=np.intp)
@@ -269,7 +269,7 @@ def mean_adherence(curve, xy):
 
     One nearest_on_curve call over every position; each tick sums its
     agents in agent order, then / n.  mission_core passes one block of
-    TICK_BLOCK ticks at a time, so peak memory stays flat in the horizon.
+    at most TICK_BLOCK ticks, so the temporaries stay flat in the horizon.
     """
     n = xy.shape[1]
     pts = xy.reshape(-1, 2)
@@ -484,28 +484,29 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
 
 
 def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=None):
-    """Full fixed-step closed loop.
+    """Full fixed-step closed loop, one block of records at a time.
 
-    Records state, blending diagnostics, and controls at every tick
-    t_k = k*dt for k = 0..n_steps, stepping between records.  states0
-    is an (n, 6) array, z0 and z_cap are (n,) arrays and targets is
-    None or an (n, 3) array; they become the Python floats that
-    team_controls takes once, before the loop.  The loop runs in blocks
-    of TICK_BLOCK ticks: each block takes its marching references from
-    one march_profile call, and once its records are made, its mean
-    adherence from one mean_adherence call.  on_block, if given, is then
-    called with the block's (records, min_distance, adherence) array
-    slices; every record reaches it, the last block possibly shorter.
-    Stops early when agents close within 0.5 * cp.d_safe (collision)
-    or any state goes non-finite.  Returns (trajectory, min_distance,
-    adherence, collision, nonfinite); the three series hold one entry
-    per record made, a trajectory record being (n, TRAJECTORY_COLUMNS).
+    Makes a record (state, blending diagnostics and controls) at every
+    tick t_k = k*dt for k = 0..n_steps, stepping between records.  The
+    array inputs (states0 (n, 6), z0 and z_cap (n,), targets None or
+    (n, 3)) become the Python floats that team_controls takes.  Each
+    block of TICK_BLOCK ticks gets its references from one march_profile
+    call, fills one reused (TICK_BLOCK, n, TRAJECTORY_COLUMNS) buffer and
+    gets its mean adherence from one mean_adherence call; on_block, if
+    given, then gets (records, min_distance, adherence), in arrays valid
+    only during the call.  Of the records the loop keeps sigma and the
+    pose (x, y, psi).  Stops early when agents close within 0.5 *
+    cp.d_safe (collision) or any state goes non-finite.  Returns
+    (min_distance, adherence, sigma, pose, collision, nonfinite), one
+    tick per record made.
     """
     n = states0.shape[0]
     total = n_steps + 1
-    traj = np.zeros((total, n, len(TRAJECTORY_COLUMNS)))
+    records = np.empty((TICK_BLOCK, n, len(TRAJECTORY_COLUMNS)))
     min_dist = np.zeros(total)
     adherence = np.zeros(total)
+    sigma = np.zeros((total, n))
+    pose = np.zeros((total, n, 3))
     states = list(map(tuple, states0.tolist()))
     z0_rows = z0.tolist()
     if targets is not None:
@@ -524,7 +525,7 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
                 nonfinite = True
                 break
             rows, md = team_controls(states, z0_rows, zr, rr, curve, targets, cp)
-            traj[k] = rows
+            records[k - start] = rows
             min_dist[k] = md
             filled = k + 1
             if md < abort_dist:
@@ -533,9 +534,14 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
             if k < n_steps:
                 states = rk4_step_team(rows, dt)
         if filled > start:
-            adherence[start:filled] = mean_adherence(curve, traj[start:filled, :, 0:2])
+            block = records[: filled - start]
+            adherence[start:filled] = mean_adherence(curve, block[:, :, 0:2])
+            sigma[start:filled] = block[:, :, TRAJECTORY_COLUMNS.index("sigma")]
+            pose[start:filled] = block[:, :, 0:3]
             if on_block is not None:
-                on_block(traj[start:filled], min_dist[start:filled], adherence[start:filled])
+                on_block(block, min_dist[start:filled], adherence[start:filled])
         if collision or nonfinite:
             break
-    return traj[:filled], min_dist[:filled], adherence[:filled], collision, nonfinite
+    return (
+        min_dist[:filled], adherence[:filled], sigma[:filled], pose[:filled], collision, nonfinite
+    )

@@ -11,6 +11,7 @@ import os
 import sys
 
 from .config import ConfigError, dump_config, load_config, parse_target
+from .control import make_params
 from .curves import CurveError, catalog_names, make_curve
 from .finder import multistart
 from .output import (
@@ -166,27 +167,29 @@ def cmd_simulate(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.csv")
     with MissionWriter(traj_path, metrics_path, mission.dt) as writer:
         try:
-            metrics, log = run_mission(mission, on_block=writer.send)
+            metrics, pose = run_mission(mission, on_block=writer.send)
         except MissionError as exc:
             print(f"mission error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
         os.makedirs(args.out, exist_ok=True)
         # the snapshots go first, while the writer's child may still be
         # formatting the last blocks
-        snap_times = mission.snapshot_times or (float(log.times[-1]),)
+        snap_times = mission.snapshot_times or (float(metrics.times[-1]),)
         for t_snap in snap_times:
             k = int(round(t_snap / mission.dt))
             path = os.path.join(args.out, _snapshot_name(t_snap))
-            write_snapshot_svg(path, cfg.curve, log, k, metrics.assignment)
-        write_trajectory_csv(traj_path, log, writer)
+            write_snapshot_svg(path, cfg.curve, metrics, pose, k)
+        write_trajectory_csv(traj_path, writer)
         write_metrics_csv(metrics_path, metrics, writer)
     sigma_last = float(metrics.sigma[-1].min()) if metrics.sigma.size else 0.0
+    cp = mission.params if mission.params is not None else make_params(cfg.curve)
+    unformed = [str(i) for i, s in enumerate(metrics.sigma[-1].tolist()) if s < cp.sigma_accept]
     err_last = (
         float(metrics.final_vertex_errors.max())
         if metrics.final_vertex_errors is not None
         else float("nan")
     )
-    t_end = f"{float(log.times[-1]):.2f}s"
+    t_end = f"{float(metrics.times[-1]):.2f}s"
     pair = metrics.closest_pair
     print(
         f"curve={cfg.curve_name} n={mission.n} seed={mission.seed}"
@@ -195,6 +198,7 @@ def cmd_simulate(args) -> int:
         f" sigma_min={sigma_last:.4f} vertex_error_max={err_last:.4g}"
         f" closest_pair={'none' if pair is None else f'{pair[0]},{pair[1]}'}"
         f" collision_t={t_end if metrics.collision else 'none'}"
+        f" unformed={','.join(unformed) or 'none'}"
     )
     print(f"wrote metrics, trajectory, and {len(snap_times)} snapshot(s) to {args.out}")
     if metrics.collision:

@@ -294,15 +294,17 @@ def init_curvature_weighted(curve: Curve, n: int) -> np.ndarray:
     return np.array([curve.arclength_inverse(i / n) for i in range(n)])
 
 
-def init_random(curve: Curve, n: int, rng) -> np.ndarray:
-    """n parameters drawn uniformly on [0, 2pi), sorted to keep agent order.
+def init_random(curve: Curve, n: int, rng, count: int) -> np.ndarray:
+    """count starts of n parameters uniform on [0, 2pi), each sorted to keep agent order.
 
+    One draw of count * n values fills the (count, n) array row by row,
+    so the rows are the draws of n values that count calls would make.
     rng is anything with numpy's Generator.uniform: multistart passes a
     _stream.Stream, which draws the same values as default_rng(seed).
     """
     if n < 3:
         raise FinderError("formation needs n >= 3 vertices")
-    theta = rng.uniform(0.0, TWO_PI, n)
+    theta = rng.uniform(0.0, TWO_PI, count * n).reshape(count, n)
     theta.sort()
     return theta
 
@@ -358,17 +360,15 @@ def multistart(curve: Curve, config: FinderConfig, return_all: bool = False):
     best-fit polygon) is returned, or the overall lowest-cost run when
     every start collapsed.
 
-    The random starts come from _stream.Stream(config.seed), n draws
-    each in start order: the starts numpy's default_rng(seed) would
-    give, bit for bit.
+    The random starts come from one draw of _stream.Stream(config.seed),
+    n values each in start order: the starts numpy's default_rng(seed)
+    would give, bit for bit.
     """
     config.validate()
-    starts = [init_curvature_weighted(curve, config.n)]
-    rng = Stream(config.seed)
-    for _ in range(1, config.n_init):
-        starts.append(init_random(curve, config.n, rng))
+    drawn = init_random(curve, config.n, Stream(config.seed), config.n_init - 1)
+    starts = np.vstack((init_curvature_weighted(curve, config.n), drawn))
     kinds = ["curvature-weighted"] + ["random"] * (config.n_init - 1)
-    solutions = _solve_starts(np.array(starts), curve, config, kinds)
+    solutions = _solve_starts(starts, curve, config, kinds)
     best = _select(solutions, curve, config)
     if return_all:
         return best, solutions

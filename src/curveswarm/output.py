@@ -5,12 +5,13 @@ rerun with the same seed produces byte-identical files; that is the
 reproducibility contract the CLI and tests rely on.
 
 trajectory.csv and metrics.csv, the two files with one row per tick,
-can be formatted by a forked child while the mission loop runs
-(MissionWriter).  Either file only ever appears whole: rows go to a
-.part file that is renamed when done.
+are formatted block by block while the mission loop runs, by a forked
+child or in-process (MissionWriter).  Either file only ever appears
+whole: rows go to a .part file that is renamed when done.
 """
 
 import os
+from contextlib import closing
 
 import numpy as np
 
@@ -84,61 +85,76 @@ def _metrics_header(n) -> str:
     return "t,min_distance,mean_adherence" + "".join(f",sigma_{i}" for i in range(n))
 
 
+class _Rows:
+    """Both CSVs, formatted into their .part files a block at a time.
+
+    Record k is at time k * dt, as in run_mission.  Each value's repr is
+    taken once: the block's time and sigma strings serve both files.
+    """
+
+    def __init__(self, parts, dt):
+        self.files = [open(part, "w") for part in parts]
+        self.dt = dt
+        self.k = 0
+
+    def write(self, records, min_distance, adherence) -> None:
+        m, n = records.shape[:2]
+        traj, metrics = self.files
+        if self.k == 0:
+            traj.write(TRAJECTORY_HEADER + "\n")
+            metrics.write(_metrics_header(n) + "\n")
+        t_strs = _reprs(np.arange(self.k, self.k + m) * self.dt)
+        values = _reprs(records)
+        traj.write(_trajectory_rows(t_strs, values, n))
+        sigma_strs = values[TRAJECTORY_COLUMNS.index("sigma") :: len(TRAJECTORY_COLUMNS)]
+        metrics.write(_metrics_rows(t_strs, min_distance, adherence, sigma_strs, n))
+        self.k += m
+
+    def close(self) -> None:
+        for f in self.files:
+            f.close()
+
+
 def _format_stream(fd, parts, dt) -> None:
     """The forked child's work: format every block read from fd.
 
     A block is two int64 (ticks m, agents n), then float64: m minimum
     distances, m mean adherences and the m x n x len(TRAJECTORY_COLUMNS)
-    records; the stream ends at the end of the pipe.  Record k is at
-    time k * dt, as in run_mission.  parts are the .part paths of
-    trajectory.csv and metrics.csv.  Each value's repr is taken once:
-    the block's time and sigma strings serve both files.
+    records; the stream ends at the end of the pipe.  parts are the
+    .part paths of trajectory.csv and metrics.csv.
     """
     width = len(TRAJECTORY_COLUMNS)
-    with os.fdopen(fd, "rb") as pipe, open(parts[0], "w") as traj, open(parts[1], "w") as metrics:
-        traj.write(TRAJECTORY_HEADER + "\n")
-        k = 0
-        while True:
-            head = pipe.read(16)
-            if not head:
-                return
+    with os.fdopen(fd, "rb") as pipe, closing(_Rows(parts, dt)) as rows:
+        while head := pipe.read(16):
             m, n = np.frombuffer(head, dtype=np.int64).tolist()
-            if k == 0:
-                metrics.write(_metrics_header(n) + "\n")
             body = pipe.read(8 * m * (2 + n * width))
             min_distance, adherence = np.frombuffer(body, count=2 * m).reshape(2, m)
-            data = np.frombuffer(body, offset=16 * m).reshape(m, n, width)
-            t_strs = _reprs(np.arange(k, k + m) * dt)
-            values = _reprs(data)
-            traj.write(_trajectory_rows(t_strs, values, n))
-            sigma_strs = values[TRAJECTORY_COLUMNS.index("sigma") :: width]
-            metrics.write(_metrics_rows(t_strs, min_distance, adherence, sigma_strs, n))
-            k += m
+            records = np.frombuffer(body, offset=16 * m).reshape(m, n, width)
+            rows.write(records, min_distance, adherence)
 
 
 class MissionWriter:
-    """Formats trajectory.csv and metrics.csv in a forked child while a mission runs.
+    """Formats trajectory.csv and metrics.csv block by block while a mission runs.
 
     Pass send to run_mission as on_block, then complete the files with
-    write_trajectory_csv and write_metrics_csv, each given this writer
-    and its own path.  The first full block of TICK_BLOCK records
-    creates the output directory and forks the child, which formats
-    each block into the two paths + ".part" on another core, so a
-    mission that fails before its loop leaves nothing behind; a mission
-    shorter than one block is formatted in-process.  Without os.fork,
-    or when the fork fails, send does nothing and the two writers format
-    in-process.  Use it as a context manager: leaving the block kills
-    and reaps a child still running and deletes the .part files left,
-    whatever the exception.
+    write_trajectory_csv and write_metrics_csv.  The first block creates
+    the output directory, so a mission that fails before its loop leaves
+    nothing behind.  A first block of TICK_BLOCK records forks a child
+    that formats each block piped to it, on another core, into the two
+    paths + ".part".  Without os.fork, when the fork fails, or for a
+    mission shorter than one block, send formats each block in-process
+    with the same _Rows code; no block outlives its send.  Use it as a
+    context manager: leaving the block kills and reaps a child still
+    running and deletes the .part files left, whatever the exception.
     """
 
     def __init__(self, trajectory_path, metrics_path, dt):
         self.parts = (os.fspath(trajectory_path) + ".part", os.fspath(metrics_path) + ".part")
         self.dt = dt
         self.pid = None
-        self._forked = False
         self._fd = None
-        self._inline = not hasattr(os, "fork")
+        self._rows = None  # formats in-process when there is no child
+        self._started = False
 
     def __enter__(self):
         return self
@@ -147,15 +163,19 @@ class MissionWriter:
         self.close()
 
     def send(self, records, min_distance, adherence) -> None:
-        """Pipe the next block to the child, forking it on the first full block."""
-        if self._inline:
+        """Format the next block, or pipe it to the child; the first block starts either."""
+        if not self._started:
+            self._started = True
+            os.makedirs(os.path.dirname(self.parts[0]) or ".", exist_ok=True)
+            # a first block shorter than TICK_BLOCK is the whole mission,
+            # too short to be worth a fork
+            if records.shape[0] == TICK_BLOCK and hasattr(os, "fork"):
+                self._fork()
+            if self.pid is None:
+                self._rows = _Rows(self.parts, self.dt)
+        if self._rows is not None:
+            self._rows.write(records, min_distance, adherence)
             return
-        if not self._forked:
-            if records.shape[0] < TICK_BLOCK:
-                return  # the whole mission, too short to be worth a fork
-            self._fork()
-            if self._inline:
-                return
         m, n = records.shape[:2]
         frame = memoryview(
             np.array((m, n), dtype=np.int64).tobytes()
@@ -167,7 +187,6 @@ class MissionWriter:
             frame = frame[os.write(self._fd, frame) :]
 
     def _fork(self) -> None:
-        os.makedirs(os.path.dirname(self.parts[0]) or ".", exist_ok=True)
         r, w = os.pipe()
         try:
             # a default pipe holds 64 KB, less than one block: room for a
@@ -184,7 +203,6 @@ class MissionWriter:
         except OSError:  # out of processes or memory: format in-process
             os.close(r)
             os.close(w)
-            self._inline = True
             return
         if pid == 0:
             # the child exits here and never returns into the caller's
@@ -201,10 +219,12 @@ class MissionWriter:
             finally:
                 os._exit(status)
         os.close(r)
-        self.pid, self._fd, self._forked = pid, w, True
+        self.pid, self._fd = pid, w
 
     def wait(self) -> bool:
-        """End the stream and wait for the child; True if it wrote both .part files."""
+        """Finish both .part files, here or by ending the child's stream; True if written."""
+        if self._rows is not None:
+            self._rows.close()
         if self.pid is not None:
             os.close(self._fd)
             self._fd = None
@@ -212,10 +232,12 @@ class MissionWriter:
             self.pid = None
             if code != 0:
                 raise OSError(f"mission writer for {self.parts[0]} failed (exit {code})")
-        return self._forked
+        return self._started
 
     def close(self) -> None:
         """Kill and reap a child still running; delete the .part files left."""
+        if self._rows is not None:
+            self._rows.close()
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -225,13 +247,13 @@ class MissionWriter:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        if self._forked:
+        if self._started:
             for part in self.parts:
                 _remove(part)
 
 
 def _complete(path, writer, write) -> None:
-    """Rename the writer child's path + ".part" to path, or fill it with write(f) first."""
+    """Rename the writer's path + ".part" to path, or fill it with write(f) first."""
     part = os.fspath(path) + ".part"
     try:
         if writer is None or not writer.wait():
@@ -243,31 +265,21 @@ def _complete(path, writer, write) -> None:
         raise
 
 
-def write_trajectory_csv(path, log, writer=None) -> None:
+def write_trajectory_csv(path, writer) -> None:
     """One row per (time, agent): states, weights, control triple.
 
-    The rows go to path + ".part", renamed to path once complete.  A
-    MissionWriter that forked is waited for and its file renamed;
-    otherwise the log is formatted here.
+    Completes path from the MissionWriter that was sent every block of
+    the mission: its rows in path + ".part" are renamed to path.  A
+    mission that made no record gets the header alone.
     """
-
-    def write(f):
-        f.write(TRAJECTORY_HEADER + "\n")
-        n = log.data.shape[1]
-        # a block at a time: a whole-log repr would hold every value's
-        # string at once
-        for k in range(0, log.data.shape[0], TICK_BLOCK):
-            block = slice(k, k + TICK_BLOCK)
-            f.write(_trajectory_rows(_reprs(log.times[block]), _reprs(log.data[block]), n))
-
-    _complete(path, writer, write)
+    _complete(path, writer, lambda f: f.write(TRAJECTORY_HEADER + "\n"))
 
 
 def write_metrics_csv(path, metrics, writer=None) -> None:
     """Shared time grid: safety distance, adherence, per-agent sigma.
 
-    Completed like write_trajectory_csv, from a MissionWriter's child or
-    formatted here.
+    Completed like write_trajectory_csv from a MissionWriter, or
+    formatted here from the metrics.
     """
     n = metrics.sigma.shape[1]
 
@@ -376,13 +388,12 @@ def _polyline(f, pts, stroke, width, opacity=1.0, dash=None):
     )
 
 
-def write_snapshot_svg(path, curve: Curve, log, k: int, assignment=None) -> None:
-    """Scene at record k: curve, trails up to k, agents, mission targets."""
+def write_snapshot_svg(path, curve: Curve, metrics, pose, k: int) -> None:
+    """Scene at record k of run_mission's pose: curve, trails up to k, agents, targets."""
     to_svg, size, sc = _svg_mapper(curve)
-    data = log.data
-    k = min(max(k, 0), data.shape[0] - 1)
-    t = float(log.times[k])
-    n = data.shape[1]
+    k = min(max(k, 0), pose.shape[0] - 1)
+    t = float(metrics.times[k])
+    n = pose.shape[1]
     tick = 0.045 * curve.scale
     with open(path, "w") as f:
         f.write(
@@ -395,9 +406,9 @@ def write_snapshot_svg(path, curve: Curve, log, k: int, assignment=None) -> None
             for p in curve.point(np.linspace(0.0, 2.0 * np.pi, 1024))
         ]
         _polyline(f, curve_pts + curve_pts[:1], "#9aa0a6", 1.6)
-        if assignment is not None:
+        if metrics.assignment is not None:
             arm = 0.05 * curve.scale * sc
-            for vx, vy in assignment.position:
+            for vx, vy in metrics.assignment.position:
                 x, y = to_svg((vx, vy))
                 f.write(
                     f'<path d="M {x - arm:.2f} {y - arm:.2f} L {x + arm:.2f}'
@@ -407,10 +418,10 @@ def write_snapshot_svg(path, curve: Curve, log, k: int, assignment=None) -> None
                 )
         for i in range(n):
             color = SVG_COLORS[i % len(SVG_COLORS)]
-            trail = [to_svg(data[j, i, 0:2]) for j in range(0, k + 1, 4)]
+            trail = [to_svg(pose[j, i, 0:2]) for j in range(0, k + 1, 4)]
             if len(trail) >= 2:
                 _polyline(f, trail, color, 1.2, opacity=0.55)
-            x, y, psi = data[k, i, 0], data[k, i, 1], data[k, i, 2]
+            x, y, psi = pose[k, i]
             cx, cy = to_svg((x, y))
             hx, hy = to_svg((x + tick * np.cos(psi), y + tick * np.sin(psi)))
             f.write(

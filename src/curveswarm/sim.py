@@ -34,8 +34,8 @@ from .finder import FinderConfig, FormationSolution, multistart
 
 TWO_PI = 2.0 * np.pi
 DT_MAX = 0.02
-# bytes a mission may ask for in arrays with one entry per tick: the
-# trajectory records plus the min_distance and adherence series
+# bytes a mission may keep in arrays with one entry per tick: its times,
+# min_distance and adherence series, and every agent's sigma and pose
 RECORD_BUDGET = 1 << 30
 
 
@@ -87,11 +87,12 @@ class MissionConfig:
         if not self.horizon > 0.0:
             raise MissionError("horizon must be positive")
         ticks = self.horizon / self.dt + 1.0
-        nbytes = 8.0 * ticks * (self.n * len(TRAJECTORY_COLUMNS) + 2)
+        nbytes = 8.0 * ticks * (3 + 4 * self.n)
         if not nbytes <= RECORD_BUDGET:
             raise MissionError(
                 f"horizon {self.horizon!r} s at dt {self.dt!r} s with n = {self.n} agents asks for"
-                f" {nbytes:.4g} bytes of per-tick records, over the budget of {RECORD_BUDGET} bytes"
+                f" {nbytes:.4g} bytes of per-tick series (times, min_distance, adherence, and each"
+                f" agent's sigma, x, y and psi), over the budget of {RECORD_BUDGET} bytes"
             )
         if self.annulus_frac < 0.0:
             raise MissionError("annulus_frac must be nonnegative")
@@ -104,14 +105,6 @@ class MissionConfig:
             raise MissionError(
                 f"finder is configured for n={self.finder.n} but the mission has n={self.n}"
             )
-
-
-@dataclass
-class TrajectoryLog:
-    """Dense per-tick record: data[k, i] holds agent i at times[k]."""
-
-    times: np.ndarray
-    data: np.ndarray
 
 
 @dataclass
@@ -293,15 +286,17 @@ def _schedule_laps(theta, gap, base, curve, cp):
 
 
 def run_mission(config: MissionConfig, on_block=None):
-    """Execute the closed loop; returns (MissionMetrics, TrajectoryLog).
+    """Execute the closed loop; returns (MissionMetrics, pose).
 
-    Missions with n >= 3 first find the inscribed polygon by multistart
-    and assign vertices in cyclic order; a mission whose best formation
-    is not geometrically usable raises MissionError.  Early stops:
-    inter-agent distance under 0.5 * d_safe sets the collision flag,
-    non-finite states set nonfinite; both truncate the series.  on_block
-    receives every block of records with its minimum distances and mean
-    adherence while the loop runs (see _sim_kernels.mission_core).
+    pose[k, i] is agent i's (x, y, psi), the first three record columns,
+    at metrics.times[k].  Missions with n >= 3 first find the inscribed
+    polygon by multistart and assign vertices in cyclic order; a mission
+    whose best formation is not geometrically usable raises MissionError.
+    Early stops: inter-agent distance under 0.5 * d_safe sets the
+    collision flag, non-finite states set nonfinite; both truncate the
+    series.  on_block gets each block of records with its minimum
+    distances and mean adherence (_sim_kernels.mission_core), in arrays
+    valid only during the call: a caller that keeps them copies them.
     """
     config.validate()
     curve = config.curve
@@ -335,26 +330,25 @@ def run_mission(config: MissionConfig, on_block=None):
         z_cap = z0 + cp.lift_gain * (gap + TWO_PI * whole)
 
     n_steps = int(round(config.horizon / config.dt))
-    traj, min_dist, adherence, collision, nonfinite = sk.mission_core(
+    min_dist, adherence, sigma, pose, collision, nonfinite = sk.mission_core(
         curve, states0, z0, z_cap, targets, cp, float(config.dt), n_steps, on_block
     )
-    times = np.arange(traj.shape[0]) * config.dt
+    times = np.arange(pose.shape[0]) * config.dt
     final_errors = None
-    if targets is not None and traj.shape[0] > 0:
-        last = traj[-1, :, 0:2]
+    if targets is not None and pose.shape[0] > 0:
         final_errors = np.hypot(
-            last[:, 0] - assignment.position[:, 0],
-            last[:, 1] - assignment.position[:, 1],
+            pose[-1, :, 0] - assignment.position[:, 0],
+            pose[-1, :, 1] - assignment.position[:, 1],
         )
     closest = None
-    if config.n > 1 and traj.shape[0] > 0:
+    if config.n > 1 and pose.shape[0] > 0:
         k = int(np.argmin(min_dist))
-        closest = sk.closest_pair(traj[k, :, 0], traj[k, :, 1])
+        closest = sk.closest_pair(pose[k, :, 0], pose[k, :, 1])
     metrics = MissionMetrics(
         times=times,
         min_distance=min_dist,
         mean_adherence=adherence,
-        sigma=traj[:, :, TRAJECTORY_COLUMNS.index("sigma")],
+        sigma=sigma,
         final_vertex_errors=final_errors,
         collision=bool(collision),
         nonfinite=bool(nonfinite),
@@ -362,5 +356,4 @@ def run_mission(config: MissionConfig, on_block=None):
         assignment=assignment,
         closest_pair=closest,
     )
-    log = TrajectoryLog(times=times, data=traj)
-    return metrics, log
+    return metrics, pose

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -205,12 +206,45 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys):
 # -- output files -------------------------------------------------------------
 
 
+def _write_mission(config, out):
+    """Run the mission, its CSVs written into out by a MissionWriter.
+
+    Returns (metrics, pose, whether the writer forked, the dense record
+    copied block by block as the writer was sent it).
+    """
+    blocks = [np.empty((0, config.n, len(sk.TRAJECTORY_COLUMNS)))]
+
+    def on_block(records, *series):
+        blocks.append(records.copy())
+        writer.send(records, *series)
+
+    with MissionWriter(out / "trajectory.csv", out / "metrics.csv", config.dt) as writer:
+        metrics, pose = run_mission(config, on_block=on_block)
+        forked = writer.pid is not None
+        write_trajectory_csv(out / "trajectory.csv", writer)
+        write_metrics_csv(out / "metrics.csv", metrics, writer)
+    return metrics, pose, forked, np.concatenate(blocks)
+
+
+def _replay_in_process(monkeypatch, out, record, metrics, dt):
+    """Both CSVs of a collected record, formatted by a MissionWriter in this process."""
+    monkeypatch.delattr(os, "fork", raising=False)
+    out.mkdir()
+    with MissionWriter(out / "trajectory.csv", out / "metrics.csv", dt) as writer:
+        for k in range(0, record.shape[0], sk.TICK_BLOCK):
+            block = slice(k, k + sk.TICK_BLOCK)
+            writer.send(record[block], metrics.min_distance[block], metrics.mean_adherence[block])
+        write_trajectory_csv(out / "trajectory.csv", writer)
+        write_metrics_csv(out / "metrics.csv", metrics, writer)
+
+
 @pytest.fixture(scope="module")
-def short_mission():
+def short_mission(tmp_path_factory):
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=6.0)
-    metrics, log = run_mission(config)
-    return curve, config, metrics, log
+    out = tmp_path_factory.mktemp("short")
+    metrics, pose, _forked, record = _write_mission(config, out)
+    return curve, config, metrics, record, pose, out
 
 
 def test_readme_trajectory_table_lists_the_header():
@@ -225,26 +259,23 @@ def test_readme_trajectory_table_lists_the_header():
     assert names == TRAJECTORY_HEADER.split(",")
 
 
-def test_trajectory_csv_carries_every_record_column(tmp_path, short_mission):
+def test_trajectory_csv_carries_every_record_column(short_mission):
     # a row is (t, agent) and then the agent's record, every column of it
     # in TRAJECTORY_COLUMNS order, each value's repr read back exactly
-    _curve, _config, _metrics, log = short_mission
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, log)
-    header, *lines = path.read_text().splitlines()
+    _curve, _config, metrics, record, _pose, out = short_mission
+    header, *lines = (out / "trajectory.csv").read_text().splitlines()
     assert header.split(",") == ["t", "agent", *sk.TRAJECTORY_COLUMNS]
     table = np.array([[float(v) for v in line.split(",")] for line in lines])
-    ticks, n, width = log.data.shape
+    ticks, n, width = record.shape
     assert width == len(sk.TRAJECTORY_COLUMNS)
-    assert np.array_equal(table[:, 0], np.repeat(log.times, n))
+    assert np.array_equal(table[:, 0], np.repeat(metrics.times, n))
     assert np.array_equal(table[:, 1], np.tile(np.arange(n), ticks))
-    assert table[:, 2:].tobytes() == log.data.reshape(-1, width).tobytes()
+    assert table[:, 2:].tobytes() == record.reshape(-1, width).tobytes()
 
 
 def test_trajectory_csv_contract(tmp_path, short_mission):
-    _curve, config, _metrics, log = short_mission
-    path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, log)
+    _curve, config, _metrics, _record, _pose, out = short_mission
+    path = out / "trajectory.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "t,agent,x,y,psi,v,z,vz,sigma,alpha,accel,turn_rate,lift_accel"
     n_records = int(round(config.horizon / config.dt)) + 1
@@ -256,10 +287,8 @@ def test_trajectory_csv_contract(tmp_path, short_mission):
     # rows grouped by time, agents cycling fastest
     assert lines[2].split(",")[1] == "1"
     # a second run from the same seed writes the same bytes
-    _metrics2, log2 = run_mission(config)
-    again = tmp_path / "again.csv"
-    write_trajectory_csv(again, log2)
-    assert again.read_bytes() == path.read_bytes()
+    _write_mission(config, tmp_path)
+    assert (tmp_path / "trajectory.csv").read_bytes() == path.read_bytes()
 
 
 def _no_child_left():
@@ -310,42 +339,43 @@ def test_streamed_trajectory_matches_in_process_writer(
             raise BlockingIOError("Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
+    # the writer formats each block as the loop sends it, in a forked
+    # child or in-process; a MissionWriter in this process given the
+    # collected record a block at a time writes the same bytes, and
+    # metrics.csv is also what write_metrics_csv makes of the metrics
     config = MissionConfig(curve=make_curve(curve), n=n, seed=0, horizon=horizon)
-    path = tmp_path / "out" / "trajectory.csv"
-    metrics_path = tmp_path / "out" / "metrics.csv"
-    path.parent.mkdir()
-    with MissionWriter(path, metrics_path, config.dt) as writer:
-        metrics, log = run_mission(config, on_block=writer.send)
-        forked = writer.pid is not None
-        write_trajectory_csv(path, log, writer)
-        write_metrics_csv(metrics_path, metrics, writer)
-    assert log.data.shape[0] == records
+    out = tmp_path / "out"
+    out.mkdir()
+    metrics, _pose, forked, record = _write_mission(config, out)
+    assert record.shape[0] == records
     assert forked == (records >= sk.TICK_BLOCK and case not in ("no-fork", "fork-fails"))
     assert metrics.nonfinite == (case == "nonfinite")
     if n == 1:
         # a lone agent has no neighbor: every min_distance is inf
         assert np.all(metrics.min_distance == np.inf)
-    inline = tmp_path / "inline.csv"
-    write_trajectory_csv(inline, log)
-    assert path.read_bytes() == inline.read_bytes()
-    inline_metrics = tmp_path / "inline_metrics.csv"
-    write_metrics_csv(inline_metrics, metrics)
-    assert metrics_path.read_bytes() == inline_metrics.read_bytes()
-    assert sorted(os.listdir(tmp_path / "out")) == ["metrics.csv", "trajectory.csv"]
+    assert sorted(os.listdir(out)) == ["metrics.csv", "trajectory.csv"]
     _no_child_left()
+    _replay_in_process(monkeypatch, tmp_path / "inline", record, metrics, config.dt)
+    for name in ("trajectory.csv", "metrics.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+    write_metrics_csv(tmp_path / "metrics.csv", metrics)
+    assert (out / "metrics.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
 
 
-def test_cli_streamed_trajectory_of_the_collision_run(tmp_path):
+def test_cli_streamed_trajectory_of_the_collision_run(monkeypatch, tmp_path):
     # gear-hermite n=4 seed 0 aborts at 13.84 s (exit 4) with the file complete
     out = tmp_path / "out"
     argv = ["--curve", "gear-hermite", "--n", "4", "--seed", "0", "--horizon", "15"]
     assert run_cli(["simulate"] + argv + ["--out", str(out)]) == 4
     _no_child_left()
     mission = load_config("", {"curve": "gear-hermite", "n": 4, "seed": 0, "horizon": 15.0})
-    _metrics, log = run_mission(mission.mission_config())
-    inline = tmp_path / "inline.csv"
-    write_trajectory_csv(inline, log)
-    assert (out / "trajectory.csv").read_bytes() == inline.read_bytes()
+    blocks = []
+    metrics, _pose = run_mission(
+        mission.mission_config(), on_block=lambda records, *_: blocks.append(records.copy())
+    )
+    assert metrics.collision
+    _replay_in_process(monkeypatch, tmp_path / "inline", np.concatenate(blocks), metrics, 0.01)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "inline" / "trajectory.csv").read_bytes()
     assert not list(out.glob("*.part"))
 
 
@@ -415,7 +445,7 @@ def test_writer_failure_leaves_no_trajectory(monkeypatch, tmp_path, capfd, how):
 
 
 def test_metrics_csv_contract_and_determinism(tmp_path, short_mission):
-    curve, config, metrics, _log = short_mission
+    curve, config, metrics, _record, _pose, _out = short_mission
     p1 = tmp_path / "m1.csv"
     p2 = tmp_path / "m2.csv"
     write_metrics_csv(p1, metrics)
@@ -451,9 +481,9 @@ def test_solution_file_contents(tmp_path):
 
 
 def test_snapshot_svg_well_formed(tmp_path, short_mission):
-    curve, _config, metrics, log = short_mission
+    curve, _config, metrics, _record, pose, _out = short_mission
     path = tmp_path / "snap.svg"
-    write_snapshot_svg(path, curve, log, log.data.shape[0] - 1, metrics.assignment)
+    write_snapshot_svg(path, curve, metrics, pose, pose.shape[0] - 1)
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     tags = [child.tag.split("}")[-1] for child in root.iter()]
@@ -582,13 +612,14 @@ def test_cli_rejects_records_over_the_budget(tmp_path, capsys, flag, value):
 
 
 def test_cli_exit_4_on_collision(monkeypatch, tmp_path):
-    curve = make_curve("deltoid")
-    config = MissionConfig(curve=curve, n=4, seed=0, horizon=4.0)
-    metrics, log = run_mission(config)
-    hit = metrics.__class__(**{**metrics.__dict__, "collision": True})
-    monkeypatch.setattr(cli, "run_mission", lambda mission, on_block=None: (hit, log))
+    # the real mission, its blocks sent to the writer, reported as a collision
+    def hit(mission, on_block=None):
+        metrics, pose = run_mission(mission, on_block)
+        return dataclasses.replace(metrics, collision=True), pose
+
+    monkeypatch.setattr(cli, "run_mission", hit)
     code = run_cli(
-        ["simulate", "--curve", "deltoid", "--n", "4", "--out", str(tmp_path)]
+        ["simulate", "--curve", "deltoid", "--n", "4", "--horizon", "4", "--out", str(tmp_path)]
     )
     assert code == 4
 
@@ -613,6 +644,58 @@ def test_cli_exit_4_names_the_colliding_pair(tmp_path, capsys):
     curve = make_curve("gear-hermite")
     assert gap < 0.5 * make_params(curve).d_safe
     assert gap == pytest.approx(float(tokens["min_distance"]), rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "argv, unformed",
+    [
+        # agent 1 ends at sigma 0.0, the others at 0.97 and above
+        (["--curve", "nephroid", "--n", "5", "--seed", "3", "--horizon", "60"], "1"),
+        (["--curve", "deltoid", "--n", "4", "--target", "0,0", "--seed", "0", "--horizon", "120"], "none"),
+    ],
+    ids=["nephroid", "deltoid"],
+)
+def test_cli_summary_names_the_unformed_agents(tmp_path, capsys, argv, unformed):
+    # unformed= lists the agents whose last sigma is below sigma_accept,
+    # as metrics.csv has it; the exit code stays 0
+    assert run_cli(["simulate", *argv, "--out", str(tmp_path)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    tokens = dict(tok.split("=", 1) for tok in summary.split())
+    assert tokens["unformed"] == unformed
+    with open(tmp_path / "metrics.csv") as f:
+        last = [float(v) for v in f.readlines()[-1].split(",")[3:]]
+    accept = make_params(make_curve(argv[1])).sigma_accept
+    assert (",".join(str(i) for i, s in enumerate(last) if s < accept) or "none") == unformed
+
+
+def test_cli_mission_holds_no_record_past_its_block(monkeypatch, tmp_path):
+    # numpy reports its buffers to tracemalloc.  While each block is sent,
+    # the live buffers that are a whole number of (n, TRAJECTORY_COLUMNS)
+    # record rows, 64 rows or more, are the loop's one block buffer; when
+    # the files are completed there are none.  2001 ticks is no multiple
+    # of 11, so the kept (ticks, n) sigma and (ticks, n, 3) poses are not
+    # whole rows
+    row = 4 * len(sk.TRAJECTORY_COLUMNS) * 8
+    held = []
+
+    def check():
+        numpy_buffers = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        traces = tracemalloc.take_snapshot().filter_traces([numpy_buffers]).traces
+        held.append(sorted(t.size // row for t in traces if t.size % row == 0 and t.size >= 64 * row))
+
+    send = output.MissionWriter.send
+    complete = cli.write_trajectory_csv
+    monkeypatch.setattr(output.MissionWriter, "send", lambda self, *block: (check(), send(self, *block)))
+    monkeypatch.setattr(cli, "write_trajectory_csv", lambda *args, **kw: (check(), complete(*args, **kw)))
+    tracemalloc.start()
+    try:
+        argv = ["simulate", "--curve", "deltoid", "--n", "4", "--seed", "0", "--horizon", "20"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    finally:
+        tracemalloc.stop()
+    # four blocks of 2001 ticks, then the completion
+    assert held == [[sk.TICK_BLOCK]] * 4 + [[]]
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 2001 * 4
 
 
 def test_cli_curves_list_and_sample(capsys):

@@ -252,11 +252,11 @@ def test_init_curvature_weighted_deltoid_triangle_hits_cusps():
 
 def test_init_random_sorted_and_deterministic():
     circ = make_curve("circle")
-    a = finder.init_random(circ, 6, np.random.default_rng(42))
-    b = finder.init_random(circ, 6, np.random.default_rng(42))
+    a = finder.init_random(circ, 6, np.random.default_rng(42), 1)[0]
+    b = finder.init_random(circ, 6, np.random.default_rng(42), 1)[0]
     assert np.array_equal(a, b)
     assert np.all(np.diff(a) >= 0)
-    c = finder.init_random(circ, 6, np.random.default_rng(43))
+    c = finder.init_random(circ, 6, np.random.default_rng(43), 1)[0]
     assert not np.array_equal(a, c)
 
 
@@ -265,7 +265,7 @@ def test_init_random_uniform_by_ks():
     circ = make_curve("circle")
     rng = np.random.default_rng(100)
     samples = np.concatenate(
-        [finder.init_random(circ, 50, rng) for _ in range(2000)]
+        [finder.init_random(circ, 50, rng, 1)[0] for _ in range(2000)]
     )
     samples.sort()
     n = samples.size
@@ -484,7 +484,7 @@ def test_solve_floats_bound_the_measured_peak(name, n, n_init, square_mode):
     curve = make_curve(name)
     config = finder.FinderConfig(n=n, n_init=n_init, k_max=30, square_mode=square_mode)
     rng = np.random.default_rng(5)
-    theta0 = np.array([finder.init_random(curve, n, rng) for _ in range(n_init)])
+    theta0 = finder.init_random(curve, n, rng, n_init)
     tracemalloc.start()
     try:
         fk.gn_solve(curve, theta0, config)
@@ -508,7 +508,7 @@ def _multistart_starts(curve, config):
     starts = [finder.init_curvature_weighted(curve, config.n)]
     rng = np.random.default_rng(config.seed)
     for _ in range(1, config.n_init):
-        starts.append(finder.init_random(curve, config.n, rng))
+        starts.append(finder.init_random(curve, config.n, rng, 1)[0])
     return starts
 
 

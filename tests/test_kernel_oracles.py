@@ -1838,7 +1838,7 @@ def oracle_multistart(curve, config):
     starts = [finder.init_curvature_weighted(curve, config.n)]
     rng = np.random.default_rng(config.seed)
     for _ in range(1, config.n_init):
-        starts.append(finder.init_random(curve, config.n, rng))
+        starts.append(finder.init_random(curve, config.n, rng, 1)[0])
     runs = []
     for idx, theta0 in enumerate(starts):
         trace = np.empty(config.k_max + 1)

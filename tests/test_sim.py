@@ -1,6 +1,7 @@
 """Tests for the mission simulator: integrator, helpers, closed loop."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,13 @@ from curveswarm.sim import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def run_recorded(config):
+    """run_mission with every block of records copied: (metrics, pose, record)."""
+    blocks = [np.empty((0, config.n, len(TRAJECTORY_COLUMNS)))]
+    metrics, pose = run_mission(config, on_block=lambda records, *_: blocks.append(records.copy()))
+    return metrics, pose, np.concatenate(blocks)
 
 
 def curve_distance(p, curve):
@@ -148,11 +156,24 @@ def test_mission_config_rejects_records_over_the_budget(horizon, dt):
 
 
 def test_mission_config_accepts_records_within_the_budget():
-    per_tick = 8 * (12 * len(TRAJECTORY_COLUMNS) + 2)
+    per_tick = 8 * (3 + 4 * 12)
     horizon = 0.01 * (sim.RECORD_BUDGET // per_tick - 1)
     MissionConfig(curve=make_curve("ellipse"), n=12, horizon=horizon).validate()
     with pytest.raises(MissionError, match="budget"):
         MissionConfig(curve=make_curve("ellipse"), n=12, horizon=horizon + 0.02).validate()
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_record_budget_boundary(n):
+    # validate alone: the mission keeps 8 bytes per tick of its times, its
+    # min_distance and adherence series, and each agent's sigma, x, y and
+    # psi.  dt = 2**-6 is exact in binary, so horizon / dt + 1 counts the
+    # ticks exactly: the most ticks that fit pass, one more is refused
+    dt = 2.0**-6
+    ticks = sim.RECORD_BUDGET // (8 * (3 + 4 * n))
+    MissionConfig(curve=make_curve("ellipse"), n=n, dt=dt, horizon=(ticks - 1) * dt).validate()
+    with pytest.raises(MissionError, match="over the budget"):
+        MissionConfig(curve=make_curve("ellipse"), n=n, dt=dt, horizon=ticks * dt).validate()
 
 
 # -- reference march ----------------------------------------------------------
@@ -289,9 +310,9 @@ def test_mission_config_rejects_non_finite_and_non_integer_fields(field, value):
 def test_mission_deterministic_repeat():
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=12.0)
-    m1, log1 = run_mission(config)
-    m2, log2 = run_mission(config)
-    assert np.array_equal(log1.data, log2.data)
+    m1, _, record1 = run_recorded(config)
+    m2, _, record2 = run_recorded(config)
+    assert np.array_equal(record1, record2)
     assert np.array_equal(m1.min_distance, m2.min_distance)
     assert np.array_equal(m1.sigma, m2.sigma)
     assert m1.final_vertex_errors is not None
@@ -301,11 +322,14 @@ def test_mission_deterministic_repeat():
 def test_mission_log_layout():
     curve = make_curve("ellipse")
     config = MissionConfig(curve=curve, n=2, seed=1, horizon=2.0, dt=0.01)
-    metrics, log = run_mission(config)
+    metrics, pose, record = run_recorded(config)
     n_records = int(round(config.horizon / config.dt)) + 1
-    assert log.data.shape == (n_records, 2, len(TRAJECTORY_COLUMNS))
-    assert log.times.shape == (n_records,)
-    assert np.allclose(np.diff(log.times), config.dt)
+    assert record.shape == (n_records, 2, len(TRAJECTORY_COLUMNS))
+    assert metrics.times.shape == (n_records,)
+    assert np.allclose(np.diff(metrics.times), config.dt)
+    # the mission keeps the pose columns, which lead the record
+    assert TRAJECTORY_COLUMNS[:3] == ("x", "y", "psi")
+    assert np.array_equal(pose, record[:, :, 0:3])
     assert metrics.sigma.shape == (n_records, 2)
     # sweep-only missions never blend
     assert float(np.max(metrics.sigma)) == 0.0
@@ -318,8 +342,8 @@ def test_mission_min_distance_is_the_closest_pair():
     # reported closest pair must attain the run's minimum
     curve = make_curve("rose-3")
     config = MissionConfig(curve=curve, n=3, seed=2, horizon=8.0)
-    metrics, log = run_mission(config)
-    xy = log.data[:, :, 0:2]
+    metrics, pose = run_mission(config)
+    xy = pose[:, :, 0:2]
     for k in range(xy.shape[0]):
         assert metrics.min_distance[k] == sk.min_pair_distance(xy[k, :, 0], xy[k, :, 1])
     i, j = metrics.closest_pair
@@ -332,8 +356,8 @@ def test_sweep_only_reference_keeps_marching():
     curve = make_curve("circle")
     config = MissionConfig(curve=curve, n=1, seed=0, horizon=20.0)
     cp = make_params(curve)
-    _metrics, log = run_mission(config)
-    z = log.data[:, 0, 4]
+    _metrics, _pose, record = run_recorded(config)
+    z = record[:, 0, TRAJECTORY_COLUMNS.index("z")]
     # one agent, no avoidance: lifted progress tracks the open-ended
     # reference rate over the whole run
     gained = z[-1] - z[0]
@@ -360,20 +384,20 @@ def test_mission_practical_invariance_during_sweep():
 def test_mission_controls_stay_bounded():
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=40.0)
-    _metrics, log = run_mission(config)
+    _metrics, _pose, record = run_recorded(config)
     for name in ("accel", "turn_rate", "lift_accel"):
         col = TRAJECTORY_COLUMNS.index(name)
-        assert float(np.max(np.abs(log.data[:, :, col]))) <= 1e3
+        assert float(np.max(np.abs(record[:, :, col]))) <= 1e3
 
 
 def test_mission_vertex_errors_settle_monotonically():
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=100.0)
-    metrics, log = run_mission(config)
+    metrics, pose = run_mission(config)
     assert metrics.completed
     pos = metrics.assignment.position
     errs = np.hypot(
-        log.data[:, :, 0] - pos[None, :, 0], log.data[:, :, 1] - pos[None, :, 1]
+        pose[:, :, 0] - pos[None, :, 0], pose[:, :, 1] - pos[None, :, 1]
     ).max(axis=1)
     tail = errs[int(0.9 * errs.shape[0]) :]
     slack = 1e-6 * curve.scale
@@ -393,13 +417,14 @@ def test_mission_collision_flag_truncates():
     st[:, 0] = p[0]
     st[:, 1] = p[1]
     st[:, 3] = cp.v_min
-    traj, min_dist, adh, collision, nonfinite = sk.mission_core(
+    min_dist, adh, sigma, pose, collision, nonfinite = sk.mission_core(
         curve, st, np.zeros(2), np.full(2, np.inf), None, cp, 0.01, 100
     )
     assert collision
     assert not nonfinite
     # the series hold the one record made
-    assert traj.shape == (1, 2, len(TRAJECTORY_COLUMNS))
+    assert pose.shape == (1, 2, 3)
+    assert sigma.shape == (1, 2)
     assert min_dist.shape == adh.shape == (1,)
     assert float(min_dist[0]) == pytest.approx(0.0, abs=1e-12)
 
@@ -421,11 +446,11 @@ def test_truncated_mission_adherence_has_one_value_per_record(
     st[:, 1] = p[1]
     st[:, 3] = cp.v_min
     monkeypatch.setattr("curveswarm.sim.initial_states", lambda *args: (st, np.zeros(2)))
-    metrics, log = run_mission(MissionConfig(curve=curve, n=2, horizon=1.0))
+    metrics, pose, record = run_recorded(MissionConfig(curve=curve, n=2, horizon=1.0))
     assert metrics.collision is collision
     assert metrics.nonfinite is nonfinite
     assert metrics.mean_adherence.shape == (filled,)
-    assert log.data.shape[0] == metrics.times.shape[0] == filled
+    assert record.shape[0] == pose.shape[0] == metrics.times.shape[0] == filled
     assert np.all(metrics.mean_adherence == pytest.approx(0.0, abs=1e-12))
 
 
@@ -436,3 +461,88 @@ def test_mission_finder_n_mismatch_rejected():
     config = MissionConfig(curve=curve, n=4, finder=FinderConfig(n=5))
     with pytest.raises(MissionError):
         run_mission(config)
+
+
+# -- streamed record ----------------------------------------------------------
+
+
+def test_collected_record_is_the_whole_record(monkeypatch):
+    # the loop reuses one block buffer: copied as each block arrives, the
+    # record collected equals, bit for bit, the record made tick by tick
+    # from the same start and kept whole, as the loop kept it before it
+    # streamed; the kept series and poses are that record's columns
+    calls = []
+    real = sk.mission_core
+    monkeypatch.setattr(sk, "mission_core", lambda *args: calls.append(args) or real(*args))
+    config = MissionConfig(curve=make_curve("deltoid"), n=4, seed=0, horizon=12.0)
+    metrics, pose, record = run_recorded(config)
+    curve, states0, z0, z_cap, targets, cp, dt, n_steps, _keep = calls[0]
+    states = list(map(tuple, states0.tolist()))
+    whole = []
+    for start in range(0, n_steps + 1, sk.TICK_BLOCK):
+        t = np.arange(start, min(start + sk.TICK_BLOCK, n_steps + 1)) * dt
+        z_ref, rate = sk.march_profile(
+            z0, z_cap, t, cp.lift_gain * cp.v_ref, cp.lift_gain * cp.brake_width
+        )
+        for zr, rr in zip(z_ref.tolist(), rate.tolist()):
+            rows, _sep = sk.team_controls(states, z0.tolist(), zr, rr, curve, targets.tolist(), cp)
+            whole.append(rows)
+            states = sk.rk4_step_team(rows, dt)
+    whole = np.array(whole)
+    assert n_steps + 1 > 2 * sk.TICK_BLOCK
+    assert record.shape == whole.shape
+    assert record.tobytes() == whole.tobytes()
+    assert np.array_equal(pose, whole[:, :, 0:3])
+    assert np.array_equal(metrics.sigma, whole[:, :, TRAJECTORY_COLUMNS.index("sigma")])
+
+
+def _loop_peak(monkeypatch, horizon):
+    """Traced peak from the mission loop's start to run_mission's return."""
+    real = sk.mission_core
+
+    def loop(*args):
+        tracemalloc.reset_peak()
+        return real(*args)
+
+    monkeypatch.setattr(sk, "mission_core", loop)
+    config = MissionConfig(curve=make_curve("deltoid"), n=4, seed=0, horizon=horizon)
+    tracemalloc.start()
+    try:
+        run_mission(config, on_block=lambda *block: None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mission_memory_grows_by_the_kept_series_only(monkeypatch):
+    # with an on_block that keeps nothing, 3000 more ticks cost what the
+    # mission keeps per tick (times, min_distance, adherence, and each
+    # agent's sigma, x, y, psi), not the 11-column record of each agent
+    grown = _loop_peak(monkeypatch, 40.0) - _loop_peak(monkeypatch, 10.0)
+    kept = 3000 * 8 * (3 + 4 * 4)
+    assert grown <= 1.1 * kept
+    assert 1.1 * kept < 3000 * 4 * len(TRAJECTORY_COLUMNS) * 8
+
+
+def test_nearest_sample_temporaries_stay_small():
+    # one 512-tick block of the deltoid reference mission, 2048 points:
+    # at 256 points and 2048 pairs per pass the search peaked at 1.9 MiB
+    curve = make_curve("deltoid")
+    config = MissionConfig(curve=curve, n=4, seed=0, c_target=(0.0, 0.0), horizon=6.0)
+    blocks = []
+    run_mission(config, on_block=lambda records, *_: blocks.append(records[:, :, 0:2].copy()))
+    xy = blocks[0].reshape(-1, 2)
+    assert xy.shape == (4 * sk.TICK_BLOCK, 2)
+    px, py = xy[:, 0].copy(), xy[:, 1].copy()
+    chunks = curve.sample_chunks()
+    tracemalloc.start()
+    try:
+        best = sk.nearest_sample(px, py, chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20
+    _s, sample_x, sample_y = curve.sample_cache()
+    dx = sample_x - px[:, None]
+    dy = sample_y - py[:, None]
+    assert np.array_equal(best, np.argmin(dx * dx + dy * dy, axis=1))

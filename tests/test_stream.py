@@ -101,7 +101,42 @@ def test_init_random_draws_the_same_starts_as_numpy(seed, n):
     curve = make_curve("deltoid")
     ours, ref = Stream(seed), np.random.default_rng(seed)
     for _ in range(8):
-        assert np.array_equal(finder.init_random(curve, n, ours), finder.init_random(curve, n, ref))
+        assert np.array_equal(finder.init_random(curve, n, ours, 1), finder.init_random(curve, n, ref, 1))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 + 3])
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_random_starts_come_from_one_draw(monkeypatch, seed, n):
+    # the stream is sequential: one draw of 31 * n values, sorted per row,
+    # gives the 31 per-start draws of n values bit for bit, and multistart
+    # solves them after its curvature-weighted start, drawing once
+    curve = make_curve("deltoid")
+    rng = Stream(seed)
+    per_start = np.array([np.sort(rng.uniform(0.0, TWO_PI, n)) for _ in range(31)])
+    assert np.array_equal(finder.init_random(curve, n, Stream(seed), 31), per_start)
+    assert finder.init_random(curve, n, Stream(seed), 0).shape == (0, n)
+    draws = []
+
+    class Counted(Stream):
+        def uniform(self, *args):
+            draws.append(args)
+            return super().uniform(*args)
+
+    class Solved(Exception):
+        pass
+
+    def solve(theta0, *args):
+        draws.append(theta0)
+        raise Solved
+
+    monkeypatch.setattr(finder, "Stream", Counted)
+    monkeypatch.setattr(finder, "_solve_starts", solve)
+    with pytest.raises(Solved):
+        finder.multistart(curve, finder.FinderConfig(n=n, seed=seed, n_init=32))
+    (call, theta0) = draws
+    assert call == (0.0, TWO_PI, 31 * n)
+    assert np.array_equal(theta0[0], finder.init_curvature_weighted(curve, n))
+    assert np.array_equal(theta0[1:], per_start)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
