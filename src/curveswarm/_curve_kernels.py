@@ -4,18 +4,20 @@ Every family maps a parameter s (period 2*pi) to a plane point and its first
 three parameter derivatives.  curve_jet evaluates them in one pass:
 each trig value, gear segment and polar radius term is computed once, and only
 as far as the asked-for order needs it.  curve_point, curve_d1 and curve_d2 are
-its one-order entry points.  Family parameters arrive as a flat vector (layout
-documented in curves.py); the integer kind code selects the family.
+its one-order entry points.  The kind code selects the family, whose parameter
+layout its KIND_* comment below gives.  Seven families (ellipse, deltoid, rose,
+lissajous, nephroid, spirograph, fourier-sum) are trigonometric polynomials and
+share KIND_TRIG.
 
 One kernel source serves two paths, chosen by the type of the parameters.  A
 float64 array par runs numpy: s may be a scalar or an array, and the results
-are numpy's (the finder, projection and adherence paths).  A tuple of Python
-floats runs the math module on a float s, which is what a mission tick calls
-per agent: at one point a numpy call costs about a microsecond, against tens of
-nanoseconds for a float operation.  sin, cos, sqrt and floor give the same bits
-either way; the families that raise an array to a power (superellipse, cassini,
-lemniscate) take libm pow on floats against numpy's vectorized power on arrays,
-a few ulps apart.
+are numpy's (the finder, projection and adherence paths).  A tuple of
+par.tolist() runs the math module on a float s, which is what a mission tick
+calls per agent: at one point a numpy call costs about a microsecond, against
+tens of nanoseconds for a float operation.  sin, cos, sqrt and floor give the
+same bits either way; the families that raise an array to a power
+(superellipse, cassini, lemniscate) take libm pow on floats against numpy's
+vectorized power on arrays, a few ulps apart.
 
 curve_frame is the one Frenet frame, with the one cusp fallback, and runs on
 the float path: the mission tick takes it per agent and Curve.frenet per
@@ -29,18 +31,12 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-KIND_ELLIPSE = 0       # par = [a, b]
-KIND_DELTOID = 1       # par = [a]
-KIND_ROSE = 2          # par = [a, k]
-KIND_LISSAJOUS = 3     # par = [A, B, p, q, delta]
-KIND_SUPERELLIPSE = 4  # par = [a, b, m], m even >= 4
-KIND_CASSINI = 5       # par = [a, b], b > a
-KIND_LEMNISCATE = 6    # par = [a]
-KIND_FOURIER = 7       # par = [c0, A1, B1, A2, B2, ...]
-KIND_PEANUT = 8        # par = [a, e], 0 <= e < 1
-KIND_NEPHROID = 9      # par = [a]
-KIND_SPIROGRAPH = 10   # par = [R, r, d], (R - r)/r a nonzero integer
-KIND_GEAR = 11         # par = [teeth, R_outer, R_inner]
+KIND_TRIG = 0          # par = rows [k, k^2, k^3, a, b, c, d], integer k ascending
+KIND_SUPERELLIPSE = 1  # par = [a, b, m], m even >= 4
+KIND_CASSINI = 2       # par = [a, b], b > a
+KIND_LEMNISCATE = 3    # par = [a]
+KIND_PEANUT = 4        # par = [a, e], 0 <= e < 1
+KIND_GEAR = 5          # par = [teeth, R_outer, R_inner]
 
 
 def _polar_terms(xp, kind, par, s, c, sn, order):
@@ -116,7 +112,7 @@ def _polar_terms(xp, kind, par, s, c, sn, order):
         bend = (b ** 4 - a ** 4) / disc ** 3
         r2ppp = -4.0 * up * lift + 3.0 * bend * up * (upp - u * up * up / (disc * disc))
         return r, rp, rpp, (r2ppp - 6.0 * rp * rpp) / (2.0 * r)
-    elif kind == KIND_PEANUT:
+    else:  # KIND_PEANUT
         a = par[0]
         e = par[1]
         s_2 = 2.0 * s
@@ -135,26 +131,6 @@ def _polar_terms(xp, kind, par, s, c, sn, order):
             return r, rp, rpp
         # (r^2)''' = -4 (r^2)' and (r^2)''' = 2 r r''' + 6 r' r''
         return r, rp, rpp, (-4.0 * r2p - 6.0 * rp * rpp) / (2.0 * r)
-    else:  # KIND_FOURIER
-        r = par[0] + 0.0 * s
-        rp = 0.0 * s
-        rpp = 0.0 * s
-        rppp = 0.0 * s
-        nh = (len(par) - 1) // 2
-        for j in range(1, nh + 1):
-            aj = par[2 * j - 1]
-            bj = par[2 * j]
-            s_j = j * s
-            cj = xp.cos(s_j)
-            sj = xp.sin(s_j)
-            r = r + aj * cj + bj * sj
-            if order >= 1:
-                rp = rp + j * (bj * cj - aj * sj)
-            if order >= 2:
-                rpp = rpp - j * j * (aj * cj + bj * sj)
-            if order >= 3:
-                rppp = rppp + j * j * j * (aj * sj - bj * cj)
-        return (r, rp, rpp, rppp)[: order + 1]
 
 
 def _gear_terms(xp, par, s):
@@ -185,88 +161,51 @@ def _gear_terms(xp, par, s):
 
 
 def curve_jet(kind, par, s, order):
-    """gamma(s) and its parameter derivatives up to `order` (0, 1 or 2).
+    """gamma(s) and its parameter derivatives up to `order` (0 to 3).
 
-    Returns (x, y) for order 0, (x, y, x', y') for order 1 and
-    (x, y, x', y', x'', y'') for order 2, for the family selected by kind.
-    Each output is the same expression, in the same operation order, as a
-    separate per-order evaluation would use, so it does not depend on the
-    order asked for.  A tuple par selects the math namespace (s a float,
-    Python float results), any other par numpy's.
+    Returns (x, y), then x', y', x'', y'' and x''', y''' as far as order
+    asks, for the family selected by kind.  Each output is the same
+    expression, in the same operation order, whatever the order asked for.
+    A tuple par selects the math namespace (s a float, Python float
+    results), any other par numpy's.
     """
     xp = math if type(par) is tuple else np
-    if kind == KIND_ELLIPSE:
-        c = xp.cos(s)
-        sn = xp.sin(s)
-        x, y = par[0] * c, par[1] * sn
-        if order == 0:
-            return x, y
-        dx, dy = -par[0] * sn, par[1] * c
-        if order == 1:
-            return x, y, dx, dy
-        ddx, ddy = -par[0] * c, -par[1] * sn
-        if order == 2:
-            return x, y, dx, dy, ddx, ddy
-        return x, y, dx, dy, ddx, ddy, par[0] * sn, -par[1] * c
-    elif kind == KIND_DELTOID:
-        a = par[0]
-        c = xp.cos(s)
-        sn = xp.sin(s)
-        s_2 = 2.0 * s
-        c2 = xp.cos(s_2)
-        s2 = xp.sin(s_2)
-        x, y = a * (2.0 * c + c2), a * (2.0 * sn - s2)
-        if order == 0:
-            return x, y
-        dx, dy = a * (-2.0 * sn - 2.0 * s2), a * (2.0 * c - 2.0 * c2)
-        if order == 1:
-            return x, y, dx, dy
-        ddx, ddy = a * (-2.0 * c - 4.0 * c2), a * (-2.0 * sn + 4.0 * s2)
-        if order == 2:
-            return x, y, dx, dy, ddx, ddy
-        return x, y, dx, dy, ddx, ddy, a * (2.0 * sn + 8.0 * s2), a * (-2.0 * c + 8.0 * c2)
-    elif kind == KIND_ROSE:
-        a = par[0]
-        k = par[1]
-        c = xp.cos(s)
-        sn = xp.sin(s)
-        s_k = k * s
-        ck = xp.cos(s_k)
-        x, y = a * ck * c, a * ck * sn
-        if order == 0:
-            return x, y
-        sk = xp.sin(s_k)
-        dx, dy = a * (-k * sk * c - ck * sn), a * (-k * sk * sn + ck * c)
-        if order == 1:
-            return x, y, dx, dy
-        kk1 = k * k + 1.0
-        ddx, ddy = a * (-kk1 * ck * c + 2.0 * k * sk * sn), a * (-kk1 * ck * sn - 2.0 * k * sk * c)
-        if order == 2:
-            return x, y, dx, dy, ddx, ddy
-        k3 = k * (k * k + 3.0)
-        kk3 = 3.0 * k * k + 1.0
-        return x, y, dx, dy, ddx, ddy, a * (k3 * sk * c + kk3 * ck * sn), a * (
-            k3 * sk * sn - kk3 * ck * c
-        )
-    elif kind == KIND_LISSAJOUS:
-        phase_x = par[2] * s + par[4]
-        phase_y = par[3] * s
-        sx = xp.sin(phase_x)
-        sy = xp.sin(phase_y)
-        x, y = par[0] * sx, par[1] * sy
-        if order == 0:
-            return x, y
-        cx = xp.cos(phase_x)
-        cy = xp.cos(phase_y)
-        dx, dy = par[0] * par[2] * cx, par[1] * par[3] * cy
-        if order == 1:
-            return x, y, dx, dy
-        ddx, ddy = -par[0] * par[2] * par[2] * sx, -par[1] * par[3] * par[3] * sy
-        if order == 2:
-            return x, y, dx, dy, ddx, ddy
-        return x, y, dx, dy, ddx, ddy, -par[0] * par[2] * par[2] * par[2] * cx, (
-            -par[1] * par[3] * par[3] * par[3] * cy
-        )
+    if kind == KIND_TRIG:
+        # x = sum a cos ks + b sin ks, y = sum c cos ks + d sin ks over the rows;
+        # per coordinate f = a cos ks + b sin ks, g = b cos ks - a sin ks,
+        # f' = k g, f'' = -k^2 f, f''' = -k^3 g.  Skipping zero coefficients
+        # rounds a one-term coordinate as that term, signed zeros included
+        # (-0.0 + v is v for every v).  Order 0 takes no g and no unread trig.
+        cos, sin = xp.cos, xp.sin
+        x = y = dx = dy = ddx = ddy = d3x = d3y = -0.0
+        for k, k2, k3, a, b, c, d in par if xp is math else par.tolist():
+            ks = k * s
+            cs = cos(ks) if order or a or c else 0.0 * ks
+            sn = sin(ks) if order or b or d else 0.0 * ks
+            if not b:
+                fx, gx = a * cs, -(a * sn) if order else 0.0
+            elif not a:
+                fx, gx = b * sn, b * cs if order else 0.0
+            else:
+                fx, gx = a * cs + b * sn, b * cs - a * sn if order else 0.0
+            if not c:
+                fy, gy = d * sn, d * cs if order else 0.0
+            elif not d:
+                fy, gy = c * cs, -(c * sn) if order else 0.0
+            else:
+                fy, gy = c * cs + d * sn, d * cs - c * sn if order else 0.0
+            x += fx
+            y += fy
+            if order:
+                dx += k * gx
+                dy += k * gy
+                if order > 1:
+                    ddx -= k2 * fx
+                    ddy -= k2 * fy
+                    if order > 2:
+                        d3x -= k3 * gx
+                        d3y -= k3 * gy
+        return (x, y, dx, dy, ddx, ddy, d3x, d3y)[: 2 * order + 2]
     elif kind == KIND_LEMNISCATE:
         a = par[0]
         sn = xp.sin(s)
@@ -291,44 +230,6 @@ def curve_jet(kind, par, s, order):
         return x, y, dx, dy, ddx, ddy, a * sn * (45.0 - 103.0 * sn2 + 43.0 * sn4 - sn6) / d4, (
             2.0 * a * (6.0 * sn6 - 41.0 * sn4 + 44.0 * sn2 - 5.0) / d4
         )
-    elif kind == KIND_NEPHROID:
-        a = par[0]
-        c = xp.cos(s)
-        sn = xp.sin(s)
-        s_3 = 3.0 * s
-        c3 = xp.cos(s_3)
-        s3 = xp.sin(s_3)
-        x, y = a * (3.0 * c - c3), a * (3.0 * sn - s3)
-        if order == 0:
-            return x, y
-        dx, dy = a * (-3.0 * sn + 3.0 * s3), a * (3.0 * c - 3.0 * c3)
-        if order == 1:
-            return x, y, dx, dy
-        ddx, ddy = a * (-3.0 * c + 9.0 * c3), a * (-3.0 * sn + 9.0 * s3)
-        if order == 2:
-            return x, y, dx, dy, ddx, ddy
-        return x, y, dx, dy, ddx, ddy, a * (3.0 * sn - 27.0 * s3), a * (-3.0 * c + 27.0 * c3)
-    elif kind == KIND_SPIROGRAPH:
-        rr = par[0] - par[1]
-        d = par[2]
-        q = rr / par[1]
-        c = xp.cos(s)
-        sn = xp.sin(s)
-        s_q = q * s
-        cq = xp.cos(s_q)
-        sq = xp.sin(s_q)
-        x, y = rr * c + d * cq, rr * sn - d * sq
-        if order == 0:
-            return x, y
-        dx, dy = -rr * sn - d * q * sq, rr * c - d * q * cq
-        if order == 1:
-            return x, y, dx, dy
-        q2 = q * q
-        ddx, ddy = -rr * c - d * q2 * cq, -rr * sn + d * q2 * sq
-        if order == 2:
-            return x, y, dx, dy, ddx, ddy
-        q3 = q2 * q
-        return x, y, dx, dy, ddx, ddy, rr * sn + d * q3 * sq, -rr * c + d * q3 * cq
     elif kind == KIND_GEAR:
         ax, ay, bx, by, u, delta = _gear_terms(xp, par, s)
         ex = bx - ax

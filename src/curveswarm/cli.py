@@ -15,6 +15,8 @@ from .control import make_params
 from .curves import CurveError, catalog_names, make_curve
 from .finder import multistart
 from .output import (
+    SAMPLE_BUDGET,
+    SAMPLE_ROW_BYTES,
     MissionWriter,
     format_samples_csv,
     write_cost_trace_csv,
@@ -218,6 +220,8 @@ def cmd_curves(args) -> int:
         if args.n < 2:
             # the samples run from s = 0 to s = 2 pi, whose rows coincide
             raise ConfigError(f"--n = {args.n}: a closed sample needs n >= 2")
+        if args.n * SAMPLE_ROW_BYTES > SAMPLE_BUDGET:
+            raise ConfigError(f"--n = {args.n} rows of up to {SAMPLE_ROW_BYTES} bytes pass the budget of {SAMPLE_BUDGET} bytes")
         if args.out:
             _check_out(args.out, directory=False)
     except (CurveError, ConfigError) as exc:

@@ -40,20 +40,40 @@ def _near_integer(x, name):
     return float(round(x))
 
 
+def _trig_rows(terms):
+    """KIND_TRIG rows [k, k^2, k^3, a, b, c, d], by ascending k, from (k, a, b, c, d) terms.
+
+    A term adds a cos ks + b sin ks to x and c cos ks + d sin ks to y, for
+    an integer k.  Terms of one |k| merge (a negative k flips the sine
+    coefficients, k = 0 keeps the constants); an all-zero row is dropped.
+    """
+    rows = {}
+    for k, a, b, c, d in terms:
+        if k < 0:
+            k, b, d = -k, -b, -d
+        if k == 0:
+            b = d = 0.0
+        rows[k] = [u + v for u, v in zip(rows.get(k, (0.0,) * 4), (a, b, c, d))]
+    return np.array([[k, k * k, k**3, *row] for k, row in sorted(rows.items()) if any(row)], float)
+
+
 def _pack_ellipse(p):
     _require(p["a"] > 0 and p["b"] > 0, "ellipse semi-axes must be positive")
-    return np.array([p["a"], p["b"]], float)
+    return _trig_rows([(1, p["a"], 0.0, 0.0, p["b"])])
 
 
 def _pack_deltoid(p):
     _require(p["a"] > 0, "deltoid scale must be positive")
-    return np.array([p["a"]], float)
+    a = p["a"]  # a (2 cos s + cos 2s, 2 sin s - sin 2s)
+    return _trig_rows([(1, 2.0 * a, 0.0, 0.0, 2.0 * a), (2, a, 0.0, 0.0, -a)])
 
 
 def _pack_rose(p):
     k = _near_integer(p["k"], "rose k")
     _require(p["a"] > 0 and k >= 1, "rose needs a > 0 and integer k >= 1")
-    return np.array([p["a"], k], float)
+    h = 0.5 * p["a"]
+    # a cos ks (cos s, sin s) = a/2 (cos (k+1)s + cos (k-1)s, sin (k+1)s - sin (k-1)s)
+    return _trig_rows([(k + 1, h, 0.0, 0.0, h), (k - 1, h, 0.0, 0.0, -h)])
 
 
 def _pack_lissajous(p):
@@ -61,7 +81,9 @@ def _pack_lissajous(p):
     fy = _near_integer(p["freq_y"], "lissajous freq_y")
     _require(p["amp_x"] > 0 and p["amp_y"] > 0, "lissajous amplitudes must be positive")
     _require(fx >= 1 and fy >= 1, "lissajous frequencies must be integers >= 1")
-    return np.array([p["amp_x"], p["amp_y"], fx, fy, p["phase"]], float)
+    ax, phase = p["amp_x"], p["phase"]  # (amp_x sin(fx s + phase), amp_y sin(fy s))
+    x_row = (fx, ax * math.sin(phase), ax * math.cos(phase), 0.0, 0.0)
+    return _trig_rows([x_row, (fy, 0.0, 0.0, 0.0, p["amp_y"])])
 
 
 def _pack_superellipse(p):
@@ -84,13 +106,18 @@ def _pack_lemniscate(p):
 def _pack_fourier(p):
     coeffs = np.atleast_1d(np.asarray(p["coeffs"], float))
     _require(coeffs.size % 2 == 0, "fourier coeffs must be (A_j, B_j) pairs")
-    par = np.concatenate(([float(p["c0"])], coeffs))
+    c0 = float(p["c0"])
     phi = np.linspace(0.0, TWO_PI, 4096)
-    r = np.full_like(phi, par[0])
-    for j in range(1, coeffs.size // 2 + 1):
-        r += par[2 * j - 1] * np.cos(j * phi) + par[2 * j] * np.sin(j * phi)
+    r = np.full_like(phi, c0)
+    # r (cos s, sin s) with r = c0 + sum A_j cos js + B_j sin js: harmonic j
+    # moves to frequencies j + 1 and j - 1
+    terms = [(1, c0, 0.0, 0.0, c0)]
+    for j, (aj, bj) in enumerate(coeffs.reshape(-1, 2), 1):
+        r += aj * np.cos(j * phi) + bj * np.sin(j * phi)
+        a, b = 0.5 * aj, 0.5 * bj
+        terms += [(j + 1, a, b, -b, a), (j - 1, a, b, b, -a)]
     _require(r.min() > 1e-3, "fourier radius must stay positive")
-    return par
+    return _trig_rows(terms)
 
 
 def _pack_peanut(p):
@@ -100,15 +127,17 @@ def _pack_peanut(p):
 
 def _pack_nephroid(p):
     _require(p["a"] > 0, "nephroid scale must be positive")
-    return np.array([p["a"]], float)
+    a = p["a"]  # a (3 cos s - cos 3s, 3 sin s - sin 3s)
+    return _trig_rows([(1, 3.0 * a, 0.0, 0.0, 3.0 * a), (3, -a, 0.0, 0.0, -a)])
 
 
 def _pack_spirograph(p):
     _require(p["r"] != 0 and p["R"] > 0, "spirograph needs R > 0 and r != 0")
-    q = (p["R"] - p["r"]) / p["r"]
-    _near_integer(q, "spirograph winding (R - r)/r")
-    _require(abs(round(q)) >= 1, "spirograph winding must be a nonzero integer")
-    return np.array([p["R"], p["r"], p["d"]], float)
+    rr = p["R"] - p["r"]
+    q = _near_integer(rr / p["r"], "spirograph winding (R - r)/r")
+    _require(q != 0, "spirograph winding must be a nonzero integer")
+    d = p["d"]  # (rr cos s + d cos qs, rr sin s - d sin qs)
+    return _trig_rows([(1, rr, 0.0, 0.0, rr), (q, d, 0.0, 0.0, -d)])
 
 
 def _pack_gear(p):
@@ -142,11 +171,11 @@ def chunk_circles(sample_x, sample_y):
 
 # family name -> (kernel kind, ordered (param, default) pairs, packer)
 FAMILIES = {
-    "ellipse": (ck.KIND_ELLIPSE, (("a", 2.0), ("b", 1.2)), _pack_ellipse),
-    "deltoid": (ck.KIND_DELTOID, (("a", 1.0),), _pack_deltoid),
-    "rose": (ck.KIND_ROSE, (("a", 1.8), ("k", 3)), _pack_rose),
+    "ellipse": (ck.KIND_TRIG, (("a", 2.0), ("b", 1.2)), _pack_ellipse),
+    "deltoid": (ck.KIND_TRIG, (("a", 1.0),), _pack_deltoid),
+    "rose": (ck.KIND_TRIG, (("a", 1.8), ("k", 3)), _pack_rose),
     "lissajous": (
-        ck.KIND_LISSAJOUS,
+        ck.KIND_TRIG,
         (("amp_x", 2.0), ("amp_y", 1.5), ("freq_x", 3), ("freq_y", 2), ("phase", math.pi / 2)),
         _pack_lissajous,
     ),
@@ -154,13 +183,13 @@ FAMILIES = {
     "cassini": (ck.KIND_CASSINI, (("a", 1.0), ("b", 1.3)), _pack_cassini),
     "lemniscate": (ck.KIND_LEMNISCATE, (("a", 2.0),), _pack_lemniscate),
     "fourier-sum": (
-        ck.KIND_FOURIER,
+        ck.KIND_TRIG,
         (("c0", 1.0), ("coeffs", (0.0, 0.0, 0.0, 0.0, 0.18, 0.0, 0.0, 0.0, 0.0, 0.08))),
         _pack_fourier,
     ),
     "peanut": (ck.KIND_PEANUT, (("a", 1.5), ("e", 0.8)), _pack_peanut),
-    "nephroid": (ck.KIND_NEPHROID, (("a", 1.0),), _pack_nephroid),
-    "spirograph": (ck.KIND_SPIROGRAPH, (("R", 3.0), ("r", 1.0), ("d", 1.5)), _pack_spirograph),
+    "nephroid": (ck.KIND_TRIG, (("a", 1.0),), _pack_nephroid),
+    "spirograph": (ck.KIND_TRIG, (("R", 3.0), ("r", 1.0), ("d", 1.5)), _pack_spirograph),
     "gear-hermite": (
         ck.KIND_GEAR,
         (("teeth", 8), ("r_outer", 1.25), ("r_inner", 0.95)),

@@ -341,6 +341,12 @@ def write_cost_trace_csv(path, runs) -> None:
                 f.write(f"{run.init_index},{run.init_kind},{k}," + _fmt(cost) + "\n")
 
 
+# bytes a sample row may hold while format_samples_csv builds the table (about
+# 400 measured, plus its encoded copy), within a 1 GiB budget like the finder's
+SAMPLE_ROW_BYTES = 1024
+SAMPLE_BUDGET = 1 << 30
+
+
 def format_samples_csv(curve: Curve, n: int) -> str:
     """n curve samples with tangent and curvature columns, endpoint closed."""
     rows = ["s,x,y,tangent_x,tangent_y,curvature"]

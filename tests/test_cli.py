@@ -126,11 +126,15 @@ def test_config_curve_keys_are_case_sensitive():
     # spirograph's R and r are different parameters; other sections fold case
     cfg = load_config("[curve]\nname = spirograph-4\nR = 5.0\nr = 1.25\n[finder]\nSEED = 3\n")
     assert cfg.curve_params == {"R": 5.0, "r": 1.25}
-    assert tuple(cfg.curve.par[:2]) == (5.0, 1.25)
+    # both keys reach the packer: the rows hold R - r = 3.75 at frequency 1
+    # and the winding (R - r) / r = 3
+    assert (cfg.curve.params["R"], cfg.curve.params["r"]) == (5.0, 1.25)
+    assert (cfg.curve.par[0, 3], cfg.curve.par[1, 0]) == (3.75, 3.0)
     assert cfg.finder.seed == 3
     cfg = load_config("[curve]\nname = spirograph-4\nR = 4.0\n")
     assert cfg.curve_params == {"R": 4.0}
-    assert cfg.curve.par[1] == 1.0
+    assert cfg.curve.params["r"] == 1.0
+    assert cfg.curve.par[0, 3] == 3.0
     dumped = dump_config(load_config("[curve]\nname = spirograph\nR = 6.0\n"))
     assert "\nR = 6.0\n" in dumped
     assert dump_config(load_config(dumped)) == dumped
@@ -723,6 +727,26 @@ def test_cli_curves_sample_needs_two_rows(tmp_path, capsys, n):
         for line in capsys.readouterr().out.splitlines()[1:]
     )
     assert np.hypot(first[1] - last[1], first[2] - last[2]) <= 1e-9 * make_curve("ellipse").scale
+
+
+def test_cli_curves_sample_refuses_rows_over_the_budget(tmp_path, capsys, monkeypatch):
+    # the table is built in memory, so an n past the budget is refused
+    # before any sampling; the writers are stubbed, so no n here samples
+    sampled = []
+    monkeypatch.setattr(cli, "format_samples_csv", lambda curve, n: sampled.append(n) or "")
+    monkeypatch.setattr(cli, "write_samples_csv", lambda path, curve, n: sampled.append(n))
+    n_max = output.SAMPLE_BUDGET // output.SAMPLE_ROW_BYTES
+    out = tmp_path / "samples.csv"
+    for extra in ([], ["--out", str(out)]):
+        for n in (n_max + 1, 10**9):
+            assert run_cli(["curves", "sample", "ellipse", "--n", str(n), *extra]) == 2
+            err = capsys.readouterr().err
+            assert f"--n = {n}" in err and f"budget of {output.SAMPLE_BUDGET} bytes" in err
+        assert sampled == []
+        assert run_cli(["curves", "sample", "ellipse", "--n", str(n_max), *extra]) == 0
+        assert sampled == [n_max]
+        sampled.clear()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("times", ["1.001, 1.004", "1.0, 1.0"])

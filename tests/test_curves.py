@@ -185,6 +185,34 @@ def test_third_derivative_at_special_parameters(name, base, offset):
     assert np.max(np.abs(ref[6:] - fd3)) < 1e-6 * c.scale, (name, s)
 
 
+# float.hex of (x, y, x', y', x'', y'', x''', y''') on the presets whose
+# jets the trigonometric row sum keeps bit for bit, signed zeros included:
+# the deltoid's cusps at 0 and 2 pi / 3, the nephroid's at 0, and regular
+# points.  A kernel change that moves one of them has to say so here.
+BYTE_STABLE_JETS = {
+    ("deltoid", 0.0): ('0x1.8000000000000p+1', '0x0.0p+0', '-0x0.0p+0', '0x0.0p+0', '-0x1.8000000000000p+2', '0x0.0p+0', '0x0.0p+0', '0x1.8000000000000p+2'),
+    ("deltoid", 2.0 * math.pi / 3.0): ('-0x1.8000000000000p+0', '0x1.4c8dc2e423980p+1', '-0x1.8000000000000p-51', '0x1.8000000000000p-50', '0x1.8000000000003p+1', '-0x1.4c8dc2e42397fp+2', '-0x1.4c8dc2e42397dp+2', '-0x1.8000000000009p+1'),
+    ("nephroid", 0.0): ('0x1.0000000000000p+1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.8000000000000p+2', '0x0.0p+0', '0x0.0p+0', '0x1.8000000000000p+4'),
+    ("nephroid", 1.0): ('0x1.4e31f3b693e5ep+1', '0x1.310fbe46b5c5cp+1', '-0x1.0cef4d6b481b1p+1', '0x1.25d10cd5618a4p+2', '-0x1.50fca2e1d4280p+3', '-0x1.411bf5b1fe35ep+0', '-0x1.492bf9bbb7cb0p+0', '-0x1.c59c7c239f286p+4'),
+    ("circle", 0.5): ('0x1.c1528065b7d50p-1', '0x1.eaee8744b05f0p-2', '-0x1.eaee8744b05f0p-2', '0x1.c1528065b7d50p-1', '-0x1.c1528065b7d50p-1', '-0x1.eaee8744b05f0p-2', '0x1.eaee8744b05f0p-2', '-0x1.c1528065b7d50p-1'),
+    ("ellipse", 1.0): ('0x1.14a280fb5068cp+0', '0x1.027ff89056e28p+0', '-0x1.aed548f090ceep+0', '0x1.4bf63460c6e41p-1', '-0x1.14a280fb5068cp+0', '-0x1.027ff89056e28p+0', '0x1.aed548f090ceep+0', '-0x1.4bf63460c6e41p-1'),
+    ("ellipse", 4.0): ('-0x1.4eaa606db24c1p+0', '-0x1.d0fabd70824d0p-1', '0x1.837b9dddc1eaep+0', '-0x1.91994083a2c1bp-1', '0x1.4eaa606db24c1p+0', '0x1.d0fabd70824d0p-1', '-0x1.837b9dddc1eaep+0', '0x1.91994083a2c1bp-1'),
+    ("spirograph-3", 0.3): ('0x1.9307d40b2a705p+1', '-0x1.0610c1b7a4fa6p-2', '-0x1.2479d372a9f90p+1', '-0x1.217370c7afdccp-1', '-0x1.b7364224206bep+2', '0x1.65fe03e093379p+1', '0x1.d778d562f394cp+2', '0x1.ff931e560c632p+2'),
+    ("spirograph-3", 2.5): ('-0x1.2d425e55d4f6cp+0', '0x1.51528431c1eccp+1', '0x1.ae093e3011b1bp+0', '-0x1.3a04e01eb01d0p+1', '-0x1.9850391b64c90p-4', '-0x1.bcd4d3bdc6592p+2', '-0x1.49ecb96ae7990p+3', '0x1.406621031db02p+2'),
+}
+
+
+@pytest.mark.parametrize("name, s", list(BYTE_STABLE_JETS))
+def test_byte_stable_presets_keep_their_jets(name, s):
+    c = make_curve(name)
+    want = BYTE_STABLE_JETS[name, s]
+    for order in (0, 1, 2, 3):
+        got = curve_jet(c.kind, tuple(c.par.tolist()), s, order)
+        assert [v.hex() for v in got] == list(want[: 2 * order + 2]), (name, s, order)
+        got = curve_jet(c.kind, c.par, np.array([s]), order)
+        assert [float(v[0]).hex() for v in got] == list(want[: 2 * order + 2]), (name, s, order)
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_superellipse_jet_where_sin_or_cos_vanishes(m):
     # the third derivative holds (m - 4) |sin s|^(m - 6) sin^2 s, which

@@ -13,6 +13,15 @@ deltoid cusps, the gear corners, the lissajous-32 crossings, a lone
 sweep-only agent, two agents close enough for the avoidance law to
 engage, twelve agents, and a cusp search that finds no regular parameter.
 
+The seven trigonometric families (ellipse, deltoid, rose, lissajous,
+nephroid, spirograph, fourier-sum) share one row-sum branch.  Its oracle
+is old_trig_jet, a copy of the per-family order-0..3 branches it
+replaced, read through old_layout's parameter vectors.  Deltoid,
+nephroid, circle, ellipse and spirograph-3 keep those branches' bits;
+the presets where a product, a phase or a polar radius became a sum of
+rows (DRIFTING) are held to TRIG_DRIFT of the curve's scale, on 10k
+parameters per preset and on drawn family parameters.
+
 curve_jet's float path (a tuple of parameters, a float s) must equal its
 array path bit for bit, except on the three families that raise an
 array to a power (superellipse, cassini, lemniscate): numpy's vectorized
@@ -53,6 +62,7 @@ host they agree to the bit.  The test holds it to the winner's index
 and flags and to theta within 1e-10.
 """
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -88,13 +98,229 @@ LISSAJOUS_CROSSING_S = tuple(
 
 # -- scalar reference implementations ---------------------------------------
 
+# The kind codes and parameter layouts from before the seven
+# trigonometric-polynomial families shared one row-sum branch.  Every
+# curve oracle below dispatches on these codes and reads these layouts;
+# old_layout maps a curve onto them.
+(
+    OLD_ELLIPSE,
+    OLD_DELTOID,
+    OLD_ROSE,
+    OLD_LISSAJOUS,
+    OLD_SUPERELLIPSE,
+    OLD_CASSINI,
+    OLD_LEMNISCATE,
+    OLD_FOURIER,
+    OLD_PEANUT,
+    OLD_NEPHROID,
+    OLD_SPIROGRAPH,
+    OLD_GEAR,
+) = range(12)
+OLD_KINDS = {
+    "ellipse": OLD_ELLIPSE,
+    "deltoid": OLD_DELTOID,
+    "rose": OLD_ROSE,
+    "lissajous": OLD_LISSAJOUS,
+    "superellipse": OLD_SUPERELLIPSE,
+    "cassini": OLD_CASSINI,
+    "lemniscate": OLD_LEMNISCATE,
+    "fourier-sum": OLD_FOURIER,
+    "peanut": OLD_PEANUT,
+    "nephroid": OLD_NEPHROID,
+    "spirograph": OLD_SPIROGRAPH,
+    "gear-hermite": OLD_GEAR,
+}
+
+
+def old_layout(curve):
+    """(old kind code, old parameter vector) of curve, as the old packers wrote them.
+
+    The five families outside the trigonometric row sum kept their
+    layouts, so their vector is curve.par.
+    """
+    p = curve.params
+    family = curve.family
+    if family == "ellipse":
+        par = [p["a"], p["b"]]
+    elif family in ("deltoid", "nephroid"):
+        par = [p["a"]]
+    elif family == "rose":
+        par = [p["a"], float(round(p["k"]))]
+    elif family == "lissajous":
+        fx = float(round(p["freq_x"]))
+        fy = float(round(p["freq_y"]))
+        par = [p["amp_x"], p["amp_y"], fx, fy, p["phase"]]
+    elif family == "fourier-sum":
+        par = np.concatenate(([float(p["c0"])], np.atleast_1d(np.asarray(p["coeffs"], float))))
+    elif family == "spirograph":
+        par = [p["R"], p["r"], p["d"]]
+    else:
+        par = curve.par
+    return OLD_KINDS[family], np.array(par, float)
+
+
+def old_trig_jet(kind, par, s, order):
+    """The per-family order-0..3 curve_jet branches that the row sum replaced.
+
+    Ellipse, deltoid, rose, lissajous, nephroid and spirograph each had a
+    hand-derived branch, and fourier-sum a polar radius loop; kind and
+    par are old_layout's.  A tuple par runs the math module on a float s,
+    any other par numpy's, as curve_jet does.
+    """
+    xp = math if type(par) is tuple else np
+    if kind == OLD_ELLIPSE:
+        c = xp.cos(s)
+        sn = xp.sin(s)
+        x, y = par[0] * c, par[1] * sn
+        if order == 0:
+            return x, y
+        dx, dy = -par[0] * sn, par[1] * c
+        if order == 1:
+            return x, y, dx, dy
+        ddx, ddy = -par[0] * c, -par[1] * sn
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, par[0] * sn, -par[1] * c
+    elif kind == OLD_DELTOID:
+        a = par[0]
+        c = xp.cos(s)
+        sn = xp.sin(s)
+        s_2 = 2.0 * s
+        c2 = xp.cos(s_2)
+        s2 = xp.sin(s_2)
+        x, y = a * (2.0 * c + c2), a * (2.0 * sn - s2)
+        if order == 0:
+            return x, y
+        dx, dy = a * (-2.0 * sn - 2.0 * s2), a * (2.0 * c - 2.0 * c2)
+        if order == 1:
+            return x, y, dx, dy
+        ddx, ddy = a * (-2.0 * c - 4.0 * c2), a * (-2.0 * sn + 4.0 * s2)
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, a * (2.0 * sn + 8.0 * s2), a * (-2.0 * c + 8.0 * c2)
+    elif kind == OLD_ROSE:
+        a = par[0]
+        k = par[1]
+        c = xp.cos(s)
+        sn = xp.sin(s)
+        s_k = k * s
+        ck = xp.cos(s_k)
+        x, y = a * ck * c, a * ck * sn
+        if order == 0:
+            return x, y
+        sk = xp.sin(s_k)
+        dx, dy = a * (-k * sk * c - ck * sn), a * (-k * sk * sn + ck * c)
+        if order == 1:
+            return x, y, dx, dy
+        kk1 = k * k + 1.0
+        ddx, ddy = a * (-kk1 * ck * c + 2.0 * k * sk * sn), a * (-kk1 * ck * sn - 2.0 * k * sk * c)
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        k3 = k * (k * k + 3.0)
+        kk3 = 3.0 * k * k + 1.0
+        return x, y, dx, dy, ddx, ddy, a * (k3 * sk * c + kk3 * ck * sn), a * (
+            k3 * sk * sn - kk3 * ck * c
+        )
+    elif kind == OLD_LISSAJOUS:
+        phase_x = par[2] * s + par[4]
+        phase_y = par[3] * s
+        sx = xp.sin(phase_x)
+        sy = xp.sin(phase_y)
+        x, y = par[0] * sx, par[1] * sy
+        if order == 0:
+            return x, y
+        cx = xp.cos(phase_x)
+        cy = xp.cos(phase_y)
+        dx, dy = par[0] * par[2] * cx, par[1] * par[3] * cy
+        if order == 1:
+            return x, y, dx, dy
+        ddx, ddy = -par[0] * par[2] * par[2] * sx, -par[1] * par[3] * par[3] * sy
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, -par[0] * par[2] * par[2] * par[2] * cx, (
+            -par[1] * par[3] * par[3] * par[3] * cy
+        )
+    elif kind == OLD_NEPHROID:
+        a = par[0]
+        c = xp.cos(s)
+        sn = xp.sin(s)
+        s_3 = 3.0 * s
+        c3 = xp.cos(s_3)
+        s3 = xp.sin(s_3)
+        x, y = a * (3.0 * c - c3), a * (3.0 * sn - s3)
+        if order == 0:
+            return x, y
+        dx, dy = a * (-3.0 * sn + 3.0 * s3), a * (3.0 * c - 3.0 * c3)
+        if order == 1:
+            return x, y, dx, dy
+        ddx, ddy = a * (-3.0 * c + 9.0 * c3), a * (-3.0 * sn + 9.0 * s3)
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        return x, y, dx, dy, ddx, ddy, a * (3.0 * sn - 27.0 * s3), a * (-3.0 * c + 27.0 * c3)
+    elif kind == OLD_SPIROGRAPH:
+        rr = par[0] - par[1]
+        d = par[2]
+        q = rr / par[1]
+        c = xp.cos(s)
+        sn = xp.sin(s)
+        s_q = q * s
+        cq = xp.cos(s_q)
+        sq = xp.sin(s_q)
+        x, y = rr * c + d * cq, rr * sn - d * sq
+        if order == 0:
+            return x, y
+        dx, dy = -rr * sn - d * q * sq, rr * c - d * q * cq
+        if order == 1:
+            return x, y, dx, dy
+        q2 = q * q
+        ddx, ddy = -rr * c - d * q2 * cq, -rr * sn + d * q2 * sq
+        if order == 2:
+            return x, y, dx, dy, ddx, ddy
+        q3 = q2 * q
+        return x, y, dx, dy, ddx, ddy, rr * sn + d * q3 * sq, -rr * c + d * q3 * cq
+    assert kind == OLD_FOURIER
+    # gamma = r e^{is} with the trigonometric radius r
+    c = xp.cos(s)
+    sn = xp.sin(s)
+    r = par[0] + 0.0 * s
+    rp = 0.0 * s
+    rpp = 0.0 * s
+    rppp = 0.0 * s
+    nh = (len(par) - 1) // 2
+    for j in range(1, nh + 1):
+        aj = par[2 * j - 1]
+        bj = par[2 * j]
+        s_j = j * s
+        cj = xp.cos(s_j)
+        sj = xp.sin(s_j)
+        r = r + aj * cj + bj * sj
+        if order >= 1:
+            rp = rp + j * (bj * cj - aj * sj)
+        if order >= 2:
+            rpp = rpp - j * j * (aj * cj + bj * sj)
+        if order >= 3:
+            rppp = rppp + j * j * j * (aj * sj - bj * cj)
+    x, y = r * c, r * sn
+    if order == 0:
+        return x, y
+    dx, dy = rp * c - r * sn, rp * sn + r * c
+    if order == 1:
+        return x, y, dx, dy
+    ddx, ddy = (rpp - r) * c - 2.0 * rp * sn, (rpp - r) * sn + 2.0 * rp * c
+    if order == 2:
+        return x, y, dx, dy, ddx, ddy
+    tan3 = rppp - 3.0 * rp
+    nor3 = 3.0 * rpp - r
+    return x, y, dx, dy, ddx, ddy, tan3 * c - nor3 * sn, tan3 * sn + nor3 * c
+
+
 # The per-order curve kernels that curve_jet replaced: one function per
 # derivative order, each computing its own trig and polar radius terms.
 
 
 def old_polar_terms(kind, par, s):
     """Radius r(s) and its first two derivatives for the polar families."""
-    if kind == kernels.KIND_SUPERELLIPSE:
+    if kind == OLD_SUPERELLIPSE:
         a = par[0]
         b = par[1]
         m = par[2]
@@ -114,7 +340,7 @@ def old_polar_terms(kind, par, s):
             1.0 / m
         ) * q ** (-1.0 / m - 1.0) * qpp
         return r, rp, rpp
-    elif kind == kernels.KIND_CASSINI:
+    elif kind == OLD_CASSINI:
         a = par[0]
         b = par[1]
         u = a * a * np.cos(2.0 * s)
@@ -128,7 +354,7 @@ def old_polar_terms(kind, par, s):
         rp = r2p / (2.0 * r)
         rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
         return r, rp, rpp
-    elif kind == kernels.KIND_PEANUT:
+    elif kind == OLD_PEANUT:
         a = par[0]
         e = par[1]
         r2 = a * a * (1.0 - e * np.cos(2.0 * s))
@@ -138,7 +364,7 @@ def old_polar_terms(kind, par, s):
         rp = r2p / (2.0 * r)
         rpp = r2pp / (2.0 * r) - r2p * r2p / (4.0 * r2 * r)
         return r, rp, rpp
-    else:  # kernels.KIND_FOURIER
+    else:  # OLD_FOURIER
         r = par[0] + 0.0 * s
         rp = 0.0 * s
         rpp = 0.0 * s
@@ -183,36 +409,36 @@ def old_gear_terms(par, s):
 
 def old_curve_point(kind, par, s):
     """gamma(s) -> (x, y) for the family selected by kind."""
-    if kind == kernels.KIND_ELLIPSE:
+    if kind == OLD_ELLIPSE:
         return par[0] * np.cos(s), par[1] * np.sin(s)
-    elif kind == kernels.KIND_DELTOID:
+    elif kind == OLD_DELTOID:
         a = par[0]
         return a * (2.0 * np.cos(s) + np.cos(2.0 * s)), a * (
             2.0 * np.sin(s) - np.sin(2.0 * s)
         )
-    elif kind == kernels.KIND_ROSE:
+    elif kind == OLD_ROSE:
         a = par[0]
         k = par[1]
         return a * np.cos(k * s) * np.cos(s), a * np.cos(k * s) * np.sin(s)
-    elif kind == kernels.KIND_LISSAJOUS:
+    elif kind == OLD_LISSAJOUS:
         return par[0] * np.sin(par[2] * s + par[4]), par[1] * np.sin(par[3] * s)
-    elif kind == kernels.KIND_LEMNISCATE:
+    elif kind == OLD_LEMNISCATE:
         a = par[0]
         sn = np.sin(s)
         c = np.cos(s)
         d = 1.0 + sn * sn
         return a * c / d, a * sn * c / d
-    elif kind == kernels.KIND_NEPHROID:
+    elif kind == OLD_NEPHROID:
         a = par[0]
         return a * (3.0 * np.cos(s) - np.cos(3.0 * s)), a * (
             3.0 * np.sin(s) - np.sin(3.0 * s)
         )
-    elif kind == kernels.KIND_SPIROGRAPH:
+    elif kind == OLD_SPIROGRAPH:
         rr = par[0] - par[1]
         d = par[2]
         q = rr / par[1]
         return rr * np.cos(s) + d * np.cos(q * s), rr * np.sin(s) - d * np.sin(q * s)
-    elif kind == kernels.KIND_GEAR:
+    elif kind == OLD_GEAR:
         ax, ay, bx, by, u, delta = old_gear_terms(par, s)
         w = u * u * (3.0 - 2.0 * u)
         return ax + (bx - ax) * w, ay + (by - ay) * w
@@ -223,14 +449,14 @@ def old_curve_point(kind, par, s):
 
 def old_curve_d1(kind, par, s):
     """dgamma/ds -> (x', y')."""
-    if kind == kernels.KIND_ELLIPSE:
+    if kind == OLD_ELLIPSE:
         return -par[0] * np.sin(s), par[1] * np.cos(s)
-    elif kind == kernels.KIND_DELTOID:
+    elif kind == OLD_DELTOID:
         a = par[0]
         return a * (-2.0 * np.sin(s) - 2.0 * np.sin(2.0 * s)), a * (
             2.0 * np.cos(s) - 2.0 * np.cos(2.0 * s)
         )
-    elif kind == kernels.KIND_ROSE:
+    elif kind == OLD_ROSE:
         a = par[0]
         k = par[1]
         ck = np.cos(k * s)
@@ -238,30 +464,30 @@ def old_curve_d1(kind, par, s):
         return a * (-k * sk * np.cos(s) - ck * np.sin(s)), a * (
             -k * sk * np.sin(s) + ck * np.cos(s)
         )
-    elif kind == kernels.KIND_LISSAJOUS:
+    elif kind == OLD_LISSAJOUS:
         return par[0] * par[2] * np.cos(par[2] * s + par[4]), par[1] * par[3] * np.cos(
             par[3] * s
         )
-    elif kind == kernels.KIND_LEMNISCATE:
+    elif kind == OLD_LEMNISCATE:
         a = par[0]
         sn = np.sin(s)
         c = np.cos(s)
         d = 1.0 + sn * sn
         d2 = d * d
         return -a * sn * (3.0 - sn * sn) / d2, a * (c ** 4 - sn * sn - sn ** 4) / d2
-    elif kind == kernels.KIND_NEPHROID:
+    elif kind == OLD_NEPHROID:
         a = par[0]
         return a * (-3.0 * np.sin(s) + 3.0 * np.sin(3.0 * s)), a * (
             3.0 * np.cos(s) - 3.0 * np.cos(3.0 * s)
         )
-    elif kind == kernels.KIND_SPIROGRAPH:
+    elif kind == OLD_SPIROGRAPH:
         rr = par[0] - par[1]
         d = par[2]
         q = rr / par[1]
         return -rr * np.sin(s) - d * q * np.sin(q * s), rr * np.cos(s) - d * q * np.cos(
             q * s
         )
-    elif kind == kernels.KIND_GEAR:
+    elif kind == OLD_GEAR:
         ax, ay, bx, by, u, delta = old_gear_terms(par, s)
         wp = 6.0 * u * (1.0 - u) / delta
         return (bx - ax) * wp, (by - ay) * wp
@@ -274,14 +500,14 @@ def old_curve_d1(kind, par, s):
 
 def old_curve_d2(kind, par, s):
     """d2gamma/ds2 -> (x'', y'')."""
-    if kind == kernels.KIND_ELLIPSE:
+    if kind == OLD_ELLIPSE:
         return -par[0] * np.cos(s), -par[1] * np.sin(s)
-    elif kind == kernels.KIND_DELTOID:
+    elif kind == OLD_DELTOID:
         a = par[0]
         return a * (-2.0 * np.cos(s) - 4.0 * np.cos(2.0 * s)), a * (
             -2.0 * np.sin(s) + 4.0 * np.sin(2.0 * s)
         )
-    elif kind == kernels.KIND_ROSE:
+    elif kind == OLD_ROSE:
         a = par[0]
         k = par[1]
         ck = np.cos(k * s)
@@ -290,11 +516,11 @@ def old_curve_d2(kind, par, s):
         return a * (-kk1 * ck * np.cos(s) + 2.0 * k * sk * np.sin(s)), a * (
             -kk1 * ck * np.sin(s) - 2.0 * k * sk * np.cos(s)
         )
-    elif kind == kernels.KIND_LISSAJOUS:
+    elif kind == OLD_LISSAJOUS:
         return -par[0] * par[2] * par[2] * np.sin(par[2] * s + par[4]), -par[1] * par[
             3
         ] * par[3] * np.sin(par[3] * s)
-    elif kind == kernels.KIND_LEMNISCATE:
+    elif kind == OLD_LEMNISCATE:
         a = par[0]
         sn = np.sin(s)
         c = np.cos(s)
@@ -303,12 +529,12 @@ def old_curve_d2(kind, par, s):
         return -a * c * (3.0 - 12.0 * sn * sn + sn ** 4) / d3, -2.0 * a * sn * c * (
             5.0 - 3.0 * sn * sn
         ) / d3
-    elif kind == kernels.KIND_NEPHROID:
+    elif kind == OLD_NEPHROID:
         a = par[0]
         return a * (-3.0 * np.cos(s) + 9.0 * np.cos(3.0 * s)), a * (
             -3.0 * np.sin(s) + 9.0 * np.sin(3.0 * s)
         )
-    elif kind == kernels.KIND_SPIROGRAPH:
+    elif kind == OLD_SPIROGRAPH:
         rr = par[0] - par[1]
         d = par[2]
         q = rr / par[1]
@@ -316,7 +542,7 @@ def old_curve_d2(kind, par, s):
         return -rr * np.cos(s) - d * q2 * np.cos(q * s), -rr * np.sin(
             s
         ) + d * q2 * np.sin(q * s)
-    elif kind == kernels.KIND_GEAR:
+    elif kind == OLD_GEAR:
         ax, ay, bx, by, u, delta = old_gear_terms(par, s)
         wpp = (6.0 - 12.0 * u) / (delta * delta)
         return (bx - ax) * wpp, (by - ay) * wpp
@@ -1516,23 +1742,137 @@ def same_bits(got, ref):
     return type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
+# catalog curves whose jet rounds otherwise than the per-family branch it
+# replaced: a product (rose), a phase (lissajous) or a polar radius
+# (fourier-sum) became a sum of trigonometric rows, and spirograph-4's
+# (d q) sin qs became q (d sin qs).  Their jets stay within TRIG_DRIFT of
+# the curve's scale; every other curve keeps the old bits.
+DRIFTING = (
+    "lissajous-32",
+    "lissajous-54",
+    "lissajous",
+    "rose-3",
+    "rose-2",
+    "rose",
+    "fourier-blob",
+    "fourier-sum",
+    "spirograph-4",
+)
+TRIG_DRIFT = 1e-12
+
+
+def within_drift(got, ref, scale):
+    """Same type, and |got - ref| <= TRIG_DRIFT * scale."""
+    return type(got) is type(ref) and np.all(np.abs(np.asarray(got) - np.asarray(ref)) <= TRIG_DRIFT * scale)
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_curve_jet_matches_per_order_kernels(name):
     curve = make_curve(name)
     kind, par = curve.kind, curve.par
+    old_kind, old_par = old_layout(curve)
+    if name in DRIFTING:
+        match = lambda got, ref: within_drift(got, ref, curve.scale)  # noqa: E731
+    else:
+        match = same_bits
     # deltoid cusps, gear corners, parameters outside [0, 2 pi), then random
     special = np.array(DELTOID_CUSPS + GEAR_CORNERS + (-1.0, 7.0, 13.0))
     s_all = np.concatenate((special, np.random.default_rng(3).uniform(0.0, TWO_PI, 129)))
     cases = [float(s) for s in s_all[:8]] + [s_all[:m] for m in (1, 4, 12, 129)]
     for s in cases:
-        ref = old_curve_point(kind, par, s) + old_curve_d1(kind, par, s) + old_curve_d2(kind, par, s)
+        ref = (
+            old_curve_point(old_kind, old_par, s)
+            + old_curve_d1(old_kind, old_par, s)
+            + old_curve_d2(old_kind, old_par, s)
+        )
         # order 3 appends the third derivative to the same six outputs
         for order in (0, 1, 2, 3):
             got = curve_jet(kind, par, s, order)
             assert len(got) == 2 * order + 2
-            assert all(same_bits(g, r) for g, r in zip(got, ref)), (name, order, s)
+            assert all(match(g, r) for g, r in zip(got, ref)), (name, order, s)
         entry = curve_point(kind, par, s) + curve_d1(kind, par, s) + curve_d2(kind, par, s)
-        assert all(same_bits(g, r) for g, r in zip(entry, ref)), (name, s)
+        assert all(match(g, r) for g, r in zip(entry, ref)), (name, s)
+        # whatever the order asked for, the same bits
+        full = curve_jet(kind, par, s, 3)
+        assert all(same_bits(g, r) for g, r in zip(entry, full)), (name, s)
+
+
+TRIG_PRESETS = [name for name in catalog_names() if make_curve(name).kind == kernels.KIND_TRIG]
+
+
+def assert_trig_jet_matches_old_branches(curve, s_all, bit_stable):
+    """curve's jets, orders 0..3, against old_trig_jet on the array and float paths.
+
+    The float path runs the first 2000 entries of s_all.  bit_stable asks
+    for the same bits, otherwise TRIG_DRIFT of the scale.
+    """
+    old_kind, old_par = old_layout(curve)
+    par = tuple(curve.par.tolist())
+    old_tuple = tuple(old_par.tolist())
+    bound = 0.0 if bit_stable else TRIG_DRIFT * curve.scale
+    for order in (0, 1, 2, 3):
+        got = np.array(curve_jet(curve.kind, curve.par, s_all, order))
+        ref = np.array(old_trig_jet(old_kind, old_par, s_all, order))
+        rows = [curve_jet(curve.kind, par, s, order) for s in s_all[:2000].tolist()]
+        got_float = np.array(rows).T
+        ref_float = np.array([old_trig_jet(old_kind, old_tuple, s, order) for s in s_all[:2000].tolist()]).T
+        if bit_stable:
+            assert got.tobytes() == ref.tobytes(), (curve, order)
+            assert got_float.tobytes() == ref_float.tobytes(), (curve, order)
+        else:
+            assert np.max(np.abs(got - ref)) <= bound, (curve, order)
+            assert np.max(np.abs(got_float - ref_float)) <= bound, (curve, order)
+
+
+@pytest.mark.parametrize("name", TRIG_PRESETS)
+def test_trig_jet_matches_old_branches(name):
+    # the cusps of deltoid and nephroid (signed zeros included), parameters
+    # outside [0, 2 pi), then 10k random ones
+    special = np.array(DELTOID_CUSPS + (0.0, -0.0, np.pi, -1.0, 7.0, 13.0))
+    s_all = np.concatenate((special, np.random.default_rng(17).uniform(0.0, TWO_PI, 10_000)))
+    assert_trig_jet_matches_old_branches(make_curve(name), s_all, name not in DRIFTING)
+
+
+positive = st.floats(0.2, 5.0)
+# in-range parameters of the trigonometric families: frequencies and
+# windings up to 5 or 6, as in the presets, and fourier radii whose
+# harmonics take at most half of c0
+TRIG_FAMILY_PARAMS = {
+    "ellipse": st.fixed_dictionaries({"a": positive, "b": positive}),
+    "deltoid": st.fixed_dictionaries({"a": positive}),
+    "nephroid": st.fixed_dictionaries({"a": positive}),
+    "rose": st.fixed_dictionaries({"a": positive, "k": st.integers(1, 5)}),
+    "lissajous": st.fixed_dictionaries(
+        {
+            "amp_x": positive,
+            "amp_y": positive,
+            "freq_x": st.integers(1, 5),
+            "freq_y": st.integers(1, 5),
+            "phase": st.floats(-np.pi, np.pi),
+        }
+    ),
+    # a dyadic r keeps (R - r) / r an exact integer, as the old branch's
+    # unrounded winding needs to stay within TRIG_DRIFT of the rounded one
+    "spirograph": st.builds(
+        lambda r, q, d: {"R": r * (q + 1), "r": r, "d": d},
+        st.sampled_from((0.25, 0.5, 0.75, 1.0, 1.5, -0.25, -0.5, -1.0)),
+        st.sampled_from((-6, -5, -4, -3, -2, 1, 2, 3, 4, 5)),
+        st.floats(-3.0, 3.0),
+    ).filter(lambda p: p["R"] > 0),
+    "fourier-sum": st.builds(
+        lambda c0, unit: {"c0": c0, "coeffs": tuple(0.5 * c0 * u / len(unit) for u in unit)},
+        st.floats(0.5, 3.0),
+        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=10).filter(lambda u: len(u) % 2 == 0),
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), family=st.sampled_from(sorted(TRIG_FAMILY_PARAMS)))
+def test_trig_jet_matches_old_branches_on_drawn_parameters(data, family):
+    curve = make_curve(family, **data.draw(TRIG_FAMILY_PARAMS[family]))
+    s_all = np.concatenate((np.array((0.0, -0.0)), np.random.default_rng(5).uniform(0.0, TWO_PI, 62)))
+    assert_trig_jet_matches_old_branches(curve, s_all, bit_stable=False)
 
 
 # the families whose jet raises an array to a power: numpy's vectorized
