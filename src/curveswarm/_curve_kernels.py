@@ -175,36 +175,48 @@ def curve_jet(kind, par, s, order):
         # per coordinate f = a cos ks + b sin ks, g = b cos ks - a sin ks,
         # f' = k g, f'' = -k^2 f, f''' = -k^3 g.  Skipping zero coefficients
         # rounds a one-term coordinate as that term, signed zeros included
-        # (-0.0 + v is v for every v).  Order 0 takes no g and no unread trig.
+        # (-0.0 + v is v for every v), and a row with no term in a coordinate
+        # (a lissajous row holds x or y) adds nothing to it.  Order 0 takes no
+        # g and no unread trig.
         cos, sin = xp.cos, xp.sin
+        third = order > 2  # the mission tick's order, tested first
         x = y = dx = dy = ddx = ddy = d3x = d3y = -0.0
         for k, k2, k3, a, b, c, d in par if xp is math else par.tolist():
             ks = k * s
             cs = cos(ks) if order or a or c else 0.0 * ks
             sn = sin(ks) if order or b or d else 0.0 * ks
-            if not b:
-                fx, gx = a * cs, -(a * sn) if order else 0.0
-            elif not a:
-                fx, gx = b * sn, b * cs if order else 0.0
-            else:
-                fx, gx = a * cs + b * sn, b * cs - a * sn if order else 0.0
-            if not c:
-                fy, gy = d * sn, d * cs if order else 0.0
-            elif not d:
-                fy, gy = c * cs, -(c * sn) if order else 0.0
-            else:
-                fy, gy = c * cs + d * sn, d * cs - c * sn if order else 0.0
-            x += fx
-            y += fy
-            if order:
-                dx += k * gx
-                dy += k * gy
-                if order > 1:
+            if a or b:
+                if not b:
+                    fx, gx = a * cs, -(a * sn) if order else 0.0
+                elif not a:
+                    fx, gx = b * sn, b * cs if order else 0.0
+                else:
+                    fx, gx = a * cs + b * sn, b * cs - a * sn if order else 0.0
+                x += fx
+                if third:
+                    dx += k * gx
                     ddx -= k2 * fx
+                    d3x -= k3 * gx
+                elif order:
+                    dx += k * gx
+                    if order > 1:
+                        ddx -= k2 * fx
+            if d or c:
+                if not c:
+                    fy, gy = d * sn, d * cs if order else 0.0
+                elif not d:
+                    fy, gy = c * cs, -(c * sn) if order else 0.0
+                else:
+                    fy, gy = c * cs + d * sn, d * cs - c * sn if order else 0.0
+                y += fy
+                if third:
+                    dy += k * gy
                     ddy -= k2 * fy
-                    if order > 2:
-                        d3x -= k3 * gx
-                        d3y -= k3 * gy
+                    d3y -= k3 * gy
+                elif order:
+                    dy += k * gy
+                    if order > 1:
+                        ddy -= k2 * fy
         return (x, y, dx, dy, ddx, ddy, d3x, d3y)[: 2 * order + 2]
     elif kind == KIND_LEMNISCATE:
         a = par[0]

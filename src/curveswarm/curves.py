@@ -17,7 +17,7 @@ import numpy as np
 from . import _curve_kernels as ck
 
 TWO_PI = 2.0 * math.pi
-ARC_CELLS = 1024  # arclength-table cells (x 16 nodes) per derivative call
+ARC_CELLS = 128  # arclength-table cells (x 16 nodes) per derivative call
 SAMPLE_COUNT = 2048  # uniform parameter samples cached for proximity queries
 SAMPLE_CHUNK = 32  # consecutive cached samples under one bounding circle
 
@@ -28,6 +28,23 @@ class CurveError(ValueError):
 
 class SingularPointError(RuntimeError):
     """No regular parameter found near a singular query point."""
+
+
+# 16-point Gauss-Legendre rule on [-1, 1]: the values of numpy's
+# leggauss(16), whose nodes and weights are exactly symmetric, so the
+# positive half is stored and mirrored
+_GL_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+GL_NODES = np.array([-x for x in _GL_HALF_NODES[::-1]] + list(_GL_HALF_NODES))
+GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+GL_NODES.setflags(write=False)
+GL_WEIGHTS.setflags(write=False)
 
 
 def _require(cond, msg):
@@ -360,7 +377,7 @@ class Curve:
         return self.arclength(0.0, TWO_PI)
 
     def _arc_table(self):
-        """Cumulative arclength over [0, 2*pi], refined until converged.
+        """Cell edges and cumulative arclength over [0, 2*pi], refined until converged.
 
         Composite 16-point Gauss-Legendre per cell, cell count doubled until
         the total changes by under 1e-9 relative (tighter than the 1e-8
@@ -368,21 +385,22 @@ class Curve:
         """
         if "arc" in self._cache:
             return self._cache["arc"]
-        nodes, weights = np.polynomial.legendre.leggauss(16)
         total_prev = None
         n_cells = 1024
         while True:
             edges = np.linspace(0.0, TWO_PI, n_cells + 1)
             h = TWO_PI / n_cells
+            offsets = 0.5 * h * (GL_NODES + 1.0)
             cell = np.empty(n_cells)
-            # ARC_CELLS cells per derivative call keep the kernel's
-            # temporaries small however far the table refines
+            # ARC_CELLS cells per derivative call keep every temporary of
+            # the kernel at 16 KiB however far the table refines; a cell's
+            # sum does not depend on its block
             for b in range(0, n_cells, ARC_CELLS):
                 # map GL nodes into every cell of the block: shape (cells, 16)
-                sgrid = edges[b : min(b + ARC_CELLS, n_cells), None] + 0.5 * h * (nodes[None, :] + 1.0)
+                sgrid = edges[b : min(b + ARC_CELLS, n_cells), None] + offsets
                 d = self.deriv(sgrid.ravel())
                 m = np.hypot(d[:, 0], d[:, 1]).reshape(-1, 16)
-                cell[b : b + ARC_CELLS] = 0.5 * h * (m * weights[None, :]).sum(axis=1)
+                cell[b : b + ARC_CELLS] = 0.5 * h * (m * GL_WEIGHTS).sum(axis=1)
             total = float(cell.sum())
             if total_prev is not None and abs(total - total_prev) <= 1e-9 * max(total, 1.0):
                 break
@@ -392,12 +410,12 @@ class Curve:
             n_cells *= 2
         cum = np.concatenate(([0.0], np.cumsum(cell)))
         cum[-1] = total
-        self._cache["arc"] = (edges, cum, nodes, weights)
+        self._cache["arc"] = (edges, cum)
         return self._cache["arc"]
 
     def _arc_from_zero(self, s: float) -> float:
         """Arclength from parameter 0 to s >= 0 (periodic extension)."""
-        edges, cum, nodes, weights = self._arc_table()
+        edges, cum = self._arc_table()
         total = cum[-1]
         k, rem = divmod(s, TWO_PI)
         n_cells = len(edges) - 1
@@ -405,9 +423,9 @@ class Curve:
         lo = edges[j]
         if rem <= lo:
             return k * total + cum[j]
-        sn = lo + 0.5 * (rem - lo) * (nodes + 1.0)
+        sn = lo + 0.5 * (rem - lo) * (GL_NODES + 1.0)
         d = self.deriv(sn)
-        part = 0.5 * (rem - lo) * float((np.hypot(d[:, 0], d[:, 1]) * weights).sum())
+        part = 0.5 * (rem - lo) * float((np.hypot(d[:, 0], d[:, 1]) * GL_WEIGHTS).sum())
         return k * total + cum[j] + part
 
     def arclength(self, s0: float, s1: float) -> float:

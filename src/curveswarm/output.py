@@ -367,7 +367,11 @@ def write_samples_csv(path, curve: Curve, n: int) -> None:
 
 
 def _svg_mapper(curve: Curve):
-    """World-to-SVG transform: square viewBox around the curve, y up."""
+    """World-to-SVG transform: square viewBox around the curve, y up.
+
+    Returns (to_svg, size, k, pts): to_svg maps x and y (floats or arrays)
+    to SVG coordinates, k is its scale and pts the 1024 outline points.
+    """
     pts = curve.point(np.linspace(0.0, 2.0 * np.pi, 1024))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -376,27 +380,23 @@ def _svg_mapper(curve: Curve):
     size = 720.0
     k = size / (2.0 * half)
 
-    def to_svg(p):
-        return (
-            (float(p[0]) - c[0] + half) * k,
-            (c[1] + half - float(p[1])) * k,
-        )
+    def to_svg(x, y):
+        return (x - c[0] + half) * k, (c[1] + half - y) * k
 
-    return to_svg, size, k
+    return to_svg, size, k, pts
 
 
-def _polyline(f, pts, stroke, width, opacity=1.0, dash=None):
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
+def _polyline(f, xs, ys, stroke, width, opacity=1.0):
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
     f.write(
         f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
-        f' stroke-width="{width:.2f}" stroke-opacity="{opacity:.2f}"{extra}/>\n'
+        f' stroke-width="{width:.2f}" stroke-opacity="{opacity:.2f}"/>\n'
     )
 
 
 def write_snapshot_svg(path, curve: Curve, metrics, pose, k: int) -> None:
     """Scene at record k of run_mission's pose: curve, trails up to k, agents, targets."""
-    to_svg, size, sc = _svg_mapper(curve)
+    to_svg, size, sc, pts = _svg_mapper(curve)
     k = min(max(k, 0), pose.shape[0] - 1)
     t = float(metrics.times[k])
     n = pose.shape[1]
@@ -407,15 +407,13 @@ def write_snapshot_svg(path, curve: Curve, metrics, pose, k: int) -> None:
             f' height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">\n'
         )
         f.write(f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>\n')
-        curve_pts = [
-            to_svg(p)
-            for p in curve.point(np.linspace(0.0, 2.0 * np.pi, 1024))
-        ]
-        _polyline(f, curve_pts + curve_pts[:1], "#9aa0a6", 1.6)
+        # the outline, closed on its first point
+        xs, ys = (a.tolist() for a in to_svg(pts[:, 0], pts[:, 1]))
+        _polyline(f, xs + xs[:1], ys + ys[:1], "#9aa0a6", 1.6)
         if metrics.assignment is not None:
             arm = 0.05 * curve.scale * sc
             for vx, vy in metrics.assignment.position:
-                x, y = to_svg((vx, vy))
+                x, y = to_svg(float(vx), float(vy))
                 f.write(
                     f'<path d="M {x - arm:.2f} {y - arm:.2f} L {x + arm:.2f}'
                     f' {y + arm:.2f} M {x - arm:.2f} {y + arm:.2f} L'
@@ -424,12 +422,13 @@ def write_snapshot_svg(path, curve: Curve, metrics, pose, k: int) -> None:
                 )
         for i in range(n):
             color = SVG_COLORS[i % len(SVG_COLORS)]
-            trail = [to_svg(pose[j, i, 0:2]) for j in range(0, k + 1, 4)]
-            if len(trail) >= 2:
-                _polyline(f, trail, color, 1.2, opacity=0.55)
-            x, y, psi = pose[k, i]
-            cx, cy = to_svg((x, y))
-            hx, hy = to_svg((x + tick * np.cos(psi), y + tick * np.sin(psi)))
+            # every fourth record up to k
+            xs, ys = to_svg(pose[0 : k + 1 : 4, i, 0], pose[0 : k + 1 : 4, i, 1])
+            if xs.shape[0] >= 2:
+                _polyline(f, xs.tolist(), ys.tolist(), color, 1.2, opacity=0.55)
+            x, y, psi = pose[k, i].tolist()
+            cx, cy = to_svg(x, y)
+            hx, hy = to_svg(x + tick * np.cos(psi), y + tick * np.sin(psi))
             f.write(
                 f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5.0" fill="{color}"/>\n'
             )

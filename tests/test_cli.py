@@ -495,6 +495,77 @@ def test_snapshot_svg_well_formed(tmp_path, short_mission):
     assert "polyline" in tags and "path" in tags
 
 
+def reference_snapshot_svg(path, curve, metrics, pose, k):
+    """The snapshot writer as it was when every point went through to_svg one at a time."""
+    pts = curve.point(np.linspace(0.0, 2.0 * np.pi, 1024))
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    c = 0.5 * (lo + hi)
+    half = float(np.max(hi - lo)) * 0.5 + 0.35 * curve.scale
+    size = 720.0
+    sc = size / (2.0 * half)
+
+    def to_svg(p):
+        return (float(p[0]) - c[0] + half) * sc, (c[1] + half - float(p[1])) * sc
+
+    def polyline(f, pts, stroke, width, opacity=1.0):
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+        f.write(
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
+            f' stroke-width="{width:.2f}" stroke-opacity="{opacity:.2f}"/>\n'
+        )
+
+    k = min(max(k, 0), pose.shape[0] - 1)
+    tick = 0.045 * curve.scale
+    with open(path, "w") as f:
+        f.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}"'
+            f' height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">\n'
+        )
+        f.write(f'<rect width="{size:.0f}" height="{size:.0f}" fill="#ffffff"/>\n')
+        curve_pts = [to_svg(p) for p in curve.point(np.linspace(0.0, 2.0 * np.pi, 1024))]
+        polyline(f, curve_pts + curve_pts[:1], "#9aa0a6", 1.6)
+        if metrics.assignment is not None:
+            arm = 0.05 * curve.scale * sc
+            for vx, vy in metrics.assignment.position:
+                x, y = to_svg((vx, vy))
+                f.write(
+                    f'<path d="M {x - arm:.2f} {y - arm:.2f} L {x + arm:.2f}'
+                    f' {y + arm:.2f} M {x - arm:.2f} {y + arm:.2f} L'
+                    f' {x + arm:.2f} {y - arm:.2f}" stroke="#202124"'
+                    f' stroke-width="2.0" fill="none"/>\n'
+                )
+        for i in range(pose.shape[1]):
+            color = output.SVG_COLORS[i % len(output.SVG_COLORS)]
+            trail = [to_svg(pose[j, i, 0:2]) for j in range(0, k + 1, 4)]
+            if len(trail) >= 2:
+                polyline(f, trail, color, 1.2, opacity=0.55)
+            x, y, psi = pose[k, i]
+            cx, cy = to_svg((x, y))
+            hx, hy = to_svg((x + tick * np.cos(psi), y + tick * np.sin(psi)))
+            f.write(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="5.0" fill="{color}"/>\n')
+            f.write(
+                f'<line x1="{cx:.2f}" y1="{cy:.2f}" x2="{hx:.2f}" y2="{hy:.2f}"'
+                f' stroke="{color}" stroke-width="2.2"/>\n'
+            )
+        f.write(
+            f'<text x="12" y="24" font-family="monospace" font-size="16"'
+            f' fill="#202124">t = {float(metrics.times[k]):.2f} s</text>\n'
+        )
+        f.write("</svg>\n")
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_snapshot_svg_matches_the_pointwise_writer(tmp_path, short_mission, where):
+    # the trails and the outline are mapped as arrays; the bytes are those
+    # of mapping each point on its own
+    curve, _config, metrics, _record, pose, _out = short_mission
+    k = {"start": 0, "middle": pose.shape[0] // 2 + 1, "end": pose.shape[0] - 1}[where]
+    write_snapshot_svg(tmp_path / "new.svg", curve, metrics, pose, k)
+    reference_snapshot_svg(tmp_path / "ref.svg", curve, metrics, pose, k)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+
+
 def test_samples_csv_closure():
     curve = make_curve("rose-3")
     text = format_samples_csv(curve, 100)

@@ -1,13 +1,14 @@
 """Curve catalog tests: frozen values, brute-force oracles, geometric invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveswarm import CurveError, SingularPointError, make_curve
+from curveswarm import CurveError, SingularPointError, curves, make_curve
 from curveswarm._curve_kernels import _polar_terms, curve_jet
 from curveswarm.curves import FAMILIES, SQUARE_SUITE, TWO_PI, catalog_names
 
@@ -259,6 +260,42 @@ def test_deltoid_arclength_oracle():
     m = np.hypot(dv[:, 0], dv[:, 1])
     oracle = np.trapezoid(m, s)
     assert abs(d.length - oracle) < 1e-6 * oracle
+
+
+def test_gauss_legendre_constants():
+    # the stored rule is numpy's leggauss(16), which the package no longer
+    # calls: within 2 ulp of it, and exact on polynomials of degree <= 31
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for got, want in ((curves.GL_NODES, nodes), (curves.GL_WEIGHTS, weights)):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    x = curves.GL_NODES.tolist()
+    w = curves.GL_WEIGHTS.tolist()
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(wi * xi**k for xi, wi in zip(x, w)) - exact) < 1e-15, k
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_arc_table_blocks_match_one_block(monkeypatch, name):
+    # a cell's 16-node sum does not depend on the block it is evaluated in
+    edges, cum = make_curve(name)._arc_table()
+    monkeypatch.setattr(curves, "ARC_CELLS", 65536)
+    edges_one, cum_one = make_curve(name)._arc_table()
+    assert edges.tobytes() == edges_one.tobytes()
+    assert cum.tobytes() == cum_one.tobytes()
+    if name == "deltoid":  # its cusps refine the table furthest
+        assert len(edges) - 1 == 8192
+
+
+def test_arc_table_builds_in_bounded_memory():
+    c = make_curve("deltoid")
+    tracemalloc.start()
+    try:
+        c._arc_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_arclength_inverse_endpoints_and_circle():

@@ -153,15 +153,16 @@ def test_initial_states_place_the_same_agents_as_numpy(seed, name, n):
 
 def test_cli_loads_no_numpy_random_package(tmp_path):
     # the stream exists so that no run pays for numpy's random package,
-    # nor for the secrets and hashlib modules it pulls in
+    # nor for the secrets and hashlib modules it pulls in; and with the
+    # arclength rule stored as constants, none imports numpy.polynomial
     script = (
         "import sys\n"
         "import curveswarm.cli as cli\n"
         f"assert cli.main(['find', '--curve', 'deltoid', '--n', '4', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
         f"assert cli.main(['simulate', '--curve', 'ellipse', '--n', '3', '--horizon', '2',"
         f" '--out', {str(tmp_path / 's')!r}]) == 0\n"
-        "bad = ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
-        "print(sorted(m for m in sys.modules if m in bad or m.startswith('numpy.random.')))\n"
+        "bad = ('numpy.random', 'secrets', 'hashlib', '_hashlib', 'numpy.polynomial')\n"
+        "print(sorted(m for m in sys.modules if m in bad or m.startswith(('numpy.random.', 'numpy.polynomial.'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curveswarm.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
