@@ -81,6 +81,9 @@ PAIR_BLOCK = 256  # (point, chunk) pairs per exact pass: (256, 32) temporaries
 # ticks per block of the mission loop: one march_profile call, one
 # adherence pass and one on_block callback each
 TICK_BLOCK = 512
+# the trail keeps every agent's (x, y) at every TRAIL_STRIDE-th tick, which
+# the snapshot SVG draws; TICK_BLOCK is a multiple of it
+TRAIL_STRIDE = 4
 
 
 def rk4_step_team(rows, dt):
@@ -483,7 +486,7 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     return rows, min_sep
 
 
-def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=None):
+def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, snap_ticks=(), on_block=None):
     """Full fixed-step closed loop, one block of records at a time.
 
     Makes a record (state, blending diagnostics and controls) at every
@@ -494,11 +497,16 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
     call, fills one reused (TICK_BLOCK, n, TRAJECTORY_COLUMNS) buffer and
     gets its mean adherence from one mean_adherence call; on_block, if
     given, then gets (records, min_distance, adherence), in arrays valid
-    only during the call.  Of the records the loop keeps sigma and the
-    pose (x, y, psi).  Stops early when agents close within 0.5 *
-    cp.d_safe (collision) or any state goes non-finite.  Returns
-    (min_distance, adherence, sigma, pose, collision, nonfinite), one
-    tick per record made.
+    only during the call.  Of the records the loop keeps sigma, the
+    trail (x, y at every TRAIL_STRIDE-th tick), the pose (x, y, psi) at
+    each tick of snap_ticks that it reaches and at the last record, and
+    the closest pair of the first record at the run's smallest
+    separation.  Stops early when agents close within 0.5 * cp.d_safe
+    (collision) or any state goes non-finite.  Returns (min_distance,
+    adherence, sigma, trail, poses, closest, collision, nonfinite): the
+    series hold one tick per record made, trail (ticks, n, 2) one row per
+    TRAIL_STRIDE records, poses maps a tick to its (n, 3) pose, and
+    closest is (i, j), i < j, or None for a lone agent or no record.
     """
     n = states0.shape[0]
     total = n_steps + 1
@@ -506,7 +514,10 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
     min_dist = np.zeros(total)
     adherence = np.zeros(total)
     sigma = np.zeros((total, n))
-    pose = np.zeros((total, n, 3))
+    trail = np.zeros((-(-total // TRAIL_STRIDE), n, 2))
+    poses = {}
+    closest = None
+    closest_dist = math.inf
     states = list(map(tuple, states0.tolist()))
     z0_rows = z0.tolist()
     if targets is not None:
@@ -537,11 +548,27 @@ def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, on_block=N
             block = records[: filled - start]
             adherence[start:filled] = mean_adherence(curve, block[:, :, 0:2])
             sigma[start:filled] = block[:, :, TRAJECTORY_COLUMNS.index("sigma")]
-            pose[start:filled] = block[:, :, 0:3]
+            # a block starts on a multiple of TRAIL_STRIDE
+            xy = block[::TRAIL_STRIDE, :, 0:2]
+            trail[start // TRAIL_STRIDE : start // TRAIL_STRIDE + xy.shape[0]] = xy
+            for k in snap_ticks:
+                if start <= k < filled:
+                    poses[k] = block[k - start, :, 0:3].copy()
+            last = block[-1, :, 0:3].copy()
+            if n > 1:
+                # the block's first record at its smallest separation takes
+                # over only below the run's minimum so far
+                j = int(np.argmin(min_dist[start:filled]))
+                if min_dist[start + j] < closest_dist:
+                    closest_dist = min_dist[start + j]
+                    closest = closest_pair(block[j, :, 0], block[j, :, 1])
             if on_block is not None:
                 on_block(block, min_dist[start:filled], adherence[start:filled])
         if collision or nonfinite:
             break
+    if filled > 0:
+        poses[filled - 1] = last
     return (
-        min_dist[:filled], adherence[:filled], sigma[:filled], pose[:filled], collision, nonfinite
+        min_dist[:filled], adherence[:filled], sigma[:filled],
+        trail[: -(-filled // TRAIL_STRIDE)], poses, closest, collision, nonfinite,
     )

@@ -26,7 +26,7 @@ from .output import (
     write_solution_file,
     write_trajectory_csv,
 )
-from .sim import MissionError, run_mission
+from .sim import MissionError, run_mission, snapshot_tick
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,7 +169,7 @@ def cmd_simulate(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.csv")
     with MissionWriter(traj_path, metrics_path, mission.dt) as writer:
         try:
-            metrics, pose = run_mission(mission, on_block=writer.send)
+            metrics, kept = run_mission(mission, on_block=writer.send)
         except MissionError as exc:
             print(f"mission error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
@@ -178,9 +178,9 @@ def cmd_simulate(args) -> int:
         # formatting the last blocks
         snap_times = mission.snapshot_times or (float(metrics.times[-1]),)
         for t_snap in snap_times:
-            k = int(round(t_snap / mission.dt))
+            k = snapshot_tick(t_snap, mission.dt)
             path = os.path.join(args.out, _snapshot_name(t_snap))
-            write_snapshot_svg(path, cfg.curve, metrics, pose, k)
+            write_snapshot_svg(path, cfg.curve, metrics, kept, k)
         write_trajectory_csv(traj_path, writer)
         write_metrics_csv(metrics_path, metrics, writer)
     sigma_last = float(metrics.sigma[-1].min()) if metrics.sigma.size else 0.0

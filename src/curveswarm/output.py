@@ -15,8 +15,9 @@ from contextlib import closing
 
 import numpy as np
 
+from ._curve_kernels import curve_jet
 from .curves import Curve
-from ._sim_kernels import TICK_BLOCK, TRAJECTORY_COLUMNS
+from ._sim_kernels import TICK_BLOCK, TRAIL_STRIDE, TRAJECTORY_COLUMNS
 
 # a trajectory.csv row is a record row after its time and agent index
 TRAJECTORY_HEADER = ",".join(("t", "agent") + TRAJECTORY_COLUMNS)
@@ -348,17 +349,30 @@ SAMPLE_BUDGET = 1 << 30
 
 
 def format_samples_csv(curve: Curve, n: int) -> str:
-    """n curve samples with tangent and curvature columns, endpoint closed."""
-    rows = ["s,x,y,tangent_x,tangent_y,curvature"]
-    for s in np.linspace(0.0, 2.0 * np.pi, n):
-        p = curve.point(float(s))
-        fr = curve.frenet(float(s))
-        rows.append(
-            _fmt(s) + "," + _fmt(p[0]) + "," + _fmt(p[1]) + ","
-            + _fmt(fr.tangent[0]) + "," + _fmt(fr.tangent[1]) + ","
-            + _fmt(fr.curvature)
-        )
-    return "\n".join(rows) + "\n"
+    """n curve samples with tangent and curvature columns, endpoint closed.
+
+    One array order-2 curve_jet over every row gives the points and the
+    frames, as curve_frame forms them; a row below the curve's eps_sing
+    speed takes Curve.frenet's cusp fallback instead, which raises
+    SingularPointError where no regular parameter is in reach.
+    """
+    s = np.linspace(0.0, 2.0 * np.pi, n)
+    x, y, dx, dy, ddx, ddy = curve_jet(curve.kind, curve.par, s, 2)
+    speed = np.hypot(dx, dy)
+    slow = speed < curve.eps_sing
+    mf = np.where(slow, 1.0, speed)
+    tx = dx / mf
+    ty = dy / mf
+    kappa = np.abs((dx * ddy - dy * ddx) / (mf * mf * mf))
+    for i in np.flatnonzero(slow).tolist():
+        fr = curve.frenet(float(s[i]))
+        tx[i], ty[i] = fr.tangent.tolist()
+        kappa[i] = fr.curvature
+    columns = (s, x, y, tx, ty, kappa)
+    text = ["s,x,y,tangent_x,tangent_y,curvature\n"]
+    for b in range(0, n, TICK_BLOCK):
+        text.append(_lines(zip(*(_reprs(c[b : b + TICK_BLOCK]) for c in columns))))
+    return "".join(text)
 
 
 def write_samples_csv(path, curve: Curve, n: int) -> None:
@@ -394,12 +408,19 @@ def _polyline(f, xs, ys, stroke, width, opacity=1.0):
     )
 
 
-def write_snapshot_svg(path, curve: Curve, metrics, pose, k: int) -> None:
-    """Scene at record k of run_mission's pose: curve, trails up to k, agents, targets."""
+def write_snapshot_svg(path, curve: Curve, metrics, kept, k: int) -> None:
+    """Scene at record k: curve, trails up to k, agents, targets.
+
+    kept is the (trail, poses) that run_mission returns; k is clamped to
+    the records made, and poses must hold the pose at the clamped k.
+    """
+    trail, poses = kept
     to_svg, size, sc, pts = _svg_mapper(curve)
-    k = min(max(k, 0), pose.shape[0] - 1)
+    k = min(max(k, 0), metrics.times.shape[0] - 1)
     t = float(metrics.times[k])
-    n = pose.shape[1]
+    pose = poses[k]
+    n = pose.shape[0]
+    m = k // TRAIL_STRIDE + 1  # trail rows: every fourth record up to k
     tick = 0.045 * curve.scale
     with open(path, "w") as f:
         f.write(
@@ -422,11 +443,10 @@ def write_snapshot_svg(path, curve: Curve, metrics, pose, k: int) -> None:
                 )
         for i in range(n):
             color = SVG_COLORS[i % len(SVG_COLORS)]
-            # every fourth record up to k
-            xs, ys = to_svg(pose[0 : k + 1 : 4, i, 0], pose[0 : k + 1 : 4, i, 1])
+            xs, ys = to_svg(trail[:m, i, 0], trail[:m, i, 1])
             if xs.shape[0] >= 2:
                 _polyline(f, xs.tolist(), ys.tolist(), color, 1.2, opacity=0.55)
-            x, y, psi = pose[k, i].tolist()
+            x, y, psi = pose[i].tolist()
             cx, cy = to_svg(x, y)
             hx, hy = to_svg(x + tick * np.cos(psi), y + tick * np.sin(psi))
             f.write(

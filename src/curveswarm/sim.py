@@ -34,8 +34,9 @@ from .finder import FinderConfig, FormationSolution, multistart
 
 TWO_PI = 2.0 * np.pi
 DT_MAX = 0.02
-# bytes a mission may keep in arrays with one entry per tick: its times,
-# min_distance and adherence series, and every agent's sigma and pose
+# bytes a mission may keep per tick: its times, min_distance and adherence
+# series and every agent's sigma (8 bytes each), and its trail (an x and a y
+# of 8 bytes every TRAIL_STRIDE ticks, 4 a tick)
 RECORD_BUDGET = 1 << 30
 
 
@@ -87,12 +88,13 @@ class MissionConfig:
         if not self.horizon > 0.0:
             raise MissionError("horizon must be positive")
         ticks = self.horizon / self.dt + 1.0
-        nbytes = 8.0 * ticks * (3 + 4 * self.n)
+        nbytes = ticks * (8.0 * (3 + self.n) + 4.0 * self.n)
         if not nbytes <= RECORD_BUDGET:
             raise MissionError(
                 f"horizon {self.horizon!r} s at dt {self.dt!r} s with n = {self.n} agents asks for"
-                f" {nbytes:.4g} bytes of per-tick series (times, min_distance, adherence, and each"
-                f" agent's sigma, x, y and psi), over the budget of {RECORD_BUDGET} bytes"
+                f" {nbytes:.4g} bytes of per-tick series (times, min_distance, adherence, each"
+                f" agent's sigma, and its x and y every {sk.TRAIL_STRIDE}th tick), over the budget"
+                f" of {RECORD_BUDGET} bytes"
             )
         if self.annulus_frac < 0.0:
             raise MissionError("annulus_frac must be nonnegative")
@@ -285,13 +287,23 @@ def _schedule_laps(theta, gap, base, curve, cp):
     return best
 
 
-def run_mission(config: MissionConfig, on_block=None):
-    """Execute the closed loop; returns (MissionMetrics, pose).
+def snapshot_tick(t, dt) -> int:
+    """The record a snapshot at time t draws, before it is clamped to the records made."""
+    return int(round(t / dt))
 
-    pose[k, i] is agent i's (x, y, psi), the first three record columns,
-    at metrics.times[k].  Missions with n >= 3 first find the inscribed
-    polygon by multistart and assign vertices in cyclic order; a mission
-    whose best formation is not geometrically usable raises MissionError.
+
+def run_mission(config: MissionConfig, on_block=None):
+    """Execute the closed loop; returns (MissionMetrics, (trail, poses)).
+
+    trail and poses are what the snapshots draw, from the first three
+    record columns: trail[m, i] is agent i's (x, y) at metrics.times[4 * m]
+    (every _sim_kernels.TRAIL_STRIDE-th record), and poses maps the
+    snapshot_tick of each snapshot time and the last record's tick to
+    every agent's (x, y, psi) there; a snapshot time past an early stop is
+    left to the last record.  Missions with n >= 3 first find the
+    inscribed polygon by multistart and assign vertices in cyclic order; a
+    mission whose best formation is not geometrically usable raises
+    MissionError.
     Early stops: inter-agent distance under 0.5 * d_safe sets the
     collision flag, non-finite states set nonfinite; both truncate the
     series.  on_block gets each block of records with its minimum
@@ -330,20 +342,19 @@ def run_mission(config: MissionConfig, on_block=None):
         z_cap = z0 + cp.lift_gain * (gap + TWO_PI * whole)
 
     n_steps = int(round(config.horizon / config.dt))
-    min_dist, adherence, sigma, pose, collision, nonfinite = sk.mission_core(
-        curve, states0, z0, z_cap, targets, cp, float(config.dt), n_steps, on_block
+    snap_ticks = {snapshot_tick(t, config.dt) for t in config.snapshot_times}
+    min_dist, adherence, sigma, trail, poses, closest, collision, nonfinite = sk.mission_core(
+        curve, states0, z0, z_cap, targets, cp, float(config.dt), n_steps, snap_ticks, on_block
     )
-    times = np.arange(pose.shape[0]) * config.dt
+    # scaled in place: no integer arange of its length is held beside it
+    times = np.arange(min_dist.shape[0], dtype=np.float64)
+    times *= config.dt
     final_errors = None
-    if targets is not None and pose.shape[0] > 0:
+    if targets is not None and times.shape[0] > 0:
+        last = poses[times.shape[0] - 1]
         final_errors = np.hypot(
-            pose[-1, :, 0] - assignment.position[:, 0],
-            pose[-1, :, 1] - assignment.position[:, 1],
+            last[:, 0] - assignment.position[:, 0], last[:, 1] - assignment.position[:, 1]
         )
-    closest = None
-    if config.n > 1 and pose.shape[0] > 0:
-        k = int(np.argmin(min_dist))
-        closest = sk.closest_pair(pose[k, :, 0], pose[k, :, 1])
     metrics = MissionMetrics(
         times=times,
         min_distance=min_dist,
@@ -356,4 +367,4 @@ def run_mission(config: MissionConfig, on_block=None):
         assignment=assignment,
         closest_pair=closest,
     )
-    return metrics, pose
+    return metrics, (trail, poses)

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, file emission, and the CLI."""
 
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -20,7 +21,8 @@ from curveswarm.config import (
     parse_target,
 )
 from curveswarm.control import ControllerParams, make_params
-from curveswarm.curves import make_curve
+from curveswarm._curve_kernels import KIND_CASSINI, KIND_LEMNISCATE, KIND_SUPERELLIPSE
+from curveswarm.curves import Curve, SingularPointError, catalog_names, make_curve
 from curveswarm.finder import FinderConfig, multistart
 from curveswarm.output import (
     TRAJECTORY_HEADER,
@@ -31,7 +33,7 @@ from curveswarm.output import (
     write_solution_file,
     write_trajectory_csv,
 )
-from curveswarm.sim import MissionConfig, MissionError, run_mission
+from curveswarm.sim import DT_MAX, MissionConfig, MissionError, run_mission
 
 
 def run_cli(args):
@@ -213,8 +215,9 @@ def test_non_finite_values_are_config_errors(tmp_path, capsys):
 def _write_mission(config, out):
     """Run the mission, its CSVs written into out by a MissionWriter.
 
-    Returns (metrics, pose, whether the writer forked, the dense record
-    copied block by block as the writer was sent it).
+    Returns (metrics, run_mission's (trail, poses), whether the writer
+    forked, the dense record copied block by block as the writer was sent
+    it).
     """
     blocks = [np.empty((0, config.n, len(sk.TRAJECTORY_COLUMNS)))]
 
@@ -223,11 +226,11 @@ def _write_mission(config, out):
         writer.send(records, *series)
 
     with MissionWriter(out / "trajectory.csv", out / "metrics.csv", config.dt) as writer:
-        metrics, pose = run_mission(config, on_block=on_block)
+        metrics, kept = run_mission(config, on_block=on_block)
         forked = writer.pid is not None
         write_trajectory_csv(out / "trajectory.csv", writer)
         write_metrics_csv(out / "metrics.csv", metrics, writer)
-    return metrics, pose, forked, np.concatenate(blocks)
+    return metrics, kept, forked, np.concatenate(blocks)
 
 
 def _replay_in_process(monkeypatch, out, record, metrics, dt):
@@ -245,10 +248,12 @@ def _replay_in_process(monkeypatch, out, record, metrics, dt):
 @pytest.fixture(scope="module")
 def short_mission(tmp_path_factory):
     curve = make_curve("deltoid")
-    config = MissionConfig(curve=curve, n=4, seed=0, horizon=6.0)
+    # the snapshot ticks 0, 301 and 600 are the start, middle and end of
+    # the snapshot tests below
+    config = MissionConfig(curve=curve, n=4, seed=0, horizon=6.0, snapshot_times=(0.0, 3.01, 6.0))
     out = tmp_path_factory.mktemp("short")
-    metrics, pose, _forked, record = _write_mission(config, out)
-    return curve, config, metrics, record, pose, out
+    metrics, kept, _forked, record = _write_mission(config, out)
+    return curve, config, metrics, record, kept, out
 
 
 def test_readme_trajectory_table_lists_the_header():
@@ -266,7 +271,7 @@ def test_readme_trajectory_table_lists_the_header():
 def test_trajectory_csv_carries_every_record_column(short_mission):
     # a row is (t, agent) and then the agent's record, every column of it
     # in TRAJECTORY_COLUMNS order, each value's repr read back exactly
-    _curve, _config, metrics, record, _pose, out = short_mission
+    _curve, _config, metrics, record, _kept, out = short_mission
     header, *lines = (out / "trajectory.csv").read_text().splitlines()
     assert header.split(",") == ["t", "agent", *sk.TRAJECTORY_COLUMNS]
     table = np.array([[float(v) for v in line.split(",")] for line in lines])
@@ -278,7 +283,7 @@ def test_trajectory_csv_carries_every_record_column(short_mission):
 
 
 def test_trajectory_csv_contract(tmp_path, short_mission):
-    _curve, config, _metrics, _record, _pose, out = short_mission
+    _curve, config, _metrics, _record, _kept, out = short_mission
     path = out / "trajectory.csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "t,agent,x,y,psi,v,z,vz,sigma,alpha,accel,turn_rate,lift_accel"
@@ -350,7 +355,7 @@ def test_streamed_trajectory_matches_in_process_writer(
     config = MissionConfig(curve=make_curve(curve), n=n, seed=0, horizon=horizon)
     out = tmp_path / "out"
     out.mkdir()
-    metrics, _pose, forked, record = _write_mission(config, out)
+    metrics, _kept, forked, record = _write_mission(config, out)
     assert record.shape[0] == records
     assert forked == (records >= sk.TICK_BLOCK and case not in ("no-fork", "fork-fails"))
     assert metrics.nonfinite == (case == "nonfinite")
@@ -374,7 +379,7 @@ def test_cli_streamed_trajectory_of_the_collision_run(monkeypatch, tmp_path):
     _no_child_left()
     mission = load_config("", {"curve": "gear-hermite", "n": 4, "seed": 0, "horizon": 15.0})
     blocks = []
-    metrics, _pose = run_mission(
+    metrics, _kept = run_mission(
         mission.mission_config(), on_block=lambda records, *_: blocks.append(records.copy())
     )
     assert metrics.collision
@@ -449,7 +454,7 @@ def test_writer_failure_leaves_no_trajectory(monkeypatch, tmp_path, capfd, how):
 
 
 def test_metrics_csv_contract_and_determinism(tmp_path, short_mission):
-    curve, config, metrics, _record, _pose, _out = short_mission
+    curve, config, metrics, _record, _kept, _out = short_mission
     p1 = tmp_path / "m1.csv"
     p2 = tmp_path / "m2.csv"
     write_metrics_csv(p1, metrics)
@@ -485,9 +490,9 @@ def test_solution_file_contents(tmp_path):
 
 
 def test_snapshot_svg_well_formed(tmp_path, short_mission):
-    curve, _config, metrics, _record, pose, _out = short_mission
+    curve, _config, metrics, record, kept, _out = short_mission
     path = tmp_path / "snap.svg"
-    write_snapshot_svg(path, curve, metrics, pose, pose.shape[0] - 1)
+    write_snapshot_svg(path, curve, metrics, kept, record.shape[0] - 1)
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
     tags = [child.tag.split("}")[-1] for child in root.iter()]
@@ -557,12 +562,13 @@ def reference_snapshot_svg(path, curve, metrics, pose, k):
 
 @pytest.mark.parametrize("where", ["start", "middle", "end"])
 def test_snapshot_svg_matches_the_pointwise_writer(tmp_path, short_mission, where):
-    # the trails and the outline are mapped as arrays; the bytes are those
-    # of mapping each point on its own
-    curve, _config, metrics, _record, pose, _out = short_mission
-    k = {"start": 0, "middle": pose.shape[0] // 2 + 1, "end": pose.shape[0] - 1}[where]
-    write_snapshot_svg(tmp_path / "new.svg", curve, metrics, pose, k)
-    reference_snapshot_svg(tmp_path / "ref.svg", curve, metrics, pose, k)
+    # the trails and the outline are mapped as arrays, from the trail and
+    # the poses the mission keeps; the bytes are those of mapping each
+    # point of the whole record on its own
+    curve, _config, metrics, record, kept, _out = short_mission
+    k = {"start": 0, "middle": record.shape[0] // 2 + 1, "end": record.shape[0] - 1}[where]
+    write_snapshot_svg(tmp_path / "new.svg", curve, metrics, kept, k)
+    reference_snapshot_svg(tmp_path / "ref.svg", curve, metrics, record[:, :, 0:3], k)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
@@ -577,6 +583,52 @@ def test_samples_csv_closure():
     assert np.hypot(first[1] - last[1], first[2] - last[2]) <= 1e-9 * curve.scale
     kappa = np.array([float(ln.split(",")[5]) for ln in lines[1:]])
     assert np.all(np.isfinite(kappa)) and np.all(kappa >= 0.0)
+
+
+def reference_samples_csv(curve, n):
+    """The sample writer as it was when each row took one float point and one Curve.frenet."""
+    rows = ["s,x,y,tangent_x,tangent_y,curvature"]
+    for s in np.linspace(0.0, 2.0 * np.pi, n):
+        p = curve.point(float(s))
+        fr = curve.frenet(float(s))
+        rows.append(",".join(repr(float(v)) for v in (s, *p, *fr.tangent, fr.curvature)))
+    return "\n".join(rows) + "\n"
+
+
+# the families whose float and array jets agree bit for bit: every family
+# but the three that raise arrays to a power
+EXACT_JET_NAMES = [
+    name for name in catalog_names()
+    if make_curve(name).kind not in (KIND_SUPERELLIPSE, KIND_CASSINI, KIND_LEMNISCATE)
+]
+
+
+@pytest.mark.parametrize("name", EXACT_JET_NAMES)
+def test_samples_csv_matches_the_rowwise_writer(name):
+    # deltoid's s = 0 and the gear's corners take the cusp fallback
+    curve = make_curve(name)
+    for n in (2, 3, 100, 1001):
+        assert format_samples_csv(curve, n) == reference_samples_csv(curve, n)
+
+
+def test_samples_csv_raises_on_the_rowwise_writers_row(monkeypatch):
+    # an ellipse with b > a is slowest at s = pi/2: with eps_sing at the
+    # speed 2e-3 away, the row 1.6e-3 before pi/2 recovers through the
+    # fallback and the row at pi/2, whose whole +/-1e-3 reach is too slow,
+    # raises, in both writers
+    curve = make_curve("ellipse", a=1.0, b=2.0)
+    eps = math.sqrt(1.0 + 3.0 * math.sin(2e-3) ** 2)
+    monkeypatch.setattr(Curve, "eps_sing", property(lambda self: eps))
+    with pytest.raises(SingularPointError) as expected:
+        reference_samples_csv(curve, 4001)
+    assert "s=1.570796" in str(expected.value)
+    with pytest.raises(SingularPointError) as got:
+        format_samples_csv(curve, 4001)
+    assert str(got.value) == str(expected.value)
+    # with eps_sing just above the slowest speed, the rows at pi/2 and
+    # 3 pi/2 recover through the fallback: the bytes are the same
+    monkeypatch.setattr(Curve, "eps_sing", property(lambda self: 1.0 + 1e-7))
+    assert format_samples_csv(curve, 4001) == reference_samples_csv(curve, 4001)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -689,8 +741,8 @@ def test_cli_rejects_records_over_the_budget(tmp_path, capsys, flag, value):
 def test_cli_exit_4_on_collision(monkeypatch, tmp_path):
     # the real mission, its blocks sent to the writer, reported as a collision
     def hit(mission, on_block=None):
-        metrics, pose = run_mission(mission, on_block)
-        return dataclasses.replace(metrics, collision=True), pose
+        metrics, kept = run_mission(mission, on_block)
+        return dataclasses.replace(metrics, collision=True), kept
 
     monkeypatch.setattr(cli, "run_mission", hit)
     code = run_cli(
@@ -747,9 +799,9 @@ def test_cli_mission_holds_no_record_past_its_block(monkeypatch, tmp_path):
     # numpy reports its buffers to tracemalloc.  While each block is sent,
     # the live buffers that are a whole number of (n, TRAJECTORY_COLUMNS)
     # record rows, 64 rows or more, are the loop's one block buffer; when
-    # the files are completed there are none.  2001 ticks is no multiple
-    # of 11, so the kept (ticks, n) sigma and (ticks, n, 3) poses are not
-    # whole rows
+    # the files are completed there are none.  1201 ticks at dt = DT_MAX
+    # is no multiple of 11, so the kept (ticks, n) sigma is not whole
+    # rows, and the (301, n, 2) trail is under 64 rows
     row = 4 * len(sk.TRAJECTORY_COLUMNS) * 8
     held = []
 
@@ -764,13 +816,13 @@ def test_cli_mission_holds_no_record_past_its_block(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "write_trajectory_csv", lambda *args, **kw: (check(), complete(*args, **kw)))
     tracemalloc.start()
     try:
-        argv = ["simulate", "--curve", "deltoid", "--n", "4", "--seed", "0", "--horizon", "20"]
-        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        argv = ["simulate", "--curve", "deltoid", "--n", "4", "--seed", "0", "--horizon", "24"]
+        assert run_cli(argv + ["--dt", str(DT_MAX), "--out", str(tmp_path)]) == 0
     finally:
         tracemalloc.stop()
-    # four blocks of 2001 ticks, then the completion
-    assert held == [[sk.TICK_BLOCK]] * 4 + [[]]
-    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 2001 * 4
+    # three blocks of 1201 ticks, then the completion
+    assert held == [[sk.TICK_BLOCK]] * 3 + [[]]
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 1 + 1201 * 4
 
 
 def test_cli_curves_list_and_sample(capsys):

@@ -1,5 +1,6 @@
 """Tests for the mission simulator: integrator, helpers, closed loop."""
 
+import math
 import re
 import tracemalloc
 
@@ -25,10 +26,28 @@ TWO_PI = 2.0 * np.pi
 
 
 def run_recorded(config):
-    """run_mission with every block of records copied: (metrics, pose, record)."""
+    """run_mission with every block of records copied: (metrics, (trail, poses), record)."""
     blocks = [np.empty((0, config.n, len(TRAJECTORY_COLUMNS)))]
-    metrics, pose = run_mission(config, on_block=lambda records, *_: blocks.append(records.copy()))
-    return metrics, pose, np.concatenate(blocks)
+    metrics, kept = run_mission(config, on_block=lambda records, *_: blocks.append(records.copy()))
+    return metrics, kept, np.concatenate(blocks)
+
+
+def brute_closest_pair(record):
+    """First pair (i, j), i < j, at the record's smallest separation, by loops.
+
+    Ticks in order, pairs in (i, j) order; only a strictly smaller
+    distance takes over, so ties go to the first tick and lowest pair.
+    """
+    best, pair = np.inf, None
+    for rows in record:
+        for i in range(rows.shape[0]):
+            for j in range(i + 1, rows.shape[0]):
+                dx = rows[i, 0] - rows[j, 0]
+                dy = rows[i, 1] - rows[j, 1]
+                d = math.sqrt(dx * dx + dy * dy)
+                if d < best:
+                    best, pair = d, (i, j)
+    return pair
 
 
 def curve_distance(p, curve):
@@ -156,7 +175,7 @@ def test_mission_config_rejects_records_over_the_budget(horizon, dt):
 
 
 def test_mission_config_accepts_records_within_the_budget():
-    per_tick = 8 * (3 + 4 * 12)
+    per_tick = 8 * (3 + 12) + 4 * 12
     horizon = 0.01 * (sim.RECORD_BUDGET // per_tick - 1)
     MissionConfig(curve=make_curve("ellipse"), n=12, horizon=horizon).validate()
     with pytest.raises(MissionError, match="budget"):
@@ -166,11 +185,12 @@ def test_mission_config_accepts_records_within_the_budget():
 @pytest.mark.parametrize("n", [1, 4, 12])
 def test_record_budget_boundary(n):
     # validate alone: the mission keeps 8 bytes per tick of its times, its
-    # min_distance and adherence series, and each agent's sigma, x, y and
-    # psi.  dt = 2**-6 is exact in binary, so horizon / dt + 1 counts the
-    # ticks exactly: the most ticks that fit pass, one more is refused
+    # min_distance and adherence series and each agent's sigma, and 4 of
+    # each agent's trail (x and y every fourth tick).  dt = 2**-6 is exact
+    # in binary, so horizon / dt + 1 counts the ticks exactly: the most
+    # ticks that fit pass, one more is refused
     dt = 2.0**-6
-    ticks = sim.RECORD_BUDGET // (8 * (3 + 4 * n))
+    ticks = sim.RECORD_BUDGET // (8 * (3 + n) + 4 * n)
     MissionConfig(curve=make_curve("ellipse"), n=n, dt=dt, horizon=(ticks - 1) * dt).validate()
     with pytest.raises(MissionError, match="over the budget"):
         MissionConfig(curve=make_curve("ellipse"), n=n, dt=dt, horizon=ticks * dt).validate()
@@ -322,14 +342,17 @@ def test_mission_deterministic_repeat():
 def test_mission_log_layout():
     curve = make_curve("ellipse")
     config = MissionConfig(curve=curve, n=2, seed=1, horizon=2.0, dt=0.01)
-    metrics, pose, record = run_recorded(config)
+    metrics, (trail, poses), record = run_recorded(config)
     n_records = int(round(config.horizon / config.dt)) + 1
     assert record.shape == (n_records, 2, len(TRAJECTORY_COLUMNS))
     assert metrics.times.shape == (n_records,)
     assert np.allclose(np.diff(metrics.times), config.dt)
-    # the mission keeps the pose columns, which lead the record
+    # the mission keeps the pose columns, which lead the record: x and y
+    # every fourth tick, and the whole pose of the last record
     assert TRAJECTORY_COLUMNS[:3] == ("x", "y", "psi")
-    assert np.array_equal(pose, record[:, :, 0:3])
+    assert trail.tobytes() == record[::4, :, 0:2].tobytes()
+    assert list(poses) == [n_records - 1]
+    assert poses[n_records - 1].tobytes() == record[-1, :, 0:3].tobytes()
     assert metrics.sigma.shape == (n_records, 2)
     # sweep-only missions never blend
     assert float(np.max(metrics.sigma)) == 0.0
@@ -342,8 +365,8 @@ def test_mission_min_distance_is_the_closest_pair():
     # reported closest pair must attain the run's minimum
     curve = make_curve("rose-3")
     config = MissionConfig(curve=curve, n=3, seed=2, horizon=8.0)
-    metrics, pose = run_mission(config)
-    xy = pose[:, :, 0:2]
+    metrics, _kept, record = run_recorded(config)
+    xy = record[:, :, 0:2]
     for k in range(xy.shape[0]):
         assert metrics.min_distance[k] == sk.min_pair_distance(xy[k, :, 0], xy[k, :, 1])
     i, j = metrics.closest_pair
@@ -356,7 +379,7 @@ def test_sweep_only_reference_keeps_marching():
     curve = make_curve("circle")
     config = MissionConfig(curve=curve, n=1, seed=0, horizon=20.0)
     cp = make_params(curve)
-    _metrics, _pose, record = run_recorded(config)
+    _metrics, _kept, record = run_recorded(config)
     z = record[:, 0, TRAJECTORY_COLUMNS.index("z")]
     # one agent, no avoidance: lifted progress tracks the open-ended
     # reference rate over the whole run
@@ -384,7 +407,7 @@ def test_mission_practical_invariance_during_sweep():
 def test_mission_controls_stay_bounded():
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=40.0)
-    _metrics, _pose, record = run_recorded(config)
+    _metrics, _kept, record = run_recorded(config)
     for name in ("accel", "turn_rate", "lift_accel"):
         col = TRAJECTORY_COLUMNS.index(name)
         assert float(np.max(np.abs(record[:, :, col]))) <= 1e3
@@ -393,11 +416,11 @@ def test_mission_controls_stay_bounded():
 def test_mission_vertex_errors_settle_monotonically():
     curve = make_curve("deltoid")
     config = MissionConfig(curve=curve, n=4, seed=0, horizon=100.0)
-    metrics, pose = run_mission(config)
+    metrics, _kept, record = run_recorded(config)
     assert metrics.completed
     pos = metrics.assignment.position
     errs = np.hypot(
-        pose[:, :, 0] - pos[None, :, 0], pose[:, :, 1] - pos[None, :, 1]
+        record[:, :, 0] - pos[None, :, 0], record[:, :, 1] - pos[None, :, 1]
     ).max(axis=1)
     tail = errs[int(0.9 * errs.shape[0]) :]
     slack = 1e-6 * curve.scale
@@ -417,13 +440,17 @@ def test_mission_collision_flag_truncates():
     st[:, 0] = p[0]
     st[:, 1] = p[1]
     st[:, 3] = cp.v_min
-    min_dist, adh, sigma, pose, collision, nonfinite = sk.mission_core(
-        curve, st, np.zeros(2), np.full(2, np.inf), None, cp, 0.01, 100
+    min_dist, adh, sigma, trail, poses, closest, collision, nonfinite = sk.mission_core(
+        curve, st, np.zeros(2), np.full(2, np.inf), None, cp, 0.01, 100, {50, 100}
     )
     assert collision
     assert not nonfinite
-    # the series hold the one record made
-    assert pose.shape == (1, 2, 3)
+    # the series hold the one record made, and the snapshot ticks past it
+    # are left to that record
+    assert trail.shape == (1, 2, 2)
+    assert list(poses) == [0]
+    assert poses[0].shape == (2, 3)
+    assert closest == (0, 1)
     assert sigma.shape == (1, 2)
     assert min_dist.shape == adh.shape == (1,)
     assert float(min_dist[0]) == pytest.approx(0.0, abs=1e-12)
@@ -446,11 +473,11 @@ def test_truncated_mission_adherence_has_one_value_per_record(
     st[:, 1] = p[1]
     st[:, 3] = cp.v_min
     monkeypatch.setattr("curveswarm.sim.initial_states", lambda *args: (st, np.zeros(2)))
-    metrics, pose, record = run_recorded(MissionConfig(curve=curve, n=2, horizon=1.0))
+    metrics, (trail, poses), record = run_recorded(MissionConfig(curve=curve, n=2, horizon=1.0))
     assert metrics.collision is collision
     assert metrics.nonfinite is nonfinite
     assert metrics.mean_adherence.shape == (filled,)
-    assert record.shape[0] == pose.shape[0] == metrics.times.shape[0] == filled
+    assert record.shape[0] == trail.shape[0] == len(poses) == metrics.times.shape[0] == filled
     assert np.all(metrics.mean_adherence == pytest.approx(0.0, abs=1e-12))
 
 
@@ -470,13 +497,16 @@ def test_collected_record_is_the_whole_record(monkeypatch):
     # the loop reuses one block buffer: copied as each block arrives, the
     # record collected equals, bit for bit, the record made tick by tick
     # from the same start and kept whole, as the loop kept it before it
-    # streamed; the kept series and poses are that record's columns
+    # streamed; the kept series, trail and poses are that record's columns
     calls = []
     real = sk.mission_core
     monkeypatch.setattr(sk, "mission_core", lambda *args: calls.append(args) or real(*args))
-    config = MissionConfig(curve=make_curve("deltoid"), n=4, seed=0, horizon=12.0)
-    metrics, pose, record = run_recorded(config)
-    curve, states0, z0, z_cap, targets, cp, dt, n_steps, _keep = calls[0]
+    config = MissionConfig(
+        curve=make_curve("deltoid"), n=4, seed=0, horizon=12.0, snapshot_times=(5.13,)
+    )
+    metrics, (trail, poses), record = run_recorded(config)
+    curve, states0, z0, z_cap, targets, cp, dt, n_steps, snap_ticks, _keep = calls[0]
+    assert snap_ticks == {513}
     states = list(map(tuple, states0.tolist()))
     whole = []
     for start in range(0, n_steps + 1, sk.TICK_BLOCK):
@@ -492,21 +522,61 @@ def test_collected_record_is_the_whole_record(monkeypatch):
     assert n_steps + 1 > 2 * sk.TICK_BLOCK
     assert record.shape == whole.shape
     assert record.tobytes() == whole.tobytes()
-    assert np.array_equal(pose, whole[:, :, 0:3])
+    assert np.array_equal(trail, whole[::4, :, 0:2])
+    assert sorted(poses) == [513, n_steps]
+    assert np.array_equal(poses[513], whole[513, :, 0:3])
+    assert np.array_equal(poses[n_steps], whole[-1, :, 0:3])
     assert np.array_equal(metrics.sigma, whole[:, :, TRAJECTORY_COLUMNS.index("sigma")])
 
 
-def _loop_peak(monkeypatch, horizon):
-    """Traced peak from the mission loop's start to run_mission's return."""
+@pytest.mark.parametrize(
+    "curve, horizon, snapshot_times, last",
+    [
+        # off the trail's stride, on both sides of a block's edge, the
+        # first and the last record
+        ("deltoid", 12.0, (0.0, 5.01, 5.11, 5.13, 12.0), 1200),
+        # aborts on a collision of agents 0 and 1 at 13.84 s: a snapshot
+        # time past it is left to the last record
+        ("gear-hermite", 15.0, (5.01, 13.37, 15.0), 1384),
+    ],
+    ids=["deltoid", "gear-hermite-collision"],
+)
+def test_kept_trail_and_poses_are_rows_of_the_record(curve, horizon, snapshot_times, last):
+    config = MissionConfig(
+        curve=make_curve(curve), n=4, seed=0, horizon=horizon, snapshot_times=snapshot_times
+    )
+    metrics, (trail, poses), record = run_recorded(config)
+    assert record.shape[0] == metrics.times.shape[0] == last + 1
+    assert metrics.collision == (last < int(round(horizon / config.dt)))
+    assert trail.tobytes() == record[::4, :, 0:2].tobytes()
+    reached = {int(round(t / config.dt)) for t in snapshot_times} & set(range(last))
+    assert sorted(poses) == sorted(reached | {last})
+    for k, pose in poses.items():
+        assert pose.tobytes() == record[k, :, 0:3].tobytes()
+    # the closest pair is the first pair at the run's smallest separation,
+    # at the first record that reaches it
+    assert metrics.closest_pair == brute_closest_pair(record)
+    if curve == "gear-hermite":
+        assert metrics.closest_pair == (0, 1)
+        assert metrics.times[-1] == pytest.approx(13.84)
+
+
+def _loop_peak(monkeypatch, ticks):
+    """Traced peak from the mission loop's start to run_mission's return.
+
+    Tracing starts with the loop, so the finder's search is not traced;
+    the deltoid mission runs at dt = DT_MAX for the given number of ticks.
+    """
     real = sk.mission_core
 
     def loop(*args):
-        tracemalloc.reset_peak()
+        tracemalloc.start()
         return real(*args)
 
     monkeypatch.setattr(sk, "mission_core", loop)
-    config = MissionConfig(curve=make_curve("deltoid"), n=4, seed=0, horizon=horizon)
-    tracemalloc.start()
+    config = MissionConfig(
+        curve=make_curve("deltoid"), n=4, seed=0, dt=DT_MAX, horizon=(ticks - 1) * DT_MAX
+    )
     try:
         run_mission(config, on_block=lambda *block: None)
         return tracemalloc.get_traced_memory()[1]
@@ -515,13 +585,18 @@ def _loop_peak(monkeypatch, horizon):
 
 
 def test_mission_memory_grows_by_the_kept_series_only(monkeypatch):
-    # with an on_block that keeps nothing, 3000 more ticks cost what the
-    # mission keeps per tick (times, min_distance, adherence, and each
-    # agent's sigma, x, y, psi), not the 11-column record of each agent
-    grown = _loop_peak(monkeypatch, 40.0) - _loop_peak(monkeypatch, 10.0)
-    kept = 3000 * 8 * (3 + 4 * 4)
+    # with an on_block that keeps nothing, two more blocks of ticks cost
+    # what the mission keeps per tick (8 bytes each of times, min_distance,
+    # adherence and every agent's sigma, and each agent's x and y every
+    # fourth tick), not the 11-column record of each agent, nor its
+    # (x, y, psi) at every tick.  Both runs fill at least one whole block
+    more = 2 * sk.TICK_BLOCK
+    grown = _loop_peak(monkeypatch, sk.TICK_BLOCK + more) - _loop_peak(monkeypatch, sk.TICK_BLOCK)
+    n = 4
+    kept = more * (8 * (3 + n) + 4 * n)
     assert grown <= 1.1 * kept
-    assert 1.1 * kept < 3000 * 4 * len(TRAJECTORY_COLUMNS) * 8
+    assert 1.1 * kept < more * 8 * 3 * n
+    assert 1.1 * kept < more * 8 * len(TRAJECTORY_COLUMNS) * n
 
 
 def test_nearest_sample_temporaries_stay_small():
