@@ -26,7 +26,7 @@ STATUS_STEP = 0       # step norm below tolerance
 STATUS_COST = 1       # relative cost drop below tolerance
 STATUS_MAXITER = 2    # iteration budget exhausted
 STATUS_STALLED = 3    # damping grew past its ceiling without an accepted step
-STATUS_COLLAPSED = 4  # mean side still below min_side at RETIRE_ITER
+STATUS_COLLAPSED = 4  # mean side still below MIN_SIDE_FRAC * scale at RETIRE_ITER
 
 # Armijo trial step lengths evaluated per residual call, of at most
 # ARMIJO_TRIALS per damping value
@@ -34,11 +34,29 @@ LADDER = 8
 ARMIJO_TRIALS = 60
 # a start whose polygon has collapsed by this iteration is retired
 RETIRE_ITER = 10
-
+# a polygon whose mean side is below this fraction of the curve scale has
+# collapsed; the finder's feasibility test uses the same threshold
+MIN_SIDE_FRAC = 0.05
+# a start stops once its accepted step norm, or its relative cost drop,
+# falls below these
+TOL_STEP = 1e-10
+TOL_COST_REL = 1e-12
+# Armijo sufficient-decrease constant and backtracking factor: the trial
+# step lengths are 1, BACKTRACK, BACKTRACK^2, ...
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+_ETAS = BACKTRACK ** np.arange(ARMIJO_TRIALS)
+# Levenberg damping: its starting value, floor and ceiling
+_LM_LAMBDA0 = 1e-8
 _LM_MIN = 1e-12
 _LM_MAX = 1e6
 _SQRT2 = np.sqrt(2.0)
 _TINY = 1e-300
+
+
+def _row_count(n, square_mode):
+    """Residual rows of an n-vertex formation."""
+    return 2 * n + 2 if square_mode else 2 * n
 
 
 def _edges(kind, par, theta):
@@ -114,7 +132,7 @@ def jacobian_matrix(kind, par, theta, square_mode):
     gx, gy = curve_d1(kind, par, theta.ravel())
     gx = gx.reshape(theta.shape)
     gy = gy.reshape(theta.shape)
-    m = 2 * n + 2 if square_mode else 2 * n
+    m = _row_count(n, square_mode)
     J = np.zeros((theta.shape[0], m, n))
     len_rows = np.arange(n)
     ang_rows = n + len_rows
@@ -143,41 +161,33 @@ def jacobian_matrix(kind, par, theta, square_mode):
     return J
 
 
-def weight_vector(config):
-    """Weights of the residual rows of a FinderConfig's formation."""
-    counts = (config.n, config.n, 2 if config.square_mode else 0)
-    weights = (config.weight_length, config.weight_angle, config.weight_diagonal)
-    return np.repeat(np.array(weights, dtype=float), counts)
+def cost_value(r):
+    """Half sum of squares over the last axis of r."""
+    return 0.5 * np.sum(r * r, axis=-1)
 
 
-def cost_value(r, w):
-    """Weighted half sum of squares over the last axis of r."""
-    return 0.5 * np.sum(w * r * r, axis=-1)
-
-
-def _armijo_ladder(kind, par, square_mode, w, theta, cost, dtheta, slope,
-                   armijo_c1, etas):
+def _armijo_ladder(kind, par, square_mode, theta, cost, dtheta, slope):
     """First Armijo-passing step of each row along its direction dtheta.
 
-    Trial k takes the step length etas[k]; LADDER trials of every row
+    Trial k takes the step length _ETAS[k]; LADDER trials of every row
     are evaluated per residual call, and a row leaves once one of them
     passes.  Returns (trial index or -1, residuals, cost) per row; the
     residual and cost rows of a row that found no step are unset.
     """
     s_count, n = theta.shape
     first = np.full(s_count, -1)
-    r_acc = np.empty((s_count, w.shape[0]))
+    r_acc = np.empty((s_count, _row_count(n, square_mode)))
     c_acc = np.empty(s_count)
     live = np.arange(s_count)
-    for t0 in range(0, etas.shape[0], LADDER):
+    for t0 in range(0, ARMIJO_TRIALS, LADDER):
         if live.shape[0] == 0:
             break
-        eta = etas[t0:t0 + LADDER]
+        eta = _ETAS[t0:t0 + LADDER]
         trial = theta[live, None, :] + eta[:, None] * dtheta[live, None, :]
         r_try = residual_vector(kind, par, trial.reshape(-1, n), square_mode)
         r_try = r_try.reshape(live.shape[0], eta.shape[0], -1)
-        c_try = cost_value(r_try, w)
-        bound = cost[live, None] + armijo_c1 * eta * slope[live, None]
+        c_try = cost_value(r_try)
+        bound = cost[live, None] + ARMIJO_C1 * eta * slope[live, None]
         passed = np.isfinite(c_try) & (c_try <= bound)
         hit = passed.any(axis=1)
         k = passed.argmax(axis=1)[hit]
@@ -207,8 +217,7 @@ def _solve_rows(A, b):
         return x
 
 
-def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
-                 armijo_c1, etas):
+def _damped_step(kind, par, square_mode, theta, cost, grad, M, lam):
     """One accepted damped Gauss-Newton step per row, where there is one.
 
     A row whose system is singular or gives no finite descent direction,
@@ -220,7 +229,7 @@ def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
     s_count, n = theta.shape
     ok = np.zeros(s_count, dtype=bool)
     theta_new = theta.copy()
-    r_new = np.empty((s_count, w.shape[0]))
+    r_new = np.empty((s_count, _row_count(n, square_mode)))
     cost_new = cost.copy()
     step_norm = np.zeros(s_count)
     eye = np.eye(n)
@@ -233,12 +242,11 @@ def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
         rows = pending[good]
         dtheta = dtheta[good]
         first, r_acc, c_acc = _armijo_ladder(
-            kind, par, square_mode, w, theta[rows], cost[rows], dtheta,
-            slope[good], armijo_c1, etas,
+            kind, par, square_mode, theta[rows], cost[rows], dtheta, slope[good]
         )
         hit = first >= 0
         done = rows[hit]
-        eta = etas[first[hit]]
+        eta = _ETAS[first[hit]]
         d = dtheta[hit]
         theta_new[done] = theta[done] + eta[:, None] * d
         r_new[done] = r_acc[hit]
@@ -254,16 +262,16 @@ def _damped_step(kind, par, square_mode, w, theta, cost, grad, M, lam,
 def solve_floats(n, square_mode):
     """float64 values per start that gn_solve holds at most, cost trace aside.
 
-    The Jacobian step holds the (m, n) stack J, its C-ordered transpose
-    and w * J, with the normal matrix and a product temporary (n, n
-    each); the Armijo ladder holds LADDER trial rows with their
-    residuals and curve-kernel temporaries, under 20 * LADDER * n.  The
-    two stages never overlap, so their sum bounds the peak: tracemalloc
-    puts it at 8.0-8.2 n^2 per start for n >= 50, and at n = 3 at 463
-    values (gear-hermite, the largest of ten families), where this gives
-    552.
+    The Jacobian step holds the (m, n) stack J and its C-ordered
+    transpose, then the normal matrix, its damped copy and the solve's
+    copies (n, n each), all under 3 m n + 2 n^2 as m >= 2 n; the Armijo
+    ladder holds LADDER trial rows with their residuals and curve-kernel
+    temporaries, under 20 * LADDER * n.  The two stages never overlap,
+    so their sum bounds the peak: tracemalloc puts it at 7.3-8.5 n^2 per
+    start for n = 50 to 100, and at n = 3 at 462 values (gear-hermite,
+    the largest of the catalog), where this gives 552.
     """
-    m = 2 * n + 2 if square_mode else 2 * n
+    m = _row_count(n, square_mode)
     return 3 * m * n + 2 * n * n + 20 * LADDER * n
 
 
@@ -276,51 +284,42 @@ def gn_solve(curve, theta0, config):
     Levenberg term (x10 on a rejected step, /10 on an accepted one) so
     degenerate starts, where the plain system is singular, still
     produce descent directions.  The Armijo search tries the step
-    lengths 1, backtrack, backtrack^2, ... (at most ARMIJO_TRIALS per
+    lengths 1, BACKTRACK, BACKTRACK^2, ... (at most ARMIJO_TRIALS per
     damping value), LADDER of them per residual call, and takes the
     first that passes: the same step the sequential search would take.
-    A start leaves the stack when it converges, exhausts its damping,
-    or, at iteration RETIRE_ITER, still has a mean side below min_side
-    (it is collapsing toward the zero-side polygon, which has zero
-    residual on every curve).
+    A start leaves the stack when it converges (step below TOL_STEP or
+    relative cost drop below TOL_COST_REL), exhausts its damping, or,
+    at iteration RETIRE_ITER, still has a mean side below MIN_SIDE_FRAC
+    * scale (it is collapsing toward the zero-side polygon, which has
+    zero residual on every curve).
 
     curve supplies kind, par and scale; config is a FinderConfig for
-    n-vertex starts, and min_side is its min_side_frac * scale.  Returns (theta, iterations,
-    status, cost_trace): cost_trace is (S, k_max + 1), and row i's first
-    iterations[i] + 1 entries are its initial cost plus one entry per
-    iteration.
+    n-vertex starts.  Returns (theta, iterations, status, cost_trace):
+    cost_trace is (S, k_max + 1), and row i's first iterations[i] + 1
+    entries are its initial cost plus one entry per iteration.
     """
     kind, par, square_mode = curve.kind, curve.par, config.square_mode
     s_count, n = theta0.shape
     theta = theta0.copy()
-    w = weight_vector(config)
     r = residual_vector(kind, par, theta, square_mode)
-    cost = cost_value(r, w)
+    cost = cost_value(r)
     cost_trace = np.empty((s_count, config.k_max + 1))
     cost_trace[:, 0] = cost
-    lam = np.full(s_count, max(config.lm_lambda0, _LM_MIN))
+    lam = np.full(s_count, _LM_LAMBDA0)
     status = np.full(s_count, STATUS_MAXITER)
     iters = np.zeros(s_count, dtype=np.int64)
-    # step lengths built by repeated multiplication, as a sequential
-    # backtracking loop builds them
-    etas = np.empty(ARMIJO_TRIALS)
-    eta = 1.0
-    for t in range(ARMIJO_TRIALS):
-        etas[t] = eta
-        eta *= config.backtrack
-    min_side = config.min_side_frac * curve.scale
+    min_side = MIN_SIDE_FRAC * curve.scale
     active = np.arange(s_count)
     for k in range(config.k_max):
         J = jacobian_matrix(kind, par, theta[active], square_mode)
         # a C-ordered copy: BLAS rounds the product with a transposed view
         # differently, and the finder's outputs are reproducible to the bit
         JT = np.ascontiguousarray(J.transpose(0, 2, 1))
-        grad = (JT @ (w * r[active])[:, :, None])[:, :, 0]
-        M = JT @ (w[:, None] * J)
+        grad = (JT @ r[active][:, :, None])[:, :, 0]
+        M = JT @ J
         lam_a = lam[active]
         ok, theta_a, r_a, cost_a, step_norm = _damped_step(
-            kind, par, square_mode, w, theta[active], cost[active], grad, M,
-            lam_a, config.armijo_c1, etas,
+            kind, par, square_mode, theta[active], cost[active], grad, M, lam_a
         )
         lam[active] = lam_a
         status[active[~ok]] = STATUS_STALLED
@@ -333,8 +332,8 @@ def gn_solve(curve, theta0, config):
         iters[moved] = k + 1
         cost_trace[moved, k + 1] = cost[moved]
         lam[moved] = np.maximum(lam[moved] * 0.1, _LM_MIN)
-        small_step = step_norm[ok] < config.tol_step
-        small_drop = ~small_step & (rel_drop < config.tol_cost_rel)
+        small_step = step_norm[ok] < TOL_STEP
+        small_drop = ~small_step & (rel_drop < TOL_COST_REL)
         status[moved[small_step]] = STATUS_STEP
         status[moved[small_drop]] = STATUS_COST
         active = moved[~(small_step | small_drop)]

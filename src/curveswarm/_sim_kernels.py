@@ -331,8 +331,7 @@ def march_profile(z0, z_cap, t, rate, width):
 # the ControllerParams fields team_controls reads itself, once per call
 _TICK_GAINS = attrgetter(
     *"""lift_gain kp_n kp_t kp_lift kd_n kd_t kd_lift v_min v_ref lead_width revs_star d_sw
-    blend_mode sigma_accept delta_sigma d_ao d_safe shrink_sigma shrink_factor v_max kv_limit
-    omega_max""".split()
+    sigma_accept delta_sigma d_ao d_safe shrink_sigma shrink_factor v_max kv_limit omega_max""".split()
 )
 
 
@@ -368,8 +367,8 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     the snapshot (inf for a lone agent).
     """
     (lift_gain, kp_n, kp_t, kp_lift, kd_n, kd_t, kd_lift, v_min, v_ref, lead_width, revs_star, d_sw,
-     blend_mode, sigma_accept, delta_sigma, d_ao, d_safe, shrink_sigma, shrink_factor, v_max,
-     kv_limit, omega_max) = _TICK_GAINS(cp)
+     sigma_accept, delta_sigma, d_ao, d_safe, shrink_sigma, shrink_factor, v_max, kv_limit,
+     omega_max) = _TICK_GAINS(cp)
     kind, eps_sing = curve.kind, curve.eps_sing
     par = tuple(curve.par.tolist())
     px, py, psi, *_ = zip(*states)
@@ -400,7 +399,7 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
                 revs = 0.0
         dx = x - target_x
         dy = y - target_y
-        sigma = blend_weight(revs, math.sqrt(dx * dx + dy * dy), revs_star, d_sw, blend_mode)
+        sigma = blend_weight(revs, math.sqrt(dx * dx + dy * dy), revs_star, d_sw)
         # path following: a PD law on the transverse outputs (e_n, e_t,
         # h3), feedback-linearized by inverting their decoupling matrix
         # in closed form; the speed is floored at v_min inside the matrix

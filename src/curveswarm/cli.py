@@ -11,7 +11,6 @@ import os
 import sys
 
 from .config import ConfigError, dump_config, load_config, parse_target
-from .control import make_params
 from .curves import CurveError, catalog_names, make_curve
 from .finder import multistart
 from .output import (
@@ -184,8 +183,7 @@ def cmd_simulate(args) -> int:
         write_trajectory_csv(traj_path, writer)
         write_metrics_csv(metrics_path, metrics, writer)
     sigma_last = float(metrics.sigma[-1].min()) if metrics.sigma.size else 0.0
-    cp = mission.params if mission.params is not None else make_params(cfg.curve)
-    unformed = [str(i) for i, s in enumerate(metrics.sigma[-1].tolist()) if s < cp.sigma_accept]
+    unformed = [str(i) for i, s in enumerate(metrics.sigma[-1].tolist()) if s < mission.params.sigma_accept]
     err_last = (
         float(metrics.final_vertex_errors.max())
         if metrics.final_vertex_errors is not None

@@ -3,9 +3,9 @@
 INI-style files with four sections, every key optional:
 
     [curve]       name, plus numeric curve-family parameters (case-sensitive)
-    [finder]      FinderConfig fields (n, square_mode, seeds, tolerances)
+    [finder]      FinderConfig fields (n, square_mode, n_init, k_max, seed, c_target)
     [controller]  ControllerParams overrides (gains, distances, speeds)
-    [sim]         MissionConfig fields (n, seed, dt, horizon, target, ...)
+    [sim]         MissionConfig fields (n, seed, dt, horizon, target, snapshot_times)
 
 Parsing is strict: an unknown section or key raises ConfigError naming
 the offender, and nothing is applied until the whole file parses
@@ -112,11 +112,7 @@ class EffectiveConfig:
     sim: dict
 
     def mission_config(self) -> MissionConfig:
-        params = (
-            make_params(self.curve, **self.controller_overrides)
-            if self.controller_overrides
-            else None
-        )
+        params = make_params(self.curve, **self.controller_overrides)
         sim = dict(self.sim)
         target = sim.pop("target", None)
         mission = MissionConfig(curve=self.curve, params=params, c_target=target, **sim)
@@ -155,11 +151,15 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
     """Parse config text, apply CLI-style overrides, build everything.
 
     overrides maps flat keys (curve, n, target, seed, dt, horizon,
-    square_mode) to values; flags win over file values.  This is the
-    one place the finder's n, seed and c_target are derived: from a
-    flag, else from the [finder] key, else from the [sim] key (n, seed,
-    target).  When that n is the mission's and below 3, the mission is
-    sweep-only: its finder keeps that n and runs no search.
+    square_mode) to values; flags win over file values.  A config file
+    gives the finder its n, seed and c_target from a flag, else from
+    the [finder] key, else from the [sim] key (n, seed, target).  When
+    that n is the mission's and below 3, the mission is sweep-only: its
+    finder keeps that n and runs no search.  run_mission, called
+    without a config file, has its own rule: a mission with no finder
+    builds one from its n, seed and c_target, and a finder it is given
+    keeps its own seed and takes the mission's c_target only when it
+    has none.
     """
     sections = _read_ini(text)
     overrides = dict(overrides or {})
@@ -191,7 +191,6 @@ def load_config(text: str, overrides: dict = None) -> EffectiveConfig:
             sim_kw[key] = value
     if overrides.get("square_mode"):
         finder_kw["square_mode"] = True
-    # run_mission seeds the finder from the mission the same way
     for key, finder_key in (("n", "n"), ("seed", "seed"), ("target", "c_target")):
         flagged = overrides.get(key) is not None
         if key in sim_kw and (flagged or finder_key not in finder_kw):

@@ -59,9 +59,6 @@ from .finder import FormationSolution
 
 TWO_PI = 2.0 * np.pi
 
-_BLEND_MODES = {"product": 0.0, "anti-deadlock": 1.0}
-
-
 class ControlError(ValueError):
     """Invalid controller parameters or inconsistent control inputs."""
 
@@ -100,7 +97,6 @@ class ControllerParams(NamedTuple):
     v_ref: float = 0.5
     # blending
     revs_star: float = 1.0
-    blend_mode: float = 1.0
     # avoidance
     k_avoid: float = 0.8
     kv_avoid: float = 2.0
@@ -132,19 +128,12 @@ def make_params(curve: Curve, **overrides) -> ControllerParams:
 
     v_ref is the reference parameter rate (rad/s); the lifted reference
     advances at lift_gain * v_ref, and v_min and v_max follow the
-    effective v_ref unless set themselves.  blend_mode accepts
-    "product", "anti-deadlock", or a numeric value.
+    effective v_ref unless set themselves.
     """
     values = {}
     for key, value in overrides.items():
         if key not in ControllerParams._fields:
             raise ControlError(f"unknown controller parameter '{key}'")
-        if key == "blend_mode" and isinstance(value, str):
-            if value not in _BLEND_MODES:
-                raise ControlError(
-                    f"blend_mode must be 'product' or 'anti-deadlock', got '{value}'"
-                )
-            value = _BLEND_MODES[value]
         values[key] = float(value)
     scale = curve.scale
     v_ref = values.get("v_ref", ControllerParams._field_defaults["v_ref"])
@@ -188,8 +177,6 @@ def _validate_params(cp: ControllerParams) -> None:
         raise ControlError("controller parameter 'codir_factor' must be in [0, 1]")
     if cp.d_safe >= cp.d_ao:
         raise ControlError("'d_safe' must be smaller than 'd_ao'")
-    if cp.blend_mode not in (0.0, 1.0):
-        raise ControlError("'blend_mode' must be 0 (product) or 1 (anti-deadlock)")
     if cp.shrink_factor * cp.d_safe >= cp.d_ao:
         raise ControlError("shrunken avoidance radius must stay below 'd_ao'")
     if cp.shrink_factor <= 1.0:
@@ -232,23 +219,20 @@ def beta_smooth(xi):
     return xi * xi * (3.0 - 2.0 * xi)
 
 
-def blend_weight(revs, dist, revs_star, d_sw, blend_mode):
-    """Authority handover weight in [0, 1].
+def blend_weight(revs, dist, revs_star, d_sw):
+    """Authority handover weight in [0, 1], the anti-deadlock blend.
 
-    Product form gates on completed revolutions AND proximity to the
-    assigned vertex.  The anti-deadlock form (blend_mode >= 0.5) slides
-    toward min(revolution gate, proximity gate) as the two gates
-    diverge, so an agent pushed off its vertex after finishing its laps
-    still hands authority to the pose regulator.
+    It gates on completed revolutions and on proximity to the assigned
+    vertex: the product of the two gates where they agree, sliding
+    toward the smaller gate as they diverge, so an agent pushed off its
+    vertex after finishing its laps still hands authority to the pose
+    regulator.
     """
     br = beta_smooth(revs / revs_star)
     near = 1.0 - beta_smooth(dist / d_sw)
-    prod = br * near
-    if blend_mode < 0.5:
-        return prod
     w = beta_smooth(abs(br - near))
     lo = br if br < near else near
-    return (1.0 - w) * prod + w * lo
+    return (1.0 - w) * (br * near) + w * lo
 
 
 def transverse_terms(frame, x, y, psi, v, z, vz, lift_gain, z_ref, z_ref_rate):

@@ -2,7 +2,7 @@
 
 A formation is an ordered list of n curve parameters whose points form
 a regular n-gon: all sides equal and all consecutive edge dot products
-equal.  The finder minimizes a weighted least-squares cost over those
+equal.  The finder minimizes a least-squares cost over those
 defects with a damped Gauss-Newton iteration, run from one
 curvature-weighted start (equal arclength spacing) plus a batch of
 sorted random starts, then picks a winner by the selection rules
@@ -29,6 +29,16 @@ STATUS_LABELS = {
 }
 
 
+# a run counts as a true formation when its cost is at most ACCEPT_COST
+ACCEPT_COST = 1e-9
+# a feasible polygon's vertices are MIN_VERTEX_SEP_FRAC of the curve scale
+# apart and its parameters MIN_THETA_SEP rad apart; its mean side is
+# fk.MIN_SIDE_FRAC of the scale at least
+MIN_VERTEX_SEP_FRAC = 0.01
+MIN_THETA_SEP = 1e-3
+# selection near-tie window, fraction of the curve scale
+TIE_TOL_FRAC = 1e-6
+
 # bytes of float64 the lockstep finder may hold at once: the cost trace
 # (n_init, k_max + 1) plus fk.solve_floats(n, square_mode) per start,
 # the Jacobian stack with its solve copies or the Armijo ladder
@@ -39,80 +49,43 @@ class FinderError(ValueError):
     """Bad finder configuration or inputs."""
 
 
-_NONNEGATIVE_FIELDS = (
-    "min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac"
-)
-
-
 @dataclass(frozen=True)
 class FinderConfig:
-    """Knobs for the Gauss-Newton formation search.
+    """What a formation search is asked for.
 
-    accept_cost is the absolute cost below which a run counts as a
-    true formation; tol_step / tol_cost_rel only stop the iteration.
-    c_target, when set, steers selection toward formations centered
-    near that point.  square_mode (n = 4 only) appends the two
-    diagonal residuals that single out true squares.
+    n vertices from n_init starts (one curvature-weighted, the rest drawn
+    from seed), each run for at most k_max iterations.  c_target, when
+    set, steers selection toward formations centered near that point.
+    square_mode (n = 4 only) appends the two diagonal residuals that
+    single out true squares.  The solver's tolerances and the selection
+    thresholds are constants: _finder_kernels' TOL_STEP, TOL_COST_REL and
+    MIN_SIDE_FRAC, and this module's ACCEPT_COST and its siblings.
     """
 
     n: int = 4
     square_mode: bool = False
-    weight_length: float = 1.0
-    weight_angle: float = 1.0
-    weight_diagonal: float = 1.0
     n_init: int = 32
     k_max: int = 100
-    tol_step: float = 1e-10
-    tol_cost_rel: float = 1e-12
-    accept_cost: float = 1e-9
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    lm_lambda0: float = 1e-8
     seed: int = 0
     c_target: Optional[Tuple[float, float]] = None
-    # feasibility thresholds, fractions of curve scale where noted
-    min_side_frac: float = 0.05
-    min_vertex_sep_frac: float = 0.01
-    min_theta_sep: float = 1e-3
-    # selection near-tie window, fraction of curve scale
-    tie_tol_frac: float = 1e-6
 
     def validate(self) -> None:
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise FinderError(f"{name} must be an integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise FinderError(f"{name} must be finite, got {value!r}")
-            if name in _NONNEGATIVE_FIELDS and value < 0:
-                raise FinderError(f"{name} must be nonnegative, got {value!r}")
         if self.c_target is not None and not np.all(np.isfinite(self.c_target)):
             raise FinderError(f"c_target must be finite, got {self.c_target!r}")
         if self.n < 3:
             raise FinderError("formation needs n >= 3 vertices")
         if self.square_mode and self.n != 4:
             raise FinderError("square mode requires n = 4")
-        if self.weight_length <= 0 or self.weight_angle <= 0:
-            raise FinderError("residual weights must be positive")
-        if self.square_mode and self.weight_diagonal <= 0:
-            raise FinderError("diagonal weight must be positive")
         if self.n_init < 1:
             raise FinderError("need at least one start")
         if self.k_max < 1:
             raise FinderError("need at least one iteration")
         if self.seed < 0:
             raise FinderError(f"seed must be nonnegative, got {self.seed!r}")
-        for name in ("tol_step", "tol_cost_rel", "accept_cost"):
-            if getattr(self, name) <= 0:
-                raise FinderError(name + " must be positive")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise FinderError("armijo_c1 must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise FinderError("backtrack factor must lie in (0, 1)")
-        if self.lm_lambda0 <= 0:
-            raise FinderError("lm_lambda0 must be positive")
         # Python ints: a numpy integer count could overflow the products
         n, n_init, k_max = int(self.n), int(self.n_init), int(self.k_max)
         trace = 8 * n_init * (k_max + 1)
@@ -130,7 +103,6 @@ class FinderConfig:
 
 # validate checks each field by the type of its default
 _INT_FIELDS = tuple(f.name for f in fields(FinderConfig) if type(f.default) is int)
-_FLOAT_FIELDS = tuple(f.name for f in fields(FinderConfig) if type(f.default) is float)
 
 
 @dataclass
@@ -184,11 +156,11 @@ def residuals(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
 
 
 def cost(theta, curve: Curve, config: FinderConfig) -> float:
-    """Weighted half sum of squared residuals."""
+    """Half sum of squared residuals."""
     config.validate()
     arr = _as_theta(theta, config.n)[None, :]
     r = fk.residual_vector(curve.kind, curve.par, arr, config.square_mode)
-    return float(fk.cost_value(r[0], fk.weight_vector(config)))
+    return float(fk.cost_value(r[0]))
 
 
 def jacobian(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
@@ -211,18 +183,18 @@ def _is_convex(edges: np.ndarray) -> bool:
 
 
 def _is_geometric_feasible(
-    theta: np.ndarray, pts: np.ndarray, mean_side: float, scale: float, config: FinderConfig
+    theta: np.ndarray, pts: np.ndarray, mean_side: float, scale: float
 ) -> bool:
-    if mean_side < config.min_side_frac * scale:
+    if mean_side < fk.MIN_SIDE_FRAC * scale:
         return False
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     iu = np.triu_indices(len(theta), k=1)
-    if dist[iu].min() < config.min_vertex_sep_frac * scale:
+    if dist[iu].min() < MIN_VERTEX_SEP_FRAC * scale:
         return False
     wrapped = np.sort(np.mod(theta, TWO_PI))
     gaps = np.diff(wrapped, append=wrapped[0] + TWO_PI)
-    return bool(gaps.min() >= config.min_theta_sep)
+    return bool(gaps.min() >= MIN_THETA_SEP)
 
 
 def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
@@ -233,7 +205,7 @@ def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
     theta, iters, status, trace = fk.gn_solve(curve, theta0, config)
     theta_w = np.mod(theta, TWO_PI)
     r = fk.residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
-    final_cost = fk.cost_value(r, fk.weight_vector(config))
+    final_cost = fk.cost_value(r)
     solutions = []
     for i, init_kind in enumerate(init_kinds):
         pts, center, mean_side, edges = _polygon_stats(curve, theta_w[i])
@@ -249,10 +221,8 @@ def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
                 status=STATUS_LABELS[int(status[i])],
                 init_kind=init_kind,
                 init_index=i,
-                feasible=_is_geometric_feasible(
-                    theta_w[i], pts, mean_side, curve.scale, config
-                ),
-                converged=bool(final_cost[i] <= config.accept_cost),
+                feasible=_is_geometric_feasible(theta_w[i], pts, mean_side, curve.scale),
+                converged=bool(final_cost[i] <= ACCEPT_COST),
                 convex=_is_convex(edges),
                 cost_trace=trace[i, : iters[i] + 1].copy(),
             )
@@ -314,7 +284,7 @@ def _rank_key(sol: FormationSolution):
 
 
 def _select(solutions, curve: Curve, config: FinderConfig) -> FormationSolution:
-    tie = config.tie_tol_frac * curve.scale
+    tie = TIE_TOL_FRAC * curve.scale
     candidates = [s for s in solutions if s.converged and s.feasible]
     if candidates:
         convex_ones = [s for s in candidates if s.convex]
@@ -351,7 +321,7 @@ def multistart(curve: Curve, config: FinderConfig, return_all: bool = False):
     solve (each start keeps its own damping, status, iteration count
     and cost trace; starts still collapsed at iteration RETIRE_ITER
     stop as "collapsed"), keeps runs that are converged (cost <=
-    accept_cost) and geometrically feasible, prefers convex polygons
+    ACCEPT_COST) and geometrically feasible, prefers convex polygons
     over stars, then picks the center nearest c_target
     when given (near-ties go to the largest mean side, favoring
     non-degenerate formations) or simply the largest mean side.

@@ -34,6 +34,10 @@ from .finder import FinderConfig, FormationSolution, multistart
 
 TWO_PI = 2.0 * np.pi
 DT_MAX = 0.02
+# agents drop on an annulus of half-width ANNULUS_FRAC * scale around the
+# curve, headed along the tangent up to a uniform +/-HEADING_SPREAD rad
+ANNULUS_FRAC = 0.1
+HEADING_SPREAD = 0.3
 # bytes a mission may keep per tick: its times, min_distance and adherence
 # series and every agent's sigma (8 bytes each), and its trail (an x and a y
 # of 8 bytes every TRAIL_STRIDE ticks, 4 a tick)
@@ -51,9 +55,9 @@ class MissionConfig:
     finder and params default to the standard configurations for the
     mission's curve and agent count; c_target seeds the formation
     center preference.  Initial conditions: agents drop on an annulus
-    of half-width annulus_frac * scale around the curve at stratified
+    of half-width ANNULUS_FRAC * scale around the curve at stratified
     parameters (redrawn until pairwise separation reaches 2x d_ao), with
-    headings tangent-aligned up to a uniform +/-heading_spread rad.
+    headings tangent-aligned up to a uniform +/-HEADING_SPREAD rad.
     """
 
     curve: Curve
@@ -64,8 +68,6 @@ class MissionConfig:
     seed: int = 0
     dt: float = 0.01
     horizon: float = 120.0
-    annulus_frac: float = 0.1
-    heading_spread: float = 0.3
     snapshot_times: tuple = ()
 
     def validate(self) -> None:
@@ -79,10 +81,8 @@ class MissionConfig:
             raise MissionError("n must be a positive integer")
         if self.seed < 0:
             raise MissionError(f"seed must be nonnegative, got {self.seed!r}")
-        for name in ("horizon", "annulus_frac", "heading_spread"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise MissionError(f"{name} must be finite, got {value!r}")
+        if not np.isfinite(self.horizon):
+            raise MissionError(f"horizon must be finite, got {self.horizon!r}")
         if not 0.0 < self.dt <= DT_MAX:
             raise MissionError(f"dt must lie in (0, {DT_MAX}]")
         if not self.horizon > 0.0:
@@ -96,10 +96,6 @@ class MissionConfig:
                 f" agent's sigma, and its x and y every {sk.TRAIL_STRIDE}th tick), over the budget"
                 f" of {RECORD_BUDGET} bytes"
             )
-        if self.annulus_frac < 0.0:
-            raise MissionError("annulus_frac must be nonnegative")
-        if self.heading_spread < 0.0:
-            raise MissionError("heading_spread must be nonnegative")
         for t in self.snapshot_times:
             if not 0.0 <= t <= self.horizon:
                 raise MissionError("snapshot times must lie within [0, horizon]")
@@ -182,7 +178,7 @@ def initial_states(config: MissionConfig, cp: ControllerParams, rng):
     scale = curve.scale
     for _attempt in range(1000):
         s_base = (np.arange(n) + rng.uniform(0.0, 1.0, size=n)) * TWO_PI / n
-        offsets = rng.uniform(-config.annulus_frac, config.annulus_frac, size=n) * scale
+        offsets = rng.uniform(-ANNULUS_FRAC, ANNULUS_FRAC, size=n) * scale
         pts = np.empty((n, 2))
         for i in range(n):
             fr = curve.frenet(float(s_base[i]))
@@ -192,7 +188,7 @@ def initial_states(config: MissionConfig, cp: ControllerParams, rng):
         for i in range(n):
             s_near = nearest_parameter(pts[i], curve)
             fr = curve.frenet(s_near)
-            heading = fr.tangent_angle + rng.uniform(-config.heading_spread, config.heading_spread)
+            heading = fr.tangent_angle + rng.uniform(-HEADING_SPREAD, HEADING_SPREAD)
             v0 = max(cp.v_ref * cp.lift_gain * fr.speed, cp.v_min)
             states[i] = [pts[i, 0], pts[i, 1], heading, v0, cp.lift_gain * s_near, cp.lift_gain * cp.v_ref]
             z0[i] = cp.lift_gain * s_near

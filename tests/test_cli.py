@@ -167,8 +167,6 @@ def _other_and_malformed(key, default):
         return str(not default).lower(), "maybe"
     if isinstance(default, int):
         return str(default + 1), "2.5"
-    if key == "blend_mode":
-        return "0", "fast"
     return repr(1.1 * default), "fast"
 
 
@@ -192,6 +190,37 @@ def test_config_every_record_key_round_trips_and_names_itself(section, key, defa
     assert again.mission_config().params == cfg.mission_config().params
     with pytest.raises(ConfigError, match=re.escape(f"'{section}.{key}'")):
         load_config(f"{head}[{section}]\n{key} = {malformed}\n")
+
+
+# keys that were record fields and are now constants of the code
+RETIRED_KEYS = (
+    ("finder", "weight_length", "1.0"),
+    ("finder", "weight_angle", "1.0"),
+    ("finder", "weight_diagonal", "1.0"),
+    ("finder", "tol_step", "1e-10"),
+    ("finder", "tol_cost_rel", "1e-12"),
+    ("finder", "accept_cost", "1e-9"),
+    ("finder", "armijo_c1", "1e-4"),
+    ("finder", "backtrack", "0.5"),
+    ("finder", "lm_lambda0", "1e-8"),
+    ("finder", "min_side_frac", "0.05"),
+    ("finder", "min_vertex_sep_frac", "0.01"),
+    ("finder", "min_theta_sep", "1e-3"),
+    ("finder", "tie_tol_frac", "1e-6"),
+    ("controller", "blend_mode", "product"),
+    ("sim", "annulus_frac", "0.1"),
+    ("sim", "heading_spread", "0.3"),
+)
+
+
+@pytest.mark.parametrize(
+    "section,key,value", [pytest.param(*k, id=f"{k[0]}.{k[1]}") for k in RETIRED_KEYS]
+)
+def test_config_retired_key_is_refused(tmp_path, capsys, section, key, value):
+    path = tmp_path / "retired.ini"
+    path.write_text(f"[curve]\nname = circle\n[{section}]\n{key} = {value}\n")
+    assert run_cli(["simulate", str(path), "--dump-config"]) == 2
+    assert f"unknown {section} key '{key}'" in capsys.readouterr().err
 
 
 def test_non_finite_values_are_config_errors(tmp_path, capsys):
@@ -978,7 +1007,7 @@ def test_cli_sweep_only_mission_still_checks_and_dumps_finder_keys(tmp_path, cap
     for extra, message in (
         ("target = inf, 0\n", "c_target must be finite"),
         ("[finder]\nk_max = 0\n", "need at least one iteration"),
-        ("[finder]\ntol_step = nan\n", "tol_step must be finite"),
+        ("[finder]\ntol_step = nan\n", "unknown finder key 'tol_step'"),
     ):
         path.write_text(head + extra)
         for command in ("simulate", "find"):

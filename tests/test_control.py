@@ -422,26 +422,23 @@ def test_beta_flat_at_both_ends():
 def test_blend_sigma_examples():
     cp = make_params(make_curve("circle"))
     for d in (0.0, 0.01, 10.0):
-        assert blend_weight(0.0, d, cp.revs_star, cp.d_sw, cp.blend_mode) == 0.0
-    assert blend_weight(cp.revs_star, 0.0, cp.revs_star, cp.d_sw, cp.blend_mode) == 1.0
-    assert blend_weight(2.5 * cp.revs_star, 0.0, cp.revs_star, cp.d_sw, cp.blend_mode) == 1.0
-    prod = make_params(make_curve("circle"), blend_mode="product")
-    assert blend_weight(0.5 * cp.revs_star, 2.0 * cp.d_sw, prod.revs_star, prod.d_sw, prod.blend_mode) == 0.0
+        assert blend_weight(0.0, d, cp.revs_star, cp.d_sw) == 0.0
+    assert blend_weight(cp.revs_star, 0.0, cp.revs_star, cp.d_sw) == 1.0
+    assert blend_weight(2.5 * cp.revs_star, 0.0, cp.revs_star, cp.d_sw) == 1.0
+    assert blend_weight(0.5 * cp.revs_star, 2.0 * cp.d_sw, cp.revs_star, cp.d_sw) == 0.0
 
 
 def test_blend_sigma_reduces_to_product_when_gates_agree():
     cp = make_params(make_curve("circle"))
-    prod = make_params(make_curve("circle"), blend_mode="product")
-    # choose (revs, d) so both gates are equal: w = 0, forms coincide
+    # choose (revs, d) so both gates are equal: w = 0, and the blend is
+    # the product of the two gates
     rng = np.random.default_rng(9)
     for _ in range(50):
         g = rng.uniform(0.0, 1.0)
         revs = _invert_beta(g) * cp.revs_star
         d = _invert_beta(1.0 - g) * cp.d_sw
-        anti = blend_weight(revs, d, cp.revs_star, cp.d_sw, cp.blend_mode)
-        assert anti == pytest.approx(
-            blend_weight(revs, d, prod.revs_star, prod.d_sw, prod.blend_mode), abs=1e-12
-        )
+        prod = beta_smooth(revs / cp.revs_star) * (1.0 - beta_smooth(d / cp.d_sw))
+        assert blend_weight(revs, d, cp.revs_star, cp.d_sw) == pytest.approx(prod, abs=1e-12)
 
 
 def _invert_beta(target):
@@ -460,9 +457,9 @@ def test_blend_sigma_anti_deadlock_recovers_displaced_agent():
     # min form also 0 -> path following resumes; pushed slightly off:
     # min form keeps sigma high
     cp = make_params(make_curve("circle"))
-    far = blend_weight(2.0, 10.0 * cp.d_sw, cp.revs_star, cp.d_sw, cp.blend_mode)
+    far = blend_weight(2.0, 10.0 * cp.d_sw, cp.revs_star, cp.d_sw)
     assert far == 0.0
-    near = blend_weight(2.0, 0.2 * cp.d_sw, cp.revs_star, cp.d_sw, cp.blend_mode)
+    near = blend_weight(2.0, 0.2 * cp.d_sw, cp.revs_star, cp.d_sw)
     assert near >= 0.8
 
 
@@ -471,10 +468,10 @@ def test_blend_sigma_continuous_in_both_arguments():
     revs = np.linspace(0.0, 1.5, 601)
     dist = np.linspace(0.0, 2.0 * cp.d_sw, 601)
     for d in (0.0, 0.4 * cp.d_sw, cp.d_sw):
-        vals = np.array([blend_weight(r, d, cp.revs_star, cp.d_sw, cp.blend_mode) for r in revs])
+        vals = np.array([blend_weight(r, d, cp.revs_star, cp.d_sw) for r in revs])
         assert np.max(np.abs(np.diff(vals))) <= 0.02
     for r in (0.2, 0.7, 1.0, 1.3):
-        vals = np.array([blend_weight(r, d, cp.revs_star, cp.d_sw, cp.blend_mode) for d in dist])
+        vals = np.array([blend_weight(r, d, cp.revs_star, cp.d_sw) for d in dist])
         assert np.max(np.abs(np.diff(vals))) <= 0.02
 
 
@@ -850,8 +847,6 @@ def test_make_params_rejects_unknown_and_invalid():
         make_params(curve, no_such_gain=1.0)
     with pytest.raises(ControlError, match="d_safe"):
         make_params(curve, d_safe=1.0, d_ao=0.5)
-    with pytest.raises(ControlError, match="blend_mode"):
-        make_params(curve, blend_mode="half")
     with pytest.raises(ControlError, match="sigma_accept"):
         make_params(curve, sigma_accept=1.5)
     with pytest.raises(ControlError, match="above 'd_safe'"):
@@ -861,8 +856,6 @@ def test_make_params_rejects_unknown_and_invalid():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ControlError, match=f"'{name}' must be finite"):
                 make_params(curve, **{name: bad})
-    cp = make_params(curve, blend_mode="product")
-    assert cp.blend_mode == 0.0
 
 
 def test_wrap_angle_convention():

@@ -71,16 +71,13 @@ def test_residuals_rejects_bad_inputs():
         finder.residuals(np.array([0.0, 1.0, 2.0]), circ, square_mode=True)
 
 
-def test_cost_is_half_weighted_square_and_linear_in_weights():
+def test_cost_is_half_sum_of_squares():
     ell = make_curve("ellipse")
     theta = np.array([0.1, 1.3, 2.9, 4.4])
-    cfg = finder.FinderConfig(n=4, weight_length=1.3, weight_angle=0.7)
     r = finder.residuals(theta, ell)
-    expected = 0.5 * (1.3 * np.sum(r[:4] ** 2) + 0.7 * np.sum(r[4:] ** 2))
-    got = finder.cost(theta, ell, cfg)
+    expected = 0.5 * np.sum(r**2)
+    got = finder.cost(theta, ell, finder.FinderConfig(n=4))
     assert abs(got - expected) < 1e-14 * max(1.0, expected)
-    cfg2 = finder.FinderConfig(n=4, weight_length=2.6, weight_angle=1.4)
-    assert abs(finder.cost(theta, ell, cfg2) - 2 * got) < 1e-12 * max(1.0, got)
     theta0 = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     circ = make_curve("circle")
     assert finder.cost(theta0, circ, finder.FinderConfig(n=4)) < 1e-28
@@ -146,7 +143,7 @@ def test_jacobian_square_rows_match_finite_differences():
 
 def test_gradient_matches_finite_differences_of_cost():
     delt = make_curve("deltoid")
-    cfg = finder.FinderConfig(n=5, weight_length=1.0, weight_angle=1.0)
+    cfg = finder.FinderConfig(n=5)
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(50):
@@ -395,28 +392,12 @@ def test_config_validation_errors():
         finder.FinderConfig(n=2).validate()
     with pytest.raises(finder.FinderError):
         finder.FinderConfig(n=5, square_mode=True).validate()
-    with pytest.raises(finder.FinderError):
-        finder.FinderConfig(weight_length=0).validate()
-    with pytest.raises(finder.FinderError):
-        finder.FinderConfig(backtrack=1.0).validate()
-    with pytest.raises(finder.FinderError):
-        finder.FinderConfig(armijo_c1=0.0).validate()
 
 
 def test_config_rejects_non_finite_floats():
-    for name in finder._FLOAT_FIELDS:
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(finder.FinderError, match=name):
-                replace(finder.FinderConfig(), **{name: bad}).validate()
-    with pytest.raises(finder.FinderError, match="c_target"):
-        finder.FinderConfig(c_target=(0.0, np.nan)).validate()
-
-
-def test_config_rejects_negative_thresholds():
-    for name in ("min_side_frac", "min_vertex_sep_frac", "min_theta_sep", "tie_tol_frac"):
-        with pytest.raises(finder.FinderError, match=name):
-            replace(finder.FinderConfig(), **{name: -1e-3}).validate()
-        replace(finder.FinderConfig(), **{name: 0.0}).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(finder.FinderError, match="c_target"):
+            finder.FinderConfig(c_target=(0.0, bad)).validate()
 
 
 def test_config_rejects_non_integer_counts():
@@ -498,7 +479,8 @@ def test_solve_floats_bound_the_measured_peak(name, n, n_init, square_mode):
 
 
 def test_config_file_nan_weight_is_rejected():
-    # a NaN weight used to run to a NaN-cost winner that reported feasible
+    # a NaN weight used to run to a NaN-cost winner that reported feasible;
+    # the weights are constants now, and a file that sets one is refused
     with pytest.raises(ConfigError, match="weight_length"):
         load_config("[curve]\nname = circle\n[finder]\nweight_length = nan\n")
 
@@ -542,20 +524,18 @@ def test_damped_step_raises_only_the_failing_rows_damping():
     # the ceiling while the first start steps at its own damping
     ell = make_curve("ellipse")
     theta = np.array([[0.1, 1.7, 3.3, 4.6], [0.2, 1.5, 3.0, 4.4]])
-    w = fk.weight_vector(finder.FinderConfig())
     r = fk.residual_vector(ell.kind, ell.par, theta, False)
     J = fk.jacobian_matrix(ell.kind, ell.par, theta, False)
-    grad = np.einsum("smn,sm->sn", J, w * r)
-    M = np.einsum("smn,m,smk->snk", J, w, J)
+    grad = np.einsum("smn,sm->sn", J, r)
+    M = np.einsum("smn,smk->snk", J, J)
     grad[1, 0] = np.nan
     lam = np.full(2, 1e-8)
-    etas = 0.5 ** np.arange(fk.ARMIJO_TRIALS)
     ok, theta_new, _, cost_new, _ = fk._damped_step(
-        ell.kind, ell.par, False, w, theta, fk.cost_value(r, w), grad, M, lam, 1e-4, etas
+        ell.kind, ell.par, False, theta, fk.cost_value(r), grad, M, lam
     )
     assert ok.tolist() == [True, False]
     assert lam[0] == 1e-8 and lam[1] > fk._LM_MAX
-    assert cost_new[0] < fk.cost_value(r, w)[0]
+    assert cost_new[0] < fk.cost_value(r)[0]
     assert np.array_equal(theta_new[1], theta[1])
 
 
@@ -565,28 +545,26 @@ def test_damped_step_survives_an_exactly_singular_row():
     # damping while the first row steps as it would alone
     ell = make_curve("ellipse")
     theta = np.array([[0.1, 1.7, 3.3, 4.6], [0.2, 1.5, 3.0, 4.4]])
-    w = fk.weight_vector(finder.FinderConfig())
     r = fk.residual_vector(ell.kind, ell.par, theta, False)
     J = fk.jacobian_matrix(ell.kind, ell.par, theta, False)
-    grad = np.einsum("smn,sm->sn", J, w * r)
-    M = np.einsum("smn,m,smk->snk", J, w, J)
+    grad = np.einsum("smn,sm->sn", J, r)
+    M = np.einsum("smn,smk->snk", J, J)
     M[1] = -1e-8 * np.eye(4)
-    cost = fk.cost_value(r, w)
+    cost = fk.cost_value(r)
     lam = np.full(2, 1e-8)
-    etas = 0.5 ** np.arange(fk.ARMIJO_TRIALS)
     ok, theta_new, _, cost_new, _ = fk._damped_step(
-        ell.kind, ell.par, False, w, theta, cost, grad, M, lam, 1e-4, etas
+        ell.kind, ell.par, False, theta, cost, grad, M, lam
     )
     assert ok[0] and lam[0] == 1e-8
     assert lam[1] > 1e-8
     lam0 = np.full(1, 1e-8)
     alone = fk._damped_step(
-        ell.kind, ell.par, False, w, theta[:1], cost[:1], grad[:1], M[:1], lam0, 1e-4, etas
+        ell.kind, ell.par, False, theta[:1], cost[:1], grad[:1], M[:1], lam0
     )
     assert np.array_equal(theta_new[0], alone[1][0]) and cost_new[0] == alone[3][0]
 
 
-def test_collapsing_start_is_retired_at_iteration_ten():
+def test_collapsing_start_is_retired_at_iteration_ten(monkeypatch):
     # three vertices bunched on the circle slide onto the zero-side
     # polygon, which has zero residual on every curve
     circ = make_curve("circle")
@@ -595,12 +573,11 @@ def test_collapsing_start_is_retired_at_iteration_ten():
     assert sol.status == "collapsed"
     assert sol.iterations == fk.RETIRE_ITER == 10
     assert sol.cost_trace.shape == (11,)
-    assert sol.mean_side < cfg.min_side_frac * circ.scale
+    assert sol.mean_side < fk.MIN_SIDE_FRAC * circ.scale
     assert not sol.feasible
     # without the retirement threshold the same start runs on
-    free = finder.gauss_newton_solve(
-        np.array([1.0, 1.02, 1.05]), circ, replace(cfg, min_side_frac=0.0)
-    )
+    monkeypatch.setattr(fk, "MIN_SIDE_FRAC", 0.0)
+    free = finder.gauss_newton_solve(np.array([1.0, 1.02, 1.05]), circ, cfg)
     assert free.status != "collapsed" and free.iterations > 10
 
 

@@ -803,7 +803,7 @@ def scalar_agent_control(
     dx = px[idx] - target_x
     dy = py[idx] - target_y
     dist = np.sqrt(dx * dx + dy * dy)
-    sigma = control.blend_weight(revs_i, dist, cp.revs_star, cp.d_sw, cp.blend_mode)
+    sigma = control.blend_weight(revs_i, dist, cp.revs_star, cp.d_sw)
     a_tfl, om_tfl, az_tfl = scalar_path_following_control(
         kind,
         par,
@@ -1973,7 +1973,7 @@ def test_curve_geometry_matches_array_oracle(name):
 # The per-start Gauss-Newton loop and the numpy-scalar residual and
 # Jacobian kernels that the lockstep finder replaced.  The lockstep
 # solve adds one rule the loop did not have: a start whose mean side is
-# below min_side_frac * scale at iteration RETIRE_ITER stops as
+# below MIN_SIDE_FRAC * scale at iteration RETIRE_ITER stops as
 # "collapsed".  Every other start must take the same iterates.
 
 SQRT2 = np.sqrt(2.0)
@@ -2173,8 +2173,12 @@ def old_gn_solve(
 
 
 def oracle_multistart(curve, config):
-    """multistart's selection over per-start runs of old_gn_solve."""
-    w = fk.weight_vector(config)
+    """multistart's selection over per-start runs of old_gn_solve.
+
+    The loop runs with unit weights and the solver constants written out,
+    and a run is converged at a cost of at most 1e-9.
+    """
+    w = np.ones(2 * config.n + (2 if config.square_mode else 0))
     starts = [finder.init_curvature_weighted(curve, config.n)]
     rng = np.random.default_rng(config.seed)
     for _ in range(1, config.n_init):
@@ -2183,10 +2187,8 @@ def oracle_multistart(curve, config):
     for idx, theta0 in enumerate(starts):
         trace = np.empty(config.k_max + 1)
         theta, _, iters, status, trace_len = old_gn_solve(
-            curve.kind, curve.par, theta0, config.square_mode, config.weight_length,
-            config.weight_angle, config.weight_diagonal, config.k_max, config.tol_step,
-            config.tol_cost_rel, config.armijo_c1, config.backtrack, config.lm_lambda0,
-            trace,
+            curve.kind, curve.par, theta0, config.square_mode, 1.0, 1.0, 1.0, config.k_max,
+            1e-10, 1e-12, 1e-4, 0.5, 1e-8, trace,
         )
         theta_w = np.mod(theta, TWO_PI)
         r = old_residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
@@ -2199,8 +2201,8 @@ def oracle_multistart(curve, config):
                 status=finder.STATUS_LABELS[status],
                 init_kind="curvature-weighted" if idx == 0 else "random",
                 init_index=idx,
-                feasible=finder._is_geometric_feasible(theta_w, pts, mean_side, curve.scale, config),
-                converged=cost <= config.accept_cost, convex=finder._is_convex(edges),
+                feasible=finder._is_geometric_feasible(theta_w, pts, mean_side, curve.scale),
+                converged=cost <= 1e-9, convex=finder._is_convex(edges),
                 cost_trace=trace[:trace_len].copy(),
             )
         )

@@ -12,7 +12,9 @@ from curveswarm import sim
 from curveswarm.control import make_params
 from curveswarm.curves import make_curve
 from curveswarm.sim import (
+    ANNULUS_FRAC,
     DT_MAX,
+    HEADING_SPREAD,
     MissionConfig,
     MissionError,
     TRAJECTORY_COLUMNS,
@@ -255,12 +257,12 @@ def test_initial_states_invariants():
     scale = curve.scale
     for i in range(4):
         # on the annulus around the curve
-        assert curve_distance(states[i, 0:2], curve) <= config.annulus_frac * scale + 1e-9
+        assert curve_distance(states[i, 0:2], curve) <= ANNULUS_FRAC * scale + 1e-9
         # heading near the local tangent
         s_near = nearest_parameter(states[i, 0:2], curve)
         fr = curve.frenet(s_near)
         dpsi = np.mod(states[i, 2] - fr.tangent_angle + np.pi, TWO_PI) - np.pi
-        assert abs(dpsi) <= config.heading_spread + 1e-9
+        assert abs(dpsi) <= HEADING_SPREAD + 1e-9
         # lifted coordinate consistent with the nearest parameter
         assert states[i, 4] == pytest.approx(z0[i], rel=1e-12)
         assert z0[i] / cp.lift_gain == pytest.approx(s_near, abs=1e-9)
@@ -304,9 +306,6 @@ def test_mission_config_validation():
     [
         ("horizon", float("inf")),
         ("horizon", float("nan")),
-        ("annulus_frac", float("nan")),
-        ("annulus_frac", float("inf")),
-        ("heading_spread", float("nan")),
         ("n", True),
         ("n", 4.0),
         ("seed", -1),
