@@ -17,9 +17,11 @@ where lbar is the mean side length.  The diagonal rows exist only in
 square mode (n = 4), which biases the solver toward true squares.
 """
 
+import functools
+
 import numpy as np
 
-from ._curve_kernels import curve_point, curve_d1
+from ._curve_kernels import curve_jet
 
 # gn_solve termination codes
 STATUS_STEP = 0       # step norm below tolerance
@@ -59,13 +61,11 @@ def _row_count(n, square_mode):
     return 2 * n + 2 if square_mode else 2 * n
 
 
-def _edges(kind, par, theta):
-    """Vertex coordinates and cyclic edge vectors e_i = p_i - p_{i-1}."""
-    x, y = curve_point(kind, par, theta.ravel())
-    x = x.reshape(theta.shape)
-    y = y.reshape(theta.shape)
-    prev = np.arange(theta.shape[1]) - 1  # index -1 wraps to the last vertex
-    return x, y, x - x[:, prev], y - y[:, prev]
+def _edges(kind, par, theta, order=0):
+    """Vertices, cyclic edges e_i = p_i - p_{i-1} and, at order 1, gamma': one jet call."""
+    x, y, *tangents = (v.reshape(theta.shape) for v in curve_jet(kind, par, theta.ravel(), order))
+    prev = _shifts(theta.shape[1])[0]
+    return (x, y, x - x[:, prev], y - y[:, prev], *tangents)
 
 
 def _sq(v):
@@ -78,8 +78,9 @@ def _sq(v):
     return np.float_power(v, 2.0)
 
 
+@functools.lru_cache(maxsize=16)
 def _shifts(n):
-    """Index arrays i - 1, i + 1 and i + 2 (cyclic) for i = 0..n-1."""
+    """Cyclic index arrays i - 1, i + 1 and i + 2 for i < n, shared by every call: read only."""
     i = np.arange(n)
     return (i - 1) % n, (i + 1) % n, (i + 2) % n
 
@@ -91,13 +92,10 @@ def _safe_div(num, den):
 
 
 def _diagonals(x, y):
-    """Coordinate differences and lengths of the diagonals p0-p2 and p1-p3."""
-    dx02 = x[:, 0] - x[:, 2]
-    dy02 = y[:, 0] - y[:, 2]
-    dx13 = x[:, 1] - x[:, 3]
-    dy13 = y[:, 1] - y[:, 3]
-    return (dx02, dy02, np.sqrt(_sq(dx02) + _sq(dy02)),
-            dx13, dy13, np.sqrt(_sq(dx13) + _sq(dy13)))
+    """Coordinate differences and lengths of the diagonals p0-p2, p1-p3 as (S, 2) columns."""
+    dx = x[:, :2] - x[:, 2:]
+    dy = y[:, :2] - y[:, 2:]
+    return dx, dy, np.sqrt(_sq(dx) + _sq(dy))
 
 
 def residual_vector(kind, par, theta, square_mode):
@@ -114,8 +112,7 @@ def residual_vector(kind, par, theta, square_mode):
         for i in range(1, n):
             lbar = lbar + el[:, i]
         lbar = lbar / n
-        _, _, d02, _, _, d13 = _diagonals(x, y)
-        rows.append(np.stack([d02 - _SQRT2 * lbar, d13 - _SQRT2 * lbar], axis=1))
+        rows.append(_diagonals(x, y)[2] - _SQRT2 * lbar[:, None])
     return np.concatenate(rows, axis=1)
 
 
@@ -128,10 +125,7 @@ def jacobian_matrix(kind, par, theta, square_mode):
     """
     n = theta.shape[1]
     im, i1, i2 = _shifts(n)
-    x, y, ex, ey = _edges(kind, par, theta)
-    gx, gy = curve_d1(kind, par, theta.ravel())
-    gx = gx.reshape(theta.shape)
-    gy = gy.reshape(theta.shape)
+    x, y, ex, ey, gx, gy = _edges(kind, par, theta, 1)
     m = _row_count(n, square_mode)
     J = np.zeros((theta.shape[0], m, n))
     len_rows = np.arange(n)
@@ -151,13 +145,11 @@ def jacobian_matrix(kind, par, theta, square_mode):
         ux = _safe_div(ex, el)
         uy = _safe_div(ey, el)
         dl = ((ux - ux[:, i1]) * gx + (uy - uy[:, i1]) * gy) / n
-        J[:, 2 * n, :] = -_SQRT2 * dl
-        J[:, 2 * n + 1, :] = -_SQRT2 * dl
-        dx02, dy02, d02, dx13, dy13, d13 = _diagonals(x, y)
-        J[:, 2 * n, 0] += _safe_div(dx02 * gx[:, 0] + dy02 * gy[:, 0], d02)
-        J[:, 2 * n, 2] += -_safe_div(dx02 * gx[:, 2] + dy02 * gy[:, 2], d02)
-        J[:, 2 * n + 1, 1] += _safe_div(dx13 * gx[:, 1] + dy13 * gy[:, 1], d13)
-        J[:, 2 * n + 1, 3] += -_safe_div(dx13 * gx[:, 3] + dy13 * gy[:, 3], d13)
+        J[:, 2 * n :, :] = (-_SQRT2 * dl)[:, None, :]
+        # row 2n + j holds the diagonal p_j - p_{j+2}, j = 0, 1
+        dx, dy, d = _diagonals(x, y)
+        J[:, [2 * n, 2 * n + 1], [0, 1]] += _safe_div(dx * gx[:, :2] + dy * gy[:, :2], d)
+        J[:, [2 * n, 2 * n + 1], [2, 3]] += -_safe_div(dx * gx[:, 2:] + dy * gy[:, 2:], d)
     return J
 
 

@@ -485,6 +485,13 @@ def team_controls(states, z0, z_ref, z_ref_rate, curve, targets, cp):
     return rows, min_sep
 
 
+def kept_tick_bytes(n):
+    """Bytes an n-agent mission keeps per tick after its loop: 8 each for
+    its time, min_distance, mean adherence and every agent's sigma, and 16
+    for every agent's trail (x, y) every TRAIL_STRIDE-th tick."""
+    return 8.0 * (3 + n) + 16.0 * n / TRAIL_STRIDE
+
+
 def mission_core(curve, states0, z0, z_cap, targets, cp, dt, n_steps, snap_ticks=(), on_block=None):
     """Full fixed-step closed loop, one block of records at a time.
 

@@ -144,7 +144,7 @@ def cmd_find(args) -> int:
     print(
         f"curve={cfg.curve_name} n={cfg.finder.n} feasible={best.feasible}"
         f" converged={best.converged} cost={best.cost:.6g}"
-        f" residual={best.residual_norm:.6g}"
+        f" residual={best.residual_norm:.6g} side_spread={best.side_spread:.4g}"
     )
     print(f"wrote {solution_path} and {trace_path}")
     return EXIT_OK if best.feasible else EXIT_INFEASIBLE
@@ -191,6 +191,7 @@ def cmd_simulate(args) -> int:
     )
     t_end = f"{float(metrics.times[-1]):.2f}s"
     pair = metrics.closest_pair
+    sol = metrics.solution
     print(
         f"curve={cfg.curve_name} n={mission.n} seed={mission.seed}"
         f" t_end={t_end} collision={metrics.collision}"
@@ -199,6 +200,9 @@ def cmd_simulate(args) -> int:
         f" closest_pair={'none' if pair is None else f'{pair[0]},{pair[1]}'}"
         f" collision_t={t_end if metrics.collision else 'none'}"
         f" unformed={','.join(unformed) or 'none'}"
+        f" converged={'none' if sol is None else sol.converged}"
+        f" residual={'none' if sol is None else f'{sol.residual_norm:.6g}'}"
+        f" side_spread={'none' if sol is None else f'{sol.side_spread:.4g}'}"
     )
     print(f"wrote metrics, trajectory, and {len(snap_times)} snapshot(s) to {args.out}")
     if metrics.collision:

@@ -14,7 +14,6 @@ the fully resolved effective configuration, and reparsing that dump
 reproduces the same effective configuration.
 """
 
-import configparser
 import dataclasses
 import io
 
@@ -125,8 +124,13 @@ def _read_ini(text: str) -> dict:
     """{section: {key: raw value}}; keys are case-folded outside [curve].
 
     [curve] keys stay as written, since a family can have parameters
-    that differ only in case (spirograph's R and r).
+    that differ only in case (spirograph's R and r).  Blank text, as a
+    run without a config file gives, is {} without loading configparser.
     """
+    if not text.strip():
+        return {}
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:

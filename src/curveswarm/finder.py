@@ -131,6 +131,15 @@ class FormationSolution:
     convex: bool
     cost_trace: np.ndarray
 
+    @property
+    def side_spread(self) -> float:
+        """max |side - mean_side| / mean_side over the polygon's sides: 0 when equilateral."""
+        edges = self.vertices - np.roll(self.vertices, 1, axis=0)
+        sides = np.hypot(edges[:, 0], edges[:, 1])
+        if not self.mean_side > 0.0:
+            return float("nan")
+        return float(np.max(np.abs(sides - self.mean_side))) / self.mean_side
+
 
 def _as_theta(theta, n: int) -> np.ndarray:
     arr = np.asarray(theta, dtype=float)

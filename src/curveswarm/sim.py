@@ -88,7 +88,7 @@ class MissionConfig:
         if not self.horizon > 0.0:
             raise MissionError("horizon must be positive")
         ticks = self.horizon / self.dt + 1.0
-        nbytes = ticks * (8.0 * (3 + self.n) + 4.0 * self.n)
+        nbytes = ticks * sk.kept_tick_bytes(self.n)
         if not nbytes <= RECORD_BUDGET:
             raise MissionError(
                 f"horizon {self.horizon!r} s at dt {self.dt!r} s with n = {self.n} agents asks for"

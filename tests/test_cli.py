@@ -824,6 +824,64 @@ def test_cli_summary_names_the_unformed_agents(tmp_path, capsys, argv, unformed)
     assert (",".join(str(i) for i, s in enumerate(last) if s < accept) or "none") == unformed
 
 
+def _side_spread(vertices):
+    edges = vertices - np.roll(vertices, 1, axis=0)
+    sides = np.hypot(edges[:, 0], edges[:, 1])
+    return np.max(np.abs(sides - sides.mean())) / sides.mean()
+
+
+def _summary_tokens(capsys):
+    summary = capsys.readouterr().out.splitlines()[0]
+    return dict(tok.split("=", 1) for tok in summary.split())
+
+
+@pytest.mark.parametrize(
+    "argv, kw",
+    [
+        # no regular pentagon is inscribed in an ellipse: the best fit is
+        # feasible but unconverged, with a side spread of 0.0747
+        (["--curve", "ellipse", "--n", "5"], dict(n=5)),
+        (["--curve", "deltoid", "--n", "4", "--square-mode", "--seed", "9"],
+         dict(n=4, square_mode=True, seed=9)),
+    ],
+    ids=["ellipse", "deltoid"],
+)
+def test_cli_find_summary_names_the_best_fit(tmp_path, capsys, argv, kw):
+    assert run_cli(["find", *argv, "--out", str(tmp_path)]) == 0
+    tokens = _summary_tokens(capsys)
+    best = multistart(make_curve(argv[1]), FinderConfig(**kw))
+    spread = _side_spread(best.vertices)
+    assert tokens["converged"] == str(best.converged)
+    assert tokens["side_spread"] == f"{spread:.4g}" == f"{best.side_spread:.4g}"
+    if best.converged:
+        assert spread < 1e-12
+    else:
+        assert spread > 0.05 and float(tokens["residual"]) > 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, kw",
+    [
+        (["--curve", "nephroid", "--n", "5", "--seed", "3"], dict(n=5, seed=3)),
+        (["--curve", "deltoid", "--n", "4", "--target", "0,0"], dict(n=4, c_target=(0.0, 0.0))),
+        (["--curve", "ellipse", "--n", "2"], None),
+    ],
+    ids=["nephroid", "deltoid", "sweep-only"],
+)
+def test_cli_simulate_summary_names_the_flown_polygon(tmp_path, capsys, argv, kw):
+    # the mission's polygon, as the finder returns it; none for a sweep-only
+    # mission, which flies no polygon
+    assert run_cli(["simulate", *argv, "--horizon", "2", "--out", str(tmp_path)]) == 0
+    tokens = _summary_tokens(capsys)
+    if kw is None:
+        assert [tokens[k] for k in ("converged", "residual", "side_spread")] == ["none"] * 3
+        return
+    best = multistart(make_curve(argv[1]), FinderConfig(**kw))
+    assert tokens["converged"] == str(best.converged)
+    assert tokens["residual"] == f"{best.residual_norm:.6g}"
+    assert tokens["side_spread"] == f"{_side_spread(best.vertices):.4g}"
+
+
 def test_cli_mission_holds_no_record_past_its_block(monkeypatch, tmp_path):
     # numpy reports its buffers to tracemalloc.  While each block is sent,
     # the live buffers that are a whole number of (n, TRAJECTORY_COLUMNS)

@@ -500,6 +500,9 @@ def _multistart_starts(curve, config):
         ("deltoid", dict(n=3)),
         ("lissajous-32", dict(n=4, seed=1)),
         ("fourier-blob", dict(n=4, square_mode=True, seed=9, n_init=8)),
+        # a power-family kernel, and a curve with corners
+        ("superellipse", dict(n=4, square_mode=True, seed=9, n_init=8)),
+        ("gear-hermite", dict(n=4, n_init=8)),
     ],
 )
 def test_single_start_reproduces_its_multistart_run(name, kw):

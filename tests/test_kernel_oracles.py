@@ -2235,6 +2235,9 @@ def assert_finder_matches_oracle(curve, config):
         ("circle", dict(n=3)),
         ("fourier-blob", dict(n=4, square_mode=True, seed=9)),
         ("nephroid", dict(n=3)),
+        # a power-family kernel, and a curve with corners
+        ("superellipse", dict(n=4, square_mode=True, seed=9)),
+        ("gear-hermite", dict(n=4)),
     ],
 )
 def test_lockstep_finder_matches_per_start_oracle(name, kw):

@@ -198,6 +198,19 @@ def test_record_budget_boundary(n):
         MissionConfig(curve=make_curve("ellipse"), n=n, dt=dt, horizon=ticks * dt).validate()
 
 
+@pytest.mark.parametrize("name, n", [("ellipse", 2), ("deltoid", 4)])
+def test_kept_tick_bytes_are_the_series_a_mission_keeps(name, n):
+    # 200 ticks, a whole number of trail strides: the series and the trail
+    # that run_mission returns hold exactly kept_tick_bytes a tick
+    config = MissionConfig(curve=make_curve(name), n=n, dt=0.01, horizon=1.99)
+    metrics, (trail, _poses) = run_mission(config)
+    assert metrics.completed and metrics.times.shape[0] == 200
+    kept = sum(a.nbytes for a in (
+        metrics.times, metrics.min_distance, metrics.mean_adherence, metrics.sigma, trail
+    ))
+    assert kept == 200 * sk.kept_tick_bytes(n)
+
+
 # -- reference march ----------------------------------------------------------
 
 

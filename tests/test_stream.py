@@ -154,14 +154,15 @@ def test_initial_states_place_the_same_agents_as_numpy(seed, name, n):
 def test_cli_loads_no_numpy_random_package(tmp_path):
     # the stream exists so that no run pays for numpy's random package,
     # nor for the secrets and hashlib modules it pulls in; and with the
-    # arclength rule stored as constants, none imports numpy.polynomial
+    # arclength rule stored as constants, none imports numpy.polynomial;
+    # a run without a config file does not load configparser either
     script = (
         "import sys\n"
         "import curveswarm.cli as cli\n"
         f"assert cli.main(['find', '--curve', 'deltoid', '--n', '4', '--out', {str(tmp_path / 'f')!r}]) == 0\n"
         f"assert cli.main(['simulate', '--curve', 'ellipse', '--n', '3', '--horizon', '2',"
         f" '--out', {str(tmp_path / 's')!r}]) == 0\n"
-        "bad = ('numpy.random', 'secrets', 'hashlib', '_hashlib', 'numpy.polynomial')\n"
+        "bad = ('numpy.random', 'secrets', 'hashlib', '_hashlib', 'numpy.polynomial', 'configparser')\n"
         "print(sorted(m for m in sys.modules if m in bad or m.startswith(('numpy.random.', 'numpy.polynomial.'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curveswarm.__file__)))
