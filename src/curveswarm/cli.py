@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (feasible solution / clean mission), 2 unreadable
 or invalid configuration (the offending key is named), 3 no feasible
-formation, 4 mission aborted on the collision threshold (the summary
+formation, non-finite mission state, or a mission error (placement found
+no collision-free draw in 1000 tries, or the finder returned no usable
+polygon), 4 mission aborted on the collision threshold (the summary
 line names the pair and the time).
 """
 

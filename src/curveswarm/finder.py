@@ -113,7 +113,9 @@ class FormationSolution:
     the geometric predicate (solid side lengths, separated vertices,
     distinct parameters) and says nothing about residual size, which
     is what converged reports.  convex records whether all edge cross
-    products share one sign.
+    products share one sign.  multistart also clears feasible on a
+    converged polygon that is not convex when another of its starts
+    converged to a feasible convex one.
     """
 
     theta: np.ndarray
@@ -177,33 +179,35 @@ def jacobian(theta, curve: Curve, square_mode: bool = False) -> np.ndarray:
     return fk.jacobian_matrix(curve.kind, curve.par, _stack(theta, square_mode), square_mode)[0]
 
 
-def _polygon_stats(curve: Curve, theta: np.ndarray):
-    pts = curve.point(theta)
-    center = pts.mean(axis=0)
-    edges = pts - np.roll(pts, 1, axis=0)
-    sides = np.hypot(edges[:, 0], edges[:, 1])
-    return pts, center, float(sides.mean()), edges
+def _verdicts(curve: Curve, theta_w: np.ndarray, final_cost: np.ndarray):
+    """Every start's polygon and flags from one curve pass over the (S, n) stack theta_w.
 
-
-def _is_convex(edges: np.ndarray) -> bool:
-    nxt = np.roll(edges, -1, axis=0)
-    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-    return bool(np.all(cross > 0.0) or np.all(cross < 0.0))
-
-
-def _is_geometric_feasible(
-    theta: np.ndarray, pts: np.ndarray, mean_side: float, scale: float
-) -> bool:
-    if mean_side < fk.MIN_SIDE_FRAC * scale:
-        return False
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    iu = np.triu_indices(len(theta), k=1)
-    if dist[iu].min() < MIN_VERTEX_SEP_FRAC * scale:
-        return False
-    wrapped = np.sort(np.mod(theta, TWO_PI))
-    gaps = np.diff(wrapped, append=wrapped[0] + TWO_PI)
-    return bool(gaps.min() >= MIN_THETA_SEP)
+    Returns the (S, n, 2) vertices, (S, 2) centers and, per start, the
+    mean side and the feasible, converged and convex flags.  When some
+    start is converged, feasible and convex, the converged starts that
+    are not convex lose their feasible flag.
+    """
+    pts = curve.point(theta_w)
+    edges = pts - np.roll(pts, 1, axis=1)
+    mean_side = np.hypot(edges[..., 0], edges[..., 1]).mean(axis=1)
+    nxt = np.roll(edges, -1, axis=1)
+    cross = edges[..., 0] * nxt[..., 1] - edges[..., 1] * nxt[..., 0]
+    convex = np.all(cross > 0.0, axis=1) | np.all(cross < 0.0, axis=1)
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    upper = np.triu_indices(theta_w.shape[1], k=1)
+    min_sep = np.hypot(diff[..., 0], diff[..., 1])[:, upper[0], upper[1]].min(axis=1)
+    wrapped = np.sort(np.mod(theta_w, TWO_PI), axis=1)
+    gaps = np.diff(wrapped, axis=1, append=wrapped[:, :1] + TWO_PI)
+    # a NaN side or separation fails neither of its tests
+    feasible = (
+        ~(mean_side < fk.MIN_SIDE_FRAC * curve.scale)
+        & ~(min_sep < MIN_VERTEX_SEP_FRAC * curve.scale)
+        & (gaps.min(axis=1) >= MIN_THETA_SEP)
+    )
+    converged = final_cost <= ACCEPT_COST
+    if np.any(converged & feasible & convex):
+        feasible &= convex | ~converged
+    return pts, pts.mean(axis=1), mean_side, feasible, converged, convex
 
 
 def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
@@ -215,28 +219,26 @@ def _solve_starts(theta0, curve: Curve, config: FinderConfig, init_kinds):
     theta_w = np.mod(theta, TWO_PI)
     r = fk.residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
     final_cost = fk.cost_value(r)
-    solutions = []
-    for i, init_kind in enumerate(init_kinds):
-        pts, center, mean_side, edges = _polygon_stats(curve, theta_w[i])
-        solutions.append(
-            FormationSolution(
-                theta=theta_w[i],
-                vertices=pts,
-                center=center,
-                mean_side=mean_side,
-                residual_norm=float(np.linalg.norm(r[i])),
-                cost=float(final_cost[i]),
-                iterations=int(iters[i]),
-                status=STATUS_LABELS[int(status[i])],
-                init_kind=init_kind,
-                init_index=i,
-                feasible=_is_geometric_feasible(theta_w[i], pts, mean_side, curve.scale),
-                converged=bool(final_cost[i] <= ACCEPT_COST),
-                convex=_is_convex(edges),
-                cost_trace=trace[i, : iters[i] + 1].copy(),
-            )
+    pts, center, mean_side, feasible, converged, convex = _verdicts(curve, theta_w, final_cost)
+    return [
+        FormationSolution(
+            theta=theta_w[i],
+            vertices=pts[i],
+            center=center[i],
+            mean_side=float(mean_side[i]),
+            residual_norm=float(np.linalg.norm(r[i])),
+            cost=float(final_cost[i]),
+            iterations=int(iters[i]),
+            status=STATUS_LABELS[int(status[i])],
+            init_kind=init_kind,
+            init_index=i,
+            feasible=bool(feasible[i]),
+            converged=bool(converged[i]),
+            convex=bool(convex[i]),
+            cost_trace=trace[i, : iters[i] + 1].copy(),
         )
-    return solutions
+        for i, init_kind in enumerate(init_kinds)
+    ]
 
 
 def gauss_newton_solve(
@@ -296,13 +298,6 @@ def _select(solutions, curve: Curve, config: FinderConfig) -> FormationSolution:
     tie = TIE_TOL_FRAC * curve.scale
     candidates = [s for s in solutions if s.converged and s.feasible]
     if candidates:
-        convex_ones = [s for s in candidates if s.convex]
-        if convex_ones:
-            # demote star/crossed polygons when a convex formation exists
-            for s in candidates:
-                if not s.convex:
-                    s.feasible = False
-            candidates = convex_ones
         if config.c_target is not None:
             target = np.asarray(config.c_target, dtype=float)
             dists = [float(np.linalg.norm(s.center - target)) for s in candidates]

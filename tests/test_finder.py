@@ -1,5 +1,6 @@
 """Formation finder tests: residual oracles, Jacobian checks, solver behavior."""
 
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -367,14 +368,40 @@ def _fake_solution(center, side, convex, cost, idx):
     )
 
 
+def _select_reading_only(solutions, curve, cfg):
+    """finder._select's pick, checked to leave every field of its inputs unchanged."""
+    before = copy.deepcopy([vars(s) for s in solutions])
+    best = finder._select(solutions, curve, cfg)
+    for s, old in zip(solutions, before):
+        assert vars(s).keys() == old.keys()
+        for name, value in vars(s).items():
+            assert np.array_equal(value, old[name]), name
+    return best
+
+
 def test_selection_prefers_convex_and_demotes_stars():
+    # the flags carry the preference: a converged polygon that is not
+    # convex (here a crossed square) loses feasible only when another
+    # start converged to a convex one
     circ = make_curve("circle")
+    square = TWO_PI / 4 * np.arange(4)
+    stack = np.vstack((square, square[[1, 0, 2, 3]]))
+    for costs, feasible in (([0.0, 0.0], [True, False]), ([1.0, 0.0], [True, True]),
+                            ([0.0, 1.0], [True, True])):
+        _, _, _, flags, converged, convex = finder._verdicts(circ, stack, np.array(costs))
+        assert convex.tolist() == [True, False]
+        assert converged.tolist() == [c == 0.0 for c in costs]
+        assert flags.tolist() == feasible, costs
+    # _select reads those flags and writes no field of its inputs
     cfg = finder.FinderConfig(n=4)
     star = _fake_solution((0, 0), 2.0, False, 1e-20, 0)
     square = _fake_solution((0, 0), 1.0, True, 1e-18, 1)
-    best = finder._select([star, square], circ, cfg)
-    assert best is square
-    assert star.feasible is False
+    star.feasible = False
+    assert _select_reading_only([star, square], circ, cfg) is square
+    # with no convex one converged the star keeps feasible, and wins on side
+    square.converged = False
+    star.feasible = True
+    assert _select_reading_only([star, square], circ, cfg) is star
 
 
 def test_selection_near_tie_goes_to_larger_side():
@@ -382,9 +409,9 @@ def test_selection_near_tie_goes_to_larger_side():
     cfg = finder.FinderConfig(n=4, c_target=(0.0, 0.0))
     small = _fake_solution((1e-9, 0), 1.0, True, 1e-20, 0)
     large = _fake_solution((2e-9, 0), 2.0, True, 1e-18, 1)
-    assert finder._select([small, large], circ, cfg) is large
+    assert _select_reading_only([small, large], circ, cfg) is large
     far = _fake_solution((0.5, 0), 3.0, True, 1e-20, 2)
-    assert finder._select([small, large, far], circ, cfg) is large
+    assert _select_reading_only([small, large, far], circ, cfg) is large
 
 
 def test_config_validation_errors():

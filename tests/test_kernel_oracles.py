@@ -59,7 +59,11 @@ The lockstep finder squares with `np.float_power`, which goes through
 the same libm `pow` as the scalar `**2` of its oracle, so every start it
 does not retire takes the oracle's iterates; on this code's reference
 host they agree to the bit.  The test holds it to the winner's index
-and flags and to theta within 1e-10.
+and flags and to theta within 1e-10.  The finder's verdicts over the
+whole start stack (vertices, centers, mean sides and the feasible,
+converged and convex flags, with the demotion of a converged non-convex
+polygon) must equal the per-start helpers and the demoting selection
+they replaced, bit for bit.
 """
 
 import math
@@ -2172,6 +2176,74 @@ def old_gn_solve(
     return theta, cost, iters, status, trace_len
 
 
+def old_polygon_stats(curve, theta):
+    pts = curve.point(theta)
+    center = pts.mean(axis=0)
+    edges = pts - np.roll(pts, 1, axis=0)
+    sides = np.hypot(edges[:, 0], edges[:, 1])
+    return pts, center, float(sides.mean()), edges
+
+
+def old_is_convex(edges):
+    nxt = np.roll(edges, -1, axis=0)
+    cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+    return bool(np.all(cross > 0.0) or np.all(cross < 0.0))
+
+
+def old_is_geometric_feasible(theta, pts, mean_side, scale):
+    if mean_side < fk.MIN_SIDE_FRAC * scale:
+        return False
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    iu = np.triu_indices(len(theta), k=1)
+    if dist[iu].min() < finder.MIN_VERTEX_SEP_FRAC * scale:
+        return False
+    wrapped = np.sort(np.mod(theta, TWO_PI))
+    gaps = np.diff(wrapped, append=wrapped[0] + TWO_PI)
+    return bool(gaps.min() >= finder.MIN_THETA_SEP)
+
+
+def old_select(solutions, curve, config):
+    tie = finder.TIE_TOL_FRAC * curve.scale
+    candidates = [s for s in solutions if s.converged and s.feasible]
+    if candidates:
+        convex_ones = [s for s in candidates if s.convex]
+        if convex_ones:
+            # demote star/crossed polygons when a convex formation exists
+            for s in candidates:
+                if not s.convex:
+                    s.feasible = False
+            candidates = convex_ones
+        if config.c_target is not None:
+            target = np.asarray(config.c_target, dtype=float)
+            dists = [float(np.linalg.norm(s.center - target)) for s in candidates]
+            dmin = min(dists)
+            near = [s for s, d in zip(candidates, dists) if d <= dmin + tie]
+        else:
+            near = candidates
+        lmax = max(s.mean_side for s in near)
+        best = [s for s in near if s.mean_side >= lmax - tie]
+        return min(best, key=finder._rank_key)
+    # Nothing both converged and feasible.  Hand back the cheapest
+    # geometrically sound run (the best-fit polygon) so callers are not
+    # given a collapsed all-coincident solution, which always reaches
+    # zero residual but is useless.
+    pool = [s for s in solutions if s.feasible]
+    if not pool:
+        pool = solutions
+    return min(pool, key=finder._rank_key)
+
+
+def old_solution(curve, theta_w, cost, **run):
+    """A FormationSolution whose polygon and flags come from the per-start helpers."""
+    pts, center, mean_side, edges = old_polygon_stats(curve, theta_w)
+    return finder.FormationSolution(
+        theta=theta_w, vertices=pts, center=center, mean_side=mean_side, cost=cost,
+        feasible=old_is_geometric_feasible(theta_w, pts, mean_side, curve.scale),
+        converged=cost <= 1e-9, convex=old_is_convex(edges), **run,
+    )
+
+
 def oracle_multistart(curve, config):
     """multistart's selection over per-start runs of old_gn_solve.
 
@@ -2193,20 +2265,15 @@ def oracle_multistart(curve, config):
         theta_w = np.mod(theta, TWO_PI)
         r = old_residual_vector(curve.kind, curve.par, theta_w, config.square_mode)
         cost = float(old_cost_value(r, w))
-        pts, center, mean_side, edges = finder._polygon_stats(curve, theta_w)
         runs.append(
-            finder.FormationSolution(
-                theta=theta_w, vertices=pts, center=center, mean_side=mean_side,
-                residual_norm=float(np.linalg.norm(r)), cost=cost, iterations=iters,
+            old_solution(
+                curve, theta_w, cost, residual_norm=float(np.linalg.norm(r)), iterations=iters,
                 status=finder.STATUS_LABELS[status],
                 init_kind="curvature-weighted" if idx == 0 else "random",
-                init_index=idx,
-                feasible=finder._is_geometric_feasible(theta_w, pts, mean_side, curve.scale),
-                converged=cost <= 1e-9, convex=finder._is_convex(edges),
-                cost_trace=trace[:trace_len].copy(),
+                init_index=idx, cost_trace=trace[:trace_len].copy(),
             )
         )
-    return finder._select(runs, curve, config), runs
+    return old_select(runs, curve, config), runs
 
 
 def assert_finder_matches_oracle(curve, config):
@@ -2238,7 +2305,106 @@ def assert_finder_matches_oracle(curve, config):
         # a power-family kernel, and a curve with corners
         ("superellipse", dict(n=4, square_mode=True, seed=9)),
         ("gear-hermite", dict(n=4)),
+        # numpy sums 8 values or more pairwise, as in each mean side
+        ("circle", dict(n=8)),
     ],
 )
 def test_lockstep_finder_matches_per_start_oracle(name, kw):
     assert_finder_matches_oracle(make_curve(name), finder.FinderConfig(n_init=8, **kw))
+
+
+def verdict_stack(rng, n):
+    """Up to 32 starts: random sorted rows, a regular-in-parameter row and
+    rows that each fail a feasibility test or cross themselves."""
+    base = TWO_PI * np.arange(n) / n
+    collapsed = rng.uniform(0.0, 6.0) + 0.02 * np.arange(n) / n
+    coincident = base.copy()
+    coincident[1] = base[0] + 2e-3
+    close = base.copy()
+    close[1] = base[0] + 5e-4
+    wrapped = base.copy()
+    wrapped[0], wrapped[-1] = 1e-4, TWO_PI - 2e-4
+    crossed = base.copy()
+    crossed[[0, 1]] = crossed[[1, 0]]
+    special = np.vstack((base, crossed, collapsed, coincident, close, wrapped))
+    drawn = np.sort(rng.uniform(0.0, TWO_PI, (int(rng.integers(1, 27)), n)), axis=1)
+    return np.vstack((special, drawn))
+
+
+@pytest.mark.parametrize("branch", ["demote", "keep"])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+@pytest.mark.parametrize(
+    "name", ["circle", "deltoid", "superellipse", "cassini-pinched", "lemniscate", "gear-hermite"]
+)
+def test_stacked_verdicts_match_per_start_oracle(name, n, branch):
+    curve = make_curve(name)
+    rng = np.random.default_rng([n, len(name), branch == "demote"])
+    stack = verdict_stack(rng, n)
+    convex_before = [old_is_convex(old_polygon_stats(curve, row)[3]) for row in stack]
+    costs = rng.choice([0.0, 1e-9, 2e-9], len(stack))
+    if branch == "demote":
+        costs[:2] = 0.0
+    else:
+        costs[np.array(convex_before)] = 1.0
+    runs = [
+        old_solution(
+            curve, row, float(c), residual_norm=0.0, iterations=0, status="step-converged",
+            init_kind="random", init_index=i, cost_trace=np.zeros(1),
+        )
+        for i, (row, c) in enumerate(zip(stack, costs))
+    ]
+    # the collapsed, coincident, close and wrapped rows each fail a test
+    assert not any(run.feasible for run in runs[2:6])
+    feasible_before = [run.feasible for run in runs]
+    old_select(runs, curve, finder.FinderConfig(n=n))
+    pts, center, mean_side, feasible, converged, convex = finder._verdicts(curve, stack, costs)
+    for i, ref in enumerate(runs):
+        assert np.array_equal(pts[i], ref.vertices), i
+        assert np.array_equal(center[i], ref.center), i
+        assert float(mean_side[i]) == ref.mean_side, i
+        assert (feasible[i], converged[i], convex[i]) == (ref.feasible, ref.converged, ref.convex), i
+    demoted = np.array(feasible_before) & ~feasible
+    if branch == "keep":
+        assert not demoted.any()
+    elif name == "circle" and n >= 4:
+        # the regular polygon is convex and the crossed one is not
+        assert demoted[1]
+
+
+@pytest.mark.parametrize("case", ["nan-vertex", "fast"])
+def test_stacked_verdicts_match_per_start_oracle_on_stub_curves(case):
+    # stub curves reach what the catalog cannot: a NaN vertex, whose NaN side
+    # and separation fail neither test, and a curve fast enough that two
+    # parameters under MIN_THETA_SEP apart give well separated vertices
+    circle = make_curve("circle")
+    if case == "nan-vertex":
+        def point(theta):
+            pts = circle.point(theta)
+            pts[theta == 0.0] = np.nan
+            return pts
+
+        stack = TWO_PI * np.arange(4) / 4 + np.array([[0.0], [0.1]])
+    else:
+        def point(theta):
+            return circle.point(100.0 * theta)
+
+        # a 5e-4 gap; and a parameter of 2 pi, which wraps to 0 next to one
+        # a hair under 1e-3, while 2 pi + 1e-3 - ulp less 2 pi is over it
+        stack = np.array([[0.5, 0.5005, 2.0, 4.0], [TWO_PI, np.nextafter(1e-3, 0.0), 2.0, 4.0]])
+    curve = SimpleNamespace(point=point, scale=circle.scale)
+    costs = np.array([1.0, 0.0])
+    runs = [
+        old_solution(
+            curve, row, float(c), residual_norm=0.0, iterations=0, status="step-converged",
+            init_kind="random", init_index=i, cost_trace=np.zeros(1),
+        )
+        for i, (row, c) in enumerate(zip(stack, costs))
+    ]
+    old_select(runs, curve, finder.FinderConfig(n=4))
+    pts, center, mean_side, feasible, converged, convex = finder._verdicts(curve, stack, costs)
+    for i, ref in enumerate(runs):
+        assert np.array_equal(pts[i], ref.vertices, equal_nan=True), i
+        assert np.array_equal(center[i], ref.center, equal_nan=True), i
+        assert np.array_equal(mean_side[i], ref.mean_side, equal_nan=True), i
+        assert (feasible[i], converged[i], convex[i]) == (ref.feasible, ref.converged, ref.convex), i
+    assert feasible.tolist() == ([True, True] if case == "nan-vertex" else [False, False])
